@@ -303,9 +303,10 @@ def _bench_optimize():
     A seeded ``optimize`` run on Experiment I at its own geometry: a
     generation batch plus greedy/annealing restarts, every candidate
     scored through a warm :class:`WhatIfSession` jump.  Each evaluation
-    is a *new* layout (the moved tasks' trace chains recompute), so the
-    throughput sits between the cold-build and single-edit extremes the
-    other sections measure; the gate is a conservative floor.
+    is a *new* layout (the moved tasks' sim/flow sub-artifacts recompute
+    against their relocated traces), so the throughput sits between the
+    cold-build and single-edit extremes the other sections measure; the
+    gate is a conservative floor.
     """
     from repro.analysis.store import ArtifactStore
     from repro.analysis.whatif import WhatIfSession

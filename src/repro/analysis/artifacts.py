@@ -38,12 +38,7 @@ from repro.obs import STATE as _OBS
 from repro.program.builder import Program
 from repro.program.layout import ProgramLayout
 from repro.program.paths import PathProfile, enumerate_path_profiles
-from repro.vm.trace import (
-    CompactTrace,
-    LazyTraces,
-    NodeTraceAggregate,
-    compact_traces,
-)
+from repro.vm.trace import CompactTrace, LazyTraces, NodeTraceAggregate
 
 if TYPE_CHECKING:
     from repro.analysis.store import ArtifactStore, FlowBundle
@@ -262,15 +257,18 @@ def analyze_task(
 
     With a *store* (see :mod:`repro.analysis.store`), every pipeline stage
     is looked up / persisted as a **sub-artifact** keyed only by the
-    inputs that stage reads: the reference traces (cache-independent),
-    the per-scenario hit/miss counts (geometry-dependent, cost-free), the
-    RMB/LMB/CIIP/useful analyses (likewise) and the path profiles
-    (structure-only).  A penalty sweep therefore re-costs cached counts in
-    O(1); a geometry sweep replays cached traces instead of re-simulating;
-    and a full hit assembles artifacts without touching the trace entry at
-    all (``wcet.traces`` becomes a lazy view).  Degradation events stored
-    with a stage are replayed into *ledger* on every hit, so cached and
-    cold runs are indistinguishable to callers.
+    inputs that stage reads: the reference traces (cache- and
+    placement-independent), the per-scenario hit/miss counts (geometry-
+    and placement-dependent, cost-free), the RMB/LMB/CIIP/useful analyses
+    (likewise) and the path profiles (structure-only).  A penalty sweep
+    therefore re-costs cached counts in O(1); a geometry sweep or a layout
+    move replays cached traces instead of re-simulating; and a full hit
+    assembles artifacts without touching the trace entry at all.
+    Degradation events stored with a stage are replayed into *ledger* on
+    every hit, so cached and cold runs are indistinguishable to callers.
+
+    ``wcet.traces`` is always a lazy columnar view, decoded into
+    recorders only when a consumer reads it.
     """
     program = layout.program
     program.cfg.validate()
@@ -312,18 +310,18 @@ def analyze_task(
                 return memo.artifacts
         span.set(cache_hit=False)
 
-        wcet, runs, trace_bundle, keys = _wcet_stage(
+        wcet, placed, keys = _wcet_stage(
             layout, scenarios, config, max_steps, store if use_store else None,
             clock, program.name,
         )
         if use_store:
             from repro.analysis.store import flow_key, paths_key
 
-            keys["flow"] = flow_key(keys["trace"], config)
-            keys["paths"] = paths_key(layout, path_limit, strict)
+            keys["flow"] = flow_key(keys["trace"], layout, config)
+            keys["paths"] = paths_key(program, path_limit, strict)
         flow = _flow_stage(
             program, scenarios, config, store if use_store else None,
-            keys.get("flow"), runs, trace_bundle, clock,
+            keys.get("flow"), placed, clock,
         )
         path_profiles, path_complete, local_events = _paths_stage(
             program, path_limit, budget, ledger, span,
@@ -369,12 +367,16 @@ def _wcet_stage(
     clock: "BudgetClock | None",
     name: str,
 ):
-    """Trace + sim sub-artifacts -> (wcet, fresh runs or None, bundle, keys).
+    """Trace + sim sub-artifacts -> (wcet, traces at *layout*, keys).
 
-    Cold: one VM pass per scenario feeds both sub-artifacts.  Trace hit
-    with a sim miss (new geometry): replay the columnar trace through a
-    fresh cache — no VM.  Both hits (new costs only): reassemble cycle
-    counts arithmetically and defer trace decoding entirely.
+    Cold: one VM pass per scenario feeds both sub-artifacts.  The trace
+    key is placement-free, so a hit may come from another placement of
+    the same program: the columnar traces are then relocated to this one
+    — lazily, only if a sim or flow miss reads the addresses.  Trace hit
+    with a sim miss (new geometry or placement): replay the relocated
+    columns through a fresh cache — no VM.  Both hits (new costs only):
+    reassemble cycle counts arithmetically and defer trace decoding
+    entirely.
     """
     from repro.analysis.store import (
         SimBundle,
@@ -385,55 +387,62 @@ def _wcet_stage(
     )
 
     keys: dict[str, str] = {}
-    if store is None:
-        if clock is not None:
-            clock.check(f"wcet:{name}")
-        wcet, runs = measure_wcet_detailed(
-            layout, scenarios, config, max_steps=max_steps
-        )
-        return wcet, runs, None, keys
-    t_key = trace_key(layout, scenarios, max_steps)
-    s_key = sim_key(t_key, config)
-    keys["trace"] = t_key
-    keys["sim"] = s_key
-    trace_bundle = store.get(t_key, kind="trace")
+    trace_bundle = None
+    if store is not None:
+        t_key = trace_key(layout.program, scenarios, max_steps)
+        s_key = sim_key(t_key, layout, config)
+        keys["trace"] = t_key
+        keys["sim"] = s_key
+        trace_bundle = store.get(t_key, kind="trace")
     if trace_bundle is None:
         if clock is not None:
             clock.check(f"wcet:{name}")
         wcet, runs = measure_wcet_detailed(
             layout, scenarios, config, max_steps=max_steps
         )
-        trace_bundle = TraceBundle(
-            scenario_names=tuple(scenarios),
-            traces={
-                scenario: CompactTrace.from_recorder(run.recorder)
-                for scenario, run in runs.items()
-            },
-            base_cycles={
-                scenario: run.base_cycles for scenario, run in runs.items()
-            },
-        )
-        store.put(t_key, trace_bundle, kind="trace")
-        store.put(
-            s_key,
-            SimBundle(
-                counts={
-                    scenario: (run.accesses, run.misses, run.writebacks)
-                    for scenario, run in runs.items()
-                }
-            ),
-            kind="sim",
-        )
-        return wcet, runs, trace_bundle, keys
+        relocatable = layout if store is not None else None
+        placed = LazyTraces({
+            scenario: CompactTrace.from_recorder(run.recorder, relocatable)
+            for scenario, run in runs.items()
+        })
+        if store is not None:
+            store.put(
+                t_key,
+                TraceBundle(
+                    scenario_names=tuple(scenarios),
+                    traces=placed.compact(),
+                    base_cycles={
+                        scenario: run.base_cycles
+                        for scenario, run in runs.items()
+                    },
+                    bases=layout.region_bases(),
+                ),
+                kind="trace",
+            )
+            store.put(
+                s_key,
+                SimBundle(
+                    counts={
+                        scenario: (run.accesses, run.misses, run.writebacks)
+                        for scenario, run in runs.items()
+                    }
+                ),
+                kind="sim",
+            )
+        return replace(wcet, traces=placed), placed, keys
+    bases = layout.region_bases()
+    placed = trace_bundle.placed(bases)
     sim_bundle = store.get(s_key, kind="sim")
     if sim_bundle is None:
-        # New geometry against a known trace: replay, don't re-simulate.
+        # New geometry or placement against a known trace: replay, don't
+        # re-simulate.
         if clock is not None:
             clock.check(f"wcet:{name}")
+        traces = placed.compact()
         counts = {}
         for scenario in scenarios:
             cache = CacheState(config)
-            trace_bundle.traces[scenario].replay(cache)
+            traces[scenario].replay(cache)
             stats = cache.stats
             counts[scenario] = (
                 stats.hits + stats.misses, stats.misses, stats.writebacks
@@ -453,16 +462,16 @@ def _wcet_stage(
     }
     worst = worst_of(per_scenario)
     if store.directory is not None:
-        traces = StoreBackedTraces(store.directory, t_key, tuple(scenarios))
+        traces = StoreBackedTraces(store.directory, t_key, tuple(scenarios), bases)
     else:
-        traces = LazyTraces(trace_bundle.traces)
+        traces = placed
     wcet = WCETResult(
         cycles=per_scenario[worst],
         worst_scenario=worst,
         per_scenario_cycles=per_scenario,
         traces=traces,
     )
-    return wcet, None, trace_bundle, keys
+    return wcet, placed, keys
 
 
 def _flow_stage(
@@ -471,8 +480,7 @@ def _flow_stage(
     config: CacheConfig,
     store: "ArtifactStore | None",
     f_key: "str | None",
-    runs,
-    trace_bundle,
+    placed: LazyTraces,
     clock: "BudgetClock | None",
 ) -> "FlowBundle":
     """Aggregate/CIIP/RMB-LMB/useful sub-artifact, restamped to *config*."""
@@ -485,13 +493,10 @@ def _flow_stage(
         return _restamp_flow(flow, config)
     if clock is not None:
         clock.check(f"dataflow:{program.name}")
-    if runs is not None:
-        recorders = [runs[scenario].recorder for scenario in scenarios]
-    else:
-        recorders = [
-            trace_bundle.traces[scenario].expand() for scenario in scenarios
-        ]
-    aggregate = NodeTraceAggregate.from_recorders(config, recorders)
+    traces = placed.compact()
+    aggregate = NodeTraceAggregate.from_compact(
+        config, [traces[scenario] for scenario in scenarios]
+    )
     footprint = aggregate.footprint()
     dataflow = solve_rmb_lmb(program.cfg, aggregate, config)
     useful = compute_useful_blocks(program.cfg, dataflow, aggregate)
@@ -606,22 +611,3 @@ def _paths_stage(
             kind="paths",
         )
     return path_profiles, path_complete, local_events
-
-
-def shippable_artifacts(artifacts: TaskArtifacts) -> TaskArtifacts:
-    """A pickling-friendly copy of *artifacts* for cross-process shipping.
-
-    Raw ``TraceRecorder`` lists (one object per memory reference) dominate
-    the pickle cost of freshly computed artifacts; replace them with the
-    columnar :class:`~repro.vm.trace.LazyTraces` view before handing
-    artifacts to a pool.  Artifacts assembled from cache already carry a
-    lazy view and pass through unchanged.  Consumers see an identical
-    mapping either way.
-    """
-    from repro.analysis.store import StoreBackedTraces
-
-    traces = artifacts.wcet.traces
-    if isinstance(traces, (LazyTraces, StoreBackedTraces)):
-        return artifacts
-    wcet = replace(artifacts.wcet, traces=LazyTraces(compact_traces(traces)))
-    return replace(artifacts, wcet=wcet)

@@ -537,8 +537,6 @@ class CRPDAnalyzer:
 
     def _pool_context(self) -> tuple:
         """The shared state a pair worker needs, shipped once per pool."""
-        from repro.analysis.artifacts import shippable_artifacts
-
         store_directory = (
             self.store.directory
             if self.store is not None and self.store.enabled
@@ -546,10 +544,7 @@ class CRPDAnalyzer:
         )
         return (
             "crpd.pairs",
-            {
-                name: shippable_artifacts(artifacts)
-                for name, artifacts in self.tasks.items()
-            },
+            dict(self.tasks),
             self.mumbs_mode,
             self.budget,
             self.path_engine,

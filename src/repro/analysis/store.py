@@ -8,30 +8,39 @@ penalty, a different set count) recomputed everything from scratch even
 though most stages never read the changed input.
 
 Schema 2 decomposes the result into **sub-artifacts**, each keyed only by
-the inputs its stage actually reads:
+the inputs its stage actually reads.  Schema 3 takes the placement out of
+the trace and path keys:
 
 ========  =============================================================
-kind      key inputs (besides the program/layout/scenario identity)
+kind      key inputs
 ========  =============================================================
-trace     ``max_steps`` only — the VM's control flow is data-dependent,
-          so the memory-reference stream and the cache-cost-free base
-          cycles are invariant across *every* cache configuration
-sim       trace key + ``num_sets, ways, line_size, policy, write_back``
-          — per-scenario access/miss/writeback counts; cycle counts
-          reassemble from these in O(1) for any cost parameters
-flow      trace key + ``num_sets, ways, line_size, policy`` — the
-          per-node aggregate, footprint CIIP, RMB/LMB solution and
+trace     program structure + scenarios + ``max_steps`` — the VM's
+          control flow is data-dependent, so the memory-reference stream
+          and the cache-cost-free base cycles are invariant across
+          *every* cache configuration; no address ever feeds back into
+          control flow either, so the stream is invariant across
+          placements up to a per-region shift (the bundle records each
+          event's region and the placement it ran at, and is relocated
+          as ``address + delta[region]`` when read at another placement)
+sim       trace key + placement + ``num_sets, ways, line_size, policy,
+          write_back`` — per-scenario access/miss/writeback counts; cycle
+          counts reassemble from these in O(1) for any cost parameters
+flow      trace key + placement + ``num_sets, ways, line_size, policy`` —
+          the per-node aggregate, footprint CIIP, RMB/LMB solution and
           useful-block analysis (cost fields are re-stamped on reuse)
 paths     program structure + ``path_limit, strict`` — feasible path
-          profiles, fully cache-independent
+          profiles, fully cache- and placement-independent
 pair      both tasks' flow/paths keys + CRPD mode — the four per-pair
           reload-line counts
 task      composite of everything (in-memory assembly memo only)
 ========  =============================================================
 
-A miss-penalty sweep therefore recomputes *nothing* but the pair/task
-assembly, and a geometry sweep re-runs only the set-index-dependent
-kernels (sim replay + flow) against the cached trace.
+"Placement" is the code base and every resolved array base, packed or
+pinned.  A miss-penalty sweep therefore recomputes *nothing* but the
+pair/task assembly; a geometry sweep re-runs only the set-index-dependent
+kernels (sim replay + flow) against the cached trace; and a layout move
+re-runs the same kernels for the moved task only, against its relocated
+trace — never the VM.
 
 Every key additionally covers ``SCHEMA_VERSION`` and a fingerprint of the
 installed ``repro`` source code, so editing any module of this package
@@ -73,8 +82,9 @@ from repro.analysis.wcet import Scenarios
 from repro.cache.config import CacheConfig
 from repro.errors import ReproError
 from repro.obs import STATE as _OBS
+from repro.program.builder import Program
 from repro.program.layout import ProgramLayout
-from repro.vm.trace import CompactTrace, TraceRecorder
+from repro.vm.trace import CompactTrace, LazyTraces, TraceRecorder
 
 if TYPE_CHECKING:
     from repro.analysis.artifacts import TaskArtifacts
@@ -107,8 +117,9 @@ __all__ = [
 
 #: Bump whenever the pickled entry layout changes incompatibly.
 #: Schema 1 stored monolithic ``CachedAnalysis`` bundles; schema 2 stores
-#: :class:`StoredEntry`-wrapped sub-artifacts.
-SCHEMA_VERSION = 2
+#: :class:`StoredEntry`-wrapped sub-artifacts; schema 3 stores relocatable
+#: traces under placement-free keys.
+SCHEMA_VERSION = 3
 
 _SOURCE_FINGERPRINT: Optional[str] = None
 
@@ -147,9 +158,8 @@ class _Digest:
         return self._digest.hexdigest()
 
 
-def _feed_program(digest: _Digest, layout: ProgramLayout) -> None:
-    """Program + placement identity: blocks, structure, arrays, bases."""
-    program = layout.program
+def _feed_structure(digest: _Digest, program: Program) -> None:
+    """Program identity: blocks, structure and arrays — no addresses."""
     cfg = program.cfg
     feed = digest.feed
     feed(f"program={program.name}")
@@ -164,12 +174,12 @@ def _feed_program(digest: _Digest, layout: ProgramLayout) -> None:
     for name in sorted(program.arrays):
         decl = program.arrays[name]
         feed(f"array={decl.name}:{decl.words}:{decl.element_size}")
-    feed(f"layout={layout.code_base}:{layout.data_base}:{layout.data_alignment}")
-    # Pinned symbols change the address trace, so they are part of the
-    # placement identity.  Fed only when present, which keeps every key
-    # minted before symbol overrides existed byte-stable.
-    for name in sorted(layout.symbol_overrides):
-        feed(f"symbol={name}:{layout.symbol_overrides[name]}")
+
+
+def _feed_placement(digest: _Digest, layout: ProgramLayout) -> None:
+    """Where the program sits: the code base and every resolved array base
+    (packed or pinned), which is all the address stream depends on."""
+    digest.feed(f"placement={layout.region_bases()}")
 
 
 def _feed_scenarios(digest: _Digest, scenarios: Scenarios) -> None:
@@ -180,16 +190,16 @@ def _feed_scenarios(digest: _Digest, scenarios: Scenarios) -> None:
             digest.feed(f"input={array_name}:{tuple(inputs[array_name])!r}")
 
 
-def trace_key(layout: ProgramLayout, scenarios: Scenarios, max_steps: int) -> str:
-    """Key of the cache-configuration-independent reference streams."""
+def trace_key(program: Program, scenarios: Scenarios, max_steps: int) -> str:
+    """Key of the cache- and placement-independent reference streams."""
     digest = _Digest("trace")
-    _feed_program(digest, layout)
+    _feed_structure(digest, program)
     _feed_scenarios(digest, scenarios)
     digest.feed(f"max_steps={max_steps}")
     return digest.hexdigest()
 
 
-def sim_key(trace: str, config: CacheConfig) -> str:
+def sim_key(trace: str, layout: ProgramLayout, config: CacheConfig) -> str:
     """Key of the per-scenario hit/miss/writeback counts.
 
     Only the fields that shape *which* accesses hit participate — cost
@@ -198,6 +208,7 @@ def sim_key(trace: str, config: CacheConfig) -> str:
     """
     digest = _Digest("sim")
     digest.feed(f"trace={trace}")
+    _feed_placement(digest, layout)
     digest.feed(
         f"geometry={config.num_sets}:{config.ways}:{config.line_size}"
         f":{config.policy}:{config.write_back}"
@@ -205,7 +216,7 @@ def sim_key(trace: str, config: CacheConfig) -> str:
     return digest.hexdigest()
 
 
-def flow_key(trace: str, config: CacheConfig) -> str:
+def flow_key(trace: str, layout: ProgramLayout, config: CacheConfig) -> str:
     """Key of the per-node aggregate / CIIP / RMB-LMB / useful analyses.
 
     These read only the block mapping (``line_size``), set indexing
@@ -214,6 +225,7 @@ def flow_key(trace: str, config: CacheConfig) -> str:
     """
     digest = _Digest("flow")
     digest.feed(f"trace={trace}")
+    _feed_placement(digest, layout)
     digest.feed(
         f"geometry={config.num_sets}:{config.ways}:{config.line_size}"
         f":{config.policy}"
@@ -221,10 +233,10 @@ def flow_key(trace: str, config: CacheConfig) -> str:
     return digest.hexdigest()
 
 
-def paths_key(layout: ProgramLayout, path_limit: int, strict: bool) -> str:
-    """Key of the feasible-path profiles (cache-independent entirely)."""
+def paths_key(program: Program, path_limit: int, strict: bool) -> str:
+    """Key of the feasible-path profiles (cache- and placement-independent)."""
     digest = _Digest("paths")
-    _feed_program(digest, layout)
+    _feed_structure(digest, program)
     digest.feed(f"path_limit={path_limit}")
     digest.feed(f"strict={strict}")
     return digest.hexdigest()
@@ -270,7 +282,8 @@ def artifact_key(
     in-process assembly memo, not for disk sub-artifacts.
     """
     digest = _Digest("task")
-    _feed_program(digest, layout)
+    _feed_structure(digest, layout.program)
+    _feed_placement(digest, layout)
     digest.feed(f"config={config!r}")
     _feed_scenarios(digest, scenarios)
     digest.feed(f"max_steps={max_steps}")
@@ -300,15 +313,26 @@ class StoredEntry:
 
 @dataclass
 class TraceBundle:
-    """kind="trace": columnar reference streams + invariant base cycles.
+    """kind="trace": relocatable reference streams + invariant base cycles.
 
     ``scenario_names`` preserves the caller's scenario order so replayed
-    worst-scenario selection tie-breaks identically to a cold run.
+    worst-scenario selection tie-breaks identically to a cold run.  The
+    traces hold the addresses of the placement the VM ran at, whose
+    :meth:`~repro.program.layout.ProgramLayout.region_bases` are
+    ``bases``; :meth:`placed` moves them to any other placement.
     """
 
     scenario_names: tuple[str, ...]
     traces: dict[str, CompactTrace]
     base_cycles: dict[str, int]
+    bases: tuple[int, ...]
+
+    def placed(self, bases: tuple[int, ...]) -> LazyTraces:
+        """The traces at the placement with region *bases*, relocated on
+        first use."""
+        return LazyTraces(
+            self.traces, [new - old for new, old in zip(bases, self.bases)]
+        )
 
 
 @dataclass
@@ -366,21 +390,30 @@ class StoreBackedTraces(Mapping):
     Warm analyses never need raw traces (sim counts and flow bundles
     already encode everything the pipeline reads), so instead of loading
     the — by far largest — trace entry eagerly, artifacts assembled from
-    cache carry this view, which fetches and decodes the columnar traces
-    only if a consumer (reports, examples) actually iterates them.
-    Pickles as ``(directory, key, names)``: workers on the same machine
-    re-resolve against the same store directory.
+    cache carry this view, which fetches the columnar traces, relocates
+    them to the task's placement and decodes them only if a consumer
+    (reports, examples) actually iterates them.  Pickles as
+    ``(directory, key, names, bases)``: workers on the same machine
+    re-resolve against the same store directory, and the target region
+    *bases* travel along because the placement-free key may name a
+    bundle recorded at another placement.
     """
 
-    def __init__(self, directory: Path, key: str, scenario_names: tuple[str, ...]):
+    def __init__(
+        self,
+        directory: Path,
+        key: str,
+        scenario_names: tuple[str, ...],
+        bases: tuple[int, ...],
+    ):
         self._directory = Path(directory)
         self._key = key
         self._names = tuple(scenario_names)
-        self._expanded: dict[str, TraceRecorder] = {}
-        self._bundle: Optional[TraceBundle] = None
+        self._bases = tuple(bases)
+        self._traces: Optional[LazyTraces] = None
 
-    def _load(self) -> TraceBundle:
-        if self._bundle is None:
+    def _load(self) -> LazyTraces:
+        if self._traces is None:
             store = ArtifactStore(directory=self._directory)
             bundle = store.get(self._key, kind="trace")
             if bundle is None:
@@ -389,17 +422,13 @@ class StoreBackedTraces(Mapping):
                     f"{self._directory}; re-run the analysis without a "
                     "store or with an intact cache directory"
                 )
-            self._bundle = bundle
-        return self._bundle
+            self._traces = bundle.placed(self._bases)
+        return self._traces
 
     def __getitem__(self, name: str) -> TraceRecorder:
         if name not in self._names:
             raise KeyError(name)
-        recorder = self._expanded.get(name)
-        if recorder is None:
-            recorder = self._load().traces[name].expand()
-            self._expanded[name] = recorder
-        return recorder
+        return self._load()[name]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._names)
@@ -408,12 +437,11 @@ class StoreBackedTraces(Mapping):
         return len(self._names)
 
     def __getstate__(self):
-        return (self._directory, self._key, self._names)
+        return (self._directory, self._key, self._names, self._bases)
 
     def __setstate__(self, state):
-        self._directory, self._key, self._names = state
-        self._expanded = {}
-        self._bundle = None
+        self._directory, self._key, self._names, self._bases = state
+        self._traces = None
 
 
 @dataclass

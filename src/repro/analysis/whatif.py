@@ -7,14 +7,14 @@ geometry, one task's period, one task's array footprint) at interactive
 latency.  ROADMAP item 2's target is < 50 ms per edit warm; the layout
 optimizer workload (ROADMAP item 3) sits on this layer.
 
-The incremental machinery is the schema-2 content-addressed artifact
+The incremental machinery is the schema-3 content-addressed artifact
 graph itself.  Every pipeline stage is keyed by exactly the inputs it
 reads::
 
-    trace(layout, scenarios, max_steps)
-      -> sim(trace, geometry)           # hit/miss counts
-      -> flow(trace, geometry)          # CIIP / RMB-LMB / useful blocks
-    paths(structure, limit, strict)     # feasible path profiles
+    trace(structure, scenarios, max_steps)
+      -> sim(trace, placement, geometry)   # hit/miss counts
+      -> flow(trace, placement, geometry)  # CIIP / RMB-LMB / useful blocks
+    paths(structure, limit, strict)        # feasible path profiles
     pair(flow_a, paths_a, flow_b, paths_b, mode, engine, strict)
     task(everything above + config)     # in-memory assembly memo
 
@@ -35,10 +35,10 @@ edit                trace  sim  flow  paths  pair  wcet  wcrt
 ``geometry=SxWxL``  keep   redo redo  keep   redo  redo  redo
 ``period:T=N``      keep   keep keep  keep   keep  keep  T + lower
 ``array:T:J=W``     shift  ...  ...   T      T     T     redo
-``code:T=A``        T      T    T     keep   T     T     redo
-``data:T=A``        T      T    T     keep   T     T     redo
-``color:T:J=C``     T      T    T     keep   T     T     redo
-``swap:T1=T2``      T1,T2  ...  ...   keep   pairs both  redo
+``code:T=A``        keep   T    T     keep   T     T     redo
+``data:T=A``        keep   T    T     keep   T     T     redo
+``color:T:J=C``     keep   T    T     keep   T     T     redo
+``swap:T=U``        keep   T,U  T,U   keep   pairs both  redo
 ==================  =====  ===  ====  =====  ====  ====  ====
 
 ("shift": a footprint edit can move *other* tasks' layouts too — the
@@ -48,8 +48,9 @@ not the edit's target, decides what actually recomputes.)
 The layout edits (``code:``/``data:``/``color:``/``swap:``) are the
 optimizer's neighbor moves: they pin explicit placements through a
 :class:`~repro.program.layout.LayoutAssignment` and only invalidate the
-moved task's trace chain (path profiles are structure-only, so they
-always survive a move).  Proposals that would overlap regions raise
+moved task's sim/flow sub-artifacts: traces and path profiles are
+placement-free, so a move relocates the stored trace instead of
+re-running the VM.  Proposals that would overlap regions raise
 :class:`~repro.program.layout.LayoutError` *before* any session state
 changes, so a rejected move leaves the session untouched.
 
@@ -539,7 +540,8 @@ class WhatIfSession:
         placement.  Overlapping assignments raise
         :class:`~repro.program.layout.LayoutError` before any session
         state changes.  Incremental reuse still applies — only tasks
-        whose placement actually differs recompute their trace chain.
+        whose placement actually differs recompute their sim/flow
+        sub-artifacts, against their relocated stored traces.
         """
         self._set_assignment(assignment)
         return self._run_state(label or "assignment")

@@ -12,6 +12,7 @@ Section III-A of the paper, with FIFO and tree-PLRU available
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.cache.config import CacheConfig
 from repro.cache.policies import SetPolicy, make_set_policy
@@ -132,6 +133,43 @@ class CacheState:
         if write and write_back:
             self._dirty.add(block)
         return AccessResult(hit=False, cycles=cycles, evicted_block=evicted)
+
+    def access_stream(self, addresses: Iterable[int], writes: Iterable) -> None:
+        """:meth:`access` every address in order, keeping only the counts.
+
+        *writes* is index-aligned with *addresses*; a truthy entry marks a
+        write.  Drives the same set policies and write-back rule as
+        :meth:`access`, with the address split and the statistics hoisted
+        out of the loop — the replay kernel of stored traces.
+        """
+        config = self.config
+        line_mask = -config.line_size
+        offset_bits = config.offset_bits
+        set_mask = config.num_sets - 1
+        sets = self._sets
+        dirty = self._dirty
+        write_back = config.write_back
+        hits = misses = evictions = writebacks = 0
+        for address, write in zip(addresses, writes):
+            block = address & line_mask
+            set_state = sets[(address >> offset_bits) & set_mask]
+            if set_state.lookup(block):
+                hits += 1
+            else:
+                misses += 1
+                evicted = set_state.insert(block)
+                if evicted is not None:
+                    evictions += 1
+                    if write_back and evicted in dirty:
+                        dirty.discard(evicted)
+                        writebacks += 1
+            if write and write_back:
+                dirty.add(block)
+        stats = self.stats
+        stats.hits += hits
+        stats.misses += misses
+        stats.evictions += evictions
+        stats.writebacks += writebacks
 
     def is_dirty(self, address: int) -> bool:
         """True when the block is resident and dirty (write-back mode)."""

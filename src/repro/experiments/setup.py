@@ -170,11 +170,10 @@ def _analyze_task_point(context, item):
     budget (its own wall clock) and records degradations into a private
     ledger whose events are merged back into the parent context's ledger
     in priority order, so the merged ledger is identical to a sequential
-    run's.  Artifacts return with columnar traces
-    (:func:`~repro.analysis.artifacts.shippable_artifacts`), which is
-    what keeps the result pickle small enough for the fan-out to pay off.
+    run's.  Artifacts carry columnar traces
+    (:class:`~repro.vm.trace.LazyTraces`), which is what keeps the result
+    pickle small enough for the fan-out to pay off.
     """
-    from repro.analysis.artifacts import shippable_artifacts
     from repro.batch.pool import derived, in_worker
 
     _, _, layouts, scenario_maps, store_directory = context
@@ -217,7 +216,7 @@ def _analyze_task_point(context, item):
         artifacts = analyze_task(
             layout, scenarios, config, budget=budget, ledger=ledger, store=store
         )
-    return name, shippable_artifacts(artifacts), ledger.events, records, snapshot
+    return name, artifacts, ledger.events, records, snapshot
 
 
 def build_context(

@@ -23,7 +23,7 @@ shard, or replaying any single index, regenerates bit-identical specs.
 from __future__ import annotations
 
 import random
-from typing import Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, TypeVar
 
 from repro.fuzz.spec import (
     BranchSpec,
@@ -35,6 +35,9 @@ from repro.fuzz.spec import (
     SystemSpec,
     TaskDef,
 )
+
+if TYPE_CHECKING:
+    from repro.program.layout import ProgramLayout
 
 T = TypeVar("T")
 
@@ -166,6 +169,32 @@ def draw_case(d: Draw) -> SystemSpec:
         preempt_steps=preempt_steps,
         stagger=d.boolean(),
     )
+
+
+#: The layout-edit kinds :func:`draw_layout_move` draws.
+LAYOUT_MOVES = ("code", "data", "color", "swap")
+
+
+def draw_layout_move(
+    d: Draw, layouts: "Mapping[str, ProgramLayout]", page_colors: int
+) -> str:
+    """One ``code:``/``data:``/``color:``/``swap:`` what-if edit against the
+    placement *layouts*, aimed at address space no task occupies (a swap
+    of differently sized tasks may still overlap and be rejected)."""
+    names = list(layouts)
+    task = d.choice(names)
+    kind = d.choice(LAYOUT_MOVES)
+    if kind == "swap" and len(names) > 1:
+        return f"swap:{task}={d.choice([name for name in names if name != task])}"
+    arrays = layouts[task].program.arrays
+    if kind == "color" and arrays:
+        index = d.integer(0, len(arrays) - 1)
+        return f"color:{task}:{index}={d.integer(0, page_colors - 1)}"
+    top = max(
+        hi for layout in layouts.values() for _, hi, _ in layout.intervals()
+    )
+    base = -(-top // 0x100) * 0x100 + 4 * d.integer(0, 63)
+    return f"{'data' if kind == 'data' else 'code'}:{task}={base}"
 
 
 def rng_for(master_seed: int, index: int) -> random.Random:

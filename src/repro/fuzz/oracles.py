@@ -9,7 +9,8 @@ Three families, mirroring the tentpole spec:
   Definition-4 vs per-point MUMBS dominance, monotonicity in Cmiss.
 * **engine differentials** — kernel vs naive conflict math, pruned vs
   enumerated Equation-4 search, heap vs scan scheduler identity,
-  warm-vs-cold artifact + ledger parity through the :class:`ArtifactStore`.
+  warm-vs-cold artifact + ledger parity through the :class:`ArtifactStore`,
+  relocated traces vs VM re-execution after random layout moves.
 
 Soundness oracles that depend on assumptions the paper itself makes are
 gated accordingly, so a violation is always an engine bug and never a
@@ -28,6 +29,8 @@ generator draws, degenerate corners included.
 
 from __future__ import annotations
 
+import json
+import random
 import tempfile
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -46,13 +49,16 @@ from repro.cache.ciip import (
 from repro.cache.state import CacheState
 from repro.errors import ConfigError, ReproError
 from repro.fuzz.build import BuiltCase, BuiltTask, build_case
+from repro.fuzz.generator import RandomDraw, draw_layout_move
 from repro.fuzz.spec import SystemSpec
 from repro.guard.budget import AnalysisBudget
 from repro.guard.ledger import DegradationLedger
 from repro.obs import STATE as _OBS
+from repro.program.layout import LayoutError, apply_assignment
 from repro.program.paths import path_footprint
 from repro.sched.simulator import Simulator
-from repro.vm.machine import Machine
+from repro.vm.machine import Machine, run_isolated
+from repro.vm.trace import CompactTrace, TraceRecorder
 from repro.wcrt.response_time import (
     compute_task_wcrt,
     dispatch_blocking_bound,
@@ -576,6 +582,93 @@ def oracle_store_parity(
     return check.violations
 
 
+#: Layout moves the relocation oracle applies to each case.
+RELOCATION_MOVES = 3
+
+
+def _columns(trace: CompactTrace) -> tuple:
+    return (
+        trace.addresses.tobytes(),
+        trace.kinds,
+        trace.node_table,
+        trace.node_ids.tobytes(),
+    )
+
+
+def oracle_relocation(
+    case: BuiltCase, budget: AnalysisBudget | None = None
+) -> list[Violation]:
+    """Layout moves relocate the stored trace instead of re-running the VM.
+
+    Applies random ``code:``/``data:``/``color:``/``swap:`` moves to a
+    warm session, then checks that every task's relocated trace is
+    byte-identical to a VM re-execution at its new placement (served
+    from the trace recorded at the original one, never the VM) and that
+    the warm session's signature equals a cold session's there.
+    """
+    from repro.analysis.whatif import WhatIfSession
+
+    check = _Check("relocation")
+    draw = RandomDraw(random.Random(
+        "relocation:" + json.dumps(case.spec.to_json(), sort_keys=True)
+    ))
+    programs = {task.name: task.program for task in case.tasks}
+    with WhatIfSession(case.spec, budget=budget) as warm:
+        warm.result()
+        for _ in range(RELOCATION_MOVES):
+            layouts = apply_assignment(programs, warm.layout_assignment())
+            try:
+                warm.apply(
+                    draw_layout_move(draw, layouts, case.config.page_colors)
+                )
+            except LayoutError:
+                pass  # a swap between differently sized tasks may overlap
+        state = warm.result()
+        assignment = warm.layout_assignment()
+    with WhatIfSession(case.spec, budget=budget) as cold:
+        cold_state = cold.set_assignment(assignment)
+    check.expect(
+        state.signature() == cold_state.signature(),
+        f"warm session after moves differs from a cold one at {assignment}",
+    )
+
+    store = ArtifactStore(directory=None)
+    for task in case.tasks:
+        analyze_task(
+            task.layout, task.scenarios, case.config, budget=budget, store=store
+        )
+    layouts = apply_assignment(programs, assignment)
+    max_steps = 10_000_000  # analyze_task's default, capped the same way
+    if budget is not None:
+        max_steps = min(max_steps, budget.max_sim_steps)
+    for task in case.tasks:
+        moved = analyze_task(
+            layouts[task.name], task.scenarios, case.config, budget=budget,
+            store=store,
+        )
+        relocated = moved.wcet.traces.compact()
+        for scenario, inputs in task.scenarios.items():
+            recorder = TraceRecorder()
+            run_isolated(
+                layouts[task.name],
+                CacheState(case.config),
+                inputs={name: list(values) for name, values in inputs.items()},
+                trace=recorder,
+                max_steps=max_steps,
+            )
+            check.expect(
+                _columns(relocated[scenario])
+                == _columns(CompactTrace.from_recorder(recorder)),
+                f"{task.name}/{scenario}: relocated trace differs from a VM "
+                f"re-execution at {layouts[task.name].region_bases()}",
+            )
+    check.expect(
+        store.misses_by_kind.get("trace") == len(case.tasks),
+        f"layout moves re-ran the VM ({store.misses_by_kind} trace misses)",
+    )
+    return check.violations
+
+
 #: Ordered oracle registry: cheap invariants first, re-analysis last.
 ORACLES: dict[str, Callable[..., list[Violation]]] = {
     "approach_ordering": oracle_approach_ordering,
@@ -586,6 +679,7 @@ ORACLES: dict[str, Callable[..., list[Violation]]] = {
     "heap_vs_scan": oracle_heap_vs_scan,
     "art_soundness": oracle_art_soundness,
     "store_parity": oracle_store_parity,
+    "relocation": oracle_relocation,
     "cmiss_monotonicity": oracle_cmiss_monotonicity,
 }
 

@@ -20,6 +20,7 @@ flag pays one branch when metrics are off.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from bisect import bisect_left
 from pathlib import Path
@@ -58,8 +59,25 @@ class Gauge:
         self.value = value
 
 
+def _add(total, value):
+    """``total + value``, exact while both are ints.
+
+    Eq. 7 deltas of a diverged fixpoint grow to ints of hundreds of
+    digits; mixing one with a float would raise ``OverflowError``, so the
+    float sum saturates to an infinity instead.
+    """
+    try:
+        return total + value
+    except OverflowError:
+        big, small = (total, value) if isinstance(total, int) else (value, total)
+        return small if math.isinf(small) else math.inf if big > 0 else -math.inf
+
+
 class Histogram:
-    """Fixed-boundary histogram with count/sum/min/max summary."""
+    """Fixed-boundary histogram with count/sum/min/max summary.
+
+    The sum stays an exact int while every observation is one.
+    """
 
     __slots__ = ("name", "bounds", "bucket_counts", "count", "total", "min", "max")
 
@@ -70,14 +88,14 @@ class Histogram:
         self.bounds = tuple(bounds)
         self.bucket_counts = [0] * (len(self.bounds) + 1)
         self.count = 0
-        self.total = 0.0
+        self.total = 0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
     def observe(self, value) -> None:
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
-        self.total += value
+        self.total = _add(self.total, value)
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
@@ -210,7 +228,7 @@ class Metrics:
             for index, count in enumerate(data["counts"]):
                 histogram.bucket_counts[index] += count
             histogram.count += data["count"]
-            histogram.total += data["sum"]
+            histogram.total = _add(histogram.total, data["sum"])
             for side, pick in (("min", min), ("max", max)):
                 value = data[side]
                 if value is not None:

@@ -161,6 +161,26 @@ class ProgramLayout:
             )
         return self.symbol_base(name) + element * decl.element_size
 
+    def region_spans(self) -> list[tuple[int, int]]:
+        """Half-open span of each relocatable region: the code, then every
+        array in declaration order.
+
+        The VM issues every address as a region's base plus an offset that
+        control flow alone decides, so a trace recorded at one placement
+        holds at any other once each event is shifted by its region's
+        move (see :meth:`repro.vm.trace.CompactTrace.relocated`).
+        """
+        spans = [(self.code_base, self._code_end)]
+        for decl in self.program.arrays.values():
+            base = self._symbol_bases[decl.name]
+            spans.append((base, base + decl.size_bytes))
+        return spans
+
+    def region_bases(self) -> tuple[int, ...]:
+        """Start of each :meth:`region_spans` region: the placement as the
+        memory trace sees it."""
+        return tuple(start for start, _ in self.region_spans())
+
     def code_addresses(self) -> list[int]:
         """Byte address of every fetchable instruction, in layout order."""
         addresses: list[int] = []

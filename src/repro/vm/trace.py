@@ -10,10 +10,16 @@ the per-CFG-node reference information the RMB/LMB and CIIP analyses need.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
+from itertools import chain, compress, count, islice, repeat
+from operator import and_, ne
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.cache.config import CacheConfig
+
+if TYPE_CHECKING:
+    from repro.program.layout import ProgramLayout
 
 
 @dataclass(frozen=True)
@@ -59,31 +65,16 @@ class TraceRecorder:
         return [config.block(event.address) for event in self.events]
 
     def node_visit_sequences(self, config: CacheConfig) -> dict[str, list[tuple[int, ...]]]:
-        """Per node, the block-reference sequence of each visit.
-
-        A *visit* is a maximal run of consecutive references issued by the
-        same node.  The per-visit sequences feed the RMB/LMB transfer
-        functions: identical visits permit strong updates, differing visits
-        force conservative ones (see :mod:`repro.analysis.rmb_lmb`).
-        """
-        visits: dict[str, list[tuple[int, ...]]] = {}
-        current_node: str | None = None
-        current_refs: list[int] = []
-        for event in self.events:
-            if event.node != current_node:
-                if current_node is not None:
-                    visits.setdefault(current_node, []).append(tuple(current_refs))
-                current_node = event.node
-                current_refs = []
-            current_refs.append(config.block(event.address))
-        if current_node is not None:
-            visits.setdefault(current_node, []).append(tuple(current_refs))
-        return visits
+        """Per node, the block-reference sequence of each visit (see
+        :meth:`CompactTrace.node_visit_sequences`)."""
+        return CompactTrace.from_recorder(self).node_visit_sequences(config)
 
 
 #: CompactTrace kind codes, index-aligned with :class:`MemRef` kinds.
 _KIND_CODES = {"code": 0, "read": 1, "write": 2}
 _KIND_NAMES = ("code", "read", "write")
+#: ``bytes.translate`` table turning kind codes into write flags.
+_WRITE_FLAGS = bytes(1 if code == _KIND_CODES["write"] else 0 for code in range(256))
 
 
 @dataclass(frozen=True)
@@ -100,31 +91,42 @@ class CompactTrace:
     ~7x smaller and an order of magnitude faster to (de)serialise, which
     is what makes shipping traces to pool workers and the artifact store
     affordable.
+
+    Control flow never reads an address either, so the stream is also
+    invariant across *placements* up to a per-region shift.  A trace built
+    against its layout carries a fourth column, ``regions``: the index,
+    in :meth:`~repro.program.layout.ProgramLayout.region_spans` order, of
+    the region (code, or the array touched) each event falls in.
+    :meth:`relocated` then moves it to any other placement in O(events).
     """
 
     addresses: array  # typecode "Q"
     kinds: bytes  # one _KIND_CODES byte per event
     node_table: tuple[str, ...]
     node_ids: array  # typecode "I", indices into node_table
+    regions: "array | None" = None  # typecode "H"; None: not relocatable
 
     @classmethod
-    def from_recorder(cls, recorder: "TraceRecorder") -> "CompactTrace":
+    def from_recorder(
+        cls, recorder: "TraceRecorder", layout: "ProgramLayout | None" = None
+    ) -> "CompactTrace":
+        """Encode *recorder*; with the *layout* it ran at, relocatably."""
         events = recorder.events
-        addresses = array("Q", (event.address for event in events))
-        kinds = bytes(_KIND_CODES[event.kind] for event in events)
+        addresses = array("Q", [event.address for event in events])
+        kinds = bytes([_KIND_CODES[event.kind] for event in events])
         table: dict[str, int] = {}
-        ids = array("I")
-        for event in events:
-            node_id = table.get(event.node)
-            if node_id is None:
-                node_id = len(table)
-                table[event.node] = node_id
-            ids.append(node_id)
+        ids = array(
+            "I", [table.setdefault(event.node, len(table)) for event in events]
+        )
+        regions = None
+        if layout is not None:
+            regions = _region_column(addresses, kinds, layout.region_spans())
         return cls(
             addresses=addresses,
             kinds=kinds,
             node_table=tuple(table),
             node_ids=ids,
+            regions=regions,
         )
 
     def expand(self) -> "TraceRecorder":
@@ -138,18 +140,81 @@ class CompactTrace:
         ]
         return TraceRecorder(events=events)
 
+    def relocated(self, deltas: Sequence[int]) -> "CompactTrace":
+        """This trace with region *r*'s events shifted by ``deltas[r]``.
+
+        Exact: the VM would issue the shifted stream at the shifted
+        placement (see :meth:`~repro.program.layout.ProgramLayout.region_spans`).
+        Returns ``self`` when nothing moves.
+        """
+        if not any(deltas):
+            return self
+        if self.regions is None:
+            raise ValueError("trace was recorded without its layout")
+        addresses = array(
+            "Q", [address + deltas[region]
+                  for address, region in zip(self.addresses, self.regions)]
+        )
+        return replace(self, addresses=addresses)
+
     def replay(self, cache) -> None:
         """Drive every reference through *cache* (a ``CacheState``) in order.
 
-        Re-derives hit/miss/writeback counts for a new geometry without
-        rebuilding ``MemRef`` objects — the hot loop of geometry sweeps.
+        Re-derives hit/miss/writeback counts for a new geometry or
+        placement straight from the columns — the hot loop of geometry
+        sweeps and layout moves.
         """
-        access = cache.access
-        for address, code in zip(self.addresses, self.kinds):
-            access(address, write=code == 2)
+        cache.access_stream(self.addresses, self.kinds.translate(_WRITE_FLAGS))
+
+    def node_visit_sequences(
+        self, config: CacheConfig
+    ) -> dict[str, list[tuple[int, ...]]]:
+        """Per node, the block-reference sequence of each visit.
+
+        A *visit* is a maximal run of consecutive references issued by the
+        same node.  The per-visit sequences feed the RMB/LMB transfer
+        functions: identical visits permit strong updates, differing visits
+        force conservative ones (see :mod:`repro.analysis.rmb_lmb`).
+        """
+        ids = self.node_ids
+        if not ids:
+            return {}
+        blocks = list(map(and_, self.addresses, repeat(-config.line_size)))
+        cuts = compress(count(1), map(ne, ids, islice(ids, 1, None)))
+        table = self.node_table
+        visits: dict[str, list[tuple[int, ...]]] = {}
+        start = 0
+        for end in chain(cuts, (len(ids),)):
+            visits.setdefault(table[ids[start]], []).append(
+                tuple(blocks[start:end])
+            )
+            start = end
+        return visits
 
     def __len__(self) -> int:
         return len(self.kinds)
+
+
+def _region_column(
+    addresses: array, kinds: bytes, spans: list[tuple[int, int]]
+) -> array:
+    """Index into *spans* of the region holding each event's address.
+
+    Code fetches (kind 0) all fall in region 0; each data address is
+    looked up once.
+    """
+    ordered = sorted((start, end, region) for region, (start, end) in enumerate(spans))
+    starts = [start for start, _, _ in ordered]
+    region_of = {}
+    for address in set(compress(addresses, kinds)):
+        start, end, region = ordered[max(bisect_right(starts, address) - 1, 0)]
+        if not start <= address < end:
+            raise ValueError(f"address {address:#x} lies outside every region")
+        region_of[address] = region
+    column = array("H", bytes(2 * len(addresses)))
+    for index in compress(count(), kinds):
+        column[index] = region_of[addresses[index]]
+    return column
 
 
 class LazyTraces(Mapping):
@@ -160,16 +225,35 @@ class LazyTraces(Mapping):
     traces (the CRPD/WCRT pipeline) pay nothing, while reports and
     examples that do iterate get full recorders transparently.  Pickling
     ships only the compact columns, never expanded recorders.
+
+    With *deltas* the view relocates the columns (see
+    :meth:`CompactTrace.relocated`) the first time they are asked for,
+    so a layout move pays for relocation only if something reads the
+    addresses.
     """
 
-    def __init__(self, compact: Mapping[str, CompactTrace]):
+    def __init__(
+        self,
+        compact: Mapping[str, CompactTrace],
+        deltas: "Sequence[int] | None" = None,
+    ):
         self._compact = dict(compact)
+        self._deltas = tuple(deltas) if deltas is not None and any(deltas) else None
         self._expanded: dict[str, TraceRecorder] = {}
+
+    def _placed(self) -> dict[str, CompactTrace]:
+        if self._deltas is not None:
+            self._compact = {
+                name: trace.relocated(self._deltas)
+                for name, trace in self._compact.items()
+            }
+            self._deltas = None
+        return self._compact
 
     def __getitem__(self, name: str) -> TraceRecorder:
         recorder = self._expanded.get(name)
         if recorder is None:
-            recorder = self._compact[name].expand()
+            recorder = self._placed()[name].expand()
             self._expanded[name] = recorder
         return recorder
 
@@ -181,29 +265,19 @@ class LazyTraces(Mapping):
 
     def compact(self) -> dict[str, CompactTrace]:
         """The underlying columnar traces (no expansion)."""
-        return dict(self._compact)
+        return dict(self._placed())
 
     def __getstate__(self):
-        return self._compact  # never pickle expanded recorders
+        return (self._compact, self._deltas)  # never expanded recorders
 
     def __setstate__(self, state):
-        self._compact = state
+        self._compact, self._deltas = state
         self._expanded = {}
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LazyTraces):
-            return self._compact == other._compact
+            return self._placed() == other._placed()
         return NotImplemented
-
-
-def compact_traces(traces: Mapping[str, "TraceRecorder"]) -> dict[str, CompactTrace]:
-    """Columnar encoding of a ``scenario -> recorder`` mapping."""
-    if isinstance(traces, LazyTraces):
-        return traces.compact()
-    return {
-        name: CompactTrace.from_recorder(recorder)
-        for name, recorder in traces.items()
-    }
 
 
 @dataclass(frozen=True)
@@ -240,18 +314,27 @@ class NodeTraceAggregate:
     node_refs: dict[str, NodeRefs] = field(default_factory=dict)
 
     @classmethod
-    def from_recorders(
-        cls, config: CacheConfig, recorders: Iterable[TraceRecorder]
+    def from_compact(
+        cls, config: CacheConfig, traces: Iterable[CompactTrace]
     ) -> "NodeTraceAggregate":
+        """Merge the per-node visits of every trace, straight from columns."""
         visits: dict[str, list[tuple[int, ...]]] = {}
-        for recorder in recorders:
-            for node, sequences in recorder.node_visit_sequences(config).items():
+        for trace in traces:
+            for node, sequences in trace.node_visit_sequences(config).items():
                 visits.setdefault(node, []).extend(sequences)
         node_refs = {
             label: NodeRefs(label=label, visit_sequences=tuple(sequences))
             for label, sequences in visits.items()
         }
         return cls(config=config, node_refs=node_refs)
+
+    @classmethod
+    def from_recorders(
+        cls, config: CacheConfig, recorders: Iterable[TraceRecorder]
+    ) -> "NodeTraceAggregate":
+        return cls.from_compact(
+            config, (CompactTrace.from_recorder(recorder) for recorder in recorders)
+        )
 
     def refs(self, label: str) -> NodeRefs:
         """Reference info for *label*; empty if the node never executed."""

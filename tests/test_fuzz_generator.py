@@ -130,6 +130,7 @@ class TestOracleBank:
             "heap_vs_scan",
             "art_soundness",
             "store_parity",
+            "relocation",
             "cmiss_monotonicity",
         ]
 

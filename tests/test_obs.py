@@ -168,6 +168,22 @@ class TestMetrics:
         assert histogram.max == 5000
         assert histogram.total == sum((0, 1, 2, 10, 11, 100, 101, 5000))
 
+    def test_histogram_sums_huge_ints_exactly(self):
+        """A diverged Eq. 7 delta has hundreds of digits; observing it
+        (and merging its snapshot) must neither raise nor round."""
+        histogram = Histogram("h", bounds=(1, 10))
+        histogram.observe(10**400)
+        histogram.observe(1)
+        assert histogram.total == 10**400 + 1
+        assert histogram.max == 10**400
+        histogram.observe(0.5)  # too large for a float sum: saturates
+        assert histogram.total == float("inf")
+        merged = Metrics()
+        merged.histogram("h", (1, 10)).observe(2)
+        merged.merge({"histograms": {"h": Histogram("h", (1, 10)).to_dict()
+                                     | {"count": 1, "sum": 10**400}}})
+        assert merged.histogram("h", (1, 10)).total == 10**400 + 2
+
     def test_histogram_rejects_unsorted_bounds(self):
         with pytest.raises(ValueError):
             Histogram("bad", bounds=(10, 1))

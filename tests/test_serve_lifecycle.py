@@ -22,10 +22,13 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.fuzz.generator import case_from_seed
+from repro.fuzz.spec import CacheSpec, SystemSpec
 from repro.serve.daemon import make_server
 from repro.serve.service import AnalysisService
 
@@ -186,6 +189,58 @@ def test_budget_trip_over_live_socket():
             payload = json.loads(response.read())
             assert response.status == 200
             assert payload["state"] == "done"
+            connection.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
+def test_overloaded_spec_is_answered_done():
+    """A diverged Eq. 7 fixpoint grows to ints of hundreds of digits; the
+    metrics the service installs must absorb them, not fail the job."""
+    tasks = []
+    index = 0
+    while len(tasks) < 6:
+        tasks.extend(case_from_seed(4, index).tasks)
+        index += 1
+    spec = SystemSpec(
+        cache=CacheSpec(num_sets=16, ways=2, line_size=16),
+        tasks=tuple(replace(task, period_mult=2) for task in tasks[:6]),
+    )
+    with AnalysisService(workers=1, store=None) as service:
+        job = service.submit({"kind": "spec", "spec": spec.to_json()})
+        assert service.wait(job.id, timeout=180)
+        assert job.state == "done", job.error
+        status, env = service.status_envelope(job.id)
+        assert status == 200
+
+
+@pytest.mark.parametrize("length", ["twelve", "-5", "1.5"])
+def test_malformed_content_length_is_a_400_envelope(length):
+    with AnalysisService(workers=1) as service:
+        server = make_server("127.0.0.1", 0, service)
+        listener = threading.Thread(target=server.serve_forever, daemon=True)
+        listener.start()
+        try:
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.server_address[1], timeout=60
+            )
+            connection.putrequest("POST", "/v1/analyze")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            connection.close()
+            assert response.status == 400
+            assert payload["state"] == "error"
+            assert payload["error_kind"] == "config"
+            assert "Content-Length" in payload["error"]
+            # The daemon keeps serving on a fresh connection.
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.server_address[1], timeout=60
+            )
+            connection.request("GET", "/v1/health")
+            assert connection.getresponse().status == 200
             connection.close()
         finally:
             server.shutdown()

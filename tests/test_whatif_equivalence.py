@@ -20,6 +20,8 @@ Case tally (the satellite demands >= 150 randomized cases):
 
 * ``WHATIF_DRAWS`` systems x ``EDITS_PER_CASE`` incremental-vs-cold
   signature comparisons = 48 cases, plus 8 experiment-base comparisons,
+* ``LAYOUT_DRAWS`` systems x ``EDITS_PER_CASE`` layout moves (relocated
+  traces) vs cold sessions at the moved placement,
 * ``KERNEL_DRAWS`` dense-vs-sparse kernel parity draws = 120 cases,
 * 40 bytes-vs-numpy backend parity draws.
 """
@@ -31,7 +33,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.whatif import Edit, WhatIfSession
+from repro.analysis.whatif import Edit, WhatIfSession, parse_edit
 from repro.cache.config import CacheConfig
 from repro.cache.kernels import (
     DENSE_MAX_WAYS,
@@ -46,8 +48,16 @@ from repro.cache.kernels import (
     set_numpy_backend,
     usage_kernel,
 )
-from repro.fuzz.generator import ARRAY_WORDS, RandomDraw, draw_case, rng_for
+from repro.fuzz.generator import (
+    ARRAY_WORDS,
+    LAYOUT_MOVES,
+    RandomDraw,
+    draw_case,
+    draw_layout_move,
+    rng_for,
+)
 from repro.fuzz.spec import SystemSpec, replace_task
+from repro.program.layout import LayoutError
 
 try:
     import numpy
@@ -58,6 +68,7 @@ needs_numpy = pytest.mark.skipif(numpy is None, reason="numpy unavailable")
 
 WHATIF_DRAWS = 24
 EDITS_PER_CASE = 2
+LAYOUT_DRAWS = 12
 KERNEL_DRAWS = 120
 
 #: Small pools keep the randomized systems fast to analyse while still
@@ -199,6 +210,43 @@ class TestIncrementalEquivalence:
         elif edit.kind == "period":
             assert state.invalidated["task"] == 0
             assert state.invalidated["pair"] == 0
+        elif edit.kind in LAYOUT_MOVES:
+            # Traces and path profiles are placement-free: a move re-runs
+            # no VM and re-enumerates no path, only the moved tasks'
+            # set-index-dependent stages.
+            moved = 2 if edit.kind == "swap" else 1
+            assert state.reused["trace"] == state.reused["paths"] == tasks
+            assert state.invalidated["sim"] == state.invalidated["flow"] == moved
+
+    def test_layout_moves_match_cold_sessions(self, whatif_cases):
+        """Layout moves relocate stored traces; every moved state equals
+        a cold session built at the same placement."""
+        draw = RandomDraw(rng_for(20040216, 2))
+        compared = 0
+        for spec, _ in whatif_cases[:LAYOUT_DRAWS]:
+            with WhatIfSession(spec) as session:
+                session.result()
+                for _ in range(EDITS_PER_CASE):
+                    edit = parse_edit(draw_layout_move(
+                        draw, session._layouts, session._config.page_colors
+                    ))
+                    before = session.layout_assignment()
+                    try:
+                        state = session.apply(edit)
+                    except LayoutError:
+                        continue  # a swap of differently sized tasks
+                    if session.layout_assignment() == before:
+                        continue  # the move landed where the task was
+                    with WhatIfSession(spec) as cold_session:
+                        cold = cold_session.set_assignment(
+                            session.layout_assignment()
+                        )
+                    assert state.signature() == cold.signature(), (
+                        f"{edit.describe()} diverged from a cold session"
+                    )
+                    self._check_reuse(state, edit, len(spec.tasks))
+                    compared += 1
+        assert compared >= LAYOUT_DRAWS
 
     def test_experiment_edit_chain_matches_cold_sessions(self):
         """The paper experiments round-trip a penalty + period chain."""
