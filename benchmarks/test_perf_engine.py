@@ -314,7 +314,7 @@ def _bench_optimize():
 
     store = ArtifactStore(directory=None, memory_slots=8192)
     with WhatIfSession("exp1", store=store) as probe:
-        config = probe._config
+        config = probe.placed.config
     started = perf_counter()
     outcome = optimize(
         "exp1",

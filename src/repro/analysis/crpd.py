@@ -118,29 +118,17 @@ class CRPDAnalyzer:
             search entirely.  Wall-clock-degraded values are never
             stored — only deterministic results and their (replayable)
             ``max_paths`` degradations.
-        path_engine: how Approach 4 evaluates Equation 4's path
-            maximisation.
 
-            * ``"auto"`` (default) — branch-and-bound search
-              (:func:`~repro.analysis.pathcost.max_path_conflict_pruned`)
-              when complete path profiles exist, the sound degradation
-              ladder when enumeration tripped a budget.  Results are
-              identical to naive enumeration.
-            * ``"exact"`` — branch-and-bound always, *including* for tasks
-              whose enumeration tripped ``max_paths``: the exact Eq. 4
-              answer is recovered from the structure tree instead of
-              degrading (no ``crpd:`` ledger event is recorded).
-            * ``"enumerate"`` — the naive materialised-path loop.
-            * ``"dense"`` — the flat-array kernels: every path footprint
-              is packed once into a dense byte matrix
-              (:meth:`TaskArtifacts.dense_path_matrix`) and Eq. 4's path
-              maximisation collapses to one
-              :func:`~repro.cache.kernels.dense_max_conflict` call per
-              (pair, execution point).  Identical results and identical
-              degradation ladder to ``"auto"`` (falls back to
-              branch-and-bound when the geometry is not
-              dense-representable); the incremental what-if engine and
-              the batched benchmarks run this mode.
+    Approach 4 has one production rule for Equation 4's path
+    maximisation: the flat dense kernels
+    (:func:`~repro.cache.kernels.dense_max_conflict` over
+    :meth:`TaskArtifacts.dense_path_matrix`) when paths were enumerated
+    and the geometry is dense-representable, branch-and-bound
+    (:func:`~repro.analysis.pathcost.max_path_conflict_pruned`) when it
+    is not, and the sound degradation ladder when enumeration tripped
+    ``max_paths`` — unless ``budget.exact_paths`` asks for the exact
+    Eq. 4 answer, which branch-and-bound recovers from the structure
+    tree alone (no ``crpd:`` ledger event is then recorded).
     """
 
     def __init__(
@@ -150,7 +138,6 @@ class CRPDAnalyzer:
         budget: "AnalysisBudget | None" = None,
         ledger: "DegradationLedger | None" = None,
         clock: "BudgetClock | None" = None,
-        path_engine: str = "auto",
         store: "ArtifactStore | None" = None,
     ):
         if not tasks:
@@ -158,12 +145,9 @@ class CRPDAnalyzer:
         configs = {artifacts.config for artifacts in tasks.values()}
         if len(configs) != 1:
             raise ConfigError("all tasks must share one cache configuration")
-        if path_engine not in ("auto", "exact", "enumerate", "dense"):
-            raise ConfigError(f"unknown path_engine {path_engine!r}")
         self.tasks = dict(tasks)
         self.config = next(iter(configs))
         self.mumbs_mode = mumbs_mode
-        self.path_engine = path_engine
         self.budget = budget
         if ledger is None:
             from repro.guard.ledger import DegradationLedger
@@ -256,13 +240,14 @@ class CRPDAnalyzer:
                     "maximisation"
                 ),
             )
-        if self.path_engine == "exact":
-            # Branch-and-bound needs only the structure tree, so the exact
-            # Eq. 4 answer is available even past a tripped max_paths.
-            return approach4_lines(
-                low, high, mumbs_mode=self.mumbs_mode, engine="prune"
-            )
+        strict = self.budget is not None and self.budget.strict
         if not high.path_enumeration_complete:
+            if self.budget is not None and self.budget.exact_paths:
+                # Branch-and-bound needs only the structure tree, so the
+                # exact Eq. 4 answer is available even past max_paths.
+                return approach4_lines(
+                    low, high, mumbs_mode=self.mumbs_mode, engine="prune"
+                )
             return self._degrade(
                 low,
                 high,
@@ -273,32 +258,26 @@ class CRPDAnalyzer:
                     "Eq. 4 path analysis unavailable"
                 ),
             )
-        strict = self.budget is not None and self.budget.strict
-        if self.path_engine == "dense" and high.path_profiles:
-            lines = self._dense_combined(low, high)
-            if lines is not None:
-                return lines
-            # Geometry not dense-representable: branch-and-bound gives the
-            # same answer.
+        if not high.path_profiles:
+            # No feasible paths: zero lines (a ConfigError when strict).
             return approach4_lines(
-                low, high, mumbs_mode=self.mumbs_mode, strict=strict,
-                engine="prune",
+                low, high, mumbs_mode=self.mumbs_mode, strict=strict
             )
-        if self.path_engine == "auto" and high.path_profiles:
-            # Identical result to enumeration (asserted by the equivalence
-            # property tests), without walking every materialised path.
-            return approach4_lines(
-                low, high, mumbs_mode=self.mumbs_mode, strict=strict,
-                engine="prune",
-            )
-        return approach4_lines(low, high, mumbs_mode=self.mumbs_mode, strict=strict)
+        lines = self._dense_combined(low, high)
+        if lines is not None:
+            return lines
+        # Geometry not dense-representable: branch-and-bound gives the
+        # same answer.
+        return approach4_lines(
+            low, high, mumbs_mode=self.mumbs_mode, strict=strict, engine="prune"
+        )
 
     def _dense_combined(self, low: TaskArtifacts, high: TaskArtifacts) -> int | None:
         """Eq. 4 over the flat path matrix, or ``None`` when unrepresentable.
 
         One :func:`dense_max_conflict` call per execution point collapses
         the whole path maximisation; results are byte-identical to the
-        enumerate/prune engines (capping at the associativity while
+        enumerate/prune references (capping at the associativity while
         densifying preserves every ``min(·, ·, L)`` term).
         """
         rows = high.dense_path_matrix()
@@ -386,15 +365,15 @@ class CRPDAnalyzer:
             return None  # analysed without a store: no content identity
         from repro.analysis.store import pair_key
 
-        strict = self.budget is not None and self.budget.strict
+        budget = self.budget
         return pair_key(
             low.subkeys["flow"],
             low.subkeys["paths"],
             high.subkeys["flow"],
             high.subkeys["paths"],
             self.mumbs_mode,
-            self.path_engine,
-            strict,
+            budget is not None and budget.exact_paths,
+            budget is not None and budget.strict,
         )
 
     def estimate_pair(self, preempted: str, preempting: str) -> PreemptionEstimate:
@@ -497,7 +476,7 @@ class CRPDAnalyzer:
                 pairs.append((preempted, preempting))
         if pool is None and (jobs <= 1 or len(pairs) <= 1):
             return [self.estimate_pair(*pair) for pair in pairs]
-        from repro.batch.pool import WarmPool
+        from repro.batch.pool import WarmPool, adopt_observed
 
         own_pool: "WarmPool | None" = None
         if pool is None:
@@ -523,13 +502,7 @@ class CRPDAnalyzer:
                     self.ledger.events.extend(events)
                     for approach, spent in seconds.items():
                         self.analysis_seconds[approach] += spent
-                    if _OBS.enabled:
-                        if records:
-                            _OBS.tracer.adopt(
-                                records, parent_id=fan_span.span_id
-                            )
-                        if snapshot is not None:
-                            _OBS.metrics.merge(snapshot)
+                    adopt_observed(records, snapshot, fan_span.span_id)
         finally:
             if own_pool is not None:
                 own_pool.close()
@@ -547,7 +520,6 @@ class CRPDAnalyzer:
             dict(self.tasks),
             self.mumbs_mode,
             self.budget,
-            self.path_engine,
             store_directory,
             _OBS.enabled,
         )
@@ -562,45 +534,24 @@ def _pair_task(context: tuple, pair: tuple[str, str]):
     for every pair it is handed (its artifacts' memoised CIIPs and path
     footprints stay warm across pairs, which is the point).
     """
-    from repro.batch.pool import derived, in_worker
+    from repro.batch.pool import derived, run_observed, worker_store
 
-    _, tasks, mumbs_mode, budget, path_engine, store_directory, obs = context
+    _, tasks, mumbs_mode, budget, store_directory, obs = context
 
     def make_analyzer() -> "CRPDAnalyzer":
-        store = None
-        if store_directory is not None:
-            from repro.analysis.store import ArtifactStore
-
-            store = ArtifactStore(directory=store_directory)
         return CRPDAnalyzer(
             tasks,
             mumbs_mode=mumbs_mode,
             budget=budget,
-            path_engine=path_engine,
-            store=store,
+            store=worker_store(context, store_directory),
         )
 
     analyzer = derived(context, "crpd.analyzer", make_analyzer)
     events_before = len(analyzer.ledger.events)
     seconds_before = dict(analyzer.analysis_seconds)
-    records: tuple = ()
-    snapshot = None
-    if obs and in_worker():
-        # Fresh per-pair observability: the parent adopts the returned
-        # spans (re-parented under its fan-out span) and merges the
-        # metrics snapshot, in pair-submission order.  On the serial
-        # path the caller's tracer is live and records directly.
-        from repro.obs import install, uninstall
-
-        tracer, metrics = install()
-        try:
-            estimate = analyzer.estimate_pair(*pair)
-        finally:
-            uninstall()
-        records = tuple(tracer.records)
-        snapshot = metrics.to_dict()
-    else:
-        estimate = analyzer.estimate_pair(*pair)
+    estimate, records, snapshot = run_observed(
+        lambda: analyzer.estimate_pair(*pair), obs
+    )
     events = analyzer.ledger.events[events_before:]
     seconds = {
         approach: analyzer.analysis_seconds[approach] - seconds_before[approach]

@@ -30,8 +30,8 @@ flow      trace key + placement + ``num_sets, ways, line_size, policy`` —
           useful-block analysis (cost fields are re-stamped on reuse)
 paths     program structure + ``path_limit, strict`` — feasible path
           profiles, fully cache- and placement-independent
-pair      both tasks' flow/paths keys + CRPD mode — the four per-pair
-          reload-line counts
+pair      both tasks' flow/paths keys + ``mumbs_mode, exact_paths,
+          strict`` — the four per-pair reload-line counts
 task      composite of everything (in-memory assembly memo only)
 ========  =============================================================
 
@@ -248,7 +248,7 @@ def pair_key(
     high_flow: str,
     high_paths: str,
     mumbs_mode: str,
-    path_engine: str,
+    exact_paths: bool,
     strict: bool,
 ) -> str:
     """Key of one (preempted, preempting) pair's four reload-line counts.
@@ -263,7 +263,7 @@ def pair_key(
     digest.feed(f"high_flow={high_flow}")
     digest.feed(f"high_paths={high_paths}")
     digest.feed(f"mumbs_mode={mumbs_mode}")
-    digest.feed(f"path_engine={path_engine}")
+    digest.feed(f"exact_paths={exact_paths}")
     digest.feed(f"strict={strict}")
     return digest.hexdigest()
 

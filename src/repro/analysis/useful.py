@@ -113,9 +113,6 @@ class UsefulBlocksAnalysis:
         """Approach 3's per-preemption reload count for this task."""
         return self.max_point().reload_bound()
 
-    def point_blocks(self) -> dict[ExecutionPoint, frozenset[int]]:
-        return {u.point: u.blocks() for u in self.points}
-
 
 def _intersect(a: SetStates, b: SetStates, config: CacheConfig) -> SetStates:
     # Probe the larger mapping with the smaller one's keys instead of

@@ -15,7 +15,7 @@ reads::
       -> sim(trace, placement, geometry)   # hit/miss counts
       -> flow(trace, placement, geometry)  # CIIP / RMB-LMB / useful blocks
     paths(structure, limit, strict)        # feasible path profiles
-    pair(flow_a, paths_a, flow_b, paths_b, mode, engine, strict)
+    pair(flow_a, paths_a, flow_b, paths_b, mode, exact_paths, strict)
     task(everything above + config)     # in-memory assembly memo
 
 so the *reverse* dependency graph of an edit is computed by key diffing:
@@ -79,25 +79,24 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
-from repro.analysis.artifacts import TaskArtifacts, analyze_task
-from repro.analysis.crpd import (
-    ALL_APPROACHES,
-    Approach,
-    CRPDAnalyzer,
-    PreemptionEstimate,
+# analyze_task stays importable from this module: the traced benchmark
+# run (perfbench/layers.py) patches it here.
+from repro.analysis.artifacts import analyze_task  # noqa: F401
+from repro.analysis.crpd import ALL_APPROACHES, Approach
+from repro.analysis.pipeline import (
+    PipelineResult,
+    PlacedSystem,
+    resolve_base,
+    resolve_system,
+    run_pipeline,
 )
 from repro.analysis.store import ArtifactStore
 from repro.cache.config import CacheConfig
 from repro.errors import ConfigError
-from repro.guard.ledger import DegradationLedger
 from repro.obs import STATE as _OBS
 from repro.wcrt.response_time import WCRTResult, compute_task_wcrt
-from repro.wcrt.task import TaskSpec, TaskSystem
 
 if TYPE_CHECKING:
-    from repro.batch.pool import WarmPool
-    from repro.experiments.setup import ExperimentSpec
-    from repro.fuzz.spec import SystemSpec
     from repro.guard.budget import AnalysisBudget
 
 #: Sub-artifact node classes reported by the invalidation counters.
@@ -364,6 +363,11 @@ class WhatIfResult:
 class WhatIfSession:
     """An editable, incrementally re-analysed system.
 
+    Every state runs :func:`~repro.analysis.pipeline.run_pipeline` over
+    the session's store; the session itself only key-diffs the result
+    against the previous state and memoises/warm-starts the Eq. 7
+    fixpoints.
+
     Args:
         base: ``"exp1"``/``"exp2"``, an
             :class:`~repro.experiments.setup.ExperimentSpec`, or a fuzz
@@ -374,17 +378,6 @@ class WhatIfSession:
         period_overrides: task name -> period in cycles, replacing the
             base's period (or the fuzz ``period_mult`` formula).
         budget: optional guarded-analysis budget, shared by every state.
-        mumbs_mode: Approach-4 variant; defaults to the base's
-            convention (``"paper"`` for experiments, ``"per_point"``
-            for fuzz specs) so session results match
-            :func:`~repro.experiments.setup.build_context` /
-            :func:`~repro.fuzz.build.build_case` respectively.
-        path_engine: forwarded to the :class:`CRPDAnalyzer`; defaults to
-            the vectorized ``"dense"`` engine.
-        jobs / pool: fan the per-pair CRPD work across a
-            :class:`~repro.batch.pool.WarmPool` (sessions riding a
-            sweep's pool pass it in; ``jobs > 1`` without a pool makes
-            the session own one until :meth:`close`).
         store: the session's artifact store.  Defaults to a private
             in-memory store sized for interactive editing; pass a disk
             store to share sub-artifacts with sweeps and the CLI.
@@ -398,55 +391,20 @@ class WhatIfSession:
         cache: "CacheConfig | None" = None,
         period_overrides: "dict | None" = None,
         budget: "AnalysisBudget | None" = None,
-        mumbs_mode: "str | None" = None,
-        path_engine: str = "dense",
-        jobs: int = 1,
-        pool: "WarmPool | None" = None,
         store: "ArtifactStore | None" = None,
-        max_steps: int = 10_000_000,
     ):
-        self._exp_spec, self._fuzz_spec = _resolve_base(base)
+        self._base = resolve_base(base)
         self.budget = budget
-        self.path_engine = path_engine
-        self.jobs = jobs
-        self._pool = pool
-        self._own_pool = None
-        self._max_steps = max_steps
         self._store = store if store is not None else ArtifactStore(
             directory=None, memory_slots=1024
         )
-        self._period_overrides = dict(period_overrides or {})
-        if self._exp_spec is not None:
-            self._mumbs_mode = mumbs_mode or "paper"
-            self._context_switch = self._exp_spec.context_switch_cycles
-            self._config = cache if cache is not None else CacheConfig.scaled_8k(
-                20 if miss_penalty is None else miss_penalty
-            )
-        else:
-            spec_cache = self._fuzz_spec.cache
-            self._mumbs_mode = mumbs_mode or "per_point"
-            self._context_switch = self._fuzz_spec.context_switch
-            if cache is not None:
-                self._config = cache
-            else:
-                self._config = CacheConfig(
-                    num_sets=spec_cache.num_sets,
-                    ways=spec_cache.ways,
-                    line_size=spec_cache.line_size,
-                    miss_penalty=(
-                        spec_cache.miss_penalty
-                        if miss_penalty is None
-                        else miss_penalty
-                    ),
-                    policy=spec_cache.policy,
-                    write_back=spec_cache.write_back,
-                )
-        self._workloads = None
-        self._layouts: dict = {}
-        self._scenarios: dict = {}
-        self._order: tuple = ()
         self._assignment = None
-        self._rebuild_structure()
+        self._placed = resolve_system(
+            self._base,
+            cache=cache,
+            miss_penalty=miss_penalty,
+            period_overrides=period_overrides,
+        )
         # Previous-state snapshots driving invalidation accounting and
         # WCRT warm starts.
         self._prev_subkeys: dict = {}
@@ -454,6 +412,7 @@ class WhatIfSession:
         self._prev_pair_keys: dict = {}
         self._wcrt_memo: dict = {}
         self._last: "WhatIfResult | None" = None
+        self._pipeline: "PipelineResult | None" = None
 
     # -- lifecycle -----------------------------------------------------
     def __enter__(self) -> "WhatIfSession":
@@ -463,74 +422,20 @@ class WhatIfSession:
         self.close()
 
     def close(self) -> None:
-        """Release the session-owned worker pool, if any."""
-        if self._own_pool is not None:
-            self._own_pool.close()
-            self._own_pool = None
-
-    def _pool_handle(self) -> "WarmPool | None":
-        if self._pool is not None:
-            return self._pool
-        if self.jobs > 1 and self._own_pool is None:
-            from repro.batch.pool import WarmPool
-
-            self._own_pool = WarmPool(self.jobs)
-        return self._own_pool
+        """Nothing to release; kept so sessions work as context managers."""
 
     # -- structure -----------------------------------------------------
-    def _rebuild_structure(self) -> None:
-        from repro.program.layout import SystemLayout, apply_assignment
-
-        if self._exp_spec is not None:
-            spec = self._exp_spec
-            if self._workloads is None:
-                self._workloads = {
-                    name: build() for name, build in spec.builders.items()
-                }
-            layout = SystemLayout(stride=spec.stride)
-            for name in spec.placement_order:
-                layout.place(self._workloads[name].program)
-            self._order = tuple(spec.priority_order)
-            self._layouts = {name: layout.layout_of(name) for name in self._order}
-            self._scenarios = {
-                name: self._workloads[name].scenario_map() for name in self._order
-            }
-        else:
-            from repro.fuzz.build import (
-                _stagger_stride,
-                build_program,
-                scenarios_for,
-            )
-
-            spec = self._fuzz_spec
-            built = [
-                build_program(task.program, f"t{index}")
-                for index, task in enumerate(spec.tasks)
-            ]
-            stride = (
-                _stagger_stride([program for program, _ in built])
-                if spec.stagger
-                else None
-            )
-            layout = SystemLayout(stride=stride)
-            self._order = tuple(f"t{index}" for index in range(len(spec.tasks)))
-            self._layouts = {}
-            self._scenarios = {}
-            for (program, inputs), name in zip(built, self._order):
-                self._layouts[name] = layout.place(program)
-                self._scenarios[name] = scenarios_for(inputs)
-        if self._assignment is not None:
-            programs = {
-                name: self._layouts[name].program for name in self._order
-            }
-            self._layouts = apply_assignment(programs, self._assignment)
+    @property
+    def placed(self) -> PlacedSystem:
+        """The current placed system (tasks, layouts, cache, periods)."""
+        return self._placed
 
     def layout_assignment(self):
         """The current placement as a hashable
         :class:`~repro.program.layout.LayoutAssignment`."""
         from repro.program.layout import assignment_of
 
-        return assignment_of(self._layouts)
+        return assignment_of(self._placed.layouts())
 
     def set_assignment(self, assignment, label: "str | None" = None) -> WhatIfResult:
         """Jump the session's layout to *assignment* and re-analyse.
@@ -547,56 +452,10 @@ class WhatIfSession:
         return self._run_state(label or "assignment")
 
     def _set_assignment(self, assignment) -> None:
-        from repro.program.layout import apply_assignment
-
-        programs = {name: self._layouts[name].program for name in self._order}
         # Validate (and build) before mutating: a LayoutError here must
         # leave the session exactly as it was.
-        layouts = apply_assignment(programs, assignment)
-        missing = [name for name in self._order if name not in layouts]
-        if missing:
-            from repro.program.layout import LayoutError
-
-            raise LayoutError(f"assignment is missing tasks {missing}")
+        self._placed = self._placed.with_assignment(assignment)
         self._assignment = assignment
-        self._layouts = {name: layouts[name] for name in self._order}
-
-    def _task_specs(self, artifacts: dict) -> list[TaskSpec]:
-        specs = []
-        if self._exp_spec is not None:
-            priorities = self._exp_spec.priorities()
-            for name in self._order:
-                period = self._period_overrides.get(
-                    name, self._exp_spec.periods[name]
-                )
-                specs.append(
-                    TaskSpec(
-                        name=name,
-                        wcet=artifacts[name].wcet.cycles,
-                        period=period,
-                        priority=priorities[name],
-                    )
-                )
-            return specs
-        for index, name in enumerate(self._order):
-            task_def = self._fuzz_spec.tasks[index]
-            wcet = artifacts[name].wcet.cycles
-            period = self._period_overrides.get(
-                name, max(wcet * task_def.period_mult, wcet + 1)
-            )
-            jitter = min(
-                wcet * task_def.jitter_pct // 100, max(period - wcet, 0)
-            )
-            specs.append(
-                TaskSpec(
-                    name=name,
-                    wcet=wcet,
-                    period=period,
-                    priority=index + 1,
-                    jitter=jitter,
-                )
-            )
-        return specs
 
     # -- edits ---------------------------------------------------------
     def apply(self, edit: "Edit | str") -> WhatIfResult:
@@ -628,40 +487,37 @@ class WhatIfSession:
     def _apply_edit(self, edit: Edit) -> None:
         from dataclasses import replace
 
+        placed = self._placed
         if edit.kind == "penalty":
             if edit.value < 0:
                 raise ConfigError(f"miss penalty must be >= 0, got {edit.value}")
-            self._config = replace(self._config, miss_penalty=edit.value)
+            config = replace(placed.config, miss_penalty=edit.value)
+            self._placed = replace(placed, config=config)
             return
         if edit.kind == "geometry":
             sets, ways, line = edit.value
-            self._config = replace(
-                self._config, num_sets=sets, ways=ways, line_size=line
+            config = replace(
+                placed.config, num_sets=sets, ways=ways, line_size=line
             )
+            self._placed = replace(placed, config=config)
             return
         if edit.kind == "period":
-            if edit.task not in self._order:
-                raise ConfigError(
-                    f"unknown task {edit.task!r}; tasks are {list(self._order)}"
-                )
+            self._check_task(edit.task)
             if edit.value < 1:
                 raise ConfigError(f"period must be >= 1, got {edit.value}")
-            self._period_overrides[edit.task] = edit.value
+            self._placed = placed.with_periods({edit.task: edit.value})
             return
         if edit.kind == "array":
-            if self._fuzz_spec is None:
+            from repro.fuzz.spec import SystemSpec, replace_task
+
+            if not isinstance(self._base, SystemSpec):
                 raise ConfigError(
                     "array edits need a fuzz SystemSpec base (experiment "
                     "workloads have fixed programs)"
                 )
-            if edit.task not in self._order:
-                raise ConfigError(
-                    f"unknown task {edit.task!r}; tasks are {list(self._order)}"
-                )
-            from repro.fuzz.spec import replace_task
-
-            index = self._order.index(edit.task)
-            task_def = self._fuzz_spec.tasks[index]
+            self._check_task(edit.task)
+            index = placed.order.index(edit.task)
+            task_def = self._base.tasks[index]
             arrays = list(task_def.program.arrays)
             if not 0 <= edit.index < len(arrays):
                 raise ConfigError(
@@ -672,10 +528,21 @@ class WhatIfSession:
                 raise ConfigError(f"array words must be >= 1, got {edit.value}")
             arrays[edit.index] = edit.value
             program = replace(task_def.program, arrays=tuple(arrays))
-            self._fuzz_spec = replace_task(
-                self._fuzz_spec, index, replace(task_def, program=program)
+            self._base = replace_task(
+                self._base, index, replace(task_def, program=program)
             )
-            self._rebuild_structure()
+            # A footprint edit can move *other* tasks too (the stagger
+            # stride depends on the largest program): re-resolve.
+            self._placed = resolve_system(
+                self._base,
+                cache=placed.config,
+                period_overrides={
+                    task.name: task.period
+                    for task in placed.tasks
+                    if task.period is not None
+                },
+                assignment=self._assignment,
+            )
             return
         if edit.kind in ("code", "data", "color", "swap"):
             self._apply_layout_edit(edit)
@@ -685,10 +552,7 @@ class WhatIfSession:
     def _apply_layout_edit(self, edit: Edit) -> None:
         from dataclasses import replace
 
-        if edit.task not in self._order:
-            raise ConfigError(
-                f"unknown task {edit.task!r}; tasks are {list(self._order)}"
-            )
+        self._check_task(edit.task)
         assignment = self.layout_assignment()
         placement = assignment.placement(edit.task)
         if edit.kind in ("code", "data"):
@@ -700,14 +564,14 @@ class WhatIfSession:
                 replace(placement, **{f"{edit.kind}_base": edit.value})
             )
         elif edit.kind == "color":
-            program = self._layouts[edit.task].program
+            program = self._placed.layouts()[edit.task].program
             names = list(program.arrays)
             if not 0 <= edit.index < len(names):
                 raise ConfigError(
                     f"task {edit.task!r} has arrays 0..{len(names) - 1}, "
                     f"got index {edit.index}"
                 )
-            colors = self._config.page_colors
+            colors = self._placed.config.page_colors
             if not 0 <= edit.value < colors:
                 raise ConfigError(
                     f"color must be in 0..{colors - 1} for this geometry, "
@@ -721,10 +585,7 @@ class WhatIfSession:
             )
         else:  # swap
             other_name = edit.value
-            if other_name not in self._order:
-                raise ConfigError(
-                    f"unknown task {other_name!r}; tasks are {list(self._order)}"
-                )
+            self._check_task(other_name)
             if other_name == edit.task:
                 raise ConfigError(f"cannot swap task {edit.task!r} with itself")
             other = assignment.placement(other_name)
@@ -745,6 +606,12 @@ class WhatIfSession:
             )
         self._set_assignment(candidate)
 
+    def _check_task(self, name: str) -> None:
+        if name not in self._placed.order:
+            raise ConfigError(
+                f"unknown task {name!r}; tasks are {list(self._placed.order)}"
+            )
+
     def _color_base(self, color: int) -> int:
         """A concrete address in *color*'s band, in fresh space.
 
@@ -753,57 +620,31 @@ class WhatIfSession:
         never moves) it — exactly how a linker-placed symbol behaves.
         """
         top = 0
-        for layout in self._layouts.values():
-            for _, hi, _ in layout.intervals():
+        for task in self._placed.tasks:
+            for _, hi, _ in task.layout.intervals():
                 top = max(top, hi)
-        span = self._config.index_span
+        config = self._placed.config
+        span = config.index_span
         aligned = (top + span - 1) // span * span
-        return aligned + color * self._config.color_bytes
+        return aligned + color * config.color_bytes
 
     # -- analysis ------------------------------------------------------
     def _run_state(self, label: str) -> WhatIfResult:
         started = time.perf_counter()
         invalidated = {node: 0 for node in GRAPH_NODES}
         reused = {node: 0 for node in GRAPH_NODES}
+        order = self._placed.order
         with _OBS.tracer.span("whatif.edit", edit=label) as span:
-            ledger = DegradationLedger()
-            clock = self.budget.start() if self.budget is not None else None
-            artifacts = {
-                name: analyze_task(
-                    self._layouts[name],
-                    self._scenarios[name],
-                    self._config,
-                    max_steps=self._max_steps,
-                    budget=self.budget,
-                    ledger=ledger,
-                    clock=clock,
-                    store=self._store,
-                )
-                for name in self._order
-            }
-            analyzer = CRPDAnalyzer(
-                artifacts,
-                mumbs_mode=self._mumbs_mode,
-                budget=self.budget,
-                ledger=ledger,
-                clock=clock,
-                path_engine=self.path_engine,
-                store=self._store,
+            pipeline = run_pipeline(
+                self._placed, budget=self.budget, store=self._store
             )
-            estimates = analyzer.estimate_all_pairs(
-                list(self._order), jobs=self.jobs, pool=self._pool_handle()
-            )
-            self._diff_artifacts(artifacts, analyzer, invalidated, reused)
-            system = TaskSystem(tasks=self._task_specs(artifacts))
+            estimates = pipeline.estimates
+            self._diff_artifacts(pipeline, invalidated, reused)
             # The sensitivity helpers (critical scaling factor, breakdown
-            # miss penalty) re-score the *current* state; keep its
-            # analyzer/system reachable for them and for the optimizer's
-            # breakdown objective.
-            self._last_analyzer = analyzer
-            self._last_system = system
-            wcrt, warm_started = self._wcrt_stage(
-                system, analyzer, ledger, invalidated, reused
-            )
+            # miss penalty) and the optimizer's breakdown objective
+            # re-score the *current* state through this result.
+            self._pipeline = pipeline
+            wcrt, warm_started = self._wcrt_stage(pipeline, invalidated, reused)
             elapsed = time.perf_counter() - started
             span.set(
                 elapsed_ms=round(elapsed * 1e3, 3),
@@ -820,17 +661,17 @@ class WhatIfSession:
                         )
                     if reused[node]:
                         metrics.counter(f"whatif.reused.{node}").inc(reused[node])
-        specs = {task.name: task for task in system.tasks}
+        specs = {task.name: task for task in pipeline.system.tasks}
         result = WhatIfResult(
             label=label,
-            config=self._config,
-            periods={name: specs[name].period for name in self._order},
-            jitters={name: specs[name].jitter for name in self._order},
-            wcet={name: artifacts[name].wcet.cycles for name in self._order},
+            config=self._placed.config,
+            periods={name: specs[name].period for name in order},
+            jitters={name: specs[name].jitter for name in order},
+            wcet={name: specs[name].wcet for name in order},
             estimates=estimates,
             wcrt=wcrt,
-            soundness=ledger.soundness,
-            events=tuple(ledger.events),
+            soundness=pipeline.soundness,
+            events=tuple(pipeline.ledger.events),
             elapsed_seconds=elapsed,
             invalidated=invalidated,
             reused=reused,
@@ -840,15 +681,13 @@ class WhatIfSession:
         return result
 
     def _diff_artifacts(
-        self,
-        artifacts: dict,
-        analyzer: CRPDAnalyzer,
-        invalidated: dict,
-        reused: dict,
+        self, pipeline: "PipelineResult", invalidated: dict, reused: dict
     ) -> None:
         """Key-diff the new state's sub-artifacts against the previous one."""
+        artifacts = pipeline.artifacts
+        order = pipeline.placed.order
         new_subkeys = {}
-        for name in self._order:
+        for name in order:
             new = dict(artifacts[name].subkeys or {})
             old = self._prev_subkeys.get(name, {})
             new_subkeys[name] = new
@@ -862,9 +701,9 @@ class WhatIfSession:
             else:
                 invalidated["task"] += 1
         new_pair_keys = {}
-        for low_index, preempted in enumerate(self._order):
-            for preempting in self._order[:low_index]:
-                key = analyzer._pair_store_key(preempted, preempting)
+        for low_index, preempted in enumerate(order):
+            for preempting in order[:low_index]:
+                key = pipeline.crpd._pair_store_key(preempted, preempting)
                 new_pair_keys[(preempted, preempting)] = key
                 if key is not None and key == self._prev_pair_keys.get(
                     (preempted, preempting)
@@ -881,14 +720,7 @@ class WhatIfSession:
             return min(1000, self.budget.max_wcrt_iterations)
         return 1000
 
-    def _wcrt_stage(
-        self,
-        system: TaskSystem,
-        analyzer: CRPDAnalyzer,
-        ledger: DegradationLedger,
-        invalidated: dict,
-        reused: dict,
-    ):
+    def _wcrt_stage(self, pipeline: "PipelineResult", invalidated: dict, reused: dict):
         """Eq. 7 fixpoints per approach, memoised and warm-started.
 
         A (approach, task) node whose *inputs* — own WCET/period/jitter,
@@ -901,12 +733,13 @@ class WhatIfSession:
         the dominance check or the iteration-budget guard fails.
         """
         max_iterations = self._max_iterations()
-        ccs = self._context_switch
+        system, ledger = pipeline.system, pipeline.ledger
+        ccs = pipeline.placed.context_switch
         results: dict = {}
         warm_started = 0
         for approach in ALL_APPROACHES:
             def cpre(low: str, high: str, _approach=approach) -> int:
-                return analyzer.cpre(low, high, _approach)
+                return pipeline.crpd.cpre(low, high, _approach)
 
             per_approach: dict = {}
             for task in system.tasks:
@@ -1009,26 +842,3 @@ def _warm_start_sound(old_sig: tuple, new_sig: tuple, memo: dict) -> bool:
         if n_period > o_period or n_jitter < o_jitter or n_cost < o_cost:
             return False
     return True
-
-
-def _resolve_base(base):
-    """``(experiment_spec, fuzz_spec)`` — exactly one is non-None."""
-    from repro.experiments.setup import ALL_SPECS, ExperimentSpec
-    from repro.fuzz.spec import SystemSpec
-
-    if isinstance(base, str):
-        for spec in ALL_SPECS:
-            if spec.key == base:
-                return spec, None
-        raise ConfigError(
-            f"unknown experiment {base!r}; choose from "
-            f"{[spec.key for spec in ALL_SPECS]}"
-        )
-    if isinstance(base, ExperimentSpec):
-        return base, None
-    if isinstance(base, SystemSpec):
-        return None, base
-    raise ConfigError(
-        f"what-if base must be an experiment key, ExperimentSpec or fuzz "
-        f"SystemSpec, got {type(base).__name__}"
-    )

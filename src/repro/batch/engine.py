@@ -29,12 +29,9 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.analysis.crpd import ALL_APPROACHES, CRPDAnalyzer, PreemptionEstimate
+from repro.analysis.crpd import ALL_APPROACHES, PreemptionEstimate
 from repro.cache.config import CacheConfig
-from repro.errors import ConfigError
 from repro.obs import STATE as _OBS
-from repro.wcrt.response_time import compute_system_wcrt
-from repro.wcrt.task import TaskSpec, TaskSystem
 
 if TYPE_CHECKING:
     from repro.analysis.store import ArtifactStore
@@ -237,7 +234,6 @@ def analyze_batch(
     jobs: int = 1,
     store: "ArtifactStore | None" = None,
     budget: "AnalysisBudget | None" = None,
-    path_engine: str = "auto",
     pool: "WarmPool | None" = None,
 ) -> BatchResult:
     """Analyse every sweep point; results in request order.
@@ -252,16 +248,12 @@ def analyze_batch(
     sub-artifacts.  A broken pool degrades to an identical serial
     computation; analysis errors propagate unchanged.
     """
-    from repro.batch.pool import WarmPool
-    from repro.experiments.setup import ALL_SPECS
+    from repro.analysis.pipeline import resolve_base, resolve_system
+    from repro.batch.pool import WarmPool, adopt_observed
 
-    specs = {spec.key: spec for spec in ALL_SPECS}
-    for point in points:
-        if point.experiment not in specs:
-            raise ConfigError(
-                f"unknown experiment {point.experiment!r}; "
-                f"expected one of {sorted(specs)}"
-            )
+    # Resolving every key up front rejects unknown experiments before any
+    # work is scheduled.
+    specs = {point.experiment: resolve_base(point.experiment) for point in points}
     started = perf_counter()
     unique: dict[SweepPoint, int] = {}
     for point in points:
@@ -294,8 +286,12 @@ def analyze_batch(
             # experiment is an item against it.  Specs iterate in the
             # deterministic order their points first appeared.
             for key, spec_points in by_spec.items():
-                context = _spec_context(
-                    specs[key], store_directory, budget, path_engine
+                context = (
+                    "batch.point",
+                    resolve_system(specs[key]),
+                    store_directory,
+                    budget,
+                    _OBS.enabled,
                 )
                 token = pool.seed(context)
                 for result, records, snapshot in pool.map(
@@ -303,11 +299,7 @@ def analyze_batch(
                 ):
                     results_by_point[result.point] = result
                     unique_results.append(result)
-                    if _OBS.enabled:
-                        if records:
-                            _OBS.tracer.adopt(records, parent_id=span.span_id)
-                        if snapshot is not None:
-                            _OBS.metrics.merge(snapshot)
+                    adopt_observed(records, snapshot, span.span_id)
             results = [results_by_point[point] for point in points]
             deduplicated = len(points) - len(order)
             if _OBS.enabled and deduplicated:
@@ -334,157 +326,53 @@ def analyze_batch(
             own_pool.close()
 
 
-def _spec_context(
-    spec, store_directory, budget, path_engine
-) -> tuple:
-    """The invariant per-experiment state shipped to the pool once."""
-    from repro.program.layout import SystemLayout
-
-    workloads = {name: build() for name, build in spec.builders.items()}
-    layout = SystemLayout(stride=spec.stride)
-    for name in spec.placement_order:
-        layout.place(workloads[name].program)
-    return (
-        "batch.point",
-        spec.key,
-        {name: layout.layout_of(name) for name in spec.priority_order},
-        {name: workloads[name].scenario_map() for name in spec.priority_order},
-        store_directory,
-        budget,
-        path_engine,
-        _OBS.enabled,
-    )
-
-
 def _point_task(context: tuple, point: SweepPoint):
     """Analyse one sweep point end to end (worker or serial fallback)."""
-    from repro.batch.pool import in_worker
+    from repro.batch.pool import run_observed
 
-    (_, _, _, _, _, _, _, obs_enabled) = context
-    if obs_enabled and in_worker():
-        # Fresh per-point observability: spans ship back to the parent
-        # and are re-adopted under its batch span, in point order.
-        from repro.obs import install, uninstall
-
-        tracer, metrics = install()
-        try:
-            result = _analyze_point(context, point)
-        finally:
-            uninstall()
-        return result, tuple(tracer.records), metrics.to_dict()
-    return _analyze_point(context, point), (), None
+    return run_observed(lambda: _analyze_point(context, point), context[-1])
 
 
 def _analyze_point(context: tuple, point: SweepPoint) -> PointResult:
-    from repro.analysis.artifacts import analyze_task
-    from repro.batch.pool import derived
-    from repro.experiments.setup import ALL_SPECS
-    from repro.guard.ledger import DegradationLedger
+    from dataclasses import replace
 
-    (
-        _,
-        spec_key,
-        layouts,
-        scenario_maps,
-        store_directory,
-        budget,
-        path_engine,
-        _,
-    ) = context
-    spec = {s.key: s for s in ALL_SPECS}[spec_key]
-    config = point.config()
+    from repro.analysis.pipeline import run_pipeline
+    from repro.batch.pool import worker_store
+
+    _, placed, store_directory, budget, _ = context
+    placed = replace(placed, config=point.config())
     if point.layout is not None:
-        from repro.program.layout import apply_assignment
-
         # Re-place the shipped programs at the point's explicit
         # assignment; overlap raises LayoutError before any analysis.
-        layouts = apply_assignment(
-            {name: layouts[name].program for name in spec.priority_order},
-            point.layout,
-        )
-    store = None
-    if store_directory is not None:
-        from repro.analysis.store import ArtifactStore
-
-        # One handle per worker per context: memory LRU (trace bundles,
-        # flow bundles) stays warm across every point of the sweep.
-        store = derived(
-            context,
-            "batch.store",
-            lambda: ArtifactStore(directory=store_directory),
-        )
+        placed = placed.with_assignment(point.layout)
+    store = worker_store(context, store_directory)
     started = perf_counter()
     hits_before = store.hits if store is not None else 0
     misses_before = store.misses if store is not None else 0
-    ledger = DegradationLedger()
-    clock = budget.start() if budget is not None else None
     with _OBS.tracer.span(
-        "batch.point", experiment=spec_key, label=point.label()
+        "batch.point", experiment=point.experiment, label=point.label()
     ) as span:
-        artifacts = {
-            name: analyze_task(
-                layouts[name],
-                scenario_maps[name],
-                config,
-                budget=budget,
-                ledger=ledger,
-                clock=clock,
-                store=store,
-            )
-            for name in spec.priority_order
-        }
-        analyzer = CRPDAnalyzer(
-            artifacts,
-            mumbs_mode="paper",
-            budget=budget,
-            ledger=ledger,
-            clock=clock,
-            path_engine=path_engine,
-            store=store,
-        )
-        estimates = analyzer.estimate_all_pairs(list(spec.priority_order))
-        priorities = spec.priorities()
-        system = TaskSystem(
-            tasks=[
-                TaskSpec(
-                    name=name,
-                    wcet=artifacts[name].wcet.cycles,
-                    period=spec.periods[name],
-                    priority=priorities[name],
-                )
-                for name in spec.priority_order
-            ]
-        )
+        pipeline = run_pipeline(placed, budget=budget, store=store)
+        estimates = pipeline.estimates
         wcrt: dict[int, dict[str, int]] = {}
         schedulable: dict[int, bool] = {}
         for approach in ALL_APPROACHES:
-
-            def cpre(preempted: str, preempting: str, _approach=approach) -> int:
-                return analyzer.cpre(preempted, preempting, _approach)
-
-            system_wcrt = compute_system_wcrt(
-                system,
-                cpre=cpre,
-                context_switch=spec.context_switch_cycles,
-                stop_at_deadline=False,
-                budget=budget,
-                ledger=ledger,
-            )
+            system_wcrt = pipeline.wcrt(approach)
             wcrt[approach.value] = {
-                name: system_wcrt.wcrt(name) for name in spec.priority_order
+                name: system_wcrt.wcrt(name) for name in placed.order
             }
             schedulable[approach.value] = system_wcrt.schedulable
         result = PointResult(
             point=point,
             wcet={
-                name: artifacts[name].wcet.cycles
-                for name in spec.priority_order
+                name: pipeline.artifacts[name].wcet.cycles
+                for name in placed.order
             },
             estimates=estimates,
             wcrt=wcrt,
             schedulable=schedulable,
-            soundness=ledger.soundness,
-            events=tuple(ledger.events),
+            soundness=pipeline.soundness,
+            events=tuple(pipeline.ledger.events),
             analysis_seconds=perf_counter() - started,
             store_hits=(store.hits - hits_before) if store is not None else 0,
             store_misses=(

@@ -280,6 +280,48 @@ def in_worker() -> bool:
     return _IN_WORKER
 
 
+def run_observed(fn: Callable[[], Any], obs_enabled: bool) -> tuple:
+    """``(fn(), records, snapshot)`` for one task function's work.
+
+    In a worker with observability on, *fn* runs under fresh tracing and
+    its spans and metrics snapshot ship back for :func:`adopt_observed`.
+    On the serial path the caller's tracer is live and records directly,
+    so nothing ships.
+    """
+    if not (obs_enabled and in_worker()):
+        return fn(), (), None
+    from repro.obs import install, uninstall
+
+    tracer, metrics = install()
+    try:
+        result = fn()
+    finally:
+        uninstall()
+    return result, tuple(tracer.records), metrics.to_dict()
+
+
+def worker_store(context: Any, directory: "str | None"):
+    """One :class:`~repro.analysis.store.ArtifactStore` handle on
+    *directory* per shipped context (``None`` without a directory), so
+    its in-memory LRU stays warm across every item of the context."""
+    if directory is None:
+        return None
+    from repro.analysis.store import ArtifactStore
+
+    return derived(context, "store", lambda: ArtifactStore(directory=directory))
+
+
+def adopt_observed(records: tuple, snapshot, parent_id) -> None:
+    """Merge one task's shipped spans (re-parented under *parent_id*) and
+    metrics into the caller's observability state.  Callers adopt in item
+    order, which keeps merged traces deterministic."""
+    if _OBS.enabled:
+        if records:
+            _OBS.tracer.adopt(records, parent_id=parent_id)
+        if snapshot is not None:
+            _OBS.metrics.merge(snapshot)
+
+
 def _worker_call(work: tuple) -> tuple[bool, Any]:
     global _IN_WORKER
     _IN_WORKER = True

@@ -21,10 +21,7 @@ preemptor against one preemptee vector, or all pairs of a task set — run
 as flat min-sums with no per-entry dict probes.  Dense kernels are exact:
 because ``min(a, b, L) == min(min(a, L), min(b, L))``, capping each count
 at the associativity while densifying preserves every conflict bound.
-The pure-Python backend needs nothing beyond ``bytes``; when the
-``REPRO_NUMPY=1`` environment flag is set and numpy imports, the same
-kernels dispatch to numpy ufuncs with byte-identical results
-(:func:`numpy_backend`).
+The kernels need nothing beyond ``bytes``.
 
 Block-set interning keeps one canonical object per distinct frozenset of
 memory blocks.  The analyses build the same group sets over and over (every
@@ -42,7 +39,6 @@ table is cleared and restarted (clearing is always safe — see
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Mapping, Optional, Sequence
 
 from repro.obs import STATE as _OBS
@@ -177,11 +173,6 @@ def usage_kernel(counts: SetCounts, ways: int) -> int:
     return total
 
 
-def capped_counts(counts: SetCounts, ways: int) -> SetCounts:
-    """Per-set counts clamped at the associativity ``L``."""
-    return {index: (count if count < ways else ways) for index, count in counts.items()}
-
-
 # --------------------------------------------------------------------------
 # Dense (flat-array) kernels
 #
@@ -193,44 +184,6 @@ def capped_counts(counts: SetCounts, ways: int) -> SetCounts:
 
 #: Largest associativity representable in a one-byte dense entry.
 DENSE_MAX_WAYS = 0xFF
-
-_NUMPY_STATE: dict = {"resolved": False, "module": None}
-
-
-def numpy_backend():
-    """The numpy module when ``REPRO_NUMPY=1`` and numpy imports, else None.
-
-    Resolved lazily on first use and cached; the dense kernels consult it
-    on every call so tests can force either backend via
-    :func:`set_numpy_backend`.  With the flag unset (the default) the
-    pure-Python bytes backend runs — results are byte-identical either
-    way, numpy only changes the constant factor.
-    """
-    if not _NUMPY_STATE["resolved"]:
-        module = None
-        if os.environ.get("REPRO_NUMPY", "") not in ("", "0"):
-            try:
-                import numpy  # noqa: F401 -- optional fast path
-
-                module = numpy
-            except ImportError:
-                module = None
-        _NUMPY_STATE["resolved"] = True
-        _NUMPY_STATE["module"] = module
-    return _NUMPY_STATE["module"]
-
-
-def set_numpy_backend(module) -> None:
-    """Force the dense-kernel backend (tests): a numpy module, ``None`` for
-    pure Python, or the string ``"auto"`` to re-resolve from the
-    environment on next use."""
-    if module == "auto":
-        _NUMPY_STATE["resolved"] = False
-        _NUMPY_STATE["module"] = None
-        return
-    _NUMPY_STATE["resolved"] = True
-    _NUMPY_STATE["module"] = module
-
 
 def dense_counts(counts: SetCounts, num_sets: int, ways: int) -> bytes:
     """Pack a sparse cardinality vector into a capped dense byte vector."""
@@ -251,9 +204,6 @@ def dense_rows(vectors: Sequence[bytes]) -> bytes:
 
 def dense_usage(vec: bytes) -> int:
     """Line-usage bound over a capped dense vector (Approach 1)."""
-    np = numpy_backend()
-    if np is not None:
-        return int(np.frombuffer(vec, dtype=np.uint8).sum())
     return sum(vec)
 
 
@@ -265,13 +215,6 @@ def dense_conflict(a: bytes, b: bytes) -> int:
     """
     if _OBS.enabled:
         _OBS.metrics.counter("kernels.dense.conflict").inc()
-    np = numpy_backend()
-    if np is not None:
-        return int(
-            np.minimum(
-                np.frombuffer(a, dtype=np.uint8), np.frombuffer(b, dtype=np.uint8)
-            ).sum()
-        )
     return sum(map(min, a, b))
 
 
@@ -288,11 +231,6 @@ def dense_max_conflict(rows: bytes, vec: bytes) -> int:
         return 0
     if _OBS.enabled:
         _OBS.metrics.counter("kernels.dense.path_max").inc()
-    np = numpy_backend()
-    if np is not None:
-        matrix = np.frombuffer(rows, dtype=np.uint8).reshape(-1, width)
-        needle = np.frombuffer(vec, dtype=np.uint8)
-        return int(np.minimum(matrix, needle).sum(axis=1).max())
     best = 0
     for start in range(0, len(rows), width):
         total = sum(map(min, rows[start : start + width], vec))

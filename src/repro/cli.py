@@ -64,6 +64,7 @@ def _budget_from(args: argparse.Namespace):
         max_wcrt_iterations=args.max_iterations,
         wall_clock_seconds=args.time_budget,
         strict=args.strict,
+        exact_paths=args.exact_paths,
     )
 
 
@@ -75,12 +76,10 @@ def _store_from(args: argparse.Namespace):
     return default_store()
 
 
-def _engine_from(args: argparse.Namespace) -> str:
-    return "exact" if args.exact_paths else "auto"
-
-
 def _report_degradations(ledger) -> None:
-    """One stderr line per fallback fired, so stdout stays machine-friendly."""
+    """One stderr line per fallback fired, so stdout stays machine-friendly.
+
+    Takes anything with ``events``: a ledger or a what-if state."""
     for event in ledger.events:
         print(f"repro: degraded {event.describe()}", file=sys.stderr)
 
@@ -163,7 +162,6 @@ def cmd_crpd(args: argparse.Namespace) -> int:
         budget=_budget_from(args),
         jobs=args.jobs,
         store=_store_from(args),
-        path_engine=_engine_from(args),
     )
     print(table2_cache_lines(context).render())
     _report_degradations(context.ledger)
@@ -285,7 +283,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         store=_store_from(args),
         budget=_budget_from(args),
-        path_engine=_engine_from(args),
     )
     for result in batch:
         verdicts = " ".join(
@@ -348,21 +345,17 @@ def cmd_whatif(args: argparse.Namespace) -> int:
     check_edit_conflicts(edits)
     states = []
     with WhatIfSession(
-        base,
-        budget=_budget_from(args),
-        jobs=args.jobs,
-        store=_store_from(args),
-        path_engine="exact" if args.exact_paths else "dense",
+        base, budget=_budget_from(args), store=_store_from(args)
     ) as session:
         result = session.result()
         states.append(result)
         _print_whatif_state(result)
-        _report_degradations_once(result)
+        _report_degradations(result)
         for edit in edits:
             result = session.apply(edit)
             states.append(result)
             _print_whatif_state(result)
-            _report_degradations_once(result)
+            _report_degradations(result)
     if args.json:
         path = Path(args.json)
         path.write_text(
@@ -370,11 +363,6 @@ def cmd_whatif(args: argparse.Namespace) -> int:
         )
         print(f"wrote {path}")
     return 0
-
-
-def _report_degradations_once(result) -> None:
-    for event in result.events:
-        print(f"repro: degraded {event.describe()}", file=sys.stderr)
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -593,7 +581,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ),
         store=_store_from(args),
         budget=_budget_from(args),
-        path_engine=_engine_from(args),
     )
     return run_daemon(
         args.host, args.port, service, verbose=args.verbose

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable
 
-from repro.analysis.artifacts import TaskArtifacts, analyze_task
+from repro.analysis.artifacts import TaskArtifacts
 from repro.analysis.crpd import CRPDAnalyzer
+from repro.analysis.pipeline import PipelineResult, resolve_system, run_pipeline
 from repro.cache.config import CacheConfig
 
 if TYPE_CHECKING:
@@ -34,9 +35,8 @@ from repro.cache.state import CacheState
 from repro.guard.budget import AnalysisBudget
 from repro.guard.ledger import DegradationLedger
 from repro.obs import STATE as _OBS
-from repro.program.layout import ProgramLayout, SystemLayout
 from repro.sched.simulator import SimulationResult, Simulator, TaskBinding
-from repro.wcrt.task import TaskSpec, TaskSystem
+from repro.wcrt.task import TaskSystem
 from repro.workloads.adpcm import build_adpcm_coder, build_adpcm_decoder
 from repro.workloads.base import Workload
 from repro.workloads.edge_detection import build_edge_detection
@@ -107,42 +107,39 @@ class ExperimentContext:
     """A fully analysed experiment at one cache-miss penalty."""
 
     spec: ExperimentSpec
-    config: CacheConfig
-    workloads: dict[str, Workload]
-    layouts: dict[str, ProgramLayout]
-    artifacts: dict[str, TaskArtifacts]
-    crpd: CRPDAnalyzer
-    system: TaskSystem
-    budget: AnalysisBudget | None = None
-    ledger: DegradationLedger = field(default_factory=DegradationLedger)
+    pipeline: PipelineResult
     #: Wall-clock seconds spent building + analysing the task set (cache
     #: hits shrink this; see ``docs/performance.md``).
     build_seconds: float = 0.0
     _art_cache: dict[int, SimulationResult] = field(default_factory=dict)
 
     @property
+    def config(self) -> CacheConfig:
+        return self.pipeline.placed.config
+
+    @property
+    def artifacts(self) -> dict[str, TaskArtifacts]:
+        return self.pipeline.artifacts
+
+    @property
+    def crpd(self) -> CRPDAnalyzer:
+        return self.pipeline.crpd
+
+    @property
+    def system(self) -> TaskSystem:
+        return self.pipeline.system
+
+    @property
+    def ledger(self) -> DegradationLedger:
+        return self.pipeline.ledger
+
+    @property
     def priority_order(self) -> tuple[str, ...]:
         return self.spec.priority_order
 
-    @property
-    def soundness(self) -> str:
-        """``"exact"`` unless any analysis stage degraded conservatively."""
-        return self.ledger.soundness
-
     def bindings(self) -> list[TaskBinding]:
         """Simulator bindings, driving each task with its WCET scenario."""
-        bindings = []
-        for name in self.spec.priority_order:
-            workload = self.workloads[name]
-            worst = self.artifacts[name].wcet.worst_scenario
-            bindings.append(
-                TaskBinding(
-                    spec=self.system.task(name),
-                    layout=self.layouts[name],
-                    inputs=dict(workload.scenario(worst).inputs),
-                )
-            )
-        return bindings
+        return self.pipeline.bindings()
 
     def simulate(self, horizon: int | None = None) -> SimulationResult:
         """Measure actual response times on the shared-cache simulator."""
@@ -155,68 +152,10 @@ class ExperimentContext:
                 cache=CacheState(self.config),
                 context_switch_cycles=self.spec.context_switch_cycles,
             )
-            self._art_cache[key] = simulator.run(horizon, budget=self.budget)
-        return self._art_cache[key]
-
-
-def _analyze_task_point(context, item):
-    """Analyse one task of one sweep point (module level to pickle).
-
-    Runs in a :class:`~repro.batch.pool.WarmPool` worker — or in-process
-    on the serial fallback path.  The *context* (layouts and scenarios,
-    invariant across an entire penalty/geometry sweep) ships once per
-    pool; the *item* carries only what varies per point: the task name,
-    the cache configuration and the budget.  The worker re-arms the
-    budget (its own wall clock) and records degradations into a private
-    ledger whose events are merged back into the parent context's ledger
-    in priority order, so the merged ledger is identical to a sequential
-    run's.  Artifacts carry columnar traces
-    (:class:`~repro.vm.trace.LazyTraces`), which is what keeps the result
-    pickle small enough for the fan-out to pay off.
-    """
-    from repro.batch.pool import derived, in_worker
-
-    _, _, layouts, scenario_maps, store_directory = context
-    name, config, budget, obs_enabled = item
-    ledger = DegradationLedger()
-    store = None
-    if store_directory is not None:
-        from repro.analysis.store import ArtifactStore
-
-        # One store handle per worker per context: its in-memory LRU (and
-        # the trace/flow entries it caches) stays warm across the points
-        # of a sweep instead of being rebuilt per task.
-        store = derived(
-            context,
-            "experiments.store",
-            lambda: ArtifactStore(directory=store_directory),
-        )
-    layout, scenarios = layouts[name], scenario_maps[name]
-    records: tuple = ()
-    snapshot = None
-    if obs_enabled and in_worker():
-        # Fresh per-task observability; the parent adopts the spans
-        # (re-parented under its build_context span) and merges the
-        # metrics snapshot in priority order, so the merged trace is
-        # deterministic.  On the serial path the caller's tracer is live
-        # and records directly.
-        from repro.obs import install, uninstall
-
-        tracer, metrics = install()
-        try:
-            artifacts = analyze_task(
-                layout, scenarios, config, budget=budget, ledger=ledger,
-                store=store,
+            self._art_cache[key] = simulator.run(
+                horizon, budget=self.pipeline.budget
             )
-        finally:
-            uninstall()
-        records = tuple(tracer.records)
-        snapshot = metrics.to_dict()
-    else:
-        artifacts = analyze_task(
-            layout, scenarios, config, budget=budget, ledger=ledger, store=store
-        )
-    return name, artifacts, ledger.events, records, snapshot
+        return self._art_cache[key]
 
 
 def build_context(
@@ -226,12 +165,11 @@ def build_context(
     budget: AnalysisBudget | None = None,
     jobs: int = 1,
     store: "ArtifactStore | None" = None,
-    path_engine: str = "auto",
     pool: "WarmPool | None" = None,
 ) -> ExperimentContext:
     """Build, place and analyse one experiment's task set.
 
-    Pass ``cache`` to override the default scaled 16KB geometry (the miss
+    Pass ``cache`` to override the default scaled 8KB geometry (the miss
     penalty of an explicit cache config wins over *miss_penalty*).  With
     a *budget* the whole analysis runs guarded: every stage shares one
     wall clock and writes degradations into the context's ledger.
@@ -241,126 +179,26 @@ def build_context(
     locally; the wall clock then counts per task rather than across
     tasks); artifacts and ledger events merge back in priority order, so
     results are deterministic.  Pass *pool* to reuse an already-warm pool
-    across the points of a sweep — the layouts and scenarios then ship to
-    the workers once, not once per point (see
-    :func:`repro.batch.engine.analyze_batch`).  ``store`` short-circuits
-    analyses whose inputs were seen before (see
-    :mod:`repro.analysis.store`) and enables pair-level CRPD caching;
-    ``path_engine`` is forwarded to the :class:`CRPDAnalyzer`.
+    across the points of a sweep.  ``store`` short-circuits analyses
+    whose inputs were seen before (see :mod:`repro.analysis.store`) and
+    enables pair-level CRPD caching.  The chain itself is
+    :func:`~repro.analysis.pipeline.run_pipeline`.
     """
     # The span brackets exactly the region build_seconds times, so trace
     # durations reconcile with the context's reported wall time.
     with _OBS.tracer.span(
         "experiments.build_context", experiment=spec.key, jobs=jobs
     ) as span:
-        context = _build_context(
-            spec, miss_penalty, cache, budget, jobs, store, path_engine,
-            pool, span,
+        started = perf_counter()
+        result = run_pipeline(
+            resolve_system(spec, cache=cache, miss_penalty=miss_penalty),
+            budget=budget,
+            jobs=jobs,
+            store=store,
+            pool=pool,
+        )
+        context = ExperimentContext(
+            spec=spec, pipeline=result, build_seconds=perf_counter() - started
         )
         span.set(build_seconds=context.build_seconds)
         return context
-
-
-def _build_context(
-    spec: ExperimentSpec,
-    miss_penalty: int,
-    cache: "CacheConfig | None",
-    budget: "AnalysisBudget | None",
-    jobs: int,
-    store: "ArtifactStore | None",
-    path_engine: str,
-    pool: "WarmPool | None",
-    span,
-) -> ExperimentContext:
-    started = perf_counter()
-    config = cache if cache is not None else CacheConfig.scaled_8k(miss_penalty)
-    ledger = DegradationLedger()
-    clock = budget.start() if budget is not None else None
-    workloads = {name: build() for name, build in spec.builders.items()}
-    layout = SystemLayout(stride=spec.stride)
-    for name in spec.placement_order:
-        layout.place(workloads[name].program)
-    layouts = {name: layout.layout_of(name) for name in spec.priority_order}
-    if pool is not None or jobs > 1:
-        from repro.batch.pool import WarmPool
-
-        own_pool: "WarmPool | None" = None
-        if pool is None:
-            own_pool = pool = WarmPool(jobs)
-        store_directory = (
-            store.directory if store is not None and store.enabled else None
-        )
-        shared = (
-            "experiments.tasks",
-            spec.key,
-            layouts,
-            {name: workloads[name].scenario_map() for name in spec.priority_order},
-            store_directory,
-        )
-        items = [
-            (name, config, budget, _OBS.enabled)
-            for name in spec.priority_order
-        ]
-        artifacts = {}
-        try:
-            token = pool.seed(shared)
-            # The pool yields in priority order, so worker spans are
-            # adopted and metrics merged deterministically.
-            for name, task_artifacts, events, records, snapshot in pool.map(
-                _analyze_task_point, items, context=token
-            ):
-                artifacts[name] = task_artifacts
-                ledger.events.extend(events)
-                if _OBS.enabled:
-                    if records:
-                        _OBS.tracer.adopt(records, parent_id=span.span_id)
-                    if snapshot is not None:
-                        _OBS.metrics.merge(snapshot)
-        finally:
-            if own_pool is not None:
-                own_pool.close()
-    else:
-        artifacts = {
-            name: analyze_task(
-                layouts[name],
-                workloads[name].scenario_map(),
-                config,
-                budget=budget,
-                ledger=ledger,
-                clock=clock,
-                store=store,
-            )
-            for name in spec.priority_order
-        }
-    priorities = spec.priorities()
-    tasks = [
-        TaskSpec(
-            name=name,
-            wcet=artifacts[name].wcet.cycles,
-            period=spec.periods[name],
-            priority=priorities[name],
-        )
-        for name in spec.priority_order
-    ]
-    return ExperimentContext(
-        spec=spec,
-        config=config,
-        workloads=workloads,
-        layouts=layouts,
-        artifacts=artifacts,
-        # Definition 4 verbatim, as the paper's tables use it.  The sound
-        # per_point variant is compared in the MUMBS ablation bench.
-        crpd=CRPDAnalyzer(
-            artifacts,
-            mumbs_mode="paper",
-            budget=budget,
-            ledger=ledger,
-            clock=clock,
-            path_engine=path_engine,
-            store=store,
-        ),
-        system=TaskSystem(tasks=tasks),
-        budget=budget,
-        ledger=ledger,
-        build_seconds=perf_counter() - started,
-    )

@@ -26,7 +26,7 @@ from repro.experiments.setup import (
     build_context,
 )
 from repro.guard.budget import AnalysisBudget
-from repro.wcrt.response_time import SystemWCRT, compute_system_wcrt
+from repro.wcrt.response_time import SystemWCRT
 
 _APPROACH_HEADERS = ["App. 1", "App. 2", "App. 3", "App. 4"]
 
@@ -42,7 +42,6 @@ class ExperimentSuite:
     jobs: int = 1
     store: "ArtifactStore | None" = None
     _contexts: dict[int, ExperimentContext] = field(default_factory=dict)
-    _wcrt: dict[tuple[int, Approach], SystemWCRT] = field(default_factory=dict)
 
     def context(self, penalty: int) -> ExperimentContext:
         if penalty not in self._contexts:
@@ -56,24 +55,9 @@ class ExperimentSuite:
         return self._contexts[penalty]
 
     def wcrt(self, penalty: int, approach: Approach) -> SystemWCRT:
-        key = (penalty, approach)
-        if key not in self._wcrt:
-            context = self.context(penalty)
-
-            def cpre(preempted: str, preempting: str) -> int:
-                return context.crpd.cpre(preempted, preempting, approach)
-
-            # Sharing the context ledger propagates CRPD degradations into
-            # the SystemWCRT soundness tag alongside any divergence entries.
-            self._wcrt[key] = compute_system_wcrt(
-                context.system,
-                cpre=cpre,
-                context_switch=context.spec.context_switch_cycles,
-                stop_at_deadline=False,
-                budget=self.budget,
-                ledger=context.ledger,
-            )
-        return self._wcrt[key]
+        # The pipeline shares the context ledger, so CRPD degradations and
+        # divergence entries both reach the SystemWCRT soundness tag.
+        return self.context(penalty).pipeline.wcrt(approach)
 
     def soundness(self) -> str:
         """Worst soundness across every context analysed so far."""
@@ -161,7 +145,7 @@ def table2_cache_lines(context: ExperimentContext) -> Table:
             )
     # Estimates are computed lazily by the rows above, so the ledger is
     # only complete once they exist — append the soundness notes last.
-    table.notes.append(f"soundness: {context.soundness}")
+    table.notes.append(f"soundness: {context.ledger.soundness}")
     table.notes.extend(event.describe() for event in context.ledger.events)
     table.notes.append(_timing_note(context.crpd.analysis_seconds))
     table.notes.append(

@@ -11,11 +11,12 @@ introduced by hand-editing a corpus entry) raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.analysis.artifacts import TaskArtifacts, analyze_task
+from repro.analysis.artifacts import TaskArtifacts
 from repro.analysis.crpd import CRPDAnalyzer
+from repro.analysis.pipeline import PipelineResult, resolve_system, run_pipeline
 from repro.cache.config import CacheConfig
 from repro.fuzz.spec import (
     BranchSpec,
@@ -26,9 +27,8 @@ from repro.fuzz.spec import (
     SystemSpec,
 )
 from repro.guard.budget import AnalysisBudget
-from repro.guard.ledger import DegradationLedger
 from repro.program.builder import Program, ProgramBuilder
-from repro.program.layout import ProgramLayout, SystemLayout
+from repro.program.layout import ProgramLayout
 from repro.sched.simulator import TaskBinding
 from repro.wcrt.task import TaskSpec, TaskSystem
 
@@ -116,18 +116,14 @@ class BuiltTask:
     name: str
     program: Program
     layout: ProgramLayout
-    inputs: dict[str, list[int]]
     scenarios: dict[str, dict[str, list[int]]]
     artifacts: TaskArtifacts
     spec: TaskSpec
 
-    def binding(self) -> TaskBinding:
-        worst = self.artifacts.wcet.worst_scenario
-        return TaskBinding(
-            spec=self.spec,
-            layout=self.layout,
-            inputs=dict(self.scenarios[worst]),
-        )
+    @property
+    def inputs(self) -> dict[str, list[int]]:
+        """The base input map (flag 0)."""
+        return self.scenarios["flag0"]
 
 
 @dataclass
@@ -139,14 +135,23 @@ class BuiltCase:
     """
 
     spec: SystemSpec
-    config: CacheConfig
+    pipeline: PipelineResult
     tasks: list[BuiltTask]
-    system: TaskSystem
-    analyzer: CRPDAnalyzer
-    ledger: DegradationLedger = field(default_factory=DegradationLedger)
+
+    @property
+    def config(self) -> CacheConfig:
+        return self.pipeline.placed.config
+
+    @property
+    def system(self) -> TaskSystem:
+        return self.pipeline.system
+
+    @property
+    def analyzer(self) -> CRPDAnalyzer:
+        return self.pipeline.crpd
 
     def bindings(self) -> list[TaskBinding]:
-        return [task.binding() for task in self.tasks]
+        return self.pipeline.bindings()
 
     def horizon(self) -> int:
         return 2 * max(task.spec.period for task in self.tasks)
@@ -160,106 +165,34 @@ class BuiltCase:
         return out
 
 
-def _stagger_stride(programs: list[Program]) -> int:
-    """A stride that fits the largest program, offset past a packed
-    placement so staggered and packed layouts genuinely differ."""
-    scratch = SystemLayout()
-    extent = 0
-    for program in programs:
-        layout = scratch.place(program)
-        extent = max(extent, max(layout.code_end, layout.data_end) - layout.code_base)
-    alignment = SystemLayout.region_alignment
-    extent = -(-extent // alignment) * alignment
-    return extent + alignment
-
-
 def build_case(
     spec: SystemSpec,
     budget: AnalysisBudget | None = None,
     store: "ArtifactStore | None" = None,
-    mumbs_mode: str = "per_point",
     config: CacheConfig | None = None,
 ) -> BuiltCase:
     """Build, place and analyse one fuzz case.
 
-    The analyzer defaults to ``per_point`` MUMBS (the sound-by-
-    construction variant; Definition 4 verbatim can undercount a joint
-    worst case, which is a documented reproduction finding rather than an
-    engine bug).  ``config`` overrides the spec's cache — the Cmiss
-    monotonicity oracle uses it to re-analyse at a doubled penalty.
+    The analysis runs :func:`~repro.analysis.pipeline.run_pipeline` with
+    ``per_point`` MUMBS, the fuzz-spec convention.  ``config`` overrides
+    the spec's cache — the Cmiss monotonicity oracle uses it to
+    re-analyse at a doubled penalty.
     """
-    if config is None:
-        config = CacheConfig(
-            num_sets=spec.cache.num_sets,
-            ways=spec.cache.ways,
-            line_size=spec.cache.line_size,
-            miss_penalty=spec.cache.miss_penalty,
-            policy=spec.cache.policy,
-            write_back=spec.cache.write_back,
-        )
-    built_programs: list[tuple[Program, dict[str, list[int]]]] = [
-        build_program(task.program, f"t{index}")
-        for index, task in enumerate(spec.tasks)
-    ]
-    stride = (
-        _stagger_stride([program for program, _ in built_programs])
-        if spec.stagger
-        else None
-    )
-    layout = SystemLayout(stride=stride)
-    placed = [layout.place(program) for program, _ in built_programs]
-
-    ledger = DegradationLedger()
-    clock = budget.start() if budget is not None else None
-    tasks: list[BuiltTask] = []
-    artifacts: dict[str, TaskArtifacts] = {}
-    for index, (task_def, (program, inputs), program_layout) in enumerate(
-        zip(spec.tasks, built_programs, placed)
-    ):
-        scenarios = scenarios_for(inputs)
-        art = analyze_task(
-            program_layout,
-            scenarios,
-            config,
-            budget=budget,
-            ledger=ledger,
-            clock=clock,
-            store=store,
-        )
-        artifacts[program.name] = art
-        wcet = art.wcet.cycles
-        period = max(wcet * task_def.period_mult, wcet + 1)
-        jitter = min(wcet * task_def.jitter_pct // 100, period - wcet)
-        tasks.append(
-            BuiltTask(
-                name=program.name,
-                program=program,
-                layout=program_layout,
-                inputs=inputs,
-                scenarios=scenarios,
-                artifacts=art,
-                spec=TaskSpec(
-                    name=program.name,
-                    wcet=wcet,
-                    period=period,
-                    priority=index + 1,
-                    jitter=jitter,
-                ),
-            )
-        )
-    system = TaskSystem(tasks=[task.spec for task in tasks])
-    analyzer = CRPDAnalyzer(
-        artifacts,
-        mumbs_mode=mumbs_mode,
-        budget=budget,
-        ledger=ledger,
-        clock=clock,
+    result = run_pipeline(
+        resolve_system(spec, cache=config), budget=budget, store=store
     )
     return BuiltCase(
         spec=spec,
-        config=config,
-        tasks=tasks,
-        system=system,
-        analyzer=analyzer,
-        ledger=ledger,
+        pipeline=result,
+        tasks=[
+            BuiltTask(
+                name=task.name,
+                program=task.layout.program,
+                layout=task.layout,
+                scenarios=task.scenarios,
+                artifacts=result.artifacts[task.name],
+                spec=result.system.task(task.name),
+            )
+            for task in result.placed.tasks
+        ],
     )

@@ -67,6 +67,7 @@ from repro.wcrt.task import TaskSpec, TaskSystem
 
 __all__ = [
     "ORACLES",
+    "ScanSimulator",
     "Violation",
     "build_case",
     "run_oracles",
@@ -133,12 +134,99 @@ def measure_preemption_reloads(
     return len(reloaded)
 
 
-def _simulate(case: BuiltCase, queue_impl: str, budget: AnalysisBudget | None):
-    simulator = Simulator(
+# ----------------------------------------------------------------------
+# Linear-scan scheduler queues: the executable specification the
+# simulator's heap queues are checked against (heap_vs_scan, and the
+# scheduler equivalence tests through ScanSimulator).
+# ----------------------------------------------------------------------
+class _ScanReadyQueue:
+    """Reference list-backed ready queue (the original linear scan)."""
+
+    __slots__ = ("_jobs",)
+
+    def __init__(self) -> None:
+        self._jobs: list["_Job"] = []
+
+    def push(self, job: "_Job") -> None:
+        self._jobs.append(job)
+
+    def peek(self) -> "_Job | None":
+        if not self._jobs:
+            return None
+        return min(self._jobs, key=lambda job: (job.priority, job.release, job.index))
+
+    def remove(self, job: "_Job") -> None:
+        self._jobs.remove(job)
+
+    def __len__(self) -> int:
+        return len(self._jobs)
+
+
+class _ScanWaitingQueue:
+    """Reference list-backed waiting queue."""
+
+    __slots__ = ("_jobs",)
+
+    def __init__(self) -> None:
+        self._jobs: list["_Job"] = []
+
+    def push(self, job: "_Job") -> None:
+        self._jobs.append(job)
+
+    def pop_due(self, time: int) -> list["_Job"]:
+        due = [job for job in self._jobs if job.ready <= time]
+        for job in due:
+            self._jobs.remove(job)
+        return due
+
+    def earliest(self) -> "int | None":
+        if not self._jobs:
+            return None
+        return min(job.ready for job in self._jobs)
+
+    def __len__(self) -> int:
+        return len(self._jobs)
+
+
+class _ScanReleaseQueue:
+    """Reference dict-of-next-release queue (the original while loops)."""
+
+    __slots__ = ("_bindings", "_next", "horizon")
+
+    def __init__(self, bindings: "dict[str, TaskBinding]", horizon: int) -> None:
+        self._bindings = bindings
+        self._next = {name: binding.offset for name, binding in bindings.items()}
+        self.horizon = horizon
+
+    def pop_due(self, time: int) -> list[tuple[int, str, "TaskBinding"]]:
+        due = []
+        for name, binding in self._bindings.items():
+            while self._next[name] <= time and self._next[name] < self.horizon:
+                due.append((self._next[name], name, binding))
+                self._next[name] += binding.spec.period
+        return due
+
+    def earliest(self) -> "int | None":
+        pending = [t for t in self._next.values() if t < self.horizon]
+        return min(pending) if pending else None
+
+
+class ScanSimulator(Simulator):
+    """The simulator on the original linear-scan queues (reference only)."""
+
+    def _queues(self, horizon: int):
+        return (
+            _ScanReadyQueue(),
+            _ScanWaitingQueue(),
+            _ScanReleaseQueue(self.bindings, horizon),
+        )
+
+
+def _simulate(case: BuiltCase, simulator_class, budget: AnalysisBudget | None):
+    simulator = simulator_class(
         case.bindings(),
         cache=CacheState(case.config),
         context_switch_cycles=case.spec.context_switch,
-        queue_impl=queue_impl,
     )
     return simulator.run(case.horizon(), budget=budget)
 
@@ -262,7 +350,7 @@ def oracle_art_soundness(
         return []
     check = _Check("art_soundness")
     try:
-        result = _simulate(case, "heap", budget)
+        result = _simulate(case, Simulator, budget)
     except ReproError:
         return check.violations  # budget-capped runs are not evidence
     observed: dict[str, int] = {}
@@ -507,8 +595,8 @@ def oracle_heap_vs_scan(
     """Heap- and scan-backed schedulers produce identical runs."""
     check = _Check("heap_vs_scan")
     try:
-        heap = _simulate(case, "heap", budget)
-        scan = _simulate(case, "scan", budget)
+        heap = _simulate(case, Simulator, budget)
+        scan = _simulate(case, ScanSimulator, budget)
     except ReproError:
         return check.violations
     check.expect(

@@ -1,4 +1,4 @@
-"""Guard layer: budgets, degradation ledgers and the guarded pipeline.
+"""Guard layer: budgets and degradation ledgers.
 
 See ``docs/robustness.md`` for the budget model, the degradation ladder
 (Eq. 4 → MUMBS∩CIIP → |MUMBS|) and the error taxonomy this layer reports
@@ -19,16 +19,5 @@ __all__ = [
     "SOUNDNESS_EXACT",
     "DegradationEvent",
     "DegradationLedger",
-    "GuardedPipeline",
 ]
 
-
-def __getattr__(name: str):
-    # GuardedPipeline pulls in the analysis and wcrt layers, which
-    # themselves import guard.budget/guard.ledger — importing it lazily
-    # keeps this package importable from anywhere in that chain.
-    if name == "GuardedPipeline":
-        from repro.guard.pipeline import GuardedPipeline
-
-        return GuardedPipeline
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,6 +38,9 @@ class AnalysisBudget:
             (WCET measurement runs and the shared-cache scheduler).
         max_sim_events: scheduler event-record cap; ``None`` is unlimited.
         strict: raise typed errors instead of degrading soundly.
+        exact_paths: recover the exact Eq. 4 bound by branch-and-bound
+            for tasks whose path enumeration tripped ``max_paths``,
+            instead of degrading Approach 4.
     """
 
     max_paths: int = 4096
@@ -46,6 +49,7 @@ class AnalysisBudget:
     max_sim_steps: int = 50_000_000
     max_sim_events: int | None = None
     strict: bool = False
+    exact_paths: bool = False
 
     def __post_init__(self) -> None:
         if self.max_paths < 1:

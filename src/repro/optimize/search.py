@@ -40,7 +40,8 @@ from typing import TYPE_CHECKING, Optional
 from repro.analysis.crpd import Approach
 from repro.analysis.sensitivity import critical_scaling_factor
 from repro.analysis.store import ArtifactStore
-from repro.analysis.whatif import WhatIfSession, _resolve_base
+from repro.analysis.pipeline import resolve_base, resolve_system
+from repro.analysis.whatif import WhatIfSession
 from repro.cache.config import CacheConfig
 from repro.errors import ConfigError
 from repro.obs import STATE as _OBS
@@ -231,16 +232,16 @@ def optimize(
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
     approach = Approach(approach)
-    exp_spec, fuzz_spec = _resolve_base(base)
-    base_obj = exp_spec if exp_spec is not None else fuzz_spec
+    from repro.fuzz.spec import SystemSpec
+
+    base_obj = resolve_base(base)
+    exp_spec = None if isinstance(base_obj, SystemSpec) else base_obj
     if store is None:
         store = ArtifactStore(directory=None, memory_slots=4096)
     if cache_budgets is None:
-        probe = WhatIfSession(
-            base_obj, miss_penalty=miss_penalty, store=store, budget=budget
+        cache_budgets = default_cache_budgets(
+            resolve_system(base_obj, miss_penalty=miss_penalty).config
         )
-        cache_budgets = default_cache_budgets(probe._config)
-        probe.close()
     cache_budgets = list(cache_budgets)
     per_budget_evals = max(1, budget_evals // len(cache_budgets))
 
@@ -323,44 +324,33 @@ def _optimize_budget(
     budget,
     move_log,
 ) -> BudgetOutcome:
-    session = WhatIfSession(
-        base_obj,
-        cache=cache,
-        store=store,
-        pool=pool,
+    return _search(
+        WhatIfSession(base_obj, cache=cache, store=store, budget=budget),
+        exp_spec,
+        cache,
+        budget_index,
+        seed=seed,
+        eval_cap=eval_cap,
+        method=method,
+        objective=objective,
+        approach=approach,
+        restarts=restarts,
+        generation=generation,
+        patience=patience,
         jobs=jobs,
-        budget=budget,
-        path_engine="dense",
+        pool=pool,
+        move_log=move_log,
     )
-    try:
-        return _search(
-            session,
-            exp_spec,
-            cache,
-            budget_index,
-            seed=seed,
-            eval_cap=eval_cap,
-            method=method,
-            objective=objective,
-            approach=approach,
-            restarts=restarts,
-            generation=generation,
-            patience=patience,
-            jobs=jobs,
-            pool=pool,
-            move_log=move_log,
-        )
-    finally:
-        session.close()
 
 
 def _score(session, payload, objective, approach, periods):
     if objective == "wcrt":
         return wcrt_score(payload, approach, periods)
+    pipeline = session._pipeline
     csf = critical_scaling_factor(
-        session._last_system,
-        cpre=lambda low, high: session._last_analyzer.cpre(low, high, approach),
-        context_switch=session._context_switch,
+        pipeline.system,
+        cpre=lambda low, high: pipeline.crpd.cpre(low, high, approach),
+        context_switch=pipeline.placed.context_switch,
     )
     return round(-csf, 6)  # lower is better everywhere in the search
 
@@ -411,7 +401,7 @@ def _search(
     )
 
     proposer = MoveProposer(
-        {name: session._layouts[name].program for name in session._order}, cache
+        {task.name: task.layout.program for task in session.placed.tasks}, cache
     )
     best_score = baseline_score
     best_payload = baseline_payload
@@ -446,7 +436,6 @@ def _search(
                     for candidate in candidates
                 ],
                 jobs=jobs,
-                path_engine="dense",
                 pool=pool,
             )
             for candidate, point_result in zip(candidates, batch.results):

@@ -67,10 +67,10 @@ def _jitter_offset(max_jitter: int, job_index: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Scheduler queues.  Two interchangeable implementations each: the
-# O(log n) heap versions the simulator uses by default, and the original
-# linear scans, kept as the executable specification — the equivalence
-# tests assert both engines produce identical event streams.
+# Scheduler queues: O(log n) heaps.  The original linear scans survive as
+# the executable specification in ``repro.fuzz.oracles.ScanSimulator``;
+# the heap_vs_scan oracle and the equivalence tests assert both produce
+# identical event streams.
 #
 # Tie-breaking contract (what makes the heaps observably identical to the
 # scans): the ready queue orders by (priority, release, index) exactly as
@@ -111,29 +111,6 @@ class _HeapReadyQueue:
         return len(self._heap)
 
 
-class _ScanReadyQueue:
-    """Reference list-backed ready queue (the original linear scan)."""
-
-    __slots__ = ("_jobs",)
-
-    def __init__(self) -> None:
-        self._jobs: list["_Job"] = []
-
-    def push(self, job: "_Job") -> None:
-        self._jobs.append(job)
-
-    def peek(self) -> "_Job | None":
-        if not self._jobs:
-            return None
-        return min(self._jobs, key=lambda job: (job.priority, job.release, job.index))
-
-    def remove(self, job: "_Job") -> None:
-        self._jobs.remove(job)
-
-    def __len__(self) -> int:
-        return len(self._jobs)
-
-
 class _HeapWaitingQueue:
     """Released but jitter-delayed jobs, ordered by when they become ready."""
 
@@ -163,32 +140,6 @@ class _HeapWaitingQueue:
         return len(self._heap)
 
 
-class _ScanWaitingQueue:
-    """Reference list-backed waiting queue."""
-
-    __slots__ = ("_jobs",)
-
-    def __init__(self) -> None:
-        self._jobs: list["_Job"] = []
-
-    def push(self, job: "_Job") -> None:
-        self._jobs.append(job)
-
-    def pop_due(self, time: int) -> list["_Job"]:
-        due = [job for job in self._jobs if job.ready <= time]
-        for job in due:
-            self._jobs.remove(job)
-        return due
-
-    def earliest(self) -> "int | None":
-        if not self._jobs:
-            return None
-        return min(job.ready for job in self._jobs)
-
-    def __len__(self) -> int:
-        return len(self._jobs)
-
-
 class _HeapReleaseQueue:
     """Upcoming period boundaries of every task, as a single time heap."""
 
@@ -214,32 +165,6 @@ class _HeapReleaseQueue:
 
     def earliest(self) -> "int | None":
         return self._heap[0][0] if self._heap else None
-
-
-class _ScanReleaseQueue:
-    """Reference dict-of-next-release queue (the original while loops)."""
-
-    __slots__ = ("_bindings", "_next", "horizon")
-
-    def __init__(self, bindings: "dict[str, TaskBinding]", horizon: int) -> None:
-        self._bindings = bindings
-        self._next = {name: binding.offset for name, binding in bindings.items()}
-        self.horizon = horizon
-
-    def pop_due(self, time: int) -> list[tuple[int, str, "TaskBinding"]]:
-        due = []
-        for name, binding in self._bindings.items():
-            while self._next[name] <= time and self._next[name] < self.horizon:
-                due.append((self._next[name], name, binding))
-                self._next[name] += binding.spec.period
-        return due
-
-    def earliest(self) -> "int | None":
-        pending = [t for t in self._next.values() if t < self.horizon]
-        return min(pending) if pending else None
-
-
-QUEUE_IMPLS = ("heap", "scan")
 
 
 @dataclass
@@ -279,9 +204,6 @@ class Simulator:
             to the preempting job, once resuming the preempted one).  The
             switch from idle is free, matching Equation 7 which charges
             switches only against preempting jobs.
-        queue_impl: ``"heap"`` (default, O(log n) queues) or ``"scan"``
-            (the original linear scans, kept as the executable
-            specification the heap engine is tested against).
     """
 
     def __init__(
@@ -289,15 +211,9 @@ class Simulator:
         bindings: list[TaskBinding],
         cache: CacheState,
         context_switch_cycles: int = 0,
-        queue_impl: str = "heap",
     ):
         if not bindings:
             raise ConfigError("no tasks to simulate")
-        if queue_impl not in QUEUE_IMPLS:
-            raise ConfigError(
-                f"queue_impl must be one of {QUEUE_IMPLS}, got {queue_impl!r}"
-            )
-        self.queue_impl = queue_impl
         names = [binding.spec.name for binding in bindings]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate task names: {names}")
@@ -340,11 +256,17 @@ class Simulator:
                     if max_events is None
                     else min(max_events, budget.max_sim_events)
                 )
-        with _OBS.tracer.span(
-            "sim.run", horizon=horizon, queue_impl=self.queue_impl
-        ) as span:
+        with _OBS.tracer.span("sim.run", horizon=horizon) as span:
             result = self._run(horizon, max_steps, max_events, span)
         return result
+
+    def _queues(self, horizon: int):
+        """The (ready, waiting, release) queues for one run."""
+        return (
+            _HeapReadyQueue(),
+            _HeapWaitingQueue(),
+            _HeapReleaseQueue(self.bindings, horizon),
+        )
 
     def _run(
         self,
@@ -359,16 +281,7 @@ class Simulator:
         preempt_count = 0
         events: list[SchedulerEvent] = []
         records: list[JobRecord] = []
-        if self.queue_impl == "heap":
-            ready: "_HeapReadyQueue | _ScanReadyQueue" = _HeapReadyQueue()
-            waiting: "_HeapWaitingQueue | _ScanWaitingQueue" = _HeapWaitingQueue()
-            releases: "_HeapReleaseQueue | _ScanReleaseQueue" = _HeapReleaseQueue(
-                self.bindings, horizon
-            )
-        else:
-            ready = _ScanReadyQueue()
-            waiting = _ScanWaitingQueue()
-            releases = _ScanReleaseQueue(self.bindings, horizon)
+        ready, waiting, releases = self._queues(horizon)
         job_counter = {name: 0 for name in self.bindings}
         running: _Job | None = None
 

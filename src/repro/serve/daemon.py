@@ -41,6 +41,10 @@ __all__ = ["run_daemon", "make_server"]
 #: Longest a single ``wait=true`` submit may block, seconds.
 MAX_WAIT_SECONDS = 300.0
 
+#: Largest request body accepted, in bytes; a larger declared
+#: ``Content-Length`` is refused with 413 before any of it is read.
+MAX_BODY_BYTES = 1 << 20
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
@@ -69,32 +73,39 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self):
+        """``(body, None)``, or ``(None, (status, message))`` on refusal."""
         header = self.headers.get("Content-Length")
         try:
             length = int(header or 0)
         except ValueError:
             length = -1
-        if length < 0:
-            # The body's extent is unknown, so the connection cannot be
-            # reused for another request.
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot be reused
+            # for another request.
             self.close_connection = True
-            return None, f"malformed Content-Length header {header!r}"
+            if length < 0:
+                return None, (400, f"malformed Content-Length header {header!r}")
+            return None, (
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
-            return None, "empty request body"
+            return None, (400, "empty request body")
         try:
             return json.loads(raw), None
         except json.JSONDecodeError as error:
-            return None, f"request body is not valid JSON: {error}"
+            return None, (400, f"request body is not valid JSON: {error}")
 
     def _client(self) -> str:
         return self.headers.get("X-Client") or "anon"
 
-    def _bad_request(self, message: str) -> None:
+    def _bad_request(self, message: str, status: int = 400) -> None:
         from repro.serve.protocol import envelope
 
         self._send_json(
-            400,
+            status,
             envelope(
                 job=None,
                 client=self._client(),
@@ -124,7 +135,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/v1/analyze":
             body, error = self._read_body()
             if error is not None:
-                self._bad_request(error)
+                self._bad_request(error[1], status=error[0])
                 return
             status, payload = self.service.submit_envelope(
                 body, client=self._client()
@@ -141,7 +152,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/v1/compare":
             body, error = self._read_body()
             if error is not None:
-                self._bad_request(error)
+                self._bad_request(error[1], status=error[0])
                 return
             if not isinstance(body, dict) or "left" not in body or "right" not in body:
                 self._bad_request("compare body needs 'left' and 'right' job ids")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -203,6 +204,16 @@ def parse_request(payload) -> AnalyzeRequest:
     unknown = sorted(set(payload) - known)
     if unknown:
         raise ConfigError(f"unknown request field(s): {', '.join(unknown)}")
+    timeout = payload.get("timeout")
+    if timeout is not None and (
+        isinstance(timeout, bool)
+        or not isinstance(timeout, (int, float))
+        or not math.isfinite(timeout)
+        or timeout < 0
+    ):
+        raise ConfigError(
+            f"timeout must be a finite number of seconds >= 0, got {timeout!r}"
+        )
     kind = payload.get("kind", "point")
     budget = _parse_budget(payload.get("budget"))
     if kind == "point":

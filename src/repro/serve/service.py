@@ -110,7 +110,6 @@ class AnalysisService:
         quota_clock=None,
         store=None,
         budget=None,
-        path_engine: str = "auto",
         job_hook: Optional[Callable] = None,
     ):
         """``store`` is the shared :class:`ArtifactStore` (``None`` runs
@@ -130,7 +129,6 @@ class AnalysisService:
         )
         self._store = store
         self._budget = budget
-        self._path_engine = path_engine
         self._job_hook = job_hook
         self._pool = WarmPool(jobs=1)
         self._lock = threading.Lock()
@@ -493,7 +491,6 @@ class AnalysisService:
                 [point],
                 store=self._store,
                 budget=budget,
-                path_engine=self._path_engine,
                 pool=self._pool,
             )
             spec = {s.key: s for s in ALL_SPECS}[request.experiment]

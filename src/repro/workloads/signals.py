@@ -67,11 +67,6 @@ def sensor_readings(count: int, seed: int = 3) -> list[int]:
     return [max(0, 1000 + ((i * 137) % 700) - 350 + noise[i]) for i in range(count)]
 
 
-def bit_stream(count: int, seed: int = 11) -> list[int]:
-    """A pseudo-random 0/1 bit stream for the OFDM transmitter."""
-    return lcg_sequence(seed, count, 0, 1)
-
-
 def dct_coefficients(count: int, seed: int = 17) -> list[int]:
     """Sparse DCT coefficient blocks like a real MPEG-2 macroblock.
 

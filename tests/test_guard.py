@@ -31,10 +31,11 @@ from repro.errors import (
     SimulationError,
     error_kind,
 )
-from repro.guard import AnalysisBudget, DegradationLedger, GuardedPipeline
+from repro.analysis.pipeline import PlacedSystem, PlacedTask, run_pipeline
+from repro.guard import AnalysisBudget, DegradationLedger
 from repro.program import SystemLayout
 from repro.sched import Simulator, TaskBinding
-from repro.wcrt import TaskSpec, TaskSystem, compute_system_wcrt
+from repro.wcrt import TaskSpec, compute_system_wcrt
 
 from tests.conftest import make_streaming_program
 from tests.faults import (
@@ -394,56 +395,74 @@ class TestSimulationFault:
 
 
 # ----------------------------------------------------------------------
-# GuardedPipeline end-to-end
+# run_pipeline end-to-end under one budget and ledger
 # ----------------------------------------------------------------------
-class TestGuardedPipeline:
-    def build_system(self, pipeline):
-        bomb_wcet = pipeline.artifacts["bomb"].wcet.cycles
-        victim_wcet = pipeline.artifacts["victim"].wcet.cycles
-        return TaskSystem(
-            tasks=[
-                TaskSpec("bomb", wcet=bomb_wcet, period=20 * bomb_wcet, priority=1),
-                TaskSpec(
-                    "victim",
-                    wcet=victim_wcet,
-                    period=40 * (bomb_wcet + victim_wcet),
-                    priority=2,
-                ),
-            ]
-        )
+def placed_system(layouts, config, names=("bomb", "victim")) -> PlacedSystem:
+    """The path bomb preempting a streaming victim, highest priority first."""
+    scenarios = {
+        "bomb": exploding_scenarios(BRANCHES),
+        "victim": {"d": {"data": list(range(32))}},
+    }
+    return PlacedSystem(
+        tasks=tuple(
+            PlacedTask(
+                name=name,
+                layout=layouts[name],
+                scenarios=scenarios[name],
+                priority=index + 1,
+                period_mult=(20, 40)[index],
+            )
+            for index, name in enumerate(names)
+        ),
+        config=config,
+        mumbs_mode="per_point",
+        context_switch=0,
+    )
 
-    def test_crpd_before_analyze_is_config_error(self, shared_config):
+
+class TestRunPipeline:
+    def test_empty_system_is_config_error(self, shared_config):
+        empty = PlacedSystem(
+            tasks=(), config=shared_config, mumbs_mode="per_point",
+            context_switch=0,
+        )
         with pytest.raises(ConfigError):
-            _ = GuardedPipeline(shared_config).crpd
+            run_pipeline(empty)
 
     def test_exact_end_to_end(self, shared_layouts, shared_config):
-        pipeline = GuardedPipeline(shared_config)
-        pipeline.analyze(
-            "bomb", shared_layouts["bomb"], exploding_scenarios(BRANCHES)
-        )
-        pipeline.analyze(
-            "victim", shared_layouts["victim"], {"d": {"data": list(range(32))}}
-        )
-        wcrt = pipeline.system_wcrt(self.build_system(pipeline))
+        result = run_pipeline(placed_system(shared_layouts, shared_config))
+        wcrt = result.wcrt(Approach.COMBINED)
         assert wcrt.soundness == "exact"
-        assert pipeline.soundness == "exact"
-        assert wcrt.ledger is pipeline.ledger
+        assert result.soundness == "exact"
+        assert wcrt.ledger is result.ledger
 
     def test_degraded_end_to_end_carries_audit_trail(
         self, shared_layouts, shared_config
     ):
-        pipeline = GuardedPipeline(shared_config, AnalysisBudget(max_paths=4))
-        pipeline.analyze(
-            "bomb", shared_layouts["bomb"], exploding_scenarios(BRANCHES)
+        result = run_pipeline(
+            placed_system(shared_layouts, shared_config),
+            budget=AnalysisBudget(max_paths=4),
         )
-        pipeline.analyze(
-            "victim", shared_layouts["victim"], {"d": {"data": list(range(32))}}
-        )
-        wcrt = pipeline.system_wcrt(self.build_system(pipeline))
+        wcrt = result.wcrt(Approach.COMBINED)
         assert wcrt.soundness == "conservative"
         assert "max_paths" in wcrt.ledger.tripped_budgets()
         assert wcrt.ledger.for_stage("paths:bomb")
         assert wcrt.ledger.for_stage("crpd:victim<-bomb")
+
+    def test_exact_paths_recovers_eq4_past_max_paths(
+        self, shared_layouts, shared_config
+    ):
+        placed = placed_system(shared_layouts, shared_config)
+        exact = run_pipeline(placed)
+        recovered = run_pipeline(
+            placed, budget=AnalysisBudget(max_paths=4, exact_paths=True)
+        )
+        assert recovered.crpd.lines_reloaded(
+            "victim", "bomb", Approach.COMBINED
+        ) == exact.crpd.lines_reloaded("victim", "bomb", Approach.COMBINED)
+        # Only the path enumeration itself degraded; Eq. 4 did not.
+        assert recovered.ledger.for_stage("paths:bomb")
+        assert not recovered.ledger.for_stage("crpd:victim<-bomb")
 
 
 # ----------------------------------------------------------------------
@@ -461,21 +480,17 @@ class TestRobustnessInvariant:
             pytest.fail(f"unguarded failure escaped the pipeline: {error!r}")
 
     def test_all_faults_are_guarded(self, shared_layouts, shared_config):
+        bomb_only = placed_system(shared_layouts, shared_config, ("bomb",))
+
         def path_explosion_degraded():
-            pipeline = GuardedPipeline(shared_config, AnalysisBudget(max_paths=2))
-            pipeline.analyze(
-                "bomb", shared_layouts["bomb"], exploding_scenarios(BRANCHES)
-            )
-            return pipeline.ledger
+            return run_pipeline(
+                bomb_only, budget=AnalysisBudget(max_paths=2)
+            ).ledger
 
         def path_explosion_strict():
-            pipeline = GuardedPipeline(
-                shared_config, AnalysisBudget(max_paths=2, strict=True)
-            )
-            pipeline.analyze(
-                "bomb", shared_layouts["bomb"], exploding_scenarios(BRANCHES)
-            )
-            return pipeline.ledger
+            return run_pipeline(
+                bomb_only, budget=AnalysisBudget(max_paths=2, strict=True)
+            ).ledger
 
         def divergent_task_set():
             return compute_system_wcrt(

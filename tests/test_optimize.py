@@ -180,10 +180,10 @@ class TestMoveProposer:
         session = WhatIfSession(small_spec())
         try:
             programs = {
-                name: session._layouts[name].program
-                for name in session._order
+                name: session.placed.layouts()[name].program
+                for name in session.placed.order
             }
-            config = session._config
+            config = session.placed.config
             assignment = session.layout_assignment()
         finally:
             session.close()
@@ -323,7 +323,7 @@ def shared_store():
 def experiment_config(key, store):
     session = WhatIfSession(key, store=store)
     try:
-        return session._config
+        return session.placed.config
     finally:
         session.close()
 

@@ -28,7 +28,7 @@ def run():
     store = ArtifactStore(directory=None, memory_slots=8192)
     session = WhatIfSession("exp1", store=store)
     try:
-        config = session._config
+        config = session.placed.config
     finally:
         session.close()
     outcome = optimize(
@@ -75,7 +75,7 @@ class TestColdRecomputationOracle:
             for entry in entries
         ]
         # Cold: no shared store, no warm pool, fresh everything.
-        batch = analyze_batch(points, path_engine="dense")
+        batch = analyze_batch(points)
         for entry, point_result in zip(entries, batch.results):
             warm = json.dumps(entry["eval"], sort_keys=True)
             cold = json.dumps(payload_of_point(point_result), sort_keys=True)
@@ -86,8 +86,7 @@ class TestColdRecomputationOracle:
         baseline = outcome.move_log[0]
         assert baseline["kind"] == "baseline"
         plain = analyze_batch(
-            [SweepPoint(experiment="exp1", cache=config)],
-            path_engine="dense",
+            [SweepPoint(experiment="exp1", cache=config)]
         ).results[0]
         assert json.dumps(baseline["eval"], sort_keys=True) == json.dumps(
             payload_of_point(plain), sort_keys=True

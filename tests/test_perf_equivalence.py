@@ -23,6 +23,7 @@ from repro.analysis.store import ArtifactStore
 from repro.cache import CacheConfig, CacheState, CIIP
 from repro.cache.ciip import conflict_bound, conflict_bound_naive
 from repro.experiments import EXPERIMENT_I_SPEC, EXPERIMENT_II_SPEC, build_context
+from repro.fuzz.oracles import ScanSimulator
 from repro.guard.budget import AnalysisBudget
 from repro.guard.ledger import DegradationLedger
 from repro.program import ProgramBuilder, SystemLayout
@@ -182,27 +183,35 @@ class TestPruningEquivalence:
         assert pruned.explored_paths < 1024
 
     def test_experiment_pairs(self):
-        """Pruned == enumerated on every real preemption pair."""
-        from repro.analysis.crpd import CRPDAnalyzer
+        """Production == pruned == enumerated on every real preemption pair."""
+        from repro.analysis.crpd import Approach, CRPDAnalyzer
+        from repro.analysis.pathcost import approach4_lines
 
         for spec in (EXPERIMENT_I_SPEC, EXPERIMENT_II_SPEC):
             context = build_context(spec)
             order = list(context.priority_order)
             for mode in ("paper", "per_point"):
+                production = CRPDAnalyzer(context.artifacts, mumbs_mode=mode)
                 exact = CRPDAnalyzer(
-                    context.artifacts, mumbs_mode=mode, path_engine="exact"
-                )
-                naive = CRPDAnalyzer(
-                    context.artifacts, mumbs_mode=mode, path_engine="enumerate"
+                    context.artifacts,
+                    mumbs_mode=mode,
+                    budget=AnalysisBudget(exact_paths=True),
                 )
                 for low_index in range(1, len(order)):
                     for preempting in order[:low_index]:
                         preempted = order[low_index]
-                        a = exact.estimate_pair(preempted, preempting)
-                        b = naive.estimate_pair(preempted, preempting)
-                        assert a.lines == b.lines, (
-                            f"{spec.key}/{mode}: {preempted} by {preempting}"
+                        low = context.artifacts[preempted]
+                        high = context.artifacts[preempting]
+                        lines = production.lines_reloaded(
+                            preempted, preempting, Approach.COMBINED
                         )
+                        assert lines == exact.lines_reloaded(
+                            preempted, preempting, Approach.COMBINED
+                        )
+                        for engine in ("prune", "enumerate"):
+                            assert lines == approach4_lines(
+                                low, high, mumbs_mode=mode, engine=engine
+                            ), f"{spec.key}/{mode}: {preempted} by {preempting}"
 
 
 # ----------------------------------------------------------------------
@@ -331,12 +340,11 @@ class TestSchedulerEquivalence:
         context = build_context(spec)
         horizon = context.system.hyperperiod // 2
         results = {}
-        for impl in ("heap", "scan"):
-            simulator = Simulator(
+        for impl, simulator_class in (("heap", Simulator), ("scan", ScanSimulator)):
+            simulator = simulator_class(
                 context.bindings(),
                 cache=CacheState(context.config),
                 context_switch_cycles=context.spec.context_switch_cycles,
-                queue_impl=impl,
             )
             results[impl] = simulator.run(horizon)
         heap, scan = results["heap"], results["scan"]

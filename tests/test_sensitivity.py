@@ -328,7 +328,7 @@ class TestBreakdownVsOptimizer:
         def baseline_at(penalty):
             probe = WhatIfSession("exp1", miss_penalty=penalty, store=store)
             try:
-                config = probe._config
+                config = probe.placed.config
             finally:
                 probe.close()
             outcome = optimize(

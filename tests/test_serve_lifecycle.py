@@ -247,6 +247,76 @@ def test_malformed_content_length_is_a_400_envelope(length):
             server.server_close()
 
 
+def test_malformed_timeout_is_a_400_before_enqueue():
+    """A non-numeric ``timeout`` is refused at submit: no job is queued
+    and no quota token is charged."""
+    from repro.serve.quota import QuotaConfig
+
+    with AnalysisService(workers=1, quota=QuotaConfig(capacity=8)) as service:
+        server = make_server("127.0.0.1", 0, service)
+        listener = threading.Thread(target=server.serve_forever, daemon=True)
+        listener.start()
+        try:
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.server_address[1], timeout=60
+            )
+            for timeout in ("soon", -1, float("inf"), True):
+                body = json.dumps(dict(FAST, wait=True, timeout=timeout))
+                connection.request("POST", "/v1/analyze", body=body)
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                assert response.status == 400, timeout
+                assert payload["error_kind"] == "config"
+                assert "timeout" in payload["error"]
+            connection.close()
+            stats = service.stats()
+            assert stats["jobs"] == {}
+            assert stats["quota"]["granted"] == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
+def test_oversized_body_is_a_413_envelope():
+    """A declared body over the cap is refused unread and the connection
+    closes; a normal request on a fresh connection still succeeds."""
+    from repro.serve.daemon import MAX_BODY_BYTES
+
+    with AnalysisService(workers=1) as service:
+        server = make_server("127.0.0.1", 0, service)
+        listener = threading.Thread(target=server.serve_forever, daemon=True)
+        listener.start()
+        try:
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.server_address[1], timeout=60
+            )
+            connection.putrequest("POST", "/v1/analyze")
+            connection.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 413
+            assert response.getheader("Connection") == "close"
+            assert payload["state"] == "error"
+            assert payload["error_kind"] == "config"
+            connection.close()
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.server_address[1], timeout=180
+            )
+            connection.request(
+                "POST", "/v1/analyze",
+                body=json.dumps(dict(FAST, wait=True, timeout=120)),
+            )
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 200
+            assert payload["state"] == "done"
+            connection.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
 # ----------------------------------------------------------------------
 # SIGTERM drain of the real CLI daemon (subprocess)
 # ----------------------------------------------------------------------

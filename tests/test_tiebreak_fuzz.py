@@ -30,6 +30,12 @@ import pytest
 from repro.cache import CacheConfig, CacheState
 from repro.errors import ConfigError
 from repro.program import SystemLayout
+from repro.fuzz.oracles import (
+    ScanSimulator,
+    _ScanReadyQueue,
+    _ScanReleaseQueue,
+    _ScanWaitingQueue,
+)
 from repro.sched.simulator import (
     Simulator,
     TaskBinding,
@@ -37,9 +43,6 @@ from repro.sched.simulator import (
     _HeapReleaseQueue,
     _HeapWaitingQueue,
     _Job,
-    _ScanReadyQueue,
-    _ScanReleaseQueue,
-    _ScanWaitingQueue,
 )
 from repro.wcrt import TaskSpec, TaskSystem
 
@@ -176,15 +179,14 @@ def test_fuzzed_tie_systems_heap_equals_scan(seed):
     rng = random.Random(f"tiebreak:{seed}")
     tasks, horizon, ccs = _random_system(rng)
     results = {}
-    for impl in ("heap", "scan"):
-        simulator = Simulator(
+    for impl, simulator_class in (("heap", Simulator), ("scan", ScanSimulator)):
+        simulator = simulator_class(
             [
                 TaskBinding(spec=b.spec, layout=b.layout, inputs=b.inputs)
                 for b in tasks
             ],
             cache=CacheState(CONFIG),
             context_switch_cycles=ccs,
-            queue_impl=impl,
         )
         results[impl] = simulator.run(horizon)
     heap, scan = results["heap"], results["scan"]

@@ -448,7 +448,7 @@ class TestLayoutEditGrammar:
 
 class TestLayoutEditsOnSession:
     def names(self, session):
-        return list(session._order)
+        return list(session.placed.order)
 
     def test_code_shift_changes_the_analysis(self):
         with observed():
@@ -456,7 +456,7 @@ class TestLayoutEditsOnSession:
             try:
                 base = session.result()
                 t0 = self.names(session)[0]
-                old_base = session._layouts[t0].code_base
+                old_base = session.placed.layouts()[t0].code_base
                 # +24 is not a multiple of the 64-byte index span, so the
                 # code block really lands on different cache sets (a full
                 # index-span shift would be an analysis no-op).
@@ -473,9 +473,9 @@ class TestLayoutEditsOnSession:
         session = WhatIfSession(small_spec())
         try:
             t0 = self.names(session)[0]
-            config = session._config
+            config = session.placed.config
             session.apply(Edit(kind="color", task=t0, index=0, value=2))
-            layout = session._layouts[t0]
+            layout = session.placed.layouts()[t0]
             name = next(iter(layout.program.arrays))
             base = layout.symbol_overrides[name]
             assert config.color_of(base) == 2
@@ -487,17 +487,17 @@ class TestLayoutEditsOnSession:
         try:
             a, b = self.names(session)
             before = {
-                n: (session._layouts[n].code_base, session._layouts[n].data_base)
+                n: (session.placed.layouts()[n].code_base, session.placed.layouts()[n].data_base)
                 for n in (a, b)
             }
             session.apply(Edit(kind="swap", task=a, value=b))
             assert (
-                session._layouts[a].code_base,
-                session._layouts[a].data_base,
+                session.placed.layouts()[a].code_base,
+                session.placed.layouts()[a].data_base,
             ) == before[b]
             assert (
-                session._layouts[b].code_base,
-                session._layouts[b].data_base,
+                session.placed.layouts()[b].code_base,
+                session.placed.layouts()[b].data_base,
             ) == before[a]
         finally:
             session.close()
@@ -534,7 +534,7 @@ class TestLayoutEditsOnSession:
                 Edit(
                     kind="code",
                     task=t0,
-                    value=session._layouts[t0].code_base + 128,
+                    value=session.placed.layouts()[t0].code_base + 128,
                 )
             )
             restored = session.set_assignment(home)
@@ -548,10 +548,10 @@ class TestLayoutEditsOnSession:
         session = WhatIfSession(small_spec())
         try:
             t0 = self.names(session)[0]
-            moved = session._layouts[t0].code_base + 64
+            moved = session.placed.layouts()[t0].code_base + 64
             session.apply(Edit(kind="code", task=t0, value=moved))
             session.apply(Edit(kind="array", task=t0, index=0, value=32))
-            assert session._layouts[t0].code_base == moved
+            assert session.placed.layouts()[t0].code_base == moved
         finally:
             session.close()
 

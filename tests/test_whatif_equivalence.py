@@ -11,10 +11,15 @@ protocol (seeded and platform-stable, like the campaign runner) and
 compare :meth:`WhatIfResult.signature` strings, which serialise all of
 the above canonically.
 
-The vectorized dense kernels ride the same suite: the ``bytes`` layout,
-the optional numpy backend and the sparse dict kernels must agree
-exactly on every draw (``min(a, b, L) == min(min(a, L), min(b, L))``
-makes the capped dense layout lossless).
+The vectorized dense kernels ride the same suite: the ``bytes`` layout
+and the sparse dict kernels must agree exactly on every draw
+(``min(a, b, L) == min(min(a, L), min(b, L))`` makes the capped dense
+layout lossless), and the production Approach-4 rule must equal the
+branch-and-bound and enumeration references.  The front-door cases run
+one system through every entry point (``build_context`` + the table
+WCRTs, ``analyze_batch``, ``WhatIfSession``, an ``AnalysisService``
+point request, ``build_case``) and demand identical lines, WCRTs and
+soundness.
 
 Case tally (the satellite demands >= 150 randomized cases):
 
@@ -22,8 +27,7 @@ Case tally (the satellite demands >= 150 randomized cases):
   signature comparisons = 48 cases, plus 8 experiment-base comparisons,
 * ``LAYOUT_DRAWS`` systems x ``EDITS_PER_CASE`` layout moves (relocated
   traces) vs cold sessions at the moved placement,
-* ``KERNEL_DRAWS`` dense-vs-sparse kernel parity draws = 120 cases,
-* 40 bytes-vs-numpy backend parity draws.
+* ``KERNEL_DRAWS`` dense-vs-sparse kernel parity draws = 120 cases.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.crpd import Approach
+from repro.analysis.pathcost import approach4_lines
+from repro.analysis.pipeline import resolve_system, run_pipeline
 from repro.analysis.whatif import Edit, WhatIfSession, parse_edit
 from repro.cache.config import CacheConfig
 from repro.cache.kernels import (
@@ -44,8 +51,6 @@ from repro.cache.kernels import (
     dense_max_conflict,
     dense_rows,
     dense_usage,
-    numpy_backend,
-    set_numpy_backend,
     usage_kernel,
 )
 from repro.fuzz.generator import (
@@ -58,13 +63,6 @@ from repro.fuzz.generator import (
 )
 from repro.fuzz.spec import SystemSpec, replace_task
 from repro.program.layout import LayoutError
-
-try:
-    import numpy
-except ImportError:  # pragma: no cover - the container ships numpy
-    numpy = None
-
-needs_numpy = pytest.mark.skipif(numpy is None, reason="numpy unavailable")
 
 WHATIF_DRAWS = 24
 EDITS_PER_CASE = 2
@@ -228,7 +226,7 @@ class TestIncrementalEquivalence:
                 session.result()
                 for _ in range(EDITS_PER_CASE):
                     edit = parse_edit(draw_layout_move(
-                        draw, session._layouts, session._config.page_colors
+                        draw, session.placed.layouts(), session.placed.config.page_colors
                     ))
                     before = session.layout_assignment()
                     try:
@@ -279,18 +277,19 @@ class TestIncrementalEquivalence:
 
 class TestDenseEngineParity:
     def test_dense_engine_matches_auto_engine(self, whatif_cases):
-        """The vectorized Approach-4 path engine computes the same
-        bounds as the adaptive sparse engine (events excluded: engine
-        choice may legitimately log different telemetry)."""
+        """The production Approach-4 rule (dense kernels) computes the
+        same bounds as the branch-and-bound search the former ``auto``
+        engine ran, and as naive path enumeration."""
         for spec, _ in whatif_cases[:5]:
-            payloads = []
-            for engine in ("dense", "auto"):
-                with WhatIfSession(spec, path_engine=engine) as session:
-                    payload = session.result()._payload()
-                payload.pop("events")
-                payload.pop("soundness")
-                payloads.append(json.dumps(payload, sort_keys=True))
-            assert payloads[0] == payloads[1]
+            result = run_pipeline(resolve_system(spec))
+            mode = result.placed.mumbs_mode
+            for estimate in result.estimates:
+                low = result.artifacts[estimate.preempted]
+                high = result.artifacts[estimate.preempting]
+                for engine in ("prune", "enumerate"):
+                    assert estimate.lines[Approach.COMBINED] == approach4_lines(
+                        low, high, mumbs_mode=mode, engine=engine
+                    ), (estimate.preempted, estimate.preempting, engine)
 
 
 def draw_sparse(d, num_sets: int) -> dict:
@@ -331,57 +330,102 @@ class TestDenseKernelParity:
             dense_counts({0: 3}, 4, DENSE_MAX_WAYS + 1)
 
 
-@needs_numpy
-class TestNumpyBackendParity:
-    @pytest.fixture(autouse=True)
-    def _restore_backend(self):
-        yield
-        set_numpy_backend("auto")
+# ----------------------------------------------------------------------
+# Front doors: one system, every entry point, one answer
+# ----------------------------------------------------------------------
+def _verdict(lines, wcrt, schedulable, soundness) -> str:
+    """Canonical JSON of the per-pair lines, per-approach WCRTs,
+    schedulability verdicts and soundness tag."""
+    return json.dumps(
+        {
+            "lines": lines,
+            "wcrt": wcrt,
+            "schedulable": schedulable,
+            "soundness": soundness,
+        },
+        sort_keys=True,
+    )
 
-    def test_numpy_kernels_byte_identical_to_pure_python(self):
-        d = RandomDraw(rng_for(20040216, 3))
-        for _ in range(40):
-            num_sets = d.choice((1, 4, 16, 32))
-            ways = d.integer(1, 4)
-            da = dense_counts(draw_sparse(d, num_sets), num_sets, ways)
-            db = dense_counts(draw_sparse(d, num_sets), num_sets, ways)
-            rows = dense_rows(
-                [
-                    dense_counts(draw_sparse(d, num_sets), num_sets, ways)
-                    for _ in range(d.integer(0, 3))
-                ]
+
+def _estimate_lines(estimates) -> dict:
+    return {
+        f"{e.preempted}<-{e.preempting}": {
+            str(a.value): count for a, count in e.lines.items()
+        }
+        for e in estimates
+    }
+
+
+class TestFrontDoorEquivalence:
+    @pytest.mark.parametrize("key", ["exp1", "exp2"])
+    def test_experiment_front_doors_agree(self, key):
+        from repro.batch.engine import SweepPoint, analyze_batch
+        from repro.experiments.setup import ALL_SPECS
+        from repro.experiments.tables import ExperimentSuite
+        from repro.serve.protocol import point_payload
+        from repro.serve.service import AnalysisService
+
+        spec = {s.key: s for s in ALL_SPECS}[key]
+        order = list(spec.priority_order)
+        suite = ExperimentSuite(spec, penalties=(20,))
+        context = suite.context(20)
+        tables = _verdict(
+            _estimate_lines(context.crpd.estimate_all_pairs(order)),
+            {
+                str(a.value): {n: suite.wcrt(20, a).wcrt(n) for n in order}
+                for a in Approach
+            },
+            {str(a.value): suite.wcrt(20, a).schedulable for a in Approach},
+            suite.soundness(),
+        )
+
+        point = analyze_batch([SweepPoint(key, miss_penalty=20)]).results[0]
+        batch = point_payload(point, spec.periods)
+
+        with WhatIfSession(key, miss_penalty=20) as session:
+            whatif = session.result()._payload()
+
+        with AnalysisService(workers=1) as service:
+            job = service.submit(
+                {"kind": "point", "experiment": key, "miss_penalty": 20}
             )
-            set_numpy_backend(None)
-            pure = (
-                dense_usage(da),
-                dense_conflict(da, db),
-                dense_max_conflict(rows, db),
+            assert service.wait(job.id, timeout=180)
+            served = job.result
+
+        for payload in (batch, whatif, served):
+            assert _verdict(
+                payload["lines"],
+                payload["wcrt"],
+                payload["schedulable"],
+                payload["soundness"],
+            ) == tables
+
+    def test_fuzz_spec_front_doors_agree(self, whatif_cases):
+        from repro.fuzz.build import build_case
+
+        spec, _ = whatif_cases[0]
+        case = build_case(spec)
+        order = [task.name for task in case.tasks]
+        built = _estimate_lines(case.analyzer.estimate_all_pairs(order))
+        with WhatIfSession(spec) as session:
+            assert session.result()._payload()["lines"] == built
+
+    def test_exact_paths_recovers_eq4_on_the_cli(self, capsys):
+        """``--max-paths 1`` trips ED's enumeration: Approach 4 for OFDM
+        preempted by ED degrades to 58 lines, ``--exact-paths`` recovers
+        the exact 47."""
+        from repro.cli import main
+
+        def ofdm_by_ed(*flags) -> str:
+            assert main(
+                [*flags, "--no-cache", "--max-paths", "1", "crpd",
+                 "--experiment", "1"]
+            ) == 0
+            row = next(
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("OFDM by ED")
             )
-            set_numpy_backend(numpy)
-            assert (
-                dense_usage(da),
-                dense_conflict(da, db),
-                dense_max_conflict(rows, db),
-            ) == pure
+            return row.split()[-1]
 
-    def test_whatif_signature_identical_across_backends(self, whatif_cases):
-        spec, edits = whatif_cases[0]
-        signatures = []
-        for backend in (None, numpy):
-            set_numpy_backend(backend)
-            with WhatIfSession(spec) as session:
-                base = session.result()
-                edit = materialize(edits[0], base)
-                signatures.append(session.apply(edit).signature())
-        assert signatures[0] == signatures[1]
-
-    def test_env_flag_gates_the_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NUMPY", raising=False)
-        set_numpy_backend("auto")
-        assert numpy_backend() is None
-        monkeypatch.setenv("REPRO_NUMPY", "1")
-        set_numpy_backend("auto")
-        assert numpy_backend() is numpy
-        monkeypatch.setenv("REPRO_NUMPY", "0")
-        set_numpy_backend("auto")
-        assert numpy_backend() is None
+        assert ofdm_by_ed("--exact-paths") == "47"
+        assert ofdm_by_ed() == "58"
