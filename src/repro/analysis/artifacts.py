@@ -28,17 +28,17 @@ from repro.analysis.wcet import (
     WCETResult,
     cycles_from_counts,
     measure_wcet_detailed,
+    replay_counts,
     worst_of,
 )
 from repro.cache.ciip import CIIP
 from repro.cache.config import CacheConfig
-from repro.cache.state import CacheState
 from repro.errors import PathExplosionError
 from repro.obs import STATE as _OBS
 from repro.program.builder import Program
 from repro.program.layout import ProgramLayout
 from repro.program.paths import PathProfile, enumerate_path_profiles
-from repro.vm.trace import CompactTrace, LazyTraces, NodeTraceAggregate
+from repro.vm.trace import LazyTraces, NodeTraceAggregate
 
 if TYPE_CHECKING:
     from repro.analysis.store import ArtifactStore, FlowBundle
@@ -369,14 +369,17 @@ def _wcet_stage(
 ):
     """Trace + sim sub-artifacts -> (wcet, traces at *layout*, keys).
 
-    Cold: one VM pass per scenario feeds both sub-artifacts.  The trace
-    key is placement-free, so a hit may come from another placement of
-    the same program: the columnar traces are then relocated to this one
-    — lazily, only if a sim or flow miss reads the addresses.  Trace hit
-    with a sim miss (new geometry or placement): replay the relocated
-    columns through a fresh cache — no VM.  Both hits (new costs only):
-    reassemble cycle counts arithmetically and defer trace decoding
-    entirely.
+    Every path charges the cache the same way: by replaying columns.
+    Cold: one cache-free VM run per scenario records its columns and
+    base cycles (the trace sub-artifact), then one replay of those
+    columns through a fresh cache yields the counts (the sim
+    sub-artifact).  The trace key is placement-free, so a hit may come
+    from another placement of the same program: the columnar traces are
+    then relocated to this one — lazily, only if a sim or flow miss
+    reads the addresses.  Trace hit with a sim miss (new geometry or
+    placement): replay the relocated columns — no VM.  Both hits (new
+    costs only): reassemble cycle counts arithmetically and defer trace
+    decoding entirely.
     """
     from repro.analysis.store import (
         SimBundle,
@@ -398,13 +401,10 @@ def _wcet_stage(
         if clock is not None:
             clock.check(f"wcet:{name}")
         wcet, runs = measure_wcet_detailed(
-            layout, scenarios, config, max_steps=max_steps
+            layout, scenarios, config, max_steps=max_steps,
+            relocatable=store is not None,
         )
-        relocatable = layout if store is not None else None
-        placed = LazyTraces({
-            scenario: CompactTrace.from_recorder(run.recorder, relocatable)
-            for scenario, run in runs.items()
-        })
+        placed = wcet.traces
         if store is not None:
             store.put(
                 t_key,
@@ -429,7 +429,7 @@ def _wcet_stage(
                 ),
                 kind="sim",
             )
-        return replace(wcet, traces=placed), placed, keys
+        return wcet, placed, keys
     bases = layout.region_bases()
     placed = trace_bundle.placed(bases)
     sim_bundle = store.get(s_key, kind="sim")
@@ -439,15 +439,10 @@ def _wcet_stage(
         if clock is not None:
             clock.check(f"wcet:{name}")
         traces = placed.compact()
-        counts = {}
-        for scenario in scenarios:
-            cache = CacheState(config)
-            traces[scenario].replay(cache)
-            stats = cache.stats
-            counts[scenario] = (
-                stats.hits + stats.misses, stats.misses, stats.writebacks
-            )
-        sim_bundle = SimBundle(counts=counts)
+        sim_bundle = SimBundle(counts={
+            scenario: replay_counts(traces[scenario], config)
+            for scenario in scenarios
+        })
         store.put(s_key, sim_bundle, kind="sim")
     # Iterate in the *caller's* scenario order (identical content hashes
     # regardless of order), so worst-scenario tie-breaking matches what a

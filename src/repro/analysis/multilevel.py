@@ -26,7 +26,7 @@ from repro.analysis.wcet import Scenarios, WCETResult
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.program.layout import ProgramLayout
 from repro.vm.machine import run_isolated
-from repro.vm.trace import TraceRecorder
+from repro.vm.trace import LazyTraces, TraceColumns
 
 
 @dataclass
@@ -51,25 +51,25 @@ def measure_wcet_hierarchy(
     if not scenarios:
         raise ValueError("at least one input scenario is required")
     per_scenario: dict[str, int] = {}
-    traces: dict[str, TraceRecorder] = {}
+    traces = {}
     for name, inputs in scenarios.items():
         stack = MemoryHierarchy(hierarchy)
-        recorder = TraceRecorder()
+        columns = TraceColumns()
         machine = run_isolated(
             layout,
-            stack,  # duck-typed: same access() protocol as CacheState
+            stack,  # duck-typed: same access_stream() protocol as CacheState
             inputs={array: list(values) for array, values in inputs.items()},
-            trace=recorder,
+            trace=columns,
             max_steps=max_steps,
         )
         per_scenario[name] = machine.cycles
-        traces[name] = recorder
+        traces[name] = columns.compact()
     worst = max(per_scenario, key=per_scenario.get)
     return WCETResult(
         cycles=per_scenario[worst],
         worst_scenario=worst,
         per_scenario_cycles=per_scenario,
-        traces=traces,
+        traces=LazyTraces(traces),
     )
 
 

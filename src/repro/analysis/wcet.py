@@ -20,7 +20,7 @@ from repro.cache.state import CacheState
 from repro.program.layout import ProgramLayout
 from repro.program.paths import enumerate_path_profiles
 from repro.vm.machine import run_isolated
-from repro.vm.trace import TraceRecorder
+from repro.vm.trace import CompactTrace, LazyTraces, TraceColumns, TraceRecorder
 
 #: Input scenarios: scenario name -> {array name -> initial values}.
 Scenarios = Mapping[str, Mapping[str, list[int]]]
@@ -30,10 +30,10 @@ Scenarios = Mapping[str, Mapping[str, list[int]]]
 class WCETResult:
     """Measured WCET plus the per-scenario breakdown and traces.
 
-    ``traces`` maps scenario name to its recorder; it may be a plain dict
-    (fresh measurement) or a :class:`~repro.vm.trace.LazyTraces` view that
-    decodes cached columnar traces on first access — both behave
-    identically to consumers.
+    ``traces`` maps scenario name to its recorder: a
+    :class:`~repro.vm.trace.LazyTraces` view that decodes the columnar
+    traces into recorders on first access (or a plain dict of recorders —
+    both behave identically to consumers).
     """
 
     cycles: int
@@ -50,9 +50,11 @@ class WCETResult:
 class ScenarioRun:
     """One scenario's isolated run, decomposed for sub-artifact caching.
 
-    ``base_cycles`` is the cycle count net of all cache costs.  Because
-    control flow is data-dependent only, it is invariant across cache
-    configurations; the full count reconstructs exactly as::
+    ``trace`` is the run's columnar reference stream and ``base_cycles``
+    the cycle count net of all cache costs — what the cache-free VM run
+    counts.  Because control flow is data-dependent only, both are
+    invariant across cache configurations; the full count reconstructs
+    exactly as::
 
         base + accesses*hit_cycles + misses*miss_penalty
              + writebacks*effective_writeback_penalty
@@ -67,7 +69,7 @@ class ScenarioRun:
     accesses: int
     misses: int
     writebacks: int
-    recorder: TraceRecorder
+    trace: CompactTrace
 
 
 def cycles_from_counts(
@@ -80,6 +82,15 @@ def cycles_from_counts(
         + misses * config.miss_penalty
         + writebacks * config.effective_writeback_penalty
     )
+
+
+def replay_counts(trace: CompactTrace, config: CacheConfig) -> tuple[int, int, int]:
+    """``(accesses, misses, writebacks)`` of *trace* replayed through a
+    cold *config* cache — how every path charges a scenario's cache."""
+    cache = CacheState(config)
+    trace.replay(cache)
+    stats = cache.stats
+    return stats.hits + stats.misses, stats.misses, stats.writebacks
 
 
 def worst_of(per_scenario: dict[str, int]) -> str:
@@ -118,13 +129,15 @@ def measure_wcet_detailed(
     scenarios: Scenarios,
     config: CacheConfig,
     max_steps: int = 10_000_000,
+    relocatable: bool = False,
 ) -> tuple[WCETResult, dict[str, ScenarioRun]]:
     """:func:`measure_wcet` plus each scenario's decomposed run.
 
     The per-run cache statistics and base cycles feed the store's trace
-    and simulation sub-artifacts (see :mod:`repro.analysis.store`).
+    and simulation sub-artifacts (see :mod:`repro.analysis.store`);
+    *relocatable* traces carry their ``regions`` column.
     """
-    runs = _run_scenarios(layout, scenarios, config, max_steps)
+    runs = _run_scenarios(layout, scenarios, config, max_steps, relocatable)
     return _wcet_from_runs(runs), runs
 
 
@@ -133,34 +146,33 @@ def _run_scenarios(
     scenarios: Scenarios,
     config: CacheConfig,
     max_steps: int,
+    relocatable: bool = False,
 ) -> dict[str, ScenarioRun]:
+    """One cache-free VM run per scenario into columns, then one replay
+    of the columns through a cold cache."""
     if not scenarios:
         raise ConfigError("at least one input scenario is required")
     runs: dict[str, ScenarioRun] = {}
     for name, inputs in scenarios.items():
-        cache = CacheState(config)
-        recorder = TraceRecorder()
+        columns = TraceColumns(relocatable=relocatable)
         machine = run_isolated(
             layout,
-            cache,
+            None,
             inputs={array: list(values) for array, values in inputs.items()},
-            trace=recorder,
+            trace=columns,
             max_steps=max_steps,
         )
-        stats = cache.stats
-        accesses = stats.hits + stats.misses
-        cache_cycles = (
-            accesses * config.hit_cycles
-            + stats.misses * config.miss_penalty
-            + stats.writebacks * config.effective_writeback_penalty
-        )
+        trace = columns.compact()
+        accesses, misses, writebacks = replay_counts(trace, config)
         runs[name] = ScenarioRun(
-            cycles=machine.cycles,
-            base_cycles=machine.cycles - cache_cycles,
+            cycles=cycles_from_counts(
+                config, machine.cycles, accesses, misses, writebacks
+            ),
+            base_cycles=machine.cycles,
             accesses=accesses,
-            misses=stats.misses,
-            writebacks=stats.writebacks,
-            recorder=recorder,
+            misses=misses,
+            writebacks=writebacks,
+            trace=trace,
         )
     return runs
 
@@ -172,7 +184,7 @@ def _wcet_from_runs(runs: dict[str, ScenarioRun]) -> WCETResult:
         cycles=per_scenario[worst],
         worst_scenario=worst,
         per_scenario_cycles=per_scenario,
-        traces={name: run.recorder for name, run in runs.items()},
+        traces=LazyTraces({name: run.trace for name, run in runs.items()}),
     )
 
 

@@ -3,9 +3,10 @@
 Section IX: "For future work, we plan to expand our analysis approach for
 systems with more than two-level memory hierarchy."  This module provides
 the substrate for that extension: an L1 + L2 cache stack that implements
-the same ``access()`` protocol as a single :class:`CacheState`, so the VM
-and the preemptive scheduler run on it unchanged.  The corresponding
-analysis extension lives in :mod:`repro.analysis.multilevel`.
+the same ``access()``/``access_stream()`` protocol as a single
+:class:`CacheState`, so the VM and the preemptive scheduler run on it
+unchanged.  The corresponding analysis extension lives in
+:mod:`repro.analysis.multilevel`.
 
 Latency model (per access):
 
@@ -59,7 +60,8 @@ class MemoryHierarchy:
     """An L1+L2 stack exposing the single-cache access protocol.
 
     Drop-in replacement for :class:`CacheState` wherever only
-    ``access()`` / ``invalidate()`` are needed (the VM and the scheduler).
+    ``access()`` / ``access_stream()`` / ``invalidate()`` are needed (the
+    VM and the scheduler).
     """
 
     config: HierarchyConfig
@@ -89,6 +91,23 @@ class MemoryHierarchy:
         return AccessResult(
             hit=False, cycles=cycles, evicted_block=l1_result.evicted_block
         )
+
+    def access_stream(self, addresses, writes) -> int:
+        """:meth:`access` every address in order; return the cycles charged.
+
+        L1 state never depends on L2, and L2 sees exactly L1's misses, in
+        order, as reads — so one L1 stream pass collecting its misses,
+        then one L2 pass over them, is exact.
+        """
+        missed: list[int] = []
+        l1_hits = self.l1.stats.hits
+        l2_misses = self.l2.stats.misses
+        cycles = self.l1.access_stream(addresses, writes, missed)
+        self.l2.access_stream(missed, bytes(len(missed)))
+        self.stats.hits += self.l1.stats.hits - l1_hits
+        self.stats.misses += len(missed)
+        l2_misses = self.l2.stats.misses - l2_misses
+        return cycles + l2_misses * self.config.l2.miss_penalty
 
     def touch_all(self, addresses: list[int]) -> int:
         return sum(self.access(address).cycles for address in addresses)

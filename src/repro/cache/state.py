@@ -134,13 +134,21 @@ class CacheState:
             self._dirty.add(block)
         return AccessResult(hit=False, cycles=cycles, evicted_block=evicted)
 
-    def access_stream(self, addresses: Iterable[int], writes: Iterable) -> None:
-        """:meth:`access` every address in order, keeping only the counts.
+    def access_stream(
+        self,
+        addresses: Iterable[int],
+        writes: Iterable,
+        missed: "list[int] | None" = None,
+    ) -> int:
+        """:meth:`access` every address in order; return the cycles charged.
 
         *writes* is index-aligned with *addresses*; a truthy entry marks a
-        write.  Drives the same set policies and write-back rule as
-        :meth:`access`, with the address split and the statistics hoisted
-        out of the loop — the replay kernel of stored traces.
+        write.  Drives the same set policies, write-back rule and cycle
+        accounting as :meth:`access`, with the address split and the
+        statistics hoisted out of the loop — the kernel that charges a
+        VM run's references and replays stored traces.  *missed*, when
+        given, receives each missing address in order (what a next level
+        sees).
         """
         config = self.config
         line_mask = -config.line_size
@@ -150,13 +158,25 @@ class CacheState:
         dirty = self._dirty
         write_back = config.write_back
         hits = misses = evictions = writebacks = 0
+        last = -1
         for address, write in zip(addresses, writes):
             block = address & line_mask
+            if block == last:
+                # The block just referenced is resident and its set's
+                # replacement state already records this touch (LRU: at
+                # the front; FIFO: hits never move; PLRU: the same bits).
+                hits += 1
+                if write and write_back:
+                    dirty.add(block)
+                continue
+            last = block
             set_state = sets[(address >> offset_bits) & set_mask]
             if set_state.lookup(block):
                 hits += 1
             else:
                 misses += 1
+                if missed is not None:
+                    missed.append(address)
                 evicted = set_state.insert(block)
                 if evicted is not None:
                     evictions += 1
@@ -170,6 +190,11 @@ class CacheState:
         stats.misses += misses
         stats.evictions += evictions
         stats.writebacks += writebacks
+        return (
+            (hits + misses) * config.hit_cycles
+            + misses * config.miss_penalty
+            + writebacks * config.effective_writeback_penalty
+        )
 
     def is_dirty(self, address: int) -> bool:
         """True when the block is resident and dirty (write-back mode)."""

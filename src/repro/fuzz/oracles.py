@@ -57,8 +57,8 @@ from repro.obs import STATE as _OBS
 from repro.program.layout import LayoutError, apply_assignment
 from repro.program.paths import path_footprint
 from repro.sched.simulator import Simulator
-from repro.vm.machine import Machine, run_isolated
-from repro.vm.trace import CompactTrace, TraceRecorder
+from repro.vm.machine import Machine
+from repro.vm.trace import CompactTrace, TraceColumns
 from repro.wcrt.response_time import (
     compute_task_wcrt,
     dispatch_blocking_bound,
@@ -689,10 +689,13 @@ def oracle_relocation(
     """Layout moves relocate the stored trace instead of re-running the VM.
 
     Applies random ``code:``/``data:``/``color:``/``swap:`` moves to a
-    warm session, then checks that every task's relocated trace is
-    byte-identical to a VM re-execution at its new placement (served
-    from the trace recorded at the original one, never the VM) and that
-    the warm session's signature equals a cold session's there.
+    warm session, then checks that every task's relocated trace (served
+    from the trace recorded at the original one, never the VM), its
+    per-scenario hit/miss/writeback counts and its cycles equal a
+    ``step()``-by-``step()`` re-execution at its new placement — the
+    stored trace came from the block-decoded ``run()``, so the reference
+    is the other entry point — and that the warm session's signature
+    equals a cold session's there.
     """
     from repro.analysis.whatif import WhatIfSession
 
@@ -730,25 +733,36 @@ def oracle_relocation(
     if budget is not None:
         max_steps = min(max_steps, budget.max_sim_steps)
     for task in case.tasks:
+        layout = layouts[task.name]
         moved = analyze_task(
-            layouts[task.name], task.scenarios, case.config, budget=budget,
-            store=store,
+            layout, task.scenarios, case.config, budget=budget, store=store,
         )
         relocated = moved.wcet.traces.compact()
+        counts = store.get(moved.subkeys["sim"], kind="sim").counts
         for scenario, inputs in task.scenarios.items():
-            recorder = TraceRecorder()
-            run_isolated(
-                layouts[task.name],
-                CacheState(case.config),
-                inputs={name: list(values) for name, values in inputs.items()},
-                trace=recorder,
-                max_steps=max_steps,
+            machine = Machine(
+                layout=layout, cache=CacheState(case.config), trace=TraceColumns()
+            )
+            for name, values in inputs.items():
+                machine.write_array(name, list(values))
+            while not machine.halted and machine.steps < max_steps:
+                machine.step()
+            stats = machine.cache.stats
+            where = f"{task.name}/{scenario} at {layout.region_bases()}"
+            check.expect(
+                _columns(relocated[scenario]) == _columns(machine.trace.compact()),
+                f"{where}: relocated trace differs from a VM re-execution",
+            )
+            stepped = (stats.hits + stats.misses, stats.misses, stats.writebacks)
+            check.expect(
+                tuple(counts[scenario]) == stepped,
+                f"{where}: counts {counts[scenario]} differ from a VM "
+                f"re-execution's {stepped}",
             )
             check.expect(
-                _columns(relocated[scenario])
-                == _columns(CompactTrace.from_recorder(recorder)),
-                f"{task.name}/{scenario}: relocated trace differs from a VM "
-                f"re-execution at {layouts[task.name].region_bases()}",
+                moved.wcet.per_scenario_cycles[scenario] == machine.cycles,
+                f"{where}: {moved.wcet.per_scenario_cycles[scenario]} cycles "
+                f"differ from a VM re-execution's {machine.cycles}",
             )
     check.expect(
         store.misses_by_kind.get("trace") == len(case.tasks),

@@ -45,10 +45,19 @@ MAX_WAIT_SECONDS = 300.0
 #: ``Content-Length`` is refused with 413 before any of it is read.
 MAX_BODY_BYTES = 1 << 20
 
+#: Longest one socket read or write on a connection may block, seconds.
+#: A client that stalls mid-request (or idles on a kept-alive
+#: connection) this long is disconnected, so it cannot pin a handler
+#: thread; waiting for a job (``wait=true``) is not a socket read.
+READ_TIMEOUT_SECONDS = 30.0
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
+    # Applied to the connection socket by StreamRequestHandler.setup();
+    # a read that times out closes the connection.
+    timeout = READ_TIMEOUT_SECONDS
 
     # The service is attached to the server object by make_server().
     @property

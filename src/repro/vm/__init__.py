@@ -1,7 +1,14 @@
 """Cycle-level virtual machine and memory-trace capture."""
 
 from repro.vm.machine import Machine, StepResult, VMError, run_isolated
-from repro.vm.trace import MemRef, NodeRefs, NodeTraceAggregate, TraceRecorder
+from repro.vm.trace import (
+    CompactTrace,
+    MemRef,
+    NodeRefs,
+    NodeTraceAggregate,
+    TraceColumns,
+    TraceRecorder,
+)
 from repro.vm.traceio import (
     ReuseProfile,
     SetPressure,
@@ -24,8 +31,10 @@ __all__ = [
     "StepResult",
     "VMError",
     "run_isolated",
+    "CompactTrace",
     "MemRef",
     "NodeRefs",
     "NodeTraceAggregate",
+    "TraceColumns",
     "TraceRecorder",
 ]

@@ -10,16 +10,12 @@ the per-CFG-node reference information the RMB/LMB and CIIP analyses need.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, count, islice, repeat
 from operator import and_, ne
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.cache.config import CacheConfig
-
-if TYPE_CHECKING:
-    from repro.program.layout import ProgramLayout
 
 
 @dataclass(frozen=True)
@@ -69,6 +65,14 @@ class TraceRecorder:
         :meth:`CompactTrace.node_visit_sequences`)."""
         return CompactTrace.from_recorder(self).node_visit_sequences(config)
 
+    def record_columns(self, columns: "TraceColumns") -> None:
+        """Append every reference of *columns*, honouring the filters."""
+        table = tuple(columns.node_table)
+        for address, code, node_id in zip(
+            columns.addresses, columns.kinds, columns.node_ids
+        ):
+            self.record(address, _KIND_NAMES[code], table[node_id])
+
 
 #: CompactTrace kind codes, index-aligned with :class:`MemRef` kinds.
 _KIND_CODES = {"code": 0, "read": 1, "write": 2}
@@ -107,26 +111,19 @@ class CompactTrace:
     regions: "array | None" = None  # typecode "H"; None: not relocatable
 
     @classmethod
-    def from_recorder(
-        cls, recorder: "TraceRecorder", layout: "ProgramLayout | None" = None
-    ) -> "CompactTrace":
-        """Encode *recorder*; with the *layout* it ran at, relocatably."""
+    def from_recorder(cls, recorder: "TraceRecorder") -> "CompactTrace":
+        """Encode *recorder*'s events (without regions: the VM records
+        those itself, see :class:`TraceColumns`)."""
         events = recorder.events
-        addresses = array("Q", [event.address for event in events])
-        kinds = bytes([_KIND_CODES[event.kind] for event in events])
         table: dict[str, int] = {}
         ids = array(
             "I", [table.setdefault(event.node, len(table)) for event in events]
         )
-        regions = None
-        if layout is not None:
-            regions = _region_column(addresses, kinds, layout.region_spans())
         return cls(
-            addresses=addresses,
-            kinds=kinds,
+            addresses=array("Q", [event.address for event in events]),
+            kinds=bytes([_KIND_CODES[event.kind] for event in events]),
             node_table=tuple(table),
             node_ids=ids,
-            regions=regions,
         )
 
     def expand(self) -> "TraceRecorder":
@@ -157,14 +154,16 @@ class CompactTrace:
         )
         return replace(self, addresses=addresses)
 
-    def replay(self, cache) -> None:
-        """Drive every reference through *cache* (a ``CacheState``) in order.
+    def replay(self, cache) -> int:
+        """Drive every reference through *cache* in order; return the
+        cycles charged.
 
-        Re-derives hit/miss/writeback counts for a new geometry or
-        placement straight from the columns — the hot loop of geometry
-        sweeps and layout moves.
+        Derives hit/miss/writeback counts straight from the columns — for
+        a fresh VM run, a new geometry or a new placement alike.
         """
-        cache.access_stream(self.addresses, self.kinds.translate(_WRITE_FLAGS))
+        return cache.access_stream(
+            self.addresses, self.kinds.translate(_WRITE_FLAGS)
+        )
 
     def node_visit_sequences(
         self, config: CacheConfig
@@ -195,26 +194,63 @@ class CompactTrace:
         return len(self.kinds)
 
 
-def _region_column(
-    addresses: array, kinds: bytes, spans: list[tuple[int, int]]
-) -> array:
-    """Index into *spans* of the region holding each event's address.
+class TraceColumns:
+    """The columns of a :class:`CompactTrace` under construction.
 
-    Code fetches (kind 0) all fall in region 0; each data address is
-    looked up once.
+    What the VM records into (:class:`~repro.vm.machine.Machine`): flat
+    address, kind and node-id columns, the node table in first-appearance
+    order and, when *relocatable*, the ``regions`` column.  No per-event
+    objects are built; :meth:`compact` is a copy of the columns.
     """
-    ordered = sorted((start, end, region) for region, (start, end) in enumerate(spans))
-    starts = [start for start, _, _ in ordered]
-    region_of = {}
-    for address in set(compress(addresses, kinds)):
-        start, end, region = ordered[max(bisect_right(starts, address) - 1, 0)]
-        if not start <= address < end:
-            raise ValueError(f"address {address:#x} lies outside every region")
-        region_of[address] = region
-    column = array("H", bytes(2 * len(addresses)))
-    for index in compress(count(), kinds):
-        column[index] = region_of[addresses[index]]
-    return column
+
+    __slots__ = ("addresses", "kinds", "node_ids", "node_table", "regions", "_runs")
+
+    def __init__(self, relocatable: bool = False):
+        self.addresses = array("Q")
+        self.kinds = bytearray()
+        self.node_ids = array("I")
+        self.node_table: dict[str, int] = {}
+        self.regions = array("H") if relocatable else None
+        self._runs: dict[tuple[str, int], array] = {}
+
+    def node_id(self, label: str) -> int:
+        """*label*'s index in the node table (added on first sight)."""
+        return self.node_table.setdefault(label, len(self.node_table))
+
+    def node_run(self, label: str, length: int) -> array:
+        """*length* copies of *label*'s node id (one block visit's ids)."""
+        key = (label, length)
+        run = self._runs.get(key)
+        if run is None:
+            run = self._runs[key] = array("I", [self.node_id(label)]) * length
+        return run
+
+    def append(self, address: int, kind: int, label: str, region: int) -> None:
+        """Record one reference (kind code, :data:`_KIND_CODES`)."""
+        self.addresses.append(address)
+        self.kinds.append(kind)
+        self.node_ids.append(self.node_id(label))
+        if self.regions is not None:
+            self.regions.append(region)
+
+    def extend(self, other: "TraceColumns") -> None:
+        """Append *other*'s columns; its node ids index this table."""
+        self.addresses += other.addresses
+        self.kinds += other.kinds
+        self.node_ids += other.node_ids
+        if self.regions is not None:
+            self.regions += other.regions
+
+    def compact(self) -> CompactTrace:
+        """The recorded columns as a :class:`CompactTrace` (copied, so
+        recording may continue)."""
+        return CompactTrace(
+            addresses=self.addresses[:],
+            kinds=bytes(self.kinds),
+            node_table=tuple(self.node_table),
+            node_ids=self.node_ids[:],
+            regions=None if self.regions is None else self.regions[:],
+        )
 
 
 class LazyTraces(Mapping):

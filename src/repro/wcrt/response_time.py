@@ -172,16 +172,27 @@ def compute_task_wcrt(
     if budget is not None:
         max_iterations = min(max_iterations, budget.max_wcrt_iterations)
 
+    # Each interferer's (jitter, period, per-preemption cost) is fixed for
+    # the whole fixpoint, so Cpre is asked once per interferer — on the
+    # first round, in interferer order, so a zero-round budget asks none.
+    terms: list[tuple[int, int, int]] = []
+
     def interference(window: int) -> int:
-        total = 0
-        for other in interferers:
-            per_preemption = (
-                other.wcet + cpre(task.name, other.name) + 2 * context_switch
-            )
-            # Tindell's jitter extension: a jittery interferer can squeeze
-            # one extra release into the busy window.
-            total += _ceil_div(window + other.jitter, other.period) * per_preemption
-        return total
+        if len(terms) < len(interferers):
+            terms[:] = [
+                (
+                    other.jitter,
+                    other.period,
+                    other.wcet + cpre(task.name, other.name) + 2 * context_switch,
+                )
+                for other in interferers
+            ]
+        # Tindell's jitter extension: a jittery interferer can squeeze one
+        # extra release into the busy window.
+        return sum(
+            _ceil_div(window + jitter, period) * cost
+            for jitter, period, cost in terms
+        )
 
     # Iterate on the busy window w; the response time is w + own jitter.
     with _OBS.tracer.span("wcrt.task", task=task.name) as span:

@@ -268,19 +268,19 @@ class TestStateAndProfiled:
         instrumented = profiled("bench.kernel")(kernel)
         n = 200_000
 
-        def best_of(fn, repeats=7):
-            best = float("inf")
-            for _ in range(repeats):
-                started = time.perf_counter()
-                fn(n)
-                best = min(best, time.perf_counter() - started)
-            return best
+        def timed(fn):
+            started = time.perf_counter()
+            fn(n)
+            return time.perf_counter() - started
 
         assert STATE.enabled is False
-        base = best_of(kernel)
-        traced_off = best_of(instrumented)
-        # min-of-N damps scheduler noise; the wrapper adds one enabled
+        # Interleaved repeats, so host speed drift hits both sides alike;
+        # min-of-N damps scheduler noise.  The wrapper adds one enabled
         # check per call against ~10ms of loop body.
+        base = traced_off = float("inf")
+        for _ in range(7):
+            base = min(base, timed(kernel))
+            traced_off = min(traced_off, timed(instrumented))
         assert traced_off <= base * 1.05, (
             f"disabled instrumentation overhead "
             f"{(traced_off / base - 1) * 100:.1f}% exceeds 5%"

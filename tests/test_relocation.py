@@ -27,7 +27,12 @@ from repro.cache.config import CacheConfig
 from repro.cache.state import CacheState
 from repro.program.layout import ProgramLayout, SystemLayout
 from repro.vm.machine import run_isolated
-from repro.vm.trace import CompactTrace, NodeTraceAggregate, TraceRecorder
+from repro.vm.trace import (
+    CompactTrace,
+    NodeTraceAggregate,
+    TraceColumns,
+    TraceRecorder,
+)
 from repro.workloads import build_workload
 
 POLICIES = ("lru", "fifo", "plru")
@@ -148,12 +153,12 @@ class TestRelocation:
             symbol_overrides={arrays[0]: 0x80008},
         )
         for scenario, inputs in workload.scenario_map().items():
-            recorder = TraceRecorder()
+            recording = TraceColumns(relocatable=True)
             run_isolated(
                 home, CacheState(config),
-                inputs={k: list(v) for k, v in inputs.items()}, trace=recorder,
+                inputs={k: list(v) for k, v in inputs.items()}, trace=recording,
             )
-            recorded = CompactTrace.from_recorder(recorder, home)
+            recorded = recording.compact()
             deltas = [
                 new - old
                 for new, old in zip(moved.region_bases(), home.region_bases())

@@ -205,3 +205,163 @@ def test_wcrt_monotone_in_context_switch(system, ccs):
         system, "low", context_switch=ccs, stop_at_deadline=False
     ).wcrt
     assert inflated >= base
+
+
+# ----------------------------------------------------------------------
+# Interference terms: Cpre asked once per interferer, results unchanged
+# ----------------------------------------------------------------------
+
+
+def reference_task_wcrt(
+    system, name, cpre, context_switch, max_iterations, stop_at_deadline,
+    budget, ledger,
+):
+    """Equation 7 asking Cpre for every interferer in every round (the
+    executable specification of :func:`compute_task_wcrt`)."""
+    from repro.errors import DivergenceError
+    from repro.wcrt import WCRTResult
+
+    task = system.task(name)
+    interferers = system.higher_priority(name)
+    if budget is not None:
+        max_iterations = min(max_iterations, budget.max_wcrt_iterations)
+    window = task.wcet
+    history = [window + task.jitter]
+    converged = deadline_stopped = False
+    for _ in range(max_iterations):
+        updated = task.wcet + sum(
+            -(-(window + other.jitter) // other.period)
+            * (other.wcet + cpre(task.name, other.name) + 2 * context_switch)
+            for other in interferers
+        )
+        if updated == window:
+            converged = True
+            break
+        window = updated
+        history.append(window + task.jitter)
+        if stop_at_deadline and window + task.jitter > task.effective_deadline:
+            deadline_stopped = True
+            break
+    diverged = not converged and not deadline_stopped
+    if diverged:
+        message = (
+            f"WCRT recurrence for {task.name!r} did not converge within "
+            f"{max_iterations} iteration(s); last response "
+            f"{window + task.jitter} (utilization {system.utilization:.3f})"
+        )
+        if budget is not None and budget.strict:
+            raise DivergenceError(message, task=task.name)
+        ledger.record(
+            stage=f"wcrt:{task.name}",
+            budget="max_wcrt_iterations",
+            reason=f"DivergenceError: {message}",
+            fallback="reported unschedulable (converged=False, diverged=True)",
+        )
+    response = window + task.jitter
+    return WCRTResult(
+        task=task,
+        wcrt=response,
+        converged=converged,
+        schedulable=converged and response <= task.effective_deadline,
+        iterations=history,
+        deadline_stopped=deadline_stopped,
+        diverged=diverged,
+    )
+
+
+class TestInterferenceTerms:
+    """Eq. 7's per-interferer terms are built once, lazily, and change
+    nothing: same results, same ledger, same raise points."""
+
+    @staticmethod
+    def systems(context):
+        from dataclasses import replace
+
+        system = context.system
+        overloaded = TaskSystem(
+            tasks=[replace(task, period=task.period // 3) for task in system.tasks]
+        )
+        return {"paper": system, "overloaded": overloaded}
+
+    @pytest.mark.parametrize("max_iterations", [0, 1, 1000])
+    def test_cpre_once_per_interferer_and_results_identical(
+        self, experiment1_context, max_iterations
+    ):
+        import pickle
+
+        from repro.analysis.crpd import Approach
+        from repro.guard.ledger import DegradationLedger
+
+        crpd = experiment1_context.crpd
+        for label, system in self.systems(experiment1_context).items():
+            for approach in Approach:
+                for task in system.tasks:
+                    calls = []
+
+                    def cpre(low, high):
+                        calls.append((low, high))
+                        return crpd.cpre(low, high, approach)
+
+                    kwargs = dict(
+                        cpre=cpre, context_switch=7,
+                        max_iterations=max_iterations, stop_at_deadline=False,
+                        budget=None,
+                    )
+                    ledger = DegradationLedger()
+                    result = compute_task_wcrt(
+                        system, task.name, ledger=ledger, **kwargs
+                    )
+                    interferers = system.higher_priority(task.name)
+                    expected = [(task.name, other.name) for other in interferers]
+                    assert calls == (expected if max_iterations else []), (
+                        label, approach, task.name
+                    )
+                    reference_ledger = DegradationLedger()
+                    reference = reference_task_wcrt(
+                        system, task.name, ledger=reference_ledger, **kwargs
+                    )
+                    assert pickle.dumps(result) == pickle.dumps(reference)
+                    assert pickle.dumps(ledger.events) == pickle.dumps(
+                        reference_ledger.events
+                    )
+
+    def test_strict_divergence_raises_identically(self, experiment1_context):
+        from repro.analysis.crpd import Approach
+        from repro.errors import DivergenceError
+        from repro.guard.budget import AnalysisBudget
+        from repro.guard.ledger import DegradationLedger
+
+        crpd = experiment1_context.crpd
+        budget = AnalysisBudget(max_wcrt_iterations=2, strict=True)
+        system = self.systems(experiment1_context)["overloaded"]
+        raised = 0
+        for task in system.tasks:
+            def cpre(low, high):
+                return crpd.cpre(low, high, Approach.COMBINED)
+
+            outcomes = []
+            for run in (compute_task_wcrt, reference_task_wcrt):
+                try:
+                    outcome = run(
+                        system, task.name, cpre=cpre, context_switch=0,
+                        max_iterations=1000, stop_at_deadline=False,
+                        budget=budget, ledger=DegradationLedger(),
+                    )
+                except DivergenceError as error:
+                    outcome = ("raised", str(error), error.task)
+                    raised += 1
+                outcomes.append(outcome)
+            assert outcomes[0] == outcomes[1]
+        assert raised >= 2  # the overloaded system really diverges
+
+    def test_raising_cpre_raises_on_the_first_round(self):
+        def cpre(low, high):
+            raise RuntimeError(f"no Cpre for {low} by {high}")
+
+        with pytest.raises(RuntimeError, match="no Cpre for t3 by t1"):
+            compute_task_wcrt(classic_system(), "t3", cpre=cpre)
+        # A zero-round budget asks for no Cpre at all.
+        result = compute_task_wcrt(
+            classic_system(), "t3", cpre=cpre, max_iterations=0
+        )
+        assert result.diverged

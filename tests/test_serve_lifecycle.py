@@ -317,6 +317,41 @@ def test_oversized_body_is_a_413_envelope():
             server.server_close()
 
 
+def test_stalled_client_is_disconnected_while_others_are_served(monkeypatch):
+    """A client that sends half its headers and stalls is dropped within
+    the per-connection read timeout; meanwhile other clients get their
+    answers on their own connections."""
+    import socket
+
+    from repro.serve import daemon
+
+    bound = 0.5
+    monkeypatch.setattr(daemon._Handler, "timeout", bound)
+    with AnalysisService(workers=1) as service:
+        server = make_server("127.0.0.1", 0, service)
+        listener = threading.Thread(target=server.serve_forever, daemon=True)
+        listener.start()
+        port = server.server_address[1]
+        try:
+            stalled = socket.create_connection(("127.0.0.1", port), timeout=30)
+            stalled.sendall(b"POST /v1/analyze HTTP/1.1\r\nHost: x\r\nContent-Le")
+            started = time.monotonic()
+            for _ in range(3):
+                connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+                connection.request("GET", "/v1/health")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read()) == {"ok": True}
+                connection.close()
+            assert stalled.recv(1024) == b""  # closed by the server
+            elapsed = time.monotonic() - started
+            assert elapsed < bound + 10
+            stalled.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
 # ----------------------------------------------------------------------
 # SIGTERM drain of the real CLI daemon (subprocess)
 # ----------------------------------------------------------------------
