@@ -151,18 +151,8 @@ class TaskArtifacts:
         return cached
 
     def dense_mumbs(self) -> "bytes | None":
-        """Capped dense vector of the MUMBS CIIP (Eq. 3's ``M̃``), memoised."""
-        cached = getattr(self, "_dense_mumbs", None)
-        if cached is None:
-            from repro.cache.kernels import dense_from_ciip_counts
-
-            cached = dense_from_ciip_counts(
-                self.mumbs_ciip().set_counts,
-                self.config.num_sets,
-                self.config.ways,
-            )
-            self._dense_mumbs = cached
-        return cached
+        """Capped dense vector of the MUMBS (Eq. 3's ``M̃``): its point's."""
+        return self.useful.max_point().dense
 
     def dense_path_matrix(self) -> "bytes | None":
         """All path-footprint vectors stacked into one flat row matrix.
@@ -190,34 +180,10 @@ class TaskArtifacts:
         return cached
 
     def dense_useful_points(self) -> "list[bytes] | None":
-        """Dense vectors of the non-empty per-point useful CIIPs, memoised.
-
-        Mirrors the ``per_point`` MUMBS mode: each entry is the footprint
-        CIIP restricted to one useful-block point's blocks; points with no
-        blocks are skipped (they bound zero conflicts).
-        """
-        cached = getattr(self, "_dense_useful_points", None)
-        if cached is None:
-            from repro.cache.kernels import dense_from_ciip_counts
-
-            vectors = []
-            for point in self.useful.points:
-                blocks = point.blocks()
-                if not blocks:
-                    continue
-                restricted = self.footprint_ciip.restrict(blocks)
-                vec = dense_from_ciip_counts(
-                    restricted.set_counts,
-                    self.config.num_sets,
-                    self.config.ways,
-                )
-                if vec is None:
-                    self._dense_useful_points = None
-                    return None
-                vectors.append(vec)
-            cached = vectors
-            self._dense_useful_points = cached
-        return cached
+        """The ``per_point`` MUMBS mode's preemptee vectors: the distinct,
+        non-dominated dense vectors of the non-empty useful points
+        (:meth:`UsefulBlocksAnalysis.dense_points`)."""
+        return self.useful.dense_points()
 
     def summary(self) -> dict[str, int]:
         """Headline numbers for reports and quick sanity checks."""
@@ -494,7 +460,7 @@ def _flow_stage(
     )
     footprint = aggregate.footprint()
     dataflow = solve_rmb_lmb(program.cfg, aggregate, config)
-    useful = compute_useful_blocks(program.cfg, dataflow, aggregate)
+    useful = compute_useful_blocks(program.cfg, dataflow)
     flow = FlowBundle(
         aggregate=aggregate,
         footprint=footprint,
@@ -528,7 +494,7 @@ def _restamp_flow(flow: "FlowBundle", config: CacheConfig) -> "FlowBundle":
         footprint=flow.footprint,
         footprint_ciip=CIIP(config=config, groups=flow.footprint_ciip.groups),
         dataflow=replace(flow.dataflow, config=config),
-        useful=UsefulBlocksAnalysis(config=config, points=flow.useful.points),
+        useful=replace(flow.useful, config=config),
     )
 
 

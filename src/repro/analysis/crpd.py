@@ -275,10 +275,11 @@ class CRPDAnalyzer:
     def _dense_combined(self, low: TaskArtifacts, high: TaskArtifacts) -> int | None:
         """Eq. 4 over the flat path matrix, or ``None`` when unrepresentable.
 
-        One :func:`dense_max_conflict` call per execution point collapses
-        the whole path maximisation; results are byte-identical to the
-        enumerate/prune references (capping at the associativity while
-        densifying preserves every ``min(·, ·, L)`` term).
+        One :func:`dense_max_conflict` call per non-dominated useful
+        vector collapses the whole path maximisation; results are
+        byte-identical to the enumerate/prune references (capping at the
+        associativity while densifying preserves every ``min(·, ·, L)``
+        term, and a dominated point never sets the maximum).
         """
         rows = high.dense_path_matrix()
         if rows is None:
@@ -293,12 +294,7 @@ class CRPDAnalyzer:
         points = low.dense_useful_points()
         if points is None:
             return None
-        worst = 0
-        for vec in points:
-            cost = dense_max_conflict(rows, vec)
-            if cost > worst:
-                worst = cost
-        return worst
+        return max((dense_max_conflict(rows, vec) for vec in points), default=0)
 
     def _degrade(
         self,

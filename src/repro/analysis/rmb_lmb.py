@@ -12,27 +12,30 @@ Section IV of the paper, following Lee et al. [21]:
 Their per-set intersection is the superset of blocks whose eviction during
 a preemption at ``s`` forces a reload — the *useful memory blocks*.
 
-Both analyses are "may" analyses solved by a worklist fixpoint over the
-task CFG.  Per-node reference sequences come from trace aggregation
-(:class:`~repro.vm.trace.NodeTraceAggregate`); when a node issued identical
-reference sequences on every observed visit we apply strong updates (an
-``>= L``-distinct reference sequence fully determines the set contents
-under LRU), otherwise we fall back to conservative weak updates, keeping
-the sets supersets of reality.
+Both are "may" analyses over the task CFG.  Cache sets never interact,
+so block sets are ``int`` masks over the footprint numbered in ``(set
+index, block)`` order (:class:`BlockBits`): each set is one contiguous
+bit slice, and all sets are solved at once.  Each node's transfer is
+``out = gen | (in & keep)``, built once from its unique visit sequences
+(:class:`~repro.vm.trace.NodeTraceAggregate`).  Under LRU ``gen`` holds
+each visit's last (RMB) / first (LMB) ``L`` distinct blocks per set, and
+``keep`` clears a set's slice only when *every* visit references ``>= L``
+distinct blocks of it — they fully determine the set (a strong update);
+otherwise incoming blocks survive (a weak update, a superset of reality).
+FIFO/PLRU admit no truncation: ``gen`` is every reference, nothing is
+killed.  The frozenset oracle lives in ``tests/oracles/rmb_lmb.py``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.cache.config import CacheConfig
 from repro.obs import profiled
 from repro.program.cfg import ControlFlowGraph
 from repro.vm.trace import NodeTraceAggregate
-
-BlockSet = frozenset[int]
-SetStates = dict[int, BlockSet]  # cache-set index -> blocks
 
 
 def last_distinct(sequence: Sequence[int], limit: int) -> tuple[int, ...]:
@@ -58,137 +61,127 @@ def first_distinct(sequence: Sequence[int], limit: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class _NodeSetRefs:
-    """Per-node, per-cache-set reference sequences (unique visit variants)."""
+class BlockBits:
+    """One bit per footprint block, the blocks of each cache set contiguous.
 
-    variants: tuple[tuple[int, ...], ...]
-
-    @property
-    def touches(self) -> bool:
-        return any(self.variants)
-
-
-def _node_set_refs(
-    aggregate: NodeTraceAggregate, config: CacheConfig, label: str
-) -> dict[int, _NodeSetRefs]:
-    """Split a node's visit sequences by cache-set index."""
-    refs = aggregate.refs(label)
-    visits = [
-        _filter_by_set(visit, config) for visit in set(refs.visit_sequences)
-    ]
-    all_indices: set[int] = set()
-    for filtered in visits:
-        all_indices.update(filtered)
-    per_set: dict[int, _NodeSetRefs] = {}
-    for index in all_indices:
-        # A visit that does not touch a set is still a behaviour variant for
-        # that set (its transfer is the identity), hence the () default.
-        variants = {filtered.get(index, ()) for filtered in visits}
-        per_set[index] = _NodeSetRefs(variants=tuple(sorted(variants)))
-    return per_set
-
-
-def _filter_by_set(
-    visit: tuple[int, ...], config: CacheConfig
-) -> dict[int, tuple[int, ...]]:
-    filtered: dict[int, list[int]] = {}
-    for block in visit:
-        filtered.setdefault(config.index(block), []).append(block)
-    return {index: tuple(blocks) for index, blocks in filtered.items()}
-
-
-def _transfer_rmb(
-    state: BlockSet, sequence: tuple[int, ...], ways: int, lru: bool
-) -> BlockSet:
-    """Forward transfer of one visit variant over one cache set.
-
-    LRU permits strong updates: >= L distinct references fully determine
-    the set contents.  For other policies (FIFO/PLRU) only the weak,
-    accumulate-everything update is sound.
+    ``blocks[bit]`` is the block at *bit*, ``sets[bit]`` its cache-set
+    index, and ``slices[index]`` the ``(start, stop)`` bit range of one
+    set.  Masks decode to blocks only on demand.
     """
-    if not sequence:
-        return state
-    if not lru:
-        return state | frozenset(sequence)
-    recent = last_distinct(sequence, ways)
-    if len(recent) >= ways:
-        return frozenset(recent)
-    # Fewer than L distinct references: new blocks enter, incoming blocks
-    # may survive (weak, superset-of-reality update).
-    return state | frozenset(recent)
 
+    blocks: tuple[int, ...]
+    sets: tuple[int, ...]
+    slices: dict[int, tuple[int, int]]
 
-def _transfer_lmb(
-    state: BlockSet, sequence: tuple[int, ...], ways: int, lru: bool
-) -> BlockSet:
-    """Backward transfer of one visit variant over one cache set.
+    @classmethod
+    def number(cls, config: CacheConfig, blocks: Iterable[int]) -> "BlockBits":
+        ordered = sorted((config.index(block), block) for block in blocks)
+        slices: dict[int, tuple[int, int]] = {}
+        for bit, (index, _) in enumerate(ordered):
+            slices[index] = (slices.get(index, (bit,))[0], bit + 1)
+        return cls(
+            blocks=tuple(block for _, block in ordered),
+            sets=tuple(index for index, _ in ordered),
+            slices=slices,
+        )
 
-    The "first L distinct references" truncation encodes that later
-    references would miss anyway under LRU; without LRU no such truncation
-    is sound, so everything referenced afterwards stays living.
-    """
-    if not sequence:
-        return state
-    if not lru:
-        return state | frozenset(sequence)
-    upcoming = first_distinct(sequence, ways)
-    if len(upcoming) >= ways:
-        return frozenset(upcoming)
-    return state | frozenset(upcoming)
+    def ones(self, mask: int) -> Iterator[int]:
+        """Bit positions set in *mask*, ascending."""
+        digits = bin(mask)[:1:-1]  # least significant bit first
+        bit = digits.find("1")
+        while bit >= 0:
+            yield bit
+            bit = digits.find("1", bit + 1)
+
+    def decode(self, mask: int) -> frozenset[int]:
+        blocks = self.blocks
+        return frozenset(blocks[bit] for bit in self.ones(mask))
+
+    def decode_set(self, mask: int, index: int) -> frozenset[int]:
+        """The blocks of cache set *index* in *mask*."""
+        start, stop = self.slices.get(index, (0, 0))
+        return self.decode(mask & ((1 << stop) - (1 << start)))
+
+    def per_set(self, mask: int) -> dict[int, frozenset[int]]:
+        """``{set index: blocks}`` of *mask*, non-empty sets only."""
+        groups: dict[int, set[int]] = {}
+        for bit in self.ones(mask):
+            groups.setdefault(self.sets[bit], set()).add(self.blocks[bit])
+        return {index: frozenset(group) for index, group in groups.items()}
 
 
 @dataclass
 class RMBLMBResult:
     """Fixpoint solution of both analyses at block entry and exit points.
 
-    Each mapping is ``label -> {cache-set index -> frozenset(blocks)}``;
-    absent set indices mean the empty set.
+    Each mapping is ``label -> mask`` over :attr:`bits`; ``own`` is each
+    node's referenced blocks.  The accessors decode one set's blocks.
     """
 
     config: CacheConfig
-    entry_rmb: dict[str, SetStates]
-    exit_rmb: dict[str, SetStates]
-    entry_lmb: dict[str, SetStates]
-    exit_lmb: dict[str, SetStates]
+    bits: BlockBits
+    own: dict[str, int]
+    entry_rmb: dict[str, int]
+    exit_rmb: dict[str, int]
+    entry_lmb: dict[str, int]
+    exit_lmb: dict[str, int]
 
-    def rmb_at_entry(self, label: str, index: int) -> BlockSet:
-        return self.entry_rmb.get(label, {}).get(index, frozenset())
+    def rmb_at_entry(self, label: str, index: int) -> frozenset[int]:
+        return self.bits.decode_set(self.entry_rmb.get(label, 0), index)
 
-    def rmb_at_exit(self, label: str, index: int) -> BlockSet:
-        return self.exit_rmb.get(label, {}).get(index, frozenset())
+    def rmb_at_exit(self, label: str, index: int) -> frozenset[int]:
+        return self.bits.decode_set(self.exit_rmb.get(label, 0), index)
 
-    def lmb_at_entry(self, label: str, index: int) -> BlockSet:
-        return self.entry_lmb.get(label, {}).get(index, frozenset())
+    def lmb_at_entry(self, label: str, index: int) -> frozenset[int]:
+        return self.bits.decode_set(self.entry_lmb.get(label, 0), index)
 
-    def lmb_at_exit(self, label: str, index: int) -> BlockSet:
-        return self.exit_lmb.get(label, {}).get(index, frozenset())
-
-
-def _merge(states: list[SetStates]) -> SetStates:
-    merged: dict[int, set[int]] = {}
-    for state in states:
-        for index, blocks in state.items():
-            merged.setdefault(index, set()).update(blocks)
-    return {index: frozenset(blocks) for index, blocks in merged.items()}
+    def lmb_at_exit(self, label: str, index: int) -> frozenset[int]:
+        return self.bits.decode_set(self.exit_lmb.get(label, 0), index)
 
 
-def _apply_node(
-    in_state: SetStates,
-    node_refs: Mapping[int, _NodeSetRefs],
-    ways: int,
-    transfer,
-    lru: bool,
-) -> SetStates:
-    out: SetStates = dict(in_state)
-    for index, refs in node_refs.items():
-        if not refs.touches:
-            continue
-        incoming = in_state.get(index, frozenset())
-        result: set[int] = set()
-        for variant in refs.variants:
-            result.update(transfer(incoming, variant, ways, lru))
-        out[index] = frozenset(result)
-    return out
+def _reverse_postorder(cfg: ControlFlowGraph, labels: Sequence[str]) -> list[str]:
+    """Labels in reverse postorder from the entry; unreachable ones last."""
+    seen = {cfg.entry}
+    postorder: list[str] = []
+    stack = [(cfg.entry, iter(cfg.successors(cfg.entry)))]
+    while stack:
+        label, successors = stack[-1]
+        for succ in successors:
+            if succ not in seen:
+                seen.add(succ)
+                stack.append((succ, iter(cfg.successors(succ))))
+                break
+        else:
+            stack.pop()
+            postorder.append(label)
+    postorder.reverse()
+    return postorder + [label for label in labels if label not in seen]
+
+
+def _fixpoint(
+    order: list[int], sources: list[list[int]], gen: list[int], keep: list[int]
+) -> tuple[list[int], list[int]]:
+    """Least fixpoint of ``out = gen | (OR of sources' out & keep)``.
+
+    Round-robin in *order* from bottom: monotone transfers make this the
+    same least fixpoint any chaotic iteration reaches.  Returns the merged
+    inputs and the outputs, index-aligned with *gen*.
+    """
+    merged = [0] * len(gen)
+    out = list(gen)
+    changed = True
+    while changed:
+        changed = False
+        for node in order:
+            incoming = 0
+            for source in sources[node]:
+                incoming |= out[source]
+            merged[node] = incoming
+            result = gen[node] | (incoming & keep[node])
+            if result != out[node]:
+                out[node] = result
+                changed = True
+    return merged, out
 
 
 @profiled("analyze.dataflow")
@@ -206,51 +199,68 @@ def solve_rmb_lmb(
     """
     ways = config.ways
     lru = config.policy == "lru"
-    labels = list(cfg.labels())
-    node_refs = {label: _node_set_refs(aggregate, config, label) for label in labels}
-    preds = cfg.predecessor_map()
-    succs = {label: cfg.successors(label) for label in labels}
+    labels = cfg.labels()
+    variants = [set(aggregate.refs(label).visit_sequences) for label in labels]
+    footprint: set[int] = set()
+    for visits in variants:
+        footprint.update(*visits)
+    bits = BlockBits.number(config, footprint)
+    bit_of = {block: 1 << bit for bit, block in enumerate(bits.blocks)}
 
-    # Forward RMB fixpoint ------------------------------------------------
-    entry_rmb: dict[str, SetStates] = {label: {} for label in labels}
-    exit_rmb: dict[str, SetStates] = {
-        label: _apply_node({}, node_refs[label], ways, _transfer_rmb, lru)
-        for label in labels
+    def mask_of(distinct: Iterable[int]) -> int:
+        # Distinct blocks have distinct bits, so the sum is their OR.
+        return sum(map(bit_of.__getitem__, distinct))
+
+    set_of = dict(zip(bits.blocks, bits.sets))
+    slice_of = {
+        index: (1 << stop) - (1 << start)
+        for index, (start, stop) in bits.slices.items()
     }
-    worklist = list(labels)
-    while worklist:
-        label = worklist.pop()
-        in_state = _merge([exit_rmb[p] for p in preds[label]])
-        if in_state == entry_rmb[label]:
-            continue
-        entry_rmb[label] = in_state
-        out_state = _apply_node(in_state, node_refs[label], ways, _transfer_rmb, lru)
-        if out_state != exit_rmb[label]:
-            exit_rmb[label] = out_state
-            worklist.extend(succs[label])
+    full = (1 << len(bits.blocks)) - 1
+    own, gen_rmb, gen_lmb, keep = [], [], [], []
+    for visits in variants:
+        referenced = recent = upcoming = 0
+        # Slices every visit so far strongly updates; none without visits.
+        strong = full if visits and lru else 0
+        for visit in visits:
+            latest = dict.fromkeys(reversed(visit))  # distinct, newest first
+            mask = mask_of(latest)
+            referenced |= mask
+            if not lru:
+                continue
+            counts = Counter(map(set_of.__getitem__, latest))
+            if max(counts.values(), default=0) <= ways:
+                recent |= mask  # every set keeps all its blocks
+                upcoming |= mask
+            else:
+                by_set: dict[int, list[int]] = {}
+                for block in visit:
+                    by_set.setdefault(set_of[block], []).append(block)
+                for sequence in by_set.values():
+                    recent |= mask_of(last_distinct(sequence, ways))
+                    upcoming |= mask_of(first_distinct(sequence, ways))
+            if strong:
+                strong &= sum(
+                    slice_of[index] for index, n in counts.items() if n >= ways
+                )
+        own.append(referenced)
+        gen_rmb.append(recent if lru else referenced)
+        gen_lmb.append(upcoming if lru else referenced)
+        keep.append(full ^ strong)
 
-    # Backward LMB fixpoint ------------------------------------------------
-    exit_lmb: dict[str, SetStates] = {label: {} for label in labels}
-    entry_lmb: dict[str, SetStates] = {
-        label: _apply_node({}, node_refs[label], ways, _transfer_lmb, lru)
-        for label in labels
-    }
-    worklist = list(labels)
-    while worklist:
-        label = worklist.pop()
-        out_state = _merge([entry_lmb[s] for s in succs[label]])
-        if out_state == exit_lmb[label]:
-            continue
-        exit_lmb[label] = out_state
-        in_state = _apply_node(out_state, node_refs[label], ways, _transfer_lmb, lru)
-        if in_state != entry_lmb[label]:
-            entry_lmb[label] = in_state
-            worklist.extend(preds[label])
-
+    position = {label: node for node, label in enumerate(labels)}
+    preds_map = cfg.predecessor_map()
+    preds = [[position[p] for p in preds_map[label]] for label in labels]
+    succs = [[position[s] for s in cfg.successors(label)] for label in labels]
+    order = [position[label] for label in _reverse_postorder(cfg, labels)]
+    entry_rmb, exit_rmb = _fixpoint(order, preds, gen_rmb, keep)
+    exit_lmb, entry_lmb = _fixpoint(order[::-1], succs, gen_lmb, keep)
     return RMBLMBResult(
         config=config,
-        entry_rmb=entry_rmb,
-        exit_rmb=exit_rmb,
-        entry_lmb=entry_lmb,
-        exit_lmb=exit_lmb,
+        bits=bits,
+        own=dict(zip(labels, own)),
+        entry_rmb=dict(zip(labels, entry_rmb)),
+        exit_rmb=dict(zip(labels, exit_rmb)),
+        entry_lmb=dict(zip(labels, entry_lmb)),
+        exit_lmb=dict(zip(labels, exit_lmb)),
     )

@@ -118,8 +118,9 @@ __all__ = [
 #: Bump whenever the pickled entry layout changes incompatibly.
 #: Schema 1 stored monolithic ``CachedAnalysis`` bundles; schema 2 stores
 #: :class:`StoredEntry`-wrapped sub-artifacts; schema 3 stores relocatable
-#: traces under placement-free keys.
-SCHEMA_VERSION = 3
+#: traces under placement-free keys; schema 4 stores the flow's RMB/LMB
+#: states and useful points as bit masks.
+SCHEMA_VERSION = 4
 
 _SOURCE_FINGERPRINT: Optional[str] = None
 

@@ -21,20 +21,24 @@ Execution points evaluated per basic block ``b``:
 
 Lee's per-preemption reload bound at a point caps each cache set at ``L``
 lines, since at most ``L`` blocks of a set can be resident when the
-preemption occurs.
+preemption occurs.  Points are bit masks over the dataflow's
+:class:`~repro.analysis.rmb_lmb.BlockBits`; each distinct mask's bound,
+block count and capped dense per-set vector are computed once, and its
+blocks are decoded only on demand.  The frozenset reference lives in
+``tests/oracles/useful.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 
-from repro.analysis.rmb_lmb import RMBLMBResult, SetStates
+from repro.analysis.rmb_lmb import BlockBits, RMBLMBResult
 from repro.cache.ciip import CIIP
-from repro.cache.kernels import intern_blocks
 from repro.cache.config import CacheConfig
+from repro.cache.kernels import DENSE_MAX_WAYS, dense_counts
 from repro.obs import profiled
 from repro.program.cfg import ControlFlowGraph
-from repro.vm.trace import NodeTraceAggregate
 
 
 @dataclass(frozen=True)
@@ -50,37 +54,34 @@ class ExecutionPoint:
 
 @dataclass(frozen=True)
 class UsefulBlocks:
-    """Useful memory blocks at one execution point, grouped by cache set."""
+    """Useful memory blocks at one execution point, as a set-grouped mask.
+
+    ``bound`` is Lee's reload bound ``sum over sets of min(|useful|, L)``,
+    ``count`` the number of useful blocks and ``dense`` the capped
+    per-set vector (``None`` when ``L`` exceeds a byte).
+    """
 
     point: ExecutionPoint
-    per_set: SetStates
-    ways: int
+    mask: int
+    bits: BlockBits
+    bound: int
+    count: int
+    dense: "bytes | None"
+
+    @property
+    def per_set(self) -> dict[int, frozenset[int]]:
+        return self.bits.per_set(self.mask)
 
     def blocks(self) -> frozenset[int]:
         cached = self.__dict__.get("_blocks")
         if cached is None:
-            merged: set[int] = set()
-            for group in self.per_set.values():
-                merged.update(group)
-            cached = frozenset(merged)
+            cached = self.bits.decode(self.mask)
             object.__setattr__(self, "_blocks", cached)
         return cached
 
     def reload_bound(self) -> int:
-        """Lee's bound on reloaded lines for a preemption at this point.
-
-        ``sum over sets of min(|useful per set|, L)`` — at most ``L`` lines
-        of one set can be resident, hence evicted-and-reloaded.  Memoised:
-        the per-point bound is re-ranked for every preemption pair.
-        """
-        cached = self.__dict__.get("_reload_bound")
-        if cached is None:
-            ways = self.ways
-            cached = sum(
-                min(len(group), ways) for group in self.per_set.values()
-            )
-            object.__setattr__(self, "_reload_bound", cached)
-        return cached
+        """Lee's bound on reloaded lines for a preemption at this point."""
+        return self.bound
 
 
 @dataclass
@@ -91,14 +92,13 @@ class UsefulBlocksAnalysis:
     points: list[UsefulBlocks]
 
     def max_point(self) -> UsefulBlocks:
-        """The execution point with the largest reload bound (Def. 4)."""
+        """The first execution point with the largest reload bound (Def. 4),
+        ties broken by block count."""
         if not self.points:
             raise ValueError("no execution points analysed")
         cached = getattr(self, "_max_point", None)
         if cached is None:
-            cached = max(
-                self.points, key=lambda u: (u.reload_bound(), len(u.blocks()))
-            )
+            cached = max(self.points, key=lambda u: (u.bound, u.count))
             self._max_point = cached
         return cached
 
@@ -113,103 +113,66 @@ class UsefulBlocksAnalysis:
         """Approach 3's per-preemption reload count for this task."""
         return self.max_point().reload_bound()
 
+    def dense_points(self) -> "list[bytes] | None":
+        """The distinct, pointwise non-dominated dense vectors of the
+        non-empty points; ``None`` when not dense-representable.
 
-def _intersect(a: SetStates, b: SetStates, config: CacheConfig) -> SetStates:
-    # Probe the larger mapping with the smaller one's keys instead of
-    # materialising both key sets; intern the surviving groups so repeated
-    # intersections of the same dataflow states share one object per value.
-    if len(a) > len(b):
-        a, b = b, a
-    lookup = b.get
-    result: SetStates = {}
-    for index, group in a.items():
-        other = lookup(index)
-        if other is None:
-            continue
-        common = group & other
-        if common:
-            result[index] = intern_blocks(frozenset(common))
-    return result
-
-
-def _union(a: SetStates, b: SetStates) -> SetStates:
-    result: dict[int, set[int]] = {index: set(blocks) for index, blocks in a.items()}
-    for index, blocks in b.items():
-        result.setdefault(index, set()).update(blocks)
-    return {index: frozenset(blocks) for index, blocks in result.items()}
-
-
-def _node_refs_by_set(
-    aggregate: NodeTraceAggregate | None, config: CacheConfig, label: str
-) -> SetStates:
-    if aggregate is None:
-        return {}
-    refs: dict[int, set[int]] = {}
-    for block in aggregate.refs(label).blocks():
-        refs.setdefault(config.index(block), set()).add(block)
-    return {index: frozenset(blocks) for index, blocks in refs.items()}
+        If ``a <= b`` in every set, ``a``'s Equation-4 cost is ``<=``
+        ``b``'s against every path row, so maximising over the kept
+        vectors equals maximising over every point.  Memoised.
+        """
+        if "_dense_points" not in self.__dict__:
+            sums: dict[bytes, int] = {}
+            for point in self.points:
+                if point.count:
+                    if point.dense is None:
+                        self._dense_points = None
+                        return None
+                    sums.setdefault(point.dense, point.bound)
+            # A dominated vector has a strictly smaller sum than its
+            # dominator, so one pass in descending-sum order suffices.
+            kept: list[bytes] = []
+            for vec in sorted(sums, key=sums.__getitem__, reverse=True):
+                if not any(all(map(le, vec, other)) for other in kept):
+                    kept.append(vec)
+            self._dense_points = kept
+        return self._dense_points
 
 
 @profiled("analyze.useful")
 def compute_useful_blocks(
-    cfg: ControlFlowGraph,
-    dataflow: RMBLMBResult,
-    aggregate: NodeTraceAggregate | None = None,
-    include_within: bool = True,
+    cfg: ControlFlowGraph, dataflow: RMBLMBResult
 ) -> UsefulBlocksAnalysis:
-    """Evaluate useful blocks at every block entry/exit (+ within) point.
-
-    ``aggregate`` supplies each node's own references for the ``within``
-    points; without it the within points fall back to the boundary unions
-    (sound only for nodes whose references survive to the exit).
-    """
+    """Evaluate useful blocks at every block's entry, exit and within point
+    (the within rule reads each node's own references from *dataflow*)."""
     config = dataflow.config
+    bits = dataflow.bits
+    ways = config.ways
+    dense = ways <= DENSE_MAX_WAYS
+    stats: dict[int, tuple[int, int, "bytes | None"]] = {}
     points: list[UsefulBlocks] = []
+
+    def add(label: str, position: str, mask: int) -> None:
+        known = stats.get(mask)
+        if known is None:
+            capped: dict[int, int] = {}
+            for bit in bits.ones(mask):
+                index = bits.sets[bit]
+                count = capped.get(index, 0)
+                if count < ways:
+                    capped[index] = count + 1
+            known = stats[mask] = (
+                sum(capped.values()),
+                bin(mask).count("1"),
+                dense_counts(capped, config.num_sets, ways) if dense else None,
+            )
+        points.append(UsefulBlocks(ExecutionPoint(label, position), mask, bits, *known))
+
     for label in cfg.labels():
-        entry = _intersect(
-            dataflow.entry_rmb.get(label, {}),
-            dataflow.entry_lmb.get(label, {}),
-            config,
-        )
-        points.append(
-            UsefulBlocks(
-                point=ExecutionPoint(label, "entry"),
-                per_set=entry,
-                ways=config.ways,
-            )
-        )
-        exit_useful = _intersect(
-            dataflow.exit_rmb.get(label, {}),
-            dataflow.exit_lmb.get(label, {}),
-            config,
-        )
-        points.append(
-            UsefulBlocks(
-                point=ExecutionPoint(label, "exit"),
-                per_set=exit_useful,
-                ways=config.ways,
-            )
-        )
-        if include_within:
-            own_refs = _node_refs_by_set(aggregate, config, label)
-            if own_refs or aggregate is not None:
-                rmb_side = _union(dataflow.entry_rmb.get(label, {}), own_refs)
-                lmb_side = _union(own_refs, dataflow.exit_lmb.get(label, {}))
-            else:
-                rmb_side = _union(
-                    dataflow.entry_rmb.get(label, {}),
-                    dataflow.exit_rmb.get(label, {}),
-                )
-                lmb_side = _union(
-                    dataflow.entry_lmb.get(label, {}),
-                    dataflow.exit_lmb.get(label, {}),
-                )
-            within = _intersect(rmb_side, lmb_side, config)
-            points.append(
-                UsefulBlocks(
-                    point=ExecutionPoint(label, "within"),
-                    per_set=within,
-                    ways=config.ways,
-                )
-            )
+        rmb_in = dataflow.entry_rmb.get(label, 0)
+        lmb_out = dataflow.exit_lmb.get(label, 0)
+        own = dataflow.own.get(label, 0)
+        add(label, "entry", rmb_in & dataflow.entry_lmb.get(label, 0))
+        add(label, "exit", dataflow.exit_rmb.get(label, 0) & lmb_out)
+        add(label, "within", (rmb_in | own) & (own | lmb_out))
     return UsefulBlocksAnalysis(config=config, points=points)

@@ -8,7 +8,8 @@ Three families, mirroring the tentpole spec:
 * **paper invariants** — App4 <= min(App2, App3) <= App1 (Sections V-VI),
   Definition-4 vs per-point MUMBS dominance, monotonicity in Cmiss.
 * **engine differentials** — kernel vs naive conflict math, pruned vs
-  enumerated Equation-4 search, heap vs scan scheduler identity,
+  enumerated Equation-4 search, non-dominated useful vectors vs every
+  execution point, heap vs scan scheduler identity,
   warm-vs-cold artifact + ledger parity through the :class:`ArtifactStore`,
   relocated traces vs VM re-execution after random layout moves.
 
@@ -33,9 +34,10 @@ import json
 import random
 import tempfile
 from dataclasses import dataclass
+from operator import le
 from typing import Callable, Iterable
 
-from repro.analysis import ALL_APPROACHES, Approach
+from repro.analysis import ALL_APPROACHES, Approach, CRPDAnalyzer
 from repro.analysis.artifacts import analyze_task
 from repro.analysis.pathcost import approach4_lines
 from repro.analysis.store import ArtifactStore
@@ -589,6 +591,36 @@ def oracle_prune_vs_enumerate(
     return check.violations
 
 
+def oracle_useful_antichain(
+    case: BuiltCase, budget: AnalysisBudget | None = None
+) -> list[Violation]:
+    """Keeping only non-dominated useful vectors loses no point: each
+    non-empty point's vector lies below a kept one, and per-point
+    Approach 4 through :class:`CRPDAnalyzer` equals branch-and-bound over
+    every point."""
+    check = _Check("useful_antichain")
+    for task in case.tasks:
+        kept = task.artifacts.dense_useful_points() or ()
+        for point in task.artifacts.useful.points if kept else ():
+            check.expect(
+                not point.count or any(all(map(le, point.dense, v)) for v in kept),
+                f"{task.name}: {point.point} is below no kept vector",
+            )
+    analyzer = CRPDAnalyzer({task.name: task.artifacts for task in case.tasks})
+    for low, high in case.pairs():
+        if high.artifacts.path_enumeration_complete:  # else degraded, not Eq. 4
+            fast = analyzer.lines_reloaded(low.name, high.name, Approach.COMBINED)
+            every = approach4_lines(
+                low.artifacts, high.artifacts, mumbs_mode="per_point", engine="prune"
+            )
+            check.expect(
+                fast == every,
+                f"{low.name}<-{high.name}: App4 over kept vectors {fast} != "
+                f"over every point {every}",
+            )
+    return check.violations
+
+
 def oracle_heap_vs_scan(
     case: BuiltCase, budget: AnalysisBudget | None = None
 ) -> list[Violation]:
@@ -776,6 +808,7 @@ ORACLES: dict[str, Callable[..., list[Violation]]] = {
     "approach_ordering": oracle_approach_ordering,
     "kernel_vs_naive": oracle_kernel_vs_naive,
     "prune_vs_enumerate": oracle_prune_vs_enumerate,
+    "useful_antichain": oracle_useful_antichain,
     "wcet_soundness": oracle_wcet_soundness,
     "reload_soundness": oracle_reload_soundness,
     "heap_vs_scan": oracle_heap_vs_scan,

@@ -7,8 +7,8 @@ Endpoints (all JSON, UTF-8; see ``docs/serving.md``):
   ``"timeout"`` seconds, default 30) and answer with the finished
   envelope and its taxonomy-mapped status.
 * ``GET /v1/jobs/<id>`` — the job's current envelope: 202 while queued,
-  200 while running or done, the taxonomy status once failed, 404 for
-  an unknown id.
+  200 while running or done, the taxonomy status once failed, 410 once
+  evicted past retention, 404 for an unknown id.
 * ``POST /v1/compare`` — ``{"left": "<job>", "right": "<job>"}``; 200
   with the compare report, 404/409 for unknown/unfinished jobs.
 * ``GET /v1/stats`` — server counters; ``GET /v1/health`` — liveness.

@@ -37,12 +37,17 @@ A full queue sheds at submit time (:class:`~repro.errors.ShedError`,
 429) after refunding the client's quota token.  ``shutdown(drain=True)``
 — the SIGTERM path — stops admissions (new submits shed), lets workers
 finish everything already queued, then joins them; results of drained
-jobs remain fetchable until the process exits.
+jobs remain fetchable while retained.
+
+Retention
+---------
+Finished jobs stay fetchable while among the newest :data:`JOB_RETENTION`
+and younger than :data:`JOB_TTL_S`; queued and running jobs are never
+evicted.  An evicted id answers 410 ``expired``, not 404 ``unknown``.
 """
 
 from __future__ import annotations
 
-import itertools
 import queue
 import threading
 from time import perf_counter
@@ -60,7 +65,11 @@ from repro.serve.protocol import (
 )
 from repro.serve.quota import QuotaConfig, TokenBuckets
 
-__all__ = ["AnalysisService", "JobRecord"]
+__all__ = ["AnalysisService", "JobRecord", "JOB_RETENTION", "JOB_TTL_S"]
+
+#: Finished jobs kept fetchable (newest by finish time), and for how long.
+JOB_RETENTION = 1024
+JOB_TTL_S = 3600.0
 
 _SENTINEL = object()
 
@@ -133,7 +142,9 @@ class AnalysisService:
         self._pool = WarmPool(jobs=1)
         self._lock = threading.Lock()
         self._jobs: dict[str, JobRecord] = {}
-        self._ids = itertools.count(1)
+        #: Finished job ids in finish order -> finish time (lock held).
+        self._finished: dict[str, float] = {}
+        self._issued = 0
         self._threads: list[threading.Thread] = []
         self._accepting = False
         self._started = False
@@ -225,6 +236,7 @@ class AnalysisService:
                     job.error_kind = "shed"
                     job.error = "service shut down before this job ran"
                     job.finished_at = perf_counter()
+                    self._retire(job)
                 job.done.set()
         for _ in self._threads:
             self._queue.put(_SENTINEL)
@@ -256,7 +268,8 @@ class AnalysisService:
             raise ShedError("service is shutting down", capacity=0)
         self._quota.take(client)
         with self._lock:
-            job_id = f"j{next(self._ids):06d}"
+            self._issued += 1
+            job_id = f"j{self._issued:06d}"
             job = JobRecord(job_id, client, request)
             self._jobs[job_id] = job
         try:
@@ -333,40 +346,52 @@ class AnalysisService:
                 },
             )
 
+    def _retire(self, job: JobRecord) -> None:
+        """Record *job* as finished and evict past retention (lock held)."""
+        self._finished[job.id] = job.finished_at
+        horizon = job.finished_at - JOB_TTL_S
+        while self._finished:
+            oldest, finished_at = next(iter(self._finished.items()))
+            if len(self._finished) <= JOB_RETENTION and finished_at >= horizon:
+                break
+            del self._finished[oldest]
+            del self._jobs[oldest]
+
+    def _missing(self, job_id: str) -> tuple[int, dict]:
+        """410 for an issued id no longer retained, else 404."""
+        number = job_id[1:]
+        if job_id[:1] == "j" and number.isdigit() and 0 < int(number) <= self._issued:
+            status, kind, error = 410, "expired", (
+                f"job {job_id!r} expired: finished jobs are kept for "
+                f"{JOB_TTL_S:g} s, the newest {JOB_RETENTION} only"
+            )
+        else:
+            status, kind, error = 404, "config", f"unknown job {job_id!r}"
+        return status, envelope(
+            job=job_id, client="", kind="", state="error", error_kind=kind,
+            error=error,
+        )
+
     def status_envelope(self, job_id: str) -> tuple[int, dict]:
         """``GET /v1/jobs/<id>``: (HTTP status, envelope)."""
         job = self.get_job(job_id)
         if job is None:
-            return 404, envelope(
-                job=job_id,
-                client="",
-                kind="",
-                state="error",
-                error_kind="config",
-                error=f"unknown job {job_id!r}",
-            )
+            return self._missing(job_id)
         return http_status(job.state, job.error_kind), self.job_envelope(job)
 
     def compare(self, left_id: str, right_id: str) -> tuple[int, dict]:
         """``POST /v1/compare``: diff two *completed* jobs' results."""
         from repro.serve.protocol import compare_payloads
 
+        results = []
         for job_id in (left_id, right_id):
             job = self.get_job(job_id)
             if job is None:
-                return 404, envelope(
-                    job=job_id,
-                    client="",
-                    kind="",
-                    state="error",
-                    error_kind="config",
-                    error=f"unknown job {job_id!r}",
-                )
+                return self._missing(job_id)
             if job.state != "done":
                 return 409, self.job_envelope(job)
-        left = self.get_job(left_id)
-        right = self.get_job(right_id)
-        return 200, compare_payloads(left.result, right.result)
+            results.append(job.result)
+        return 200, compare_payloads(*results)
 
     def stats(self) -> dict:
         """Server-level counters (``GET /v1/stats``)."""
@@ -450,6 +475,7 @@ class AnalysisService:
             with self._lock:
                 job.store = store_counts_from(snapshot)
                 job.finished_at = perf_counter()
+                self._retire(job)
             # Merge the request view into the server view: the request
             # trace re-parents under one server-level span per job, and
             # counters accumulate, so daemon-level exports stay whole.

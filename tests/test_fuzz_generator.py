@@ -125,6 +125,7 @@ class TestOracleBank:
             "approach_ordering",
             "kernel_vs_naive",
             "prune_vs_enumerate",
+            "useful_antichain",
             "wcet_soundness",
             "reload_soundness",
             "heap_vs_scan",

@@ -438,3 +438,88 @@ def test_sigterm_drains_and_flushes_exports(tmp_path):
         registry["counters"].get("store.hits", 0)
         + registry["counters"].get("store.misses", 0)
     )
+
+
+# ----------------------------------------------------------------------
+# Job retention: a long-running daemon's job table stays bounded
+# ----------------------------------------------------------------------
+
+
+class _InstantService(AnalysisService):
+    """Runs no analysis: every job finishes at once with a tiny result."""
+
+    def _execute(self, request):
+        return {"label": request.label}
+
+
+def _finish(service, count):
+    jobs = []
+    for _ in range(count):
+        job = service.submit(FAST)
+        assert job.done.wait(timeout=60)
+        jobs.append(job)
+    return jobs
+
+
+def test_job_table_stays_bounded_over_many_submits(monkeypatch):
+    import repro.serve.service as service_module
+
+    monkeypatch.setattr(service_module, "JOB_RETENTION", 5)
+    with _InstantService(workers=2, queue_capacity=4) as service:
+        sizes = []
+        for _ in range(40):
+            _finish(service, 5)
+            sizes.append(len(service._jobs))
+        jobs = _finish(service, 5)
+        assert max(sizes) <= 5
+        assert sum(service.stats()["jobs"].values()) <= 5
+        # The newest finished jobs are still fetchable ...
+        assert service.status_envelope(jobs[-1].id)[0] == 200
+        # ... an evicted one answers a distinct "expired" envelope ...
+        status, payload = service.status_envelope("j000001")
+        assert status == 410
+        assert payload["state"] == "error"
+        assert payload["error_kind"] == "expired"
+        assert service.compare("j000001", jobs[-1].id)[0] == 410
+        # ... and an id never issued is still unknown.
+        status, payload = service.status_envelope("j999999")
+        assert status == 404
+        assert payload["error"] == "unknown job 'j999999'"
+
+
+def test_finished_jobs_expire_after_the_ttl(monkeypatch):
+    import repro.serve.service as service_module
+
+    with _InstantService(workers=1) as service:
+        first = _finish(service, 2)
+        monkeypatch.setattr(service_module, "JOB_TTL_S", 0.0)
+        time.sleep(0.01)
+        last = _finish(service, 1)[0]
+        for job in first:
+            assert service.status_envelope(job.id)[0] == 410
+        assert service.status_envelope(last.id)[0] == 200
+
+
+def test_queued_and_running_jobs_are_never_evicted(monkeypatch):
+    import repro.serve.service as service_module
+
+    monkeypatch.setattr(service_module, "JOB_RETENTION", 1)
+    started = threading.Event()
+    gate = threading.Event()
+
+    def wedge(job):
+        if job.id == "j000001":
+            started.set()
+            assert gate.wait(timeout=60)
+
+    service = _InstantService(workers=2, queue_capacity=8, job_hook=wedge)
+    with service:
+        running = service.submit(FAST)
+        assert started.wait(timeout=60)
+        _finish(service, 4)  # finish around the wedged job
+        assert service.status_envelope(running.id)[0] == 200
+        assert running.state == "running"
+        gate.set()
+        assert running.done.wait(timeout=60)
+        assert service.status_envelope(running.id)[0] == 200
+        assert len(service._jobs) == 1

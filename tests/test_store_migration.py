@@ -107,3 +107,28 @@ def test_kind_collision_is_stale_not_a_wrong_payload(
     warm = analyze_task(layout, scenarios, tiny_cache_config, store=store)
     assert store.stale == 1
     assert warm.wcet.cycles == cold.wcet.cycles
+
+
+def test_schema3_flow_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
+    """Schema 4 changed only the flow payload (bit-mask RMB/LMB states and
+    useful points): a flow entry stamped with schema 3 is a counted stale
+    miss that recomputes the same analysis, while the other kinds hit."""
+    from repro.analysis.store import SCHEMA_VERSION
+
+    assert SCHEMA_VERSION == 4
+    layout, scenarios, entries, cold = _case(tmp_path, tiny_cache_config)
+    for entry in entries:
+        stored = pickle.loads(entry.read_bytes())
+        if stored.kind == "flow":
+            entry.write_bytes(
+                pickle.dumps(
+                    StoredEntry(schema=3, kind="flow", payload=stored.payload),
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
+            )
+    store = ArtifactStore(directory=tmp_path)
+    warm = analyze_task(layout, scenarios, tiny_cache_config, store=store)
+    assert (store.stale, store.corrupt) == (1, 0)
+    assert store.hits_by_kind == {"trace": 1, "sim": 1, "paths": 1}
+    assert warm.useful.mumbs() == cold.useful.mumbs()
+    assert warm.dataflow.entry_rmb == cold.dataflow.entry_rmb
