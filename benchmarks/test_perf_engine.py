@@ -36,13 +36,16 @@ from time import perf_counter
 
 from conftest import write_artifact
 
-from repro.analysis import analyze_task, max_path_conflict, max_path_conflict_pruned
+from repro.analysis import analyze_task, max_path_conflict_pruned
 from repro.analysis.store import ArtifactStore
 from repro.cache import CacheConfig, CIIP
+from repro.cache.kernels import dense_from_ciip_counts
 from repro.experiments import EXPERIMENT_I_SPEC, EXPERIMENT_II_SPEC, build_context
 from repro.guard.budget import AnalysisBudget
 from repro.guard.ledger import DegradationLedger
 from repro.program import ProgramBuilder, SystemLayout
+
+from tests.oracles.pathcost import max_path_conflict
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 WARM_SPEEDUP_GATE = 2.0  # CI fails below this, Experiment I only
@@ -221,7 +224,10 @@ def _bench_path_bomb():
         ledger=ledger,
     )
     assert ledger.degraded and not tripped.path_enumeration_complete
-    useful = CIIP.from_addresses(config, range(0, 2048, 16))
+    useful_ciip = CIIP.from_addresses(config, range(0, 2048, 16))
+    useful = dense_from_ciip_counts(
+        useful_ciip.set_counts, config.num_sets, config.ways
+    )
 
     started = perf_counter()
     pruned = max_path_conflict_pruned(useful, tripped)
@@ -241,7 +247,7 @@ def _bench_path_bomb():
         layout, {"s": inputs}, config, budget=AnalysisBudget(max_paths=16384)
     )
     started = perf_counter()
-    enumerated = max_path_conflict(useful, full).lines
+    enumerated = max_path_conflict(useful_ciip, full).lines
     enumerate_seconds = perf_counter() - started
 
     assert pruned.cost == enumerated, "exact engine diverged from enumeration"

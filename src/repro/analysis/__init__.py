@@ -27,11 +27,8 @@ from repro.analysis.intertask import (
     footprint_overlap_blocks,
 )
 from repro.analysis.pathcost import (
-    PathCost,
-    PathCostResult,
     PrunedPathResult,
     approach4_lines,
-    max_path_conflict,
     max_path_conflict_pruned,
 )
 from repro.analysis.store import (
@@ -75,11 +72,8 @@ __all__ = [
     "approach2_lines",
     "eq3_lines",
     "footprint_overlap_blocks",
-    "PathCost",
-    "PathCostResult",
     "PrunedPathResult",
     "approach4_lines",
-    "max_path_conflict",
     "max_path_conflict_pruned",
     "ArtifactStore",
     "CachedAnalysis",

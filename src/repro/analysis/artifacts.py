@@ -86,17 +86,6 @@ class TaskArtifacts:
             self._per_node_blocks = cached
         return cached
 
-    def mumbs_ciip(self) -> CIIP:
-        """CIIP of the task's Maximum Useful Memory Blocks Set (``M̃``).
-
-        Memoised — asked for once per (pair × approach) otherwise.
-        """
-        cached = getattr(self, "_mumbs_ciip", None)
-        if cached is None:
-            cached = self.useful.mumbs_ciip()
-            self._mumbs_ciip = cached
-        return cached
-
     def path_footprints(self) -> list[frozenset[int]]:
         """Footprint block set of each feasible path, computed once.
 
@@ -115,29 +104,8 @@ class TaskArtifacts:
             self._path_footprints = cached
         return cached
 
-    def path_ciips(self) -> list[CIIP]:
-        """CIIP of each feasible path's footprint, computed once.
-
-        The per-set cardinality vectors these carry are what makes the
-        naive Equation 4 loop cheap on repeat pairs: every conflict bound
-        against them is a counter-kernel call, no set algebra.
-        """
-        cached = getattr(self, "_path_ciips", None)
-        if cached is None:
-            cached = [
-                CIIP.from_addresses(self.config, footprint)
-                for footprint in self.path_footprints()
-            ]
-            self._path_ciips = cached
-        return cached
-
-    def dense_footprint(self) -> "bytes | None":
-        """Capped dense per-set vector of the task footprint, memoised.
-
-        ``None`` when the geometry is not dense-representable (one byte
-        per set caps the associativity at 255); callers then stay on the
-        sparse kernels.
-        """
+    def dense_footprint(self) -> bytes:
+        """Capped dense per-set vector of the task footprint, memoised."""
         cached = getattr(self, "_dense_footprint", None)
         if cached is None:
             from repro.cache.kernels import dense_from_ciip_counts
@@ -150,36 +118,36 @@ class TaskArtifacts:
             self._dense_footprint = cached
         return cached
 
-    def dense_mumbs(self) -> "bytes | None":
+    def dense_mumbs(self) -> bytes:
         """Capped dense vector of the MUMBS (Eq. 3's ``M̃``): its point's."""
         return self.useful.max_point().dense
 
-    def dense_path_matrix(self) -> "bytes | None":
+    def dense_path_matrix(self) -> bytes:
         """All path-footprint vectors stacked into one flat row matrix.
 
-        Row *i* is the capped dense vector of ``path_ciips()[i]``; the
-        Approach-4 maximisation over paths against one preemptee vector is
-        then a single :func:`repro.cache.kernels.dense_max_conflict` call.
-        Memoised; ``None`` when the geometry is not dense-representable.
+        Row *i* counts the blocks of ``path_footprints()[i]`` per cache
+        set, capped at ``L``; the Approach-4 maximisation over paths
+        against one preemptee vector is then a single
+        :func:`repro.cache.kernels.dense_max_conflict` call.  Memoised.
         """
         cached = getattr(self, "_dense_path_matrix", None)
         if cached is None:
             from repro.cache.kernels import dense_from_ciip_counts, dense_rows
 
-            vectors = []
-            for ciip in self.path_ciips():
-                vec = dense_from_ciip_counts(
-                    ciip.set_counts, self.config.num_sets, self.config.ways
+            config = self.config
+            rows = []
+            for footprint in self.path_footprints():
+                counts: dict[int, int] = {}
+                for block in footprint:
+                    index = config.index(block)
+                    counts[index] = counts.get(index, 0) + 1
+                rows.append(
+                    dense_from_ciip_counts(counts, config.num_sets, config.ways)
                 )
-                if vec is None:
-                    self._dense_path_matrix = None
-                    return None
-                vectors.append(vec)
-            cached = dense_rows(vectors)
-            self._dense_path_matrix = cached
+            cached = self._dense_path_matrix = dense_rows(rows)
         return cached
 
-    def dense_useful_points(self) -> "list[bytes] | None":
+    def dense_useful_points(self) -> list[bytes]:
         """The ``per_point`` MUMBS mode's preemptee vectors: the distinct,
         non-dominated dense vectors of the non-empty useful points
         (:meth:`UsefulBlocksAnalysis.dense_points`)."""
@@ -218,8 +186,9 @@ def analyze_task(
     blow-up degrades (non-strict) to path-incomplete artifacts instead of
     raising; simulation steps are capped by ``budget.max_sim_steps`` and
     the wall-clock deadline is enforced between stages.  *ledger* receives
-    a record of any degradation; *clock* lets a caller share one wall-clock
-    countdown across several tasks.
+    a record of any degradation (a tripped enumeration only when
+    ``budget.exact_paths`` is off); *clock* lets a caller share one
+    wall-clock countdown across several tasks.
 
     With a *store* (see :mod:`repro.analysis.store`), every pipeline stage
     is looked up / persisted as a **sub-artifact** keyed only by the
@@ -246,11 +215,17 @@ def analyze_task(
             clock = budget.start()
     strict = budget.strict if budget is not None else False
     use_store = store is not None and store.enabled
+    if budget is not None and budget.exact_paths:
+        # A tripped path enumeration then degrades nothing: the CRPD stage
+        # answers Eq. 4 exactly by branch-and-bound.  The event is still
+        # stored with the paths and task entries, whose keys do not hash
+        # exact_paths, so cached and cold runs agree in both directions.
+        ledger = None
 
-    def replay(span, event, into_ledger: bool = True) -> None:
+    def replay(span, event) -> None:
         # Replayed degradations become ledger entries and span events, so
         # a cached trace tells the same story as a cold one.
-        if ledger is not None and into_ledger:
+        if ledger is not None:
             ledger.events.append(event)
         span.event(
             "ledger.degradation",

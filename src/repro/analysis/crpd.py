@@ -29,7 +29,7 @@ from enum import IntEnum
 from typing import TYPE_CHECKING
 
 from repro.analysis.artifacts import TaskArtifacts
-from repro.analysis.intertask import approach1_lines, approach2_lines, eq3_lines
+from repro.analysis.intertask import approach2_lines, eq3_lines
 from repro.analysis.pathcost import approach4_lines
 from repro.cache.kernels import dense_conflict, dense_max_conflict, dense_usage
 from repro.errors import BudgetExceeded, ConfigError
@@ -119,16 +119,15 @@ class CRPDAnalyzer:
             stored — only deterministic results and their (replayable)
             ``max_paths`` degradations.
 
-    Approach 4 has one production rule for Equation 4's path
-    maximisation: the flat dense kernels
+    Approach 4 has one rule per input: the flat dense kernel
     (:func:`~repro.cache.kernels.dense_max_conflict` over
-    :meth:`TaskArtifacts.dense_path_matrix`) when paths were enumerated
-    and the geometry is dense-representable, branch-and-bound
-    (:func:`~repro.analysis.pathcost.max_path_conflict_pruned`) when it
-    is not, and the sound degradation ladder when enumeration tripped
-    ``max_paths`` — unless ``budget.exact_paths`` asks for the exact
-    Eq. 4 answer, which branch-and-bound recovers from the structure
-    tree alone (no ``crpd:`` ledger event is then recorded).
+    :meth:`TaskArtifacts.dense_path_matrix`) when paths were enumerated;
+    branch-and-bound (:func:`~repro.analysis.pathcost.approach4_lines`)
+    when enumeration tripped ``max_paths`` and ``budget.exact_paths``
+    asks for the exact answer (no ledger event is then recorded); the
+    sound degradation ladder when it tripped otherwise; and 0 for a
+    preemptor with no feasible paths (a :class:`ConfigError` when
+    strict).
     """
 
     def __init__(
@@ -204,21 +203,12 @@ class CRPDAnalyzer:
     def _compute_lines(
         self, low: TaskArtifacts, high: TaskArtifacts, approach: Approach
     ) -> int:
-        # Approaches 1/2 reduce to flat min-sums over the tasks' memoised
-        # dense vectors whenever the geometry is dense-representable —
-        # byte-identical to the sparse kernels (pinned by the kernel
-        # parity tests), without per-entry dict probes.
+        # Approaches 1/2 are flat min-sums over the tasks' memoised dense
+        # vectors.
         if approach is Approach.BUSQUETS:
-            vec = high.dense_footprint()
-            if vec is not None:
-                return dense_usage(vec)
-            return approach1_lines(high)
+            return dense_usage(high.dense_footprint())
         if approach is Approach.INTERTASK:
-            a = low.dense_footprint()
-            b = high.dense_footprint()
-            if a is not None and b is not None:
-                return dense_conflict(a, b)
-            return approach2_lines(low, high)
+            return dense_conflict(low.dense_footprint(), high.dense_footprint())
         if approach is Approach.LEE:
             return low.useful.lee_reload_bound()
         if approach is Approach.COMBINED:
@@ -240,14 +230,11 @@ class CRPDAnalyzer:
                     "maximisation"
                 ),
             )
-        strict = self.budget is not None and self.budget.strict
         if not high.path_enumeration_complete:
             if self.budget is not None and self.budget.exact_paths:
                 # Branch-and-bound needs only the structure tree, so the
                 # exact Eq. 4 answer is available even past max_paths.
-                return approach4_lines(
-                    low, high, mumbs_mode=self.mumbs_mode, engine="prune"
-                )
+                return approach4_lines(low, high, mumbs_mode=self.mumbs_mode)
             return self._degrade(
                 low,
                 high,
@@ -259,42 +246,24 @@ class CRPDAnalyzer:
                 ),
             )
         if not high.path_profiles:
-            # No feasible paths: zero lines (a ConfigError when strict).
-            return approach4_lines(
-                low, high, mumbs_mode=self.mumbs_mode, strict=strict
-            )
-        lines = self._dense_combined(low, high)
-        if lines is not None:
-            return lines
-        # Geometry not dense-representable: branch-and-bound gives the
-        # same answer.
-        return approach4_lines(
-            low, high, mumbs_mode=self.mumbs_mode, strict=strict, engine="prune"
-        )
-
-    def _dense_combined(self, low: TaskArtifacts, high: TaskArtifacts) -> int | None:
-        """Eq. 4 over the flat path matrix, or ``None`` when unrepresentable.
-
-        One :func:`dense_max_conflict` call per non-dominated useful
-        vector collapses the whole path maximisation; results are
-        byte-identical to the enumerate/prune references (capping at the
-        associativity while densifying preserves every ``min(·, ·, L)``
-        term, and a dominated point never sets the maximum).
-        """
+            # A preemptor with no feasible paths executes nothing.
+            if self.budget is not None and self.budget.strict:
+                raise ConfigError(
+                    f"preempting task {high.name!r} has no feasible paths"
+                )
+            return 0
+        # Eq. 4 over the flat path matrix: one kernel call per preemptee
+        # vector.  Capping at L while densifying keeps every min(., ., L)
+        # term, and a dominated useful vector never sets the maximum.
         rows = high.dense_path_matrix()
-        if rows is None:
-            return None
         if self.mumbs_mode == "paper":
-            vec = low.dense_mumbs()
-            if vec is None:
-                return None
-            return dense_max_conflict(rows, vec)
-        if self.mumbs_mode != "per_point":
-            return None
-        points = low.dense_useful_points()
-        if points is None:
-            return None
-        return max((dense_max_conflict(rows, vec) for vec in points), default=0)
+            return dense_max_conflict(rows, low.dense_mumbs())
+        if self.mumbs_mode == "per_point":
+            return max(
+                (dense_max_conflict(rows, vec) for vec in low.dense_useful_points()),
+                default=0,
+            )
+        raise ConfigError(f"unknown mumbs_mode {self.mumbs_mode!r}")
 
     def _degrade(
         self,
@@ -527,8 +496,8 @@ def _pair_task(context: tuple, pair: tuple[str, str]):
     Runs in a :class:`~repro.batch.pool.WarmPool` worker — or in-process
     on the serial fallback path, against the very same context object.
     The analyzer is derived from the context once per worker and reused
-    for every pair it is handed (its artifacts' memoised CIIPs and path
-    footprints stay warm across pairs, which is the point).
+    for every pair it is handed (its artifacts' memoised dense vectors and
+    path matrices stay warm across pairs, which is the point).
     """
     from repro.batch.pool import derived, run_observed, worker_store
 

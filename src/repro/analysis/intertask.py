@@ -4,12 +4,13 @@ Approach 1 (Busquets-Mataix et al. [20]) charges, for every preemption, a
 reload of *every* cache line the preempting task can touch.  Approach 2
 (Tan & Mooney [1]) charges only lines in the intersection of the two
 tasks' footprints, computed per cache set through the CIIPs (Equation 2).
+Both, and Equation 3, evaluate on the tasks' capped dense set vectors.
 """
 
 from __future__ import annotations
 
 from repro.analysis.artifacts import TaskArtifacts
-from repro.cache.ciip import CIIP, conflict_bound, line_usage_bound
+from repro.cache.kernels import dense_conflict, dense_usage
 
 
 def approach1_lines(preempting: TaskArtifacts) -> int:
@@ -19,12 +20,12 @@ def approach1_lines(preempting: TaskArtifacts) -> int:
     ``min(|m̂b,r|, L)`` lines; the preempted task is conservatively assumed
     to reload all of them.
     """
-    return line_usage_bound(preempting.footprint_ciip)
+    return dense_usage(preempting.dense_footprint())
 
 
 def approach2_lines(preempted: TaskArtifacts, preempting: TaskArtifacts) -> int:
     """Approach 2: Equation 2 over the full footprints ``S(Ma, Mb)``."""
-    return conflict_bound(preempted.footprint_ciip, preempting.footprint_ciip)
+    return dense_conflict(preempted.dense_footprint(), preempting.dense_footprint())
 
 
 def eq3_lines(preempted: TaskArtifacts, preempting: TaskArtifacts) -> int:
@@ -33,7 +34,7 @@ def eq3_lines(preempted: TaskArtifacts, preempting: TaskArtifacts) -> int:
     This is Approach 4 *without* the Section VI path analysis; the ablation
     benches use it to isolate the path-analysis contribution.
     """
-    return conflict_bound(preempted.mumbs_ciip(), preempting.footprint_ciip)
+    return dense_conflict(preempted.dense_mumbs(), preempting.dense_footprint())
 
 
 def footprint_overlap_blocks(

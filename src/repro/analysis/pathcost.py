@@ -6,99 +6,30 @@ The cost of a path ``Pa_b^k`` is ``C(Pa) = S(M̃a, Mb^k)`` (Equation 4); the
 per-preemption reload bound is the cost of the most expensive ("longest")
 path.  Loops with fixed bounds are collapsed into SFP-PrS segments by
 :mod:`repro.program.paths`, so enumeration is over a small DAG of choices.
+
+When the paths were enumerated, production maximises Equation 4 with one
+dense kernel call over the path matrix (:mod:`repro.analysis.crpd`).
+This module holds the branch-and-bound search that needs no enumeration;
+the enumerating reference lives in ``tests/oracles/pathcost.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 from typing import Dict, Tuple
 
 from repro.analysis.artifacts import TaskArtifacts
-from repro.cache.ciip import CIIP, conflict_bound
 from repro.errors import ConfigError, PathExplosionError
 from repro.obs import STATE as _OBS
-from repro.program.paths import (
-    ChoiceStep,
-    PathProfile,
-    UnconditionalStep,
-    flatten_path_steps,
-)
+from repro.program.paths import UnconditionalStep, flatten_path_steps
 
 
-@dataclass(frozen=True)
-class PathCost:
-    """Equation 4 evaluated for one feasible path of the preempting task."""
-
-    profile: PathProfile
-    footprint_blocks: int
-    cost: int
-
-
-@dataclass
-class PathCostResult:
-    """Costs of every feasible path, plus the maximising one."""
-
-    per_path: list[PathCost]
-
-    @property
-    def worst(self) -> PathCost:
-        if not self.per_path:
-            raise ConfigError("preempting task has no feasible paths")
-        return max(self.per_path, key=lambda p: p.cost)
-
-    @property
-    def lines(self) -> int:
-        """The Section VI bound: cost of the longest path.
-
-        A preemptor with *zero* feasible paths executes nothing and can
-        evict nothing, so its path-level CRPD contribution is 0 rather
-        than an error; :meth:`lines_strict` keeps the fatal behaviour for
-        callers that treat an empty path set as a configuration bug.
-        """
-        if not self.per_path:
-            return 0
-        return self.worst.cost
-
-    def lines_strict(self) -> int:
-        """Like :attr:`lines` but raising :class:`ConfigError` on zero paths."""
-        return self.worst.cost
-
-
-def max_path_conflict(
-    useful_ciip: CIIP, preempting: TaskArtifacts
-) -> PathCostResult:
-    """Maximise ``S(M̃a, Mb^k)`` over the preempting task's feasible paths.
-
-    ``useful_ciip`` is the CIIP of the preempted task's useful blocks
-    (M̃a); the per-path footprints ``Mb^k`` come from the preempting task's
-    per-node trace blocks restricted to the path.
-    """
-    footprints = preempting.path_footprints()
-    path_ciips = preempting.path_ciips()
-    costs: list[PathCost] = []
-    for profile, footprint, path_ciip in zip(
-        preempting.path_profiles, footprints, path_ciips
-    ):
-        costs.append(
-            PathCost(
-                profile=profile,
-                footprint_blocks=len(footprint),
-                cost=conflict_bound(useful_ciip, path_ciip),
-            )
-        )
-    return PathCostResult(per_path=costs)
-
-
-# ----------------------------------------------------------------------
-# Branch-and-bound path search
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PrunedPathResult:
     """Result of the branch-and-bound evaluation of Equation 4.
 
-    ``cost`` equals ``max_path_conflict(...).lines`` whenever the program
-    has at least one feasible path; the remaining fields are search
+    ``cost`` is the most expensive path's Equation-4 cost (0 when the
+    program has no feasible path); the remaining fields are search
     diagnostics (how much work pruning and saturation avoided).
     """
 
@@ -114,22 +45,24 @@ class _Saturated(Exception):
 
 
 def max_path_conflict_pruned(
-    useful_ciip: CIIP,
+    useful: bytes,
     preempting: TaskArtifacts,
     node_budget: int = 1_000_000,
 ) -> PrunedPathResult:
     """Branch-and-bound evaluation of ``max_k S(M̃a, Mb^k)`` (Equation 4).
 
-    Searches the preempting task's structure tree directly instead of
-    enumerating its feasible paths, so it completes even on programs whose
-    path count trips the enumeration budget.  Three devices keep the search
-    near-linear on the paper's benchmarks:
+    *useful* is the capped dense vector of the preempted task's useful
+    blocks (M̃a).  Searches the preempting task's structure tree directly
+    instead of enumerating its feasible paths, so it completes even on
+    programs whose path count trips the enumeration budget.  Three
+    devices keep the search near-linear on the paper's benchmarks:
 
     * **Admissible bound** — for a partial path, each cache set *r* can
-      contribute at most ``min(cap_r, n_r + potential_r)`` where ``cap_r =
-      min(|useful_r|, L)``, ``n_r`` counts distinct preempting blocks
-      accumulated so far, and ``potential_r`` over-approximates the distinct
-      blocks the remaining steps could still add.  Branches whose bound
+      contribute at most ``min(cap_r, n_r + potential_r)`` where ``cap_r``
+      is *useful*'s (already capped) entry, ``n_r`` counts distinct
+      preempting blocks accumulated so far, and ``potential_r``
+      over-approximates the distinct blocks the remaining steps could
+      still add.  Branches whose bound
       cannot beat the incumbent are pruned.
     * **Saturation** — once the incumbent reaches ``sum_r cap_r`` no path
       can improve it, and the search stops immediately.
@@ -140,14 +73,10 @@ def max_path_conflict_pruned(
     :class:`PathExplosionError` so callers degrade exactly as they would
     for enumeration overflow.
     """
-    if useful_ciip.config != preempting.config:
-        raise ConfigError("CIIPs built for different cache configurations")
     config = preempting.config
-    ways = config.ways
-    caps = {
-        index: min(len(group), ways)
-        for index, group in useful_ciip.groups.items()
-    }
+    if len(useful) != config.num_sets:
+        raise ConfigError("useful vector built for a different cache geometry")
+    caps = {index: cap for index, cap in enumerate(useful) if cap}
     total_cap = sum(caps.values())
     steps = flatten_path_steps(preempting.layout.program)
 
@@ -332,14 +261,9 @@ def approach4_lines(
     preempted: TaskArtifacts,
     preempting: TaskArtifacts,
     mumbs_mode: str = "paper",
-    strict: bool = False,
-    engine: str = "enumerate",
 ) -> int:
-    """Approach 4: combined intra-task + inter-task + path analysis.
-
-    A preempting task with no feasible paths contributes zero reload
-    lines; pass ``strict=True`` to treat an empty path set as the
-    configuration error it usually is (typed :class:`ConfigError`).
+    """Approach 4 by branch-and-bound: combined intra-task + inter-task +
+    path analysis, exact even when path enumeration tripped ``max_paths``.
 
     ``mumbs_mode``:
 
@@ -358,38 +282,21 @@ def approach4_lines(
     the footprint intersection and by Lee's per-point count).  See
     DESIGN.md and ``benchmarks/test_ablation_mumbs.py``.
 
-    ``engine`` selects how Equation 4's path maximisation is evaluated:
-
-    * ``"enumerate"`` — iterate the materialised ``path_profiles``
-      (requires enumeration to have completed).
-    * ``"prune"`` — :func:`max_path_conflict_pruned` branch-and-bound over
-      the structure tree; identical result, works even when enumeration
-      tripped the ``--max-paths`` budget.  Note the search derives paths
-      from the program structure, so an artifact whose ``path_profiles``
-      were emptied by hand still yields the structural answer.
+    The search derives paths from the program structure, not from
+    ``path_profiles``; :class:`~repro.analysis.crpd.CRPDAnalyzer` runs it
+    only for ``--exact-paths`` past ``max_paths`` (enumerated paths go
+    through the dense kernels) and itself answers a preemptor with zero
+    feasible paths.  Per-point mode searches only the non-dominated
+    useful vectors (:meth:`TaskArtifacts.dense_useful_points`): a
+    dominated vector never sets the maximum.
     """
-    if strict and not preempting.path_profiles:
-        raise ConfigError(
-            f"preempting task {preempting.name!r} has no feasible paths"
-        )
-    if engine == "prune":
-        def lines_for(useful_ciip: CIIP) -> int:
-            return max_path_conflict_pruned(useful_ciip, preempting).cost
-    elif engine == "enumerate":
-        def lines_for(useful_ciip: CIIP) -> int:
-            return max_path_conflict(useful_ciip, preempting).lines
-    else:
-        raise ConfigError(f"unknown path engine {engine!r}")
     if mumbs_mode == "paper":
-        return lines_for(preempted.mumbs_ciip())
-    if mumbs_mode == "per_point":
-        worst = 0
-        footprint_ciip = preempted.footprint_ciip
-        for point in preempted.useful.points:
-            blocks = point.blocks()
-            if not blocks:
-                continue
-            point_ciip = footprint_ciip.restrict(blocks)
-            worst = max(worst, lines_for(point_ciip))
-        return worst
-    raise ConfigError(f"unknown mumbs_mode {mumbs_mode!r}")
+        vectors = [preempted.dense_mumbs()]
+    elif mumbs_mode == "per_point":
+        vectors = preempted.dense_useful_points()
+    else:
+        raise ConfigError(f"unknown mumbs_mode {mumbs_mode!r}")
+    return max(
+        (max_path_conflict_pruned(vec, preempting).cost for vec in vectors),
+        default=0,
+    )

@@ -200,16 +200,7 @@ def _resolve_fuzz(spec, cache, miss_penalty) -> PlacedSystem:
     from repro.program.layout import SystemLayout
 
     if cache is None:
-        cache = CacheConfig(
-            num_sets=spec.cache.num_sets,
-            ways=spec.cache.ways,
-            line_size=spec.cache.line_size,
-            miss_penalty=(
-                spec.cache.miss_penalty if miss_penalty is None else miss_penalty
-            ),
-            policy=spec.cache.policy,
-            write_back=spec.cache.write_back,
-        )
+        cache = spec.cache.config(miss_penalty)
     built = [
         build_program(task.program, f"t{index}")
         for index, task in enumerate(spec.tasks)

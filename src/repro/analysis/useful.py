@@ -36,7 +36,6 @@ from operator import le
 from repro.analysis.rmb_lmb import BlockBits, RMBLMBResult
 from repro.cache.ciip import CIIP
 from repro.cache.config import CacheConfig
-from repro.cache.kernels import DENSE_MAX_WAYS, dense_counts
 from repro.obs import profiled
 from repro.program.cfg import ControlFlowGraph
 
@@ -58,7 +57,7 @@ class UsefulBlocks:
 
     ``bound`` is Lee's reload bound ``sum over sets of min(|useful|, L)``,
     ``count`` the number of useful blocks and ``dense`` the capped
-    per-set vector (``None`` when ``L`` exceeds a byte).
+    per-set vector.
     """
 
     point: ExecutionPoint
@@ -66,7 +65,7 @@ class UsefulBlocks:
     bits: BlockBits
     bound: int
     count: int
-    dense: "bytes | None"
+    dense: bytes
 
     @property
     def per_set(self) -> dict[int, frozenset[int]]:
@@ -113,9 +112,9 @@ class UsefulBlocksAnalysis:
         """Approach 3's per-preemption reload count for this task."""
         return self.max_point().reload_bound()
 
-    def dense_points(self) -> "list[bytes] | None":
+    def dense_points(self) -> list[bytes]:
         """The distinct, pointwise non-dominated dense vectors of the
-        non-empty points; ``None`` when not dense-representable.
+        non-empty points.
 
         If ``a <= b`` in every set, ``a``'s Equation-4 cost is ``<=``
         ``b``'s against every path row, so maximising over the kept
@@ -125,9 +124,6 @@ class UsefulBlocksAnalysis:
             sums: dict[bytes, int] = {}
             for point in self.points:
                 if point.count:
-                    if point.dense is None:
-                        self._dense_points = None
-                        return None
                     sums.setdefault(point.dense, point.bound)
             # A dominated vector has a strictly smaller sum than its
             # dominator, so one pass in descending-sum order suffices.
@@ -148,24 +144,18 @@ def compute_useful_blocks(
     config = dataflow.config
     bits = dataflow.bits
     ways = config.ways
-    dense = ways <= DENSE_MAX_WAYS
-    stats: dict[int, tuple[int, int, "bytes | None"]] = {}
+    stats: dict[int, tuple[int, int, bytes]] = {}
     points: list[UsefulBlocks] = []
 
     def add(label: str, position: str, mask: int) -> None:
         known = stats.get(mask)
         if known is None:
-            capped: dict[int, int] = {}
+            vec = bytearray(config.num_sets)
             for bit in bits.ones(mask):
                 index = bits.sets[bit]
-                count = capped.get(index, 0)
-                if count < ways:
-                    capped[index] = count + 1
-            known = stats[mask] = (
-                sum(capped.values()),
-                bin(mask).count("1"),
-                dense_counts(capped, config.num_sets, ways) if dense else None,
-            )
+                if vec[index] < ways:
+                    vec[index] += 1
+            known = stats[mask] = (sum(vec), bin(mask).count("1"), bytes(vec))
         points.append(UsefulBlocks(ExecutionPoint(label, position), mask, bits, *known))
 
     for label in cfg.labels():

@@ -242,7 +242,7 @@ def analyze_batch(
     :class:`PointResult` (dedup happens before any work is scheduled).
     ``jobs > 1`` fans unique points out across a
     :class:`~repro.batch.pool.WarmPool` — one shipped context per
-    experiment, workers' intern tables and store handles warm across
+    experiment, workers' derived state and store handles warm across
     points; pass *pool* to reuse a caller-managed pool.  With a *store*,
     repeat batches are assembled almost entirely from cached
     sub-artifacts.  A broken pool degrades to an identical serial

@@ -3,7 +3,7 @@
 Every parallel entry point used to create a fresh ``ProcessPoolExecutor``
 per call — ``build_context(jobs=2)`` forked workers, analysed three tasks
 and tore the pool down again; the next penalty point paid worker start-up,
-context pickling and cold intern tables all over.  :class:`WarmPool` keeps
+context pickling and cold per-context state all over.  :class:`WarmPool` keeps
 one set of workers alive for the lifetime of a batch and ships shared
 *context* (task artifacts, layouts, oracle configuration) exactly once:
 
@@ -13,8 +13,7 @@ one set of workers alive for the lifetime of a batch and ships shared
   ``batch.pool.ship_bytes`` metric.
 * Workers load a spooled context on first use and keep it in a bounded
   per-process cache, so every later task against the same token is served
-  warm — no unpickling, and the worker's intern table
-  (:mod:`repro.cache.kernels`), its per-context derived state (see
+  warm — no unpickling, and the worker's per-context derived state (see
   :func:`derived`) and its store handles stay hot.  Warm serves are
   counted by ``batch.pool.reuse``, cold loads by
   ``batch.pool.context_loads``.

@@ -15,7 +15,6 @@ from repro.cache.kernels import (
     SetCounts,
     conflict_kernel,
     counts_of_groups,
-    intern_blocks,
     usage_kernel,
 )
 
@@ -35,6 +34,5 @@ __all__ = [
     "SetCounts",
     "conflict_kernel",
     "counts_of_groups",
-    "intern_blocks",
     "usage_kernel",
 ]

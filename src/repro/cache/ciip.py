@@ -25,7 +25,6 @@ from repro.cache.kernels import (
     conflict_kernel,
     conflict_kernel_per_set,
     counts_of_groups,
-    intern_blocks,
     usage_kernel,
 )
 
@@ -53,10 +52,7 @@ class CIIP:
         for address in addresses:
             block = config.block(address)
             groups.setdefault(config.index(block), set()).add(block)
-        frozen = {
-            index: intern_blocks(frozenset(blocks))
-            for index, blocks in groups.items()
-        }
+        frozen = {index: frozenset(blocks) for index, blocks in groups.items()}
         return cls(config=config, groups=frozen)
 
     # ------------------------------------------------------------------
@@ -92,20 +88,6 @@ class CIIP:
     def __len__(self) -> int:
         """Total number of memory blocks in the partition."""
         return sum(len(group) for group in self.groups.values())
-
-    def restrict(self, blocks: Iterable[int]) -> "CIIP":
-        """CIIP of the intersection of this partition's blocks with *blocks*.
-
-        Used to narrow a full footprint ``Ma`` down to the useful-block
-        subset ``M̃a`` of Section V.
-        """
-        keep = {self.config.block(address) for address in blocks}
-        groups = {}
-        for index, group in self.groups.items():
-            common = group & keep
-            if common:
-                groups[index] = intern_blocks(common)
-        return CIIP(config=self.config, groups=groups)
 
     def is_partition_of(self, addresses: Iterable[int]) -> bool:
         """Validate the partition property against a reference address set."""

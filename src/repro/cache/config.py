@@ -15,6 +15,11 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 
 
+#: Largest supported associativity: the CRPD bounds evaluate on dense
+#: per-set vectors holding one capped block count per byte.
+MAX_WAYS = 0xFF
+
+
 def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
@@ -25,7 +30,8 @@ class CacheConfig:
 
     Attributes:
         num_sets: number of cache sets (power of two).
-        ways: associativity ``L``; 1 means direct mapped.
+        ways: associativity ``L``; 1 means direct mapped, at most
+            :data:`MAX_WAYS`.
         line_size: bytes per cache line / memory block (power of two).
         miss_penalty: extra cycles charged for a cache miss (``Cmiss``).
         hit_cycles: cycles charged for a cache hit (0 keeps hits free,
@@ -56,8 +62,11 @@ class CacheConfig:
             raise ConfigError(f"num_sets must be a power of two, got {self.num_sets}")
         if not _is_power_of_two(self.line_size):
             raise ConfigError(f"line_size must be a power of two, got {self.line_size}")
-        if self.ways < 1:
-            raise ConfigError(f"ways must be >= 1, got {self.ways}")
+        if not 1 <= self.ways <= MAX_WAYS:
+            raise ConfigError(
+                f"ways must be in 1..{MAX_WAYS} (the CRPD bounds keep one "
+                f"capped block count per cache set in a byte), got {self.ways}"
+            )
         if self.miss_penalty < 0:
             raise ConfigError(f"miss_penalty must be >= 0, got {self.miss_penalty}")
         if self.hit_cycles < 0:

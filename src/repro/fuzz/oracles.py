@@ -7,8 +7,9 @@ Three families, mirroring the tentpole spec:
   vs every approach's WCRT, measured WCET vs the static all-miss bound.
 * **paper invariants** — App4 <= min(App2, App3) <= App1 (Sections V-VI),
   Definition-4 vs per-point MUMBS dominance, monotonicity in Cmiss.
-* **engine differentials** — kernel vs naive conflict math, pruned vs
-  enumerated Equation-4 search, non-dominated useful vectors vs every
+* **engine differentials** — kernel vs naive conflict math and dense
+  vectors, branch-and-bound vs the dense kernel over the enumerated path
+  matrix, non-dominated useful vectors vs every
   execution point, heap vs scan scheduler identity,
   warm-vs-cold artifact + ledger parity through the :class:`ArtifactStore`,
   relocated traces vs VM re-execution after random layout moves.
@@ -39,15 +40,17 @@ from typing import Callable, Iterable
 
 from repro.analysis import ALL_APPROACHES, Approach, CRPDAnalyzer
 from repro.analysis.artifacts import analyze_task
-from repro.analysis.pathcost import approach4_lines
+from repro.analysis.pathcost import approach4_lines, max_path_conflict_pruned
 from repro.analysis.store import ArtifactStore
 from repro.analysis.wcet import static_wcet_bound
 from repro.cache.ciip import (
+    CIIP,
     conflict_bound,
     conflict_bound_naive,
     conflict_bound_per_set,
     line_usage_bound,
 )
+from repro.cache.kernels import dense_max_conflict
 from repro.cache.state import CacheState
 from repro.errors import ConfigError, ReproError
 from repro.fuzz.build import BuiltCase, BuiltTask, build_case
@@ -534,18 +537,53 @@ def _naive_usage(ciip) -> int:
     return sum(min(len(ciip.group(r)), ways) for r in ciip.indices())
 
 
+def _naive_dense(ciip) -> bytes:
+    """*ciip*'s per-set block counts capped at ``L``, one byte per set."""
+    config = ciip.config
+    return bytes(
+        min(len(ciip.group(r)), config.ways) for r in range(config.num_sets)
+    )
+
+
 def oracle_kernel_vs_naive(
     case: BuiltCase, budget: AnalysisBudget | None = None
 ) -> list[Violation]:
     """Counter kernels agree with the set-algebra reference on every CIIP
-    the case produces (footprints, MUMBS, per-path restrictions)."""
+    the case produces (footprints, MUMBS, path footprints), and every
+    dense vector production evaluates — footprint, each useful point's,
+    each path-matrix row — is its CIIP's naive per-set count capped at
+    ``L``."""
     check = _Check("kernel_vs_naive")
+    config = case.config
     ciips = []
     for task in case.tasks:
-        ciips.append((f"{task.name}.footprint", task.artifacts.footprint_ciip))
-        ciips.append((f"{task.name}.mumbs", task.artifacts.mumbs_ciip()))
-        for index, path_ciip in enumerate(task.artifacts.path_ciips()):
-            ciips.append((f"{task.name}.path{index}", path_ciip))
+        art = task.artifacts
+        paths = [CIIP.from_addresses(config, fp) for fp in art.path_footprints()]
+        ciips.append((f"{task.name}.footprint", art.footprint_ciip))
+        ciips.append((f"{task.name}.mumbs", art.useful.mumbs_ciip()))
+        ciips.extend((f"{task.name}.path{i}", c) for i, c in enumerate(paths))
+        rows = art.dense_path_matrix()
+        width = config.num_sets
+        vectors = [(f"{task.name}.footprint", art.dense_footprint(), art.footprint_ciip)]
+        vectors.extend(
+            (f"{task.name}.{point.point}", point.dense,
+             CIIP.from_addresses(config, point.blocks()))
+            for point in {p.mask: p for p in art.useful.points}.values()
+        )
+        vectors.extend(
+            (f"{task.name}.path{i}", rows[i * width:(i + 1) * width], c)
+            for i, c in enumerate(paths)
+        )
+        check.expect(
+            len(rows) == width * len(paths),
+            f"{task.name}: path matrix has {len(rows)} bytes for "
+            f"{len(paths)} path(s) of {width} sets",
+        )
+        for name, vec, ciip in vectors:
+            check.expect(
+                vec == _naive_dense(ciip),
+                f"{name}: dense vector differs from the capped naive counts",
+            )
     for name, ciip in ciips:
         kernel_usage = line_usage_bound(ciip)
         check.expect(
@@ -571,17 +609,23 @@ def oracle_kernel_vs_naive(
 def oracle_prune_vs_enumerate(
     case: BuiltCase, budget: AnalysisBudget | None = None
 ) -> list[Violation]:
-    """The branch-and-bound Equation-4 search equals full enumeration."""
+    """The branch-and-bound Equation-4 search equals the dense kernel over
+    the fully enumerated path matrix, in both MUMBS modes."""
     check = _Check("prune_vs_enumerate")
     for victim, intruder in case.pairs():
-        for mode in ("paper", "per_point"):
-            enumerated = approach4_lines(
-                victim.artifacts, intruder.artifacts, mumbs_mode=mode,
-                engine="enumerate",
+        if not intruder.artifacts.path_enumeration_complete:
+            continue  # no matrix to compare against
+        rows = intruder.artifacts.dense_path_matrix()
+        vectors = {
+            "paper": [victim.artifacts.dense_mumbs()],
+            "per_point": victim.artifacts.dense_useful_points(),
+        }
+        for mode, vecs in vectors.items():
+            enumerated = max(
+                (dense_max_conflict(rows, vec) for vec in vecs), default=0
             )
             pruned = approach4_lines(
-                victim.artifacts, intruder.artifacts, mumbs_mode=mode,
-                engine="prune",
+                victim.artifacts, intruder.artifacts, mumbs_mode=mode
             )
             check.expect(
                 enumerated == pruned,
@@ -597,11 +641,11 @@ def oracle_useful_antichain(
     """Keeping only non-dominated useful vectors loses no point: each
     non-empty point's vector lies below a kept one, and per-point
     Approach 4 through :class:`CRPDAnalyzer` equals branch-and-bound over
-    every point."""
+    every non-empty point."""
     check = _Check("useful_antichain")
     for task in case.tasks:
-        kept = task.artifacts.dense_useful_points() or ()
-        for point in task.artifacts.useful.points if kept else ():
+        kept = task.artifacts.dense_useful_points()
+        for point in task.artifacts.useful.points:
             check.expect(
                 not point.count or any(all(map(le, point.dense, v)) for v in kept),
                 f"{task.name}: {point.point} is below no kept vector",
@@ -610,8 +654,12 @@ def oracle_useful_antichain(
     for low, high in case.pairs():
         if high.artifacts.path_enumeration_complete:  # else degraded, not Eq. 4
             fast = analyzer.lines_reloaded(low.name, high.name, Approach.COMBINED)
-            every = approach4_lines(
-                low.artifacts, high.artifacts, mumbs_mode="per_point", engine="prune"
+            every = max(
+                (
+                    max_path_conflict_pruned(vec, high.artifacts).cost
+                    for vec in {p.dense for p in low.artifacts.useful.points if p.count}
+                ),
+                default=0,
             )
             check.expect(
                 fast == every,

@@ -150,9 +150,7 @@ def _case_task(context: tuple, index: int) -> list[tuple[str, str]]:
     """One fuzz case inside a warm pool worker.
 
     The context (seed, budget, oracle names) ships once per campaign;
-    each task is a bare index.  The intern table is left to its own
-    size bound rather than reset between cases, so repeated block
-    tuples stay interned across a worker's whole campaign.
+    each task is a bare index.
     """
     _, seed, budget, oracle_names = context
     violations = run_one_case(seed, index, budget=budget, oracle_names=oracle_names)
@@ -277,7 +275,7 @@ def run_campaign(
     if jobs > 1 and pending:
         # One warm pool for the whole campaign: workers are seeded once
         # with (seed, budget, oracles) and then stream bare indices, so
-        # per-case shipping is a few bytes and intern tables stay warm.
+        # per-case shipping is a few bytes.
         # Chunking keeps the wall-clock check responsive: the clock is
         # consulted after every case and between chunks, so a run never
         # overshoots its budget by more than one chunk of work.

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Union
 
+from repro.cache.config import CacheConfig
 from repro.errors import ConfigError
 
 #: Bumped whenever the JSON encoding changes shape.
@@ -172,7 +173,21 @@ class CacheSpec:
 
     @staticmethod
     def from_json(payload: dict) -> "CacheSpec":
-        return CacheSpec(**payload)
+        spec = CacheSpec(**payload)
+        spec.config()  # a bad geometry is a ConfigError at parse time
+        return spec
+
+    def config(self, miss_penalty: "int | None" = None) -> CacheConfig:
+        """The validated :class:`CacheConfig` (a bad geometry is a
+        :class:`ConfigError`); *miss_penalty* overrides the spec's."""
+        return CacheConfig(
+            num_sets=self.num_sets,
+            ways=self.ways,
+            line_size=self.line_size,
+            miss_penalty=self.miss_penalty if miss_penalty is None else miss_penalty,
+            policy=self.policy,
+            write_back=self.write_back,
+        )
 
 
 @dataclass(frozen=True)
@@ -203,13 +218,16 @@ class SystemSpec:
             raise ConfigError(
                 f"fuzz spec version {version} not supported (expected {SPEC_VERSION})"
             )
-        return SystemSpec(
-            cache=CacheSpec.from_json(payload["cache"]),
-            tasks=tuple(TaskDef.from_json(task) for task in payload["tasks"]),
-            context_switch=payload["context_switch"],
-            preempt_steps=tuple(payload["preempt_steps"]),
-            stagger=payload["stagger"],
-        )
+        try:
+            return SystemSpec(
+                cache=CacheSpec.from_json(payload["cache"]),
+                tasks=tuple(TaskDef.from_json(task) for task in payload["tasks"]),
+                context_switch=payload["context_switch"],
+                preempt_steps=tuple(payload["preempt_steps"]),
+                stagger=payload["stagger"],
+            )
+        except (KeyError, TypeError) as error:
+            raise ConfigError(f"malformed spec: {error!r}") from error
 
 
 # ----------------------------------------------------------------------

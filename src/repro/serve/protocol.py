@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from repro.cache.config import CacheConfig
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:
@@ -149,6 +150,8 @@ class AnalyzeRequest:
     experiment: str = ""
     miss_penalty: int = 20
     geometry: Optional[tuple] = None
+    #: The point's validated cache configuration (``None``: the default).
+    cache: Optional[CacheConfig] = field(default=None, compare=False)
     spec: Optional[dict] = None
     budget: "AnalysisBudget | None" = None
     label: str = field(default="", compare=False)
@@ -228,6 +231,7 @@ def parse_request(payload) -> AnalyzeRequest:
                 f"miss_penalty must be a positive integer, got {miss_penalty!r}"
             )
         geometry = payload.get("geometry")
+        cache = None
         if geometry is not None:
             if (
                 not isinstance(geometry, (list, tuple))
@@ -239,6 +243,7 @@ def parse_request(payload) -> AnalyzeRequest:
                     f"positive integers, got {geometry!r}"
                 )
             geometry = tuple(geometry)
+            cache = CacheConfig(*geometry, miss_penalty=miss_penalty)
         label = (
             f"{experiment}/p{miss_penalty}"
             + (f"/g{'x'.join(map(str, geometry))}" if geometry else "")
@@ -248,6 +253,7 @@ def parse_request(payload) -> AnalyzeRequest:
             experiment=experiment,
             miss_penalty=miss_penalty,
             geometry=geometry,
+            cache=cache,
             budget=budget,
             label=label,
         )
@@ -257,8 +263,8 @@ def parse_request(payload) -> AnalyzeRequest:
             raise ConfigError("spec requests need a 'spec' object (SystemSpec JSON)")
         from repro.fuzz.spec import SystemSpec
 
-        # Parse eagerly: a malformed spec is a 400 at submit, not a
-        # deferred 500 in a worker.  The validated dict (round-tripped so
+        # Parse eagerly: a malformed spec (a bad cache geometry included)
+        # is a 400 at submit, not a deferred failure in a worker.  The validated dict (round-tripped so
         # equal specs share one canonical form) rides in the request.
         spec = SystemSpec.from_json(spec_payload)
         spec_json = spec.to_json()

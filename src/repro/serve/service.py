@@ -496,22 +496,12 @@ class AnalysisService:
         budget = request.budget if request.budget is not None else self._budget
         if request.kind == "point":
             from repro.batch.engine import SweepPoint, analyze_batch
-            from repro.cache.config import CacheConfig
             from repro.experiments.setup import ALL_SPECS
 
-            cache = None
-            if request.geometry is not None:
-                num_sets, ways, line_size = request.geometry
-                cache = CacheConfig(
-                    num_sets=num_sets,
-                    ways=ways,
-                    line_size=line_size,
-                    miss_penalty=request.miss_penalty,
-                )
             point = SweepPoint(
                 experiment=request.experiment,
                 miss_penalty=request.miss_penalty,
-                cache=cache,
+                cache=request.cache,
             )
             batch = analyze_batch(
                 [point],

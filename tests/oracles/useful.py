@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 from tests.oracles.rmb_lmb import RMBLMBResult, SetStates
 from repro.cache.ciip import CIIP
-from repro.cache.kernels import intern_blocks
 from repro.cache.config import CacheConfig
 from repro.program.cfg import ControlFlowGraph
 from repro.vm.trace import NodeTraceAggregate
@@ -119,8 +118,7 @@ class UsefulBlocksAnalysis:
 
 def _intersect(a: SetStates, b: SetStates, config: CacheConfig) -> SetStates:
     # Probe the larger mapping with the smaller one's keys instead of
-    # materialising both key sets; intern the surviving groups so repeated
-    # intersections of the same dataflow states share one object per value.
+    # materialising both key sets.
     if len(a) > len(b):
         a, b = b, a
     lookup = b.get
@@ -131,7 +129,7 @@ def _intersect(a: SetStates, b: SetStates, config: CacheConfig) -> SetStates:
             continue
         common = group & other
         if common:
-            result[index] = intern_blocks(frozenset(common))
+            result[index] = frozenset(common)
     return result
 
 

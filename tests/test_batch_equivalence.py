@@ -237,7 +237,7 @@ class TestBatchTraceDeterminism:
                 # test_obs.py's fan-out determinism contract.
                 name: value
                 for name, value in metrics.to_dict()["counters"].items()
-                if not name.startswith(("batch.pool.", "kernels.intern."))
+                if not name.startswith("batch.pool.")
             }
             return point_spans, shape, counters
 

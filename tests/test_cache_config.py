@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.cache import CacheConfig
+from repro.errors import ConfigError
 
 
 class TestConstruction:
@@ -38,6 +39,13 @@ class TestConstruction:
     def test_rejects_zero_ways(self):
         with pytest.raises(ValueError, match="ways"):
             CacheConfig(num_sets=8, ways=0, line_size=16)
+
+    def test_rejects_ways_past_one_byte(self):
+        # Dense set vectors hold one capped count per byte, so 255 is the
+        # widest associativity; 256 is refused with the reason.
+        assert CacheConfig(num_sets=8, ways=255, line_size=16).ways == 255
+        with pytest.raises(ConfigError, match=r"ways must be in 1\.\.255 .*byte"):
+            CacheConfig(num_sets=8, ways=256, line_size=16)
 
     def test_rejects_negative_miss_penalty(self):
         with pytest.raises(ValueError, match="miss_penalty"):

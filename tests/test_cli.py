@@ -98,6 +98,12 @@ class TestGuardedCLI:
         err = capsys.readouterr().err
         assert err.startswith("repro: config error:")
 
+    def test_geometry_past_255_ways_exits_with_config_code(self, capsys):
+        argv = ["--no-cache", "sweep", "--experiment", "1", "--geometry", "64x256x32"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "ways must be in 1..255" in err
+
     def test_crpd_table_notes_soundness(self, capsys):
         assert main(["--max-paths", "1", "crpd", "--experiment", "1"]) == 0
         captured = capsys.readouterr()

@@ -23,7 +23,6 @@ import pytest
 from repro.analysis import CRPDAnalyzer, ExecutionPoint, UsefulBlocks, UsefulBlocksAnalysis
 from repro.analysis.crpd import Approach
 from repro.analysis.intertask import approach1_lines, approach2_lines
-from repro.analysis.pathcost import approach4_lines
 from repro.analysis.rmb_lmb import BlockBits
 from repro.cache import CacheConfig
 from repro.experiments import EXPERIMENT_I_SPEC, EXPERIMENT_II_SPEC, build_context
@@ -31,6 +30,7 @@ from repro.fuzz.build import build_case
 from repro.fuzz.generator import case_from_seed
 from tests.oracles import rmb_lmb as oracle_rmb_lmb
 from tests.oracles import useful as oracle_useful
+from tests.oracles.pathcost import approach4_lines
 
 #: Fuzz cases drawn for the equivalence check (seed 11); 48 cases give
 #: more than 100 task programs over all six policy x write-mode combos.
@@ -150,8 +150,7 @@ def test_pair_lines_all_approaches(systems, mumbs_mode):
                     Approach.INTERTASK: approach2_lines(reference, artifacts[high]),
                     Approach.LEE: oracles[low][1].lee_reload_bound(),
                     Approach.COMBINED: approach4_lines(
-                        reference, artifacts[high], mumbs_mode=mumbs_mode,
-                        engine="enumerate",
+                        reference, artifacts[high], mumbs_mode=mumbs_mode
                     ),
                 }
                 assert lines == expected, f"{tag} {low}<-{high} ({mumbs_mode})"

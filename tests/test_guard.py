@@ -17,10 +17,8 @@ from repro.analysis import (
     Approach,
     CRPDAnalyzer,
     analyze_task,
-    approach4_lines,
     conservative_approach4_lines,
 )
-from repro.analysis.pathcost import PathCostResult
 from repro.cache import CacheConfig, CacheState
 from repro.errors import (
     BudgetExceeded,
@@ -38,6 +36,7 @@ from repro.sched import Simulator, TaskBinding
 from repro.wcrt import TaskSpec, compute_system_wcrt
 
 from tests.conftest import make_streaming_program
+from tests.oracles.pathcost import PathCostResult
 from tests.faults import (
     DEGENERATE_GEOMETRIES,
     INVALID_GEOMETRIES,
@@ -344,13 +343,21 @@ class TestEmptyPathSet:
         preempted = analyze_bomb(shared_layouts, shared_config)
         pathless = self.make_pathless(shared_layouts, shared_config)
         for mode in ("paper", "per_point"):
-            assert approach4_lines(preempted, pathless, mumbs_mode=mode) == 0
+            crpd = CRPDAnalyzer(
+                {"bomb": preempted, "victim": pathless}, mumbs_mode=mode
+            )
+            assert crpd.lines_reloaded("bomb", "victim", Approach.COMBINED) == 0
+            assert crpd.soundness == "exact"
 
     def test_strict_mode_keeps_it_fatal(self, shared_layouts, shared_config):
         preempted = analyze_bomb(shared_layouts, shared_config)
         pathless = self.make_pathless(shared_layouts, shared_config)
+        crpd = CRPDAnalyzer(
+            {"bomb": preempted, "victim": pathless},
+            budget=AnalysisBudget(strict=True),
+        )
         with pytest.raises(ConfigError, match="no feasible paths"):
-            approach4_lines(preempted, pathless, strict=True)
+            crpd.lines_reloaded("bomb", "victim", Approach.COMBINED)
 
     def test_empty_path_cost_result(self):
         result = PathCostResult(per_path=[])
@@ -460,9 +467,44 @@ class TestRunPipeline:
         assert recovered.crpd.lines_reloaded(
             "victim", "bomb", Approach.COMBINED
         ) == exact.crpd.lines_reloaded("victim", "bomb", Approach.COMBINED)
-        # Only the path enumeration itself degraded; Eq. 4 did not.
-        assert recovered.ledger.for_stage("paths:bomb")
+        # Branch-and-bound answered Eq. 4 exactly, so the tripped path
+        # enumeration degraded nothing: no event, and an exact tag.
+        assert not recovered.ledger.for_stage("paths:bomb")
         assert not recovered.ledger.for_stage("crpd:victim<-bomb")
+        assert recovered.soundness == "exact"
+        assert recovered.wcrt(Approach.COMBINED).soundness == "exact"
+
+    @pytest.mark.parametrize(
+        "exact_first", [True, False], ids=["exact-first", "degraded-first"]
+    )
+    def test_exact_and_degraded_runs_share_a_store(
+        self, shared_layouts, shared_config, tmp_path, exact_first
+    ):
+        """Neither the paths nor the task store key hashes exact_paths, so
+        one stored enumeration record serves both budgets: each warm run
+        (memory and disk hits) tells exactly its cold run's story."""
+        from repro.analysis.store import ArtifactStore
+
+        placed = placed_system(shared_layouts, shared_config)
+        exact = AnalysisBudget(max_paths=4, exact_paths=True)
+        degraded = AnalysisBudget(max_paths=4)
+
+        def outcome(budget, store=None):
+            result = run_pipeline(placed, budget=budget, store=store)
+            return (
+                [estimate.lines for estimate in result.estimates],
+                list(result.ledger.events),
+                result.soundness,
+            )
+
+        cold = {id(b): outcome(b) for b in (exact, degraded)}
+        assert cold[id(exact)][1:] == ([], "exact")
+        assert cold[id(degraded)][2] == "conservative"
+        store = ArtifactStore(directory=tmp_path)
+        for budget in (exact, degraded) if exact_first else (degraded, exact):
+            assert outcome(budget, store) == cold[id(budget)]
+            store.clear_memory()
+            assert outcome(budget, store) == cold[id(budget)]
 
 
 # ----------------------------------------------------------------------

@@ -303,14 +303,13 @@ class TestFanOutDeterminism:
                 for r in tracer.records
             ]
             counters = {
-                # Pool health telemetry (batch.pool.reuse et al.) and
-                # intern-table locality (kernels.intern.*) depend on
-                # which warm worker picked up which pair — scheduling,
-                # not analysis — so they are exempt from the
+                # Pool health telemetry (batch.pool.reuse et al.)
+                # depends on which warm worker picked up which pair —
+                # scheduling, not analysis — so it is exempt from the
                 # determinism contract.
                 name: value
                 for name, value in metrics.to_dict()["counters"].items()
-                if not name.startswith(("batch.pool.", "kernels.intern."))
+                if not name.startswith("batch.pool.")
             }
             return shape, counters
 

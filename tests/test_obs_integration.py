@@ -148,7 +148,6 @@ class TestPrunedSearchHonesty:
                         artifacts[preempted],
                         artifacts[preempting],
                         mumbs_mode="paper",
-                        engine="prune",
                     )
         pruned_spans = _spans(tracer.records, "pathcost.pruned")
         assert pruned_spans, "Approach 4 ran no pruned searches"
@@ -168,7 +167,6 @@ class TestPrunedSearchHonesty:
         budget (``--exact-paths`` off leaves that budget at its default).
         """
         from repro.analysis import max_path_conflict_pruned
-        from repro.cache import CIIP
         from repro.guard.budget import AnalysisBudget
         from repro.guard.ledger import DegradationLedger
         from repro.program import ProgramBuilder
@@ -193,7 +191,7 @@ class TestPrunedSearchHonesty:
         )
         assert not tripped.path_enumeration_complete
 
-        useful = CIIP.from_addresses(config, range(0, 512, 16))
+        useful = bytes([1]) * config.num_sets  # one useful block per set
         with observed() as (tracer, metrics):
             result = max_path_conflict_pruned(useful, tripped)
         snapshot = metrics.to_dict()

@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.analysis import (
-    analyze_task,
-    approach4_lines,
-    eq3_lines,
-    max_path_conflict,
-)
+from repro.analysis import analyze_task, approach4_lines, eq3_lines
 from repro.cache import CacheConfig
 from repro.program import ProgramBuilder, SystemLayout
+
+from tests.oracles.pathcost import PathCostResult, max_path_conflict
 
 
 @pytest.fixture
@@ -60,7 +57,7 @@ def build_pair(config):
 class TestPathCost:
     def test_costs_computed_per_feasible_path(self, config):
         low, high = build_pair(config)
-        result = max_path_conflict(low.mumbs_ciip(), high)
+        result = max_path_conflict(low.useful.mumbs_ciip(), high)
         assert len(result.per_path) == 2
         assert result.lines == result.worst.cost
         assert all(p.cost >= 0 for p in result.per_path)
@@ -75,7 +72,7 @@ class TestPathCost:
         # this geometry the single-path footprint is strictly smaller.
         full_blocks = len(high.footprint)
         per_path_blocks = [p.footprint_blocks for p in
-                           max_path_conflict(low.mumbs_ciip(), high).per_path]
+                           max_path_conflict(low.useful.mumbs_ciip(), high).per_path]
         assert max(per_path_blocks) < full_blocks
 
     def test_single_path_preemptor_equals_eq3(self, config):
@@ -112,14 +109,12 @@ class TestPathCost:
             approach4_lines(low, high, mumbs_mode="bogus")
 
     def test_empty_paths_raise(self):
-        from repro.analysis.pathcost import PathCostResult
-
         with pytest.raises(ValueError, match="no feasible paths"):
             PathCostResult(per_path=[]).worst
 
     def test_worst_path_footprint_dominates_cost(self, config):
         low, high = build_pair(config)
-        result = max_path_conflict(low.mumbs_ciip(), high)
+        result = max_path_conflict(low.useful.mumbs_ciip(), high)
         for path in result.per_path:
             assert path.cost <= path.footprint_blocks
 

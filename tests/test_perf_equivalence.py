@@ -4,7 +4,8 @@ The performance work (``docs/performance.md``) replaced four slow paths
 with fast ones that must be *observationally identical*:
 
 * per-set counter kernels vs frozenset-intersection ``conflict_bound``,
-* branch-and-bound Equation-4 search vs full path enumeration,
+* branch-and-bound Equation-4 search vs full path enumeration
+  (``tests/oracles/pathcost.py``),
 * artifact-cache hits vs cold analyses (including replayed ledger events),
 * heap-based scheduler queues vs the original linear scans.
 
@@ -18,10 +19,11 @@ import random
 
 import pytest
 
-from repro.analysis import analyze_task, max_path_conflict, max_path_conflict_pruned
+from repro.analysis import analyze_task, max_path_conflict_pruned
 from repro.analysis.store import ArtifactStore
 from repro.cache import CacheConfig, CacheState, CIIP
 from repro.cache.ciip import conflict_bound, conflict_bound_naive
+from repro.cache.kernels import dense_from_ciip_counts
 from repro.experiments import EXPERIMENT_I_SPEC, EXPERIMENT_II_SPEC, build_context
 from repro.fuzz.oracles import ScanSimulator
 from repro.guard.budget import AnalysisBudget
@@ -29,6 +31,9 @@ from repro.guard.ledger import DegradationLedger
 from repro.program import ProgramBuilder, SystemLayout
 from repro.sched.simulator import Simulator
 from repro.workloads import build_workload, workload_names
+
+from tests.oracles.pathcost import approach4_lines as enumerated_approach4
+from tests.oracles.pathcost import max_path_conflict
 
 KERNEL_CASES = 120
 PRUNE_CASES = 60
@@ -115,6 +120,11 @@ def _random_preemptor(rng: random.Random, name: str):
     return program, inputs
 
 
+def _dense(ciip):
+    config = ciip.config
+    return dense_from_ciip_counts(ciip.set_counts, config.num_sets, config.ways)
+
+
 class TestPruningEquivalence:
     def test_randomized(self):
         rng = random.Random(1049)
@@ -134,7 +144,7 @@ class TestPruningEquivalence:
                 config, [rng.randrange(span) for _ in range(rng.randrange(0, 64))]
             )
             naive = max_path_conflict(useful, art).lines
-            pruned = max_path_conflict_pruned(useful, art)
+            pruned = max_path_conflict_pruned(_dense(useful), art)
             assert pruned.cost == naive, (
                 f"case {case}: pruned {pruned.cost} != enumerated {naive}"
             )
@@ -177,7 +187,7 @@ class TestPruningEquivalence:
 
         useful = CIIP.from_addresses(config, range(0, 2048, 16))
         exact = max_path_conflict(useful, full).lines
-        pruned = max_path_conflict_pruned(useful, tripped)
+        pruned = max_path_conflict_pruned(_dense(useful), tripped)
         assert pruned.cost == exact
         # Pruning must have paid for itself: far fewer than 1024 paths.
         assert pruned.explored_paths < 1024
@@ -208,10 +218,13 @@ class TestPruningEquivalence:
                         assert lines == exact.lines_reloaded(
                             preempted, preempting, Approach.COMBINED
                         )
-                        for engine in ("prune", "enumerate"):
-                            assert lines == approach4_lines(
-                                low, high, mumbs_mode=mode, engine=engine
-                            ), f"{spec.key}/{mode}: {preempted} by {preempting}"
+                        where = f"{spec.key}/{mode}: {preempted} by {preempting}"
+                        assert lines == approach4_lines(
+                            low, high, mumbs_mode=mode
+                        ), where
+                        assert lines == enumerated_approach4(
+                            low, high, mumbs_mode=mode
+                        ), where
 
 
 # ----------------------------------------------------------------------

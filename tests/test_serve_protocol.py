@@ -225,6 +225,11 @@ def test_parse_request_rejects_bad_penalty_and_geometry():
         parse_request({"experiment": "exp1", "geometry": [64, 4]})
     with pytest.raises(ConfigError):
         parse_request({"experiment": "exp1", "geometry": [64, 4, -1]})
+    # Geometries CacheConfig refuses fail here too, with its reason.
+    with pytest.raises(ConfigError, match="num_sets must be a power of two"):
+        parse_request({"experiment": "exp1", "geometry": [3, 2, 16]})
+    with pytest.raises(ConfigError, match=r"ways must be in 1\.\.255"):
+        parse_request({"experiment": "exp1", "geometry": [64, 256, 16]})
 
 
 def test_parse_request_rejects_unknown_fields():
@@ -272,13 +277,49 @@ def test_parse_spec_request_labels_by_content_hash():
     assert first.label.startswith("spec/")
 
 
+def test_bad_geometry_is_a_400_and_queues_no_job():
+    """Rejected at submit: the client gets a 400, no job is queued."""
+    from repro.fuzz.generator import case_from_seed
+
+    spec = case_from_seed(4, 1).to_json()
+    spec["cache"]["num_sets"] = 3
+    bodies = [
+        {"experiment": "exp1", "geometry": [3, 2, 16]},
+        {"experiment": "exp1", "geometry": [64, 256, 16]},
+        {"kind": "spec", "spec": spec},
+    ]
+    with AnalysisService(workers=1, queue_capacity=8, store=None) as service:
+        for body in bodies:
+            status, env = service.submit_envelope(body)
+            assert status == 400, body
+            assert env["state"] == "error" and env["error_kind"] == "config"
+        stats = service.stats()
+        assert stats["jobs"] == {} and stats["queue_depth"] == 0
+
+
 def test_parse_spec_request_rejects_junk():
+    from repro.fuzz.generator import case_from_seed
+
     with pytest.raises(ConfigError):
         parse_request({"kind": "spec"})
     with pytest.raises(ConfigError):
         parse_request({"kind": "spec", "spec": {"version": 999}})
     with pytest.raises(ConfigError):
         parse_request({"kind": "what"})
+    spec = case_from_seed(4, 1).to_json()
+    spec["cache"]["num_sets"] = 3
+    with pytest.raises(ConfigError, match="num_sets must be a power of two"):
+        parse_request({"kind": "spec", "spec": spec})
+    # Missing keys and wrongly typed fields are config errors too, not
+    # KeyError/TypeError escaping the submit path.
+    spec = case_from_seed(4, 1).to_json()
+    del spec["tasks"]
+    with pytest.raises(ConfigError, match="malformed spec"):
+        parse_request({"kind": "spec", "spec": spec})
+    spec = case_from_seed(4, 1).to_json()
+    spec["cache"]["bogus"] = 1
+    with pytest.raises(ConfigError, match="malformed spec"):
+        parse_request({"kind": "spec", "spec": spec})
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for the warm worker pool and the bounded intern table.
+"""Unit tests for the warm worker pool.
 
 The :class:`~repro.batch.pool.WarmPool` carries three contracts the
 batch engine, the CRPD fan-out and the fuzz runner all lean on:
@@ -11,10 +11,6 @@ batch engine, the CRPD fan-out and the fuzz runner all lean on:
 * *taxonomy-faithful fallback* — pool infrastructure failures degrade to
   an in-process serial run with identical results, while analysis errors
   (:class:`~repro.errors.ReproError`) propagate unchanged.
-
-The intern-table bound (``repro.cache.kernels``) is the satellite that
-makes warm workers safe: a worker living through thousands of cases must
-not grow its block-set table without limit.
 """
 
 from __future__ import annotations
@@ -27,14 +23,6 @@ import textwrap
 import pytest
 
 from repro.batch.pool import WarmPool, derived, in_worker
-from repro.cache.kernels import (
-    DEFAULT_INTERN_LIMIT,
-    intern_blocks,
-    intern_limit,
-    intern_table_size,
-    reset_intern_table,
-    set_intern_limit,
-)
 from repro.errors import ReproError
 from repro.obs import observed
 
@@ -201,40 +189,3 @@ class TestFallbackAndErrors:
             with pytest.raises(ReproError):
                 pool.map(_raise_repro, [1])
             assert pool.fallbacks == 0
-
-
-class TestInternBound:
-    @pytest.fixture(autouse=True)
-    def _restore_limit(self):
-        yield
-        set_intern_limit(DEFAULT_INTERN_LIMIT)
-        reset_intern_table()
-
-    def test_table_never_exceeds_the_limit_over_1000_cases(self):
-        """A warm worker living through 1000 unrelated cases keeps its
-        intern table bounded — the growth that motivated per-case resets
-        before the bound existed."""
-        set_intern_limit(64)
-        reset_intern_table()
-        with observed() as (_, metrics):
-            for case in range(1000):
-                blocks = frozenset({case, case + 1_000_000})
-                canonical = intern_blocks(blocks)
-                assert canonical == blocks
-                assert intern_table_size() <= intern_limit()
-        snapshot = metrics.to_dict()
-        # 1000 distinct sets through a 64-slot table: many forced clears,
-        # and the gauge tracks the live size.
-        assert snapshot["counters"]["kernels.intern.resets"] >= 1000 // 64 - 1
-        assert snapshot["gauges"]["kernels.intern_size"] == intern_table_size()
-        assert intern_table_size() <= 64
-
-    def test_interning_still_deduplicates_within_a_generation(self):
-        set_intern_limit(64)
-        reset_intern_table()
-        first = intern_blocks(frozenset({1, 2, 3}))
-        assert intern_blocks(frozenset({1, 2, 3})) is first
-
-    def test_limit_must_be_positive(self):
-        with pytest.raises(ValueError):
-            set_intern_limit(0)

@@ -1,6 +1,5 @@
 """Unit contracts of the what-if layer, plus the satellites pinned here:
-the unified intern-table clear path, the per-point sweep JSON telemetry
-and the ``repro whatif`` CLI verb."""
+the per-point sweep JSON telemetry and the ``repro whatif`` CLI verb."""
 
 from __future__ import annotations
 
@@ -17,13 +16,6 @@ from repro.analysis.whatif import (
     parse_edit,
 )
 from repro.batch import SweepPoint, analyze_batch
-from repro.cache.kernels import (
-    DEFAULT_INTERN_LIMIT,
-    intern_blocks,
-    intern_table_size,
-    reset_intern_table,
-    set_intern_limit,
-)
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.fuzz.spec import (
@@ -126,6 +118,16 @@ class TestSessionValidation:
                 )
             with pytest.raises(ConfigError, match="unknown edit kind"):
                 session.apply(Edit(kind="frobnicate", value=1))
+
+    def test_geometry_past_255_ways_leaves_the_session_unchanged(self):
+        with WhatIfSession(small_spec()) as session:
+            before = session.result().signature()
+            with pytest.raises(ConfigError, match=r"ways must be in 1\.\.255"):
+                session.apply("geometry=8x256x8")
+            assert session.result().signature() == before
+            # The geometry is still the base's: re-costing at the base
+            # penalty reproduces the base state.
+            assert session.apply("penalty=10").signature() == before
 
     def test_array_edits_need_a_fuzz_base(self):
         with WhatIfSession("exp1") as session:
@@ -230,48 +232,6 @@ class TestWarmStartGuard:
         assert not self.sound(self.OLD, converged=False)
 
 
-class TestInternClearUnification:
-    """Both intern-clear paths go through :func:`reset_intern_table`, so
-    the resets counter and the size gauge can never diverge."""
-
-    @pytest.fixture(autouse=True)
-    def _restore_limit(self):
-        yield
-        set_intern_limit(DEFAULT_INTERN_LIMIT)
-        reset_intern_table()
-
-    def test_shrinking_limit_clears_through_the_single_path(self):
-        set_intern_limit(64)
-        reset_intern_table()
-        with observed() as (_, metrics):
-            for value in range(8):
-                intern_blocks(frozenset({value}))
-            assert intern_table_size() == 8
-            set_intern_limit(4)  # over the new bound: immediate clear
-            snapshot = metrics.to_dict()
-        assert intern_table_size() == 0
-        assert snapshot["counters"]["kernels.intern.resets"] == 1
-        assert snapshot["gauges"]["kernels.intern_size"] == 0
-
-    def test_manual_reset_zeroes_gauge_without_a_bound_reset(self):
-        set_intern_limit(64)
-        reset_intern_table()
-        with observed() as (_, metrics):
-            intern_blocks(frozenset({1}))
-            reset_intern_table()
-            snapshot = metrics.to_dict()
-        assert intern_table_size() == 0
-        assert snapshot["counters"].get("kernels.intern.resets", 0) == 0
-        assert snapshot["gauges"]["kernels.intern_size"] == 0
-
-    def test_growing_limit_never_clears(self):
-        set_intern_limit(64)
-        reset_intern_table()
-        first = intern_blocks(frozenset({1, 2}))
-        set_intern_limit(128)
-        assert intern_blocks(frozenset({1, 2})) is first
-
-
 class TestSweepJsonTelemetry:
     def test_per_point_walltime_and_store_fields(self, tmp_path):
         out = tmp_path / "sweep.json"
@@ -351,6 +311,14 @@ class TestWhatIfCli:
     def test_unknown_base_is_a_config_error(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert main(["whatif", "--base", str(missing)]) == 2
+
+    def test_malformed_spec_base_is_a_config_error(self, tmp_path, capsys):
+        spec = small_spec().to_json()
+        del spec["tasks"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["--no-cache", "whatif", "--base", str(path)]) == 2
+        assert "malformed spec" in capsys.readouterr().err
 
 
 class TestLayoutEditGrammar:

@@ -41,12 +41,10 @@ from repro.analysis.crpd import Approach
 from repro.analysis.pathcost import approach4_lines
 from repro.analysis.pipeline import resolve_system, run_pipeline
 from repro.analysis.whatif import Edit, WhatIfSession, parse_edit
-from repro.cache.config import CacheConfig
+from repro.cache.config import MAX_WAYS, CacheConfig
 from repro.cache.kernels import (
-    DENSE_MAX_WAYS,
     conflict_kernel,
     dense_conflict,
-    dense_counts,
     dense_from_ciip_counts,
     dense_max_conflict,
     dense_rows,
@@ -61,8 +59,11 @@ from repro.fuzz.generator import (
     draw_layout_move,
     rng_for,
 )
+from repro.errors import ConfigError
 from repro.fuzz.spec import SystemSpec, replace_task
 from repro.program.layout import LayoutError
+
+from tests.oracles.pathcost import approach4_lines as enumerated_approach4
 
 WHATIF_DRAWS = 24
 EDITS_PER_CASE = 2
@@ -286,10 +287,12 @@ class TestDenseEngineParity:
             for estimate in result.estimates:
                 low = result.artifacts[estimate.preempted]
                 high = result.artifacts[estimate.preempting]
-                for engine in ("prune", "enumerate"):
-                    assert estimate.lines[Approach.COMBINED] == approach4_lines(
-                        low, high, mumbs_mode=mode, engine=engine
-                    ), (estimate.preempted, estimate.preempting, engine)
+                where = (estimate.preempted, estimate.preempting)
+                lines = estimate.lines[Approach.COMBINED]
+                assert lines == approach4_lines(low, high, mumbs_mode=mode), where
+                assert lines == enumerated_approach4(
+                    low, high, mumbs_mode=mode
+                ), where
 
 
 def draw_sparse(d, num_sets: int) -> dict:
@@ -306,8 +309,8 @@ class TestDenseKernelParity:
             ways = d.integer(1, 5)
             a = draw_sparse(d, num_sets)
             b = draw_sparse(d, num_sets)
-            da = dense_counts(a, num_sets, ways)
-            db = dense_counts(b, num_sets, ways)
+            da = dense_from_ciip_counts(a, num_sets, ways)
+            db = dense_from_ciip_counts(b, num_sets, ways)
             assert len(da) == num_sets
             assert dense_usage(da) == usage_kernel(a, ways)
             assert dense_conflict(da, db) == conflict_kernel(a, b, ways)
@@ -315,7 +318,7 @@ class TestDenseKernelParity:
                 draw_sparse(d, num_sets) for _ in range(d.integer(0, 4))
             ]
             rows = dense_rows(
-                [dense_counts(row, num_sets, ways) for row in sparse_rows]
+                [dense_from_ciip_counts(row, num_sets, ways) for row in sparse_rows]
             )
             expected = max(
                 (conflict_kernel(row, b, ways) for row in sparse_rows),
@@ -324,10 +327,10 @@ class TestDenseKernelParity:
             assert dense_max_conflict(rows, db) == expected
 
     def test_wide_associativity_is_rejected_not_truncated(self):
-        assert dense_from_ciip_counts({0: 3}, 4, DENSE_MAX_WAYS) is not None
-        assert dense_from_ciip_counts({0: 3}, 4, DENSE_MAX_WAYS + 1) is None
-        with pytest.raises(ValueError):
-            dense_counts({0: 3}, 4, DENSE_MAX_WAYS + 1)
+        assert CacheConfig(num_sets=4, ways=MAX_WAYS, line_size=16).ways == 255
+        with pytest.raises(ConfigError, match=r"ways must be in 1\.\.255"):
+            CacheConfig(num_sets=4, ways=MAX_WAYS + 1, line_size=16)
+        assert dense_from_ciip_counts({0: 300}, 4, MAX_WAYS) == bytes([255, 0, 0, 0])
 
 
 # ----------------------------------------------------------------------
