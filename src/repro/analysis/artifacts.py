@@ -236,12 +236,14 @@ def analyze_task(
         )
 
     with _OBS.tracer.span("analyze.task", task=program.name) as span:
-        task_key = None
+        task_key = structure = None
         if use_store:
-            from repro.analysis.store import artifact_key
+            from repro.analysis.store import artifact_key, structure_digest
 
+            structure = structure_digest(program)
             task_key = artifact_key(
-                layout, scenarios, config, max_steps, path_limit, strict
+                layout, scenarios, config, max_steps, path_limit, strict,
+                structure,
             )
             memo = store.get(task_key, kind="task", memory_only=True)
             if memo is not None:
@@ -253,13 +255,13 @@ def analyze_task(
 
         wcet, placed, keys = _wcet_stage(
             layout, scenarios, config, max_steps, store if use_store else None,
-            clock, program.name,
+            clock, program.name, structure,
         )
         if use_store:
             from repro.analysis.store import flow_key, paths_key
 
             keys["flow"] = flow_key(keys["trace"], layout, config)
-            keys["paths"] = paths_key(program, path_limit, strict)
+            keys["paths"] = paths_key(structure, path_limit, strict)
         flow = _flow_stage(
             program, scenarios, config, store if use_store else None,
             keys.get("flow"), placed, clock,
@@ -307,6 +309,7 @@ def _wcet_stage(
     store: "ArtifactStore | None",
     clock: "BudgetClock | None",
     name: str,
+    structure: "str | None",
 ):
     """Trace + sim sub-artifacts -> (wcet, traces at *layout*, keys).
 
@@ -333,7 +336,7 @@ def _wcet_stage(
     keys: dict[str, str] = {}
     trace_bundle = None
     if store is not None:
-        t_key = trace_key(layout.program, scenarios, max_steps)
+        t_key = trace_key(structure, scenarios, max_steps)
         s_key = sim_key(t_key, layout, config)
         keys["trace"] = t_key
         keys["sim"] = s_key

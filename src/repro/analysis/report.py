@@ -25,8 +25,15 @@ from repro.wcrt.explain import explain_wcrt
 from repro.wcrt.task import TaskSystem
 
 
-def task_report(artifacts: TaskArtifacts, include_reuse: bool = True) -> str:
-    """Render the full single-task analysis as a text report."""
+def task_report(
+    artifacts: TaskArtifacts,
+    include_reuse: bool = True,
+    max_paths: int | None = None,
+) -> str:
+    """Render the full single-task analysis as a text report.
+
+    *max_paths* is the path budget the artifacts were analysed under; the
+    report names it when path enumeration stopped there."""
     config = artifacts.config
     lines = [
         f"== task {artifacts.name!r} ==",
@@ -70,8 +77,13 @@ def task_report(artifacts: TaskArtifacts, include_reuse: bool = True) -> str:
 
     lines.append("")
     lines.append("[control structure]")
-    lines.append(f"  {len(artifacts.program.cfg.labels())} basic blocks, "
-                 f"{len(artifacts.path_profiles)} feasible path(s)")
+    if artifacts.path_enumeration_complete:
+        paths = f"{len(artifacts.path_profiles)} feasible path(s)"
+    elif max_paths is not None:
+        paths = f"path enumeration stopped at max_paths={max_paths}"
+    else:
+        paths = "path enumeration stopped at the path budget"
+    lines.append(f"  {len(artifacts.program.cfg.labels())} basic blocks, {paths}")
     for segment in sfp_prs_segments(artifacts.program):
         indent = "  " * segment.depth
         kind = "SFP-PrS" if segment.single_feasible_path else "decision"
@@ -142,8 +154,10 @@ def system_report(
             )
             if explanation.result.schedulable:
                 verdict = "ok"
+            elif explanation.result.unbounded:
+                verdict = "UNBOUNDED (U >= 1)"
             elif explanation.result.diverged:
-                verdict = "DIVERGED (no fixpoint)"
+                verdict = "DIVERGED (budget ran out)"
             else:
                 verdict = "MISSES DEADLINE"
             lines.append(

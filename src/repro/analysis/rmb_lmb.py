@@ -16,11 +16,12 @@ Both are "may" analyses over the task CFG.  Cache sets never interact,
 so block sets are ``int`` masks over the footprint numbered in ``(set
 index, block)`` order (:class:`BlockBits`): each set is one contiguous
 bit slice, and all sets are solved at once.  Each node's transfer is
-``out = gen | (in & keep)``, built once from its unique visit sequences
-(:class:`~repro.vm.trace.NodeTraceAggregate`).  Under LRU ``gen`` holds
-each visit's last (RMB) / first (LMB) ``L`` distinct blocks per set, and
-``keep`` clears a set's slice only when *every* visit references ``>= L``
-distinct blocks of it — they fully determine the set (a strong update);
+``out = gen | (in & keep)``, built once from its distinct visit
+sequences (:class:`~repro.vm.trace.NodeTraceAggregate` keeps each
+once).  Under LRU ``gen`` holds each visit's last (RMB) / first (LMB)
+``L`` distinct blocks per set, and ``keep`` clears a set's slice only
+when *every* visit references ``>= L`` distinct blocks of it — they
+fully determine the set (a strong update);
 otherwise incoming blocks survive (a weak update, a superset of reality).
 FIFO/PLRU admit no truncation: ``gen`` is every reference, nothing is
 killed.  The frozenset oracle lives in ``tests/oracles/rmb_lmb.py``.
@@ -200,7 +201,7 @@ def solve_rmb_lmb(
     ways = config.ways
     lru = config.policy == "lru"
     labels = cfg.labels()
-    variants = [set(aggregate.refs(label).visit_sequences) for label in labels]
+    variants = [aggregate.refs(label).visit_sequences for label in labels]
     footprint: set[int] = set()
     for visits in variants:
         footprint.update(*visits)

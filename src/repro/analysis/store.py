@@ -112,6 +112,7 @@ __all__ = [
     "pair_key",
     "paths_key",
     "sim_key",
+    "structure_digest",
     "trace_key",
 ]
 
@@ -119,8 +120,9 @@ __all__ = [
 #: Schema 1 stored monolithic ``CachedAnalysis`` bundles; schema 2 stores
 #: :class:`StoredEntry`-wrapped sub-artifacts; schema 3 stores relocatable
 #: traces under placement-free keys; schema 4 stores the flow's RMB/LMB
-#: states and useful points as bit masks.
-SCHEMA_VERSION = 4
+#: states and useful points as bit masks; schema 5 keys structure by one
+#: digest and stores each node's distinct visits once in the flow.
+SCHEMA_VERSION = 5
 
 _SOURCE_FINGERPRINT: Optional[str] = None
 
@@ -159,8 +161,15 @@ class _Digest:
         return self._digest.hexdigest()
 
 
-def _feed_structure(digest: _Digest, program: Program) -> None:
-    """Program identity: blocks, structure and arrays — no addresses."""
+def structure_digest(program: Program) -> str:
+    """Program identity: blocks, structure and arrays — no addresses.
+
+    Hashes ``repr()`` of every instruction, so :func:`analyze_task
+    <repro.analysis.artifacts.analyze_task>` computes it once per task and
+    hands it to every key that covers the program's structure.  Not
+    memoised on the (mutable) :class:`Program`.
+    """
+    digest = _Digest("structure")
     cfg = program.cfg
     feed = digest.feed
     feed(f"program={program.name}")
@@ -175,6 +184,7 @@ def _feed_structure(digest: _Digest, program: Program) -> None:
     for name in sorted(program.arrays):
         decl = program.arrays[name]
         feed(f"array={decl.name}:{decl.words}:{decl.element_size}")
+    return digest.hexdigest()
 
 
 def _feed_placement(digest: _Digest, layout: ProgramLayout) -> None:
@@ -191,10 +201,11 @@ def _feed_scenarios(digest: _Digest, scenarios: Scenarios) -> None:
             digest.feed(f"input={array_name}:{tuple(inputs[array_name])!r}")
 
 
-def trace_key(program: Program, scenarios: Scenarios, max_steps: int) -> str:
-    """Key of the cache- and placement-independent reference streams."""
+def trace_key(structure: str, scenarios: Scenarios, max_steps: int) -> str:
+    """Key of the cache- and placement-independent reference streams of
+    the program whose :func:`structure_digest` is *structure*."""
     digest = _Digest("trace")
-    _feed_structure(digest, program)
+    digest.feed(f"structure={structure}")
     _feed_scenarios(digest, scenarios)
     digest.feed(f"max_steps={max_steps}")
     return digest.hexdigest()
@@ -234,10 +245,11 @@ def flow_key(trace: str, layout: ProgramLayout, config: CacheConfig) -> str:
     return digest.hexdigest()
 
 
-def paths_key(program: Program, path_limit: int, strict: bool) -> str:
-    """Key of the feasible-path profiles (cache- and placement-independent)."""
+def paths_key(structure: str, path_limit: int, strict: bool) -> str:
+    """Key of the feasible-path profiles (cache- and placement-independent)
+    of the program whose :func:`structure_digest` is *structure*."""
     digest = _Digest("paths")
-    _feed_structure(digest, program)
+    digest.feed(f"structure={structure}")
     digest.feed(f"path_limit={path_limit}")
     digest.feed(f"strict={strict}")
     return digest.hexdigest()
@@ -276,14 +288,16 @@ def artifact_key(
     max_steps: int,
     path_limit: int,
     strict: bool,
+    structure: str,
 ) -> str:
     """Composite hash identifying one ``analyze_task`` invocation's result.
 
-    Covers every analysis input (including cost parameters); used for the
+    Covers every analysis input (including cost parameters; *structure* is
+    the laid-out program's :func:`structure_digest`); used for the
     in-process assembly memo, not for disk sub-artifacts.
     """
     digest = _Digest("task")
-    _feed_structure(digest, layout.program)
+    digest.feed(f"structure={structure}")
     _feed_placement(digest, layout)
     digest.feed(f"config={config!r}")
     _feed_scenarios(digest, scenarios)

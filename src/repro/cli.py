@@ -138,16 +138,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = CacheConfig.scaled_8k(miss_penalty=args.penalty)
     layout = SystemLayout().place(workload.program)
     ledger = DegradationLedger()
+    budget = _budget_from(args)
     art = analyze_task(
         layout,
         workload.scenario_map(),
         config,
-        budget=_budget_from(args),
+        budget=budget,
         ledger=ledger,
         store=_store_from(args),
     )
     print(f"workload {args.workload!r}: {workload.description}\n")
-    print(task_report(art, include_reuse=args.reuse))
+    print(task_report(art, include_reuse=args.reuse, max_paths=budget.max_paths))
     print(f"\nsoundness: {ledger.soundness}")
     _report_degradations(ledger)
     return 0

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import random
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import le
 from typing import Callable, Iterable
 
@@ -669,6 +669,166 @@ def oracle_useful_antichain(
     return check.violations
 
 
+#: Rounds the plain Eq. 7 loop runs before an overloaded recurrence
+#: counts as never converging.
+CERTIFICATE_ROUNDS = 20_000
+
+
+def _plain_eq7(
+    task: TaskSpec, terms: list[tuple[int, int, int]], rounds: int,
+    stop_at_deadline: bool,
+) -> tuple[bool, list[int]]:
+    """Eq. 7 iterated with nothing but a round budget (and, optionally, the
+    deadline stop) -> (converged, responses)."""
+    window = task.wcet
+    history = [window + task.jitter]
+    for _ in range(rounds):
+        updated = task.wcet + sum(
+            -(-(window + jitter) // period) * cost
+            for jitter, period, cost in terms
+        )
+        if updated == window:
+            return True, history
+        window = updated
+        history.append(window + task.jitter)
+        if stop_at_deadline and window + task.jitter > task.effective_deadline:
+            break
+    return False, history
+
+
+def _demand(terms: Iterable[tuple[int, int, int]]) -> tuple[int, int]:
+    """``sum cost / period`` over ``(jitter, period, cost)`` terms as a
+    plain ``(numerator, denominator)`` fraction sum."""
+    numerator, denominator = 0, 1
+    for _, period, cost in terms:
+        numerator = numerator * period + cost * denominator
+        denominator *= period
+    return numerator, denominator
+
+
+def _period_variants(system: TaskSystem, cost: Callable[[str, str], int]):
+    """*system* plus two rescalings of every period, around the lowest
+    task's interferer demand ``U0``: by ``U0`` (``U >= 1`` unless a period
+    is clamped) and by ``5/4 * U0`` (``U`` near 0.8).  Periods never drop
+    below ``wcet + jitter``, which keeps every task legal."""
+    lowest = system.tasks[-1]
+    numerator, denominator = _demand(
+        (other.jitter, other.period, cost(lowest.name, other.name))
+        for other in system.higher_priority(lowest.name)
+    )
+    variants = [system]
+    if numerator:
+        for scale, over in ((numerator, denominator),
+                            (5 * numerator, 4 * denominator)):
+            variants.append(TaskSystem(tasks=[
+                replace(task, period=max(
+                    task.wcet + task.jitter, task.period * scale // over
+                ))
+                for task in system.tasks
+            ]))
+    return variants
+
+
+def oracle_wcrt_certificate(
+    case: BuiltCase, budget: AnalysisBudget | None = None
+) -> list[Violation]:
+    """Eq. 7's overload verdict is exact and its fixpoint bound is sound.
+
+    For every approach, on the drawn periods and on two rescalings that
+    push the interferer demand ``U`` to about 1 and 0.8: ``unbounded``
+    holds iff exact ``U >= 1`` (every task has ``C > 0``), and then a
+    plain 20,000-round loop never converges; converged and
+    deadline-stopped results equal the plain loop's; and with three
+    rounds and ``U < 1`` the reported WCRT is at least the fixpoint."""
+    check = _Check("wcrt_certificate")
+    ccs = case.spec.context_switch
+    seen: set = set()
+    for approach in ALL_APPROACHES:
+        def cpre(low: str, high: str, _approach=approach) -> int:
+            return case.analyzer.cpre(low, high, _approach)
+
+        def cost(low: str, high: str) -> int:
+            return case.system.task(high).wcet + cpre(low, high) + 2 * ccs
+
+        for system in _period_variants(case.system, cost):
+            for task in system.tasks:
+                terms = [
+                    (other.jitter, other.period, cost(task.name, other.name))
+                    for other in system.higher_priority(task.name)
+                ]
+                signature = (task, tuple(terms))
+                if signature in seen:
+                    continue
+                seen.add(signature)
+                numerator, denominator = _demand(terms)
+                overloaded = numerator >= denominator
+                label = (
+                    f"App{approach.value} {task.name} "
+                    f"(periods {[t.period for t in system.tasks]})"
+                )
+                result = compute_task_wcrt(
+                    system, task.name, cpre=cpre, context_switch=ccs,
+                    stop_at_deadline=False,
+                )
+                check.expect(
+                    result.unbounded == overloaded,
+                    f"{label}: unbounded={result.unbounded} but U >= 1 is "
+                    f"{overloaded}",
+                )
+                converged, history = _plain_eq7(
+                    task, terms, CERTIFICATE_ROUNDS, stop_at_deadline=False
+                )
+                if overloaded:
+                    check.expect(
+                        not converged,
+                        f"{label}: U >= 1 yet the plain loop converged",
+                    )
+                if overloaded or not converged:
+                    continue  # nothing to compare against
+                fixpoint = history[-1]
+                if result.converged:
+                    check.expect(
+                        result.iterations == history,
+                        f"{label}: converged {result.iterations[-1]} != "
+                        f"plain {fixpoint}",
+                    )
+                else:
+                    check.expect(
+                        result.diverged and result.wcrt >= fixpoint,
+                        f"{label}: {result.status} WCRT {result.wcrt} below "
+                        f"the fixpoint {fixpoint}",
+                    )
+                stopped = compute_task_wcrt(
+                    system, task.name, cpre=cpre, context_switch=ccs,
+                    stop_at_deadline=True,
+                )
+                _, plain_stopped = _plain_eq7(
+                    task, terms, 1000, stop_at_deadline=True
+                )
+                if stopped.converged or stopped.deadline_stopped:
+                    check.expect(
+                        stopped.iterations == plain_stopped,
+                        f"{label}: {stopped.status} responses differ from "
+                        "the plain loop's",
+                    )
+                short = compute_task_wcrt(
+                    system, task.name, cpre=cpre, context_switch=ccs,
+                    max_iterations=3, stop_at_deadline=False,
+                )
+                if short.converged:
+                    check.expect(
+                        short.wcrt == fixpoint,
+                        f"{label}: 3-round fixpoint {short.wcrt} != {fixpoint}",
+                    )
+                else:
+                    check.expect(
+                        short.diverged and short.wcrt >= fixpoint,
+                        f"{label}: 3-round {short.status} WCRT {short.wcrt} "
+                        f"below the fixpoint {fixpoint}",
+                    )
+    return check.violations
+
+
 def oracle_heap_vs_scan(
     case: BuiltCase, budget: AnalysisBudget | None = None
 ) -> list[Violation]:
@@ -857,6 +1017,7 @@ ORACLES: dict[str, Callable[..., list[Violation]]] = {
     "kernel_vs_naive": oracle_kernel_vs_naive,
     "prune_vs_enumerate": oracle_prune_vs_enumerate,
     "useful_antichain": oracle_useful_antichain,
+    "wcrt_certificate": oracle_wcrt_certificate,
     "wcet_soundness": oracle_wcet_soundness,
     "reload_soundness": oracle_reload_soundness,
     "heap_vs_scan": oracle_heap_vs_scan,

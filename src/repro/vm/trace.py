@@ -60,11 +60,6 @@ class TraceRecorder:
         """Memory-block address of every reference, in program order."""
         return [config.block(event.address) for event in self.events]
 
-    def node_visit_sequences(self, config: CacheConfig) -> dict[str, list[tuple[int, ...]]]:
-        """Per node, the block-reference sequence of each visit (see
-        :meth:`CompactTrace.node_visit_sequences`)."""
-        return CompactTrace.from_recorder(self).node_visit_sequences(config)
-
     def record_columns(self, columns: "TraceColumns") -> None:
         """Append every reference of *columns*, honouring the filters."""
         table = tuple(columns.node_table)
@@ -164,31 +159,6 @@ class CompactTrace:
         return cache.access_stream(
             self.addresses, self.kinds.translate(_WRITE_FLAGS)
         )
-
-    def node_visit_sequences(
-        self, config: CacheConfig
-    ) -> dict[str, list[tuple[int, ...]]]:
-        """Per node, the block-reference sequence of each visit.
-
-        A *visit* is a maximal run of consecutive references issued by the
-        same node.  The per-visit sequences feed the RMB/LMB transfer
-        functions: identical visits permit strong updates, differing visits
-        force conservative ones (see :mod:`repro.analysis.rmb_lmb`).
-        """
-        ids = self.node_ids
-        if not ids:
-            return {}
-        blocks = list(map(and_, self.addresses, repeat(-config.line_size)))
-        cuts = compress(count(1), map(ne, ids, islice(ids, 1, None)))
-        table = self.node_table
-        visits: dict[str, list[tuple[int, ...]]] = {}
-        start = 0
-        for end in chain(cuts, (len(ids),)):
-            visits.setdefault(table[ids[start]], []).append(
-                tuple(blocks[start:end])
-            )
-            start = end
-        return visits
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -318,7 +288,12 @@ class LazyTraces(Mapping):
 
 @dataclass(frozen=True)
 class NodeRefs:
-    """Aggregated memory-block reference information for one CFG node."""
+    """Aggregated memory-block reference information for one CFG node.
+
+    ``visit_sequences`` holds each *distinct* block sequence the node
+    issued on a visit, once, in first-seen order: how often a sequence
+    recurred changes none of the analyses that read it.
+    """
 
     label: str
     visit_sequences: tuple[tuple[int, ...], ...]
@@ -353,11 +328,28 @@ class NodeTraceAggregate:
     def from_compact(
         cls, config: CacheConfig, traces: Iterable[CompactTrace]
     ) -> "NodeTraceAggregate":
-        """Merge the per-node visits of every trace, straight from columns."""
-        visits: dict[str, list[tuple[int, ...]]] = {}
+        """Each node's distinct visits across *traces*, read from columns.
+
+        A *visit* is a maximal run of consecutive references issued by the
+        same node; its block sequence feeds the RMB/LMB transfer functions
+        (identical visits permit strong updates, differing visits force
+        conservative ones, see :mod:`repro.analysis.rmb_lmb`).  Nodes and
+        their sequences keep first-seen order; repeats are dropped as they
+        are read.
+        """
+        line_mask = -config.line_size
+        visits: dict[str, dict[tuple[int, ...], None]] = {}
         for trace in traces:
-            for node, sequences in trace.node_visit_sequences(config).items():
-                visits.setdefault(node, []).extend(sequences)
+            ids = trace.node_ids
+            blocks = list(map(and_, trace.addresses, repeat(line_mask)))
+            cuts = compress(count(1), map(ne, ids, islice(ids, 1, None)))
+            table = trace.node_table
+            start = 0
+            for end in chain(cuts, (len(ids),) if ids else ()):
+                visits.setdefault(table[ids[start]], {})[
+                    tuple(blocks[start:end])
+                ] = None
+                start = end
         node_refs = {
             label: NodeRefs(label=label, visit_sequences=tuple(sequences))
             for label, sequences in visits.items()

@@ -11,18 +11,26 @@ two context switches (``Ccs`` each) per preemption::
               ceil(Ri / Pj) * (Cj + Cpre(Ti, Tj) + 2 * Ccs)        (Eq. 7)
 
 The iteration starts at ``Ri = Ci`` and terminates on convergence, once
-``Ri`` exceeds the task's deadline (the task is then unschedulable), or —
-distinguishably — when the iteration budget runs out without either
-happening (:attr:`WCRTResult.diverged`; typically utilization > 1).  The
-divergent case is reported *unschedulable*, which is always a sound
-verdict, and recorded as a ``DivergenceError`` entry in the supplied
-:class:`~repro.guard.ledger.DegradationLedger`; strict budgets raise
-:class:`~repro.errors.DivergenceError` instead.
+``Ri`` exceeds the task's deadline (the task is then unschedulable), or
+when the iteration budget runs out.  Overload is decided, not budgeted:
+with ``U = sum_j (Cj + Cpre(Ti, Tj) + 2 * Ccs) / Pj`` the right-hand side
+is ``>= Ci + U * Ri``, so ``U >= 1`` (and ``Ci > 0``, which every task
+has) means no fixpoint exists at all (:attr:`WCRTResult.unbounded`, an
+exact verdict), while ``U < 1`` bounds the least fixpoint by
+``(Ci + sum_j (Jj / Pj + 1) * cj) / (1 - U)`` (see ``docs/theory.md``).
+``U`` is tested in exact integer arithmetic, and only once the window
+first passes the deadline or the budget runs out, so fixpoints that
+converge below the deadline never pay for it.  A budget that runs out
+with ``U < 1`` (:attr:`WCRTResult.diverged`) reports that closed-form
+bound as a sound upper bound and records a ``DivergenceError`` entry in
+the supplied :class:`~repro.guard.ledger.DegradationLedger`; strict
+budgets raise :class:`~repro.errors.DivergenceError` instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import DivergenceError
@@ -48,18 +56,48 @@ def zero_cpre(_preempted: str, _preempting: str) -> int:
     return 0
 
 
+def interferer_demand(terms: list[tuple[int, int, int]]) -> tuple[int, int]:
+    """``U`` over ``(jitter, period, cost)`` terms as an exact ratio
+    ``(numerator, denominator)``: the interferers' share of the processor,
+    ``sum cost / period``, over the periods' least common multiple."""
+    common = lcm(*(period for _, period, _ in terms))
+    return sum(cost * (common // period) for _, period, cost in terms), common
+
+
+def _overloaded(terms: list[tuple[int, int, int]]) -> bool:
+    """``U >= 1``: with ``Ci > 0``, Eq. 7 then has no fixpoint."""
+    demand, common = interferer_demand(terms)
+    return demand >= common
+
+
+def fixpoint_bound(wcet: int, terms: list[tuple[int, int, int]]) -> int:
+    """Smallest integer ``>= (wcet + sum (J/P + 1) * cost) / (1 - U)``, an
+    upper bound on Eq. 7's least busy-window fixpoint; needs ``U < 1``."""
+    demand, common = interferer_demand(terms)
+    offset = sum(
+        (jitter + period) * cost * (common // period)
+        for jitter, period, cost in terms
+    )
+    return _ceil_div(wcet * common + offset, common - demand)
+
+
 @dataclass
 class WCRTResult:
     """Outcome of the response-time iteration for one task.
 
-    Exactly one of three terminal states holds:
+    Exactly one of four terminal states holds:
 
     * ``converged`` — the recurrence reached its fixpoint; ``wcrt`` is exact.
     * ``deadline_stopped`` — the response crossed the deadline and
       ``stop_at_deadline`` cut the iteration short; ``wcrt`` is a valid
       lower bound that already proves unschedulability.
-    * ``diverged`` — the iteration budget ran out with the recurrence
-      still climbing; the task is reported unschedulable (sound).
+    * ``unbounded`` — the interferers' demand ``U`` is at least 1, so no
+      fixpoint exists (an exact verdict); ``wcrt`` is the first response
+      past the deadline (the last one if the budget ran out first), a
+      lower bound like ``deadline_stopped``'s.
+    * ``diverged`` — the iteration budget ran out with ``U < 1``; ``wcrt``
+      is the closed-form upper bound on the fixpoint and ``schedulable``
+      its deadline verdict (sound, not exact).
     """
 
     task: TaskSpec
@@ -69,6 +107,7 @@ class WCRTResult:
     iterations: list[int] = field(default_factory=list)
     deadline_stopped: bool = False
     diverged: bool = False
+    unbounded: bool = False
 
     @property
     def iteration_count(self) -> int:
@@ -76,11 +115,14 @@ class WCRTResult:
 
     @property
     def status(self) -> str:
-        """``"converged"``, ``"deadline_overrun"`` or ``"diverged"``."""
+        """``"converged"``, ``"deadline_overrun"``, ``"unbounded"`` or
+        ``"diverged"``."""
         if self.converged:
             return "converged"
         if self.deadline_stopped:
             return "deadline_overrun"
+        if self.unbounded:
+            return "unbounded"
         return "diverged"
 
 
@@ -151,10 +193,13 @@ def compute_task_wcrt(
     paper's tables report WCRT values far above the period (e.g. Approach 1
     at Cmiss=40 in Table V).
 
-    *budget* caps the iteration count (``max_wcrt_iterations``) and, in
-    strict mode, turns iteration exhaustion into a raised
-    :class:`DivergenceError`; otherwise exhaustion yields a sound
-    ``diverged`` result and a ledger entry.
+    Once the window passes the deadline without ``stop_at_deadline``, or
+    the iteration budget runs out, the interferers' demand ``U`` is
+    tested exactly: ``U >= 1`` ends the iteration as ``unbounded`` (no
+    fixpoint exists, no ledger entry).  *budget* caps the iteration count
+    (``max_wcrt_iterations``); exhausting it with ``U < 1`` yields a
+    ``diverged`` result carrying the closed-form fixpoint bound and a
+    ledger entry, or, in strict mode, a raised :class:`DivergenceError`.
 
     ``initial_window`` warm-starts the busy-window iteration from a prior
     fixpoint instead of ``Ci``.  The recurrence's right-hand side is
@@ -200,8 +245,9 @@ def compute_task_wcrt(
         if initial_window is not None and initial_window > window:
             window = initial_window
         history = [window + task.jitter]
-        converged = False
-        deadline_stopped = False
+        # U is tested at most once: where the window first passes the
+        # deadline, or where the rounds run out.
+        converged = deadline_stopped = unbounded = tested = False
         for _ in range(max_iterations):
             updated = task.wcet + interference(window)
             if updated == window:
@@ -209,34 +255,54 @@ def compute_task_wcrt(
                 break
             window = updated
             history.append(window + task.jitter)
-            if stop_at_deadline and window + task.jitter > deadline:
-                deadline_stopped = True
-                break
-        diverged = not converged and not deadline_stopped
+            if window + task.jitter > deadline:
+                if stop_at_deadline:
+                    deadline_stopped = True
+                    break
+                if not tested:
+                    tested = True
+                    unbounded = _overloaded(terms)
+                    if unbounded:
+                        break
+        if not (converged or deadline_stopped or tested) and max_iterations > 0:
+            unbounded = _overloaded(terms)  # else no round built the terms
+        response = window + task.jitter
+        diverged = not (converged or deadline_stopped or unbounded)
+        schedulable = converged and response <= deadline
         if diverged:
             message = (
                 f"WCRT recurrence for {task.name!r} did not converge within "
                 f"{max_iterations} iteration(s); last response "
-                f"{window + task.jitter} (utilization {system.utilization:.3f})"
+                f"{response} (utilization {system.utilization:.3f})"
             )
             if budget is not None and budget.strict:
                 raise DivergenceError(message, task=task.name)
+            if max_iterations > 0:
+                response = fixpoint_bound(task.wcet, terms) + task.jitter
+                schedulable = response <= deadline
+                fallback = (
+                    f"reported the closed-form bound {response} "
+                    "(interferer utilization < 1; converged=False, "
+                    "diverged=True)"
+                )
+            else:
+                fallback = "reported unschedulable (converged=False, diverged=True)"
             if ledger is not None:
                 ledger.record(
                     stage=f"wcrt:{task.name}",
                     budget="max_wcrt_iterations",
                     reason=f"DivergenceError: {message}",
-                    fallback="reported unschedulable (converged=False, diverged=True)",
+                    fallback=fallback,
                 )
-        response = window + task.jitter
         result = WCRTResult(
             task=task,
             wcrt=response,
             converged=converged,
-            schedulable=converged and response <= deadline,
+            schedulable=schedulable,
             iterations=history,
             deadline_stopped=deadline_stopped,
             diverged=diverged,
+            unbounded=unbounded,
         )
         if _OBS.enabled:
             span.set(iterations=result.iteration_count, status=result.status)

@@ -6,7 +6,9 @@ Factories here fabricate the failure modes the guard layer
 * :func:`make_exploding_program` — a CFG whose feasible-path count grows
   as ``2**branches``, blowing any path-enumeration budget,
 * :func:`make_divergent_system` — a task set whose response-time
-  recurrence (Eq. 6) never reaches a fixpoint,
+  recurrence (Eq. 6) never reaches a fixpoint (``unbounded``),
+* :func:`make_slow_system` — a recurrence that converges, but only after
+  more rounds than a small iteration budget allows (``diverged``),
 * :func:`make_overloaded_system` — utilization > 1 with a *finite*
   fixpoint above the deadline, to pin the deadline-overrun /
   divergence distinction,
@@ -70,14 +72,32 @@ def make_divergent_system() -> TaskSystem:
     """U = 1.01; the victim's recurrence gains >= 1 cycle per iteration.
 
     The hog saturates the processor (C = P), so ``R = 1 + ceil(R/5)*5``
-    has no fixpoint: without a deadline stop the iteration climbs until
-    the iteration budget runs out.  Every task is individually legal
-    (wcet <= deadline) — the fault only exists at the system level.
+    has no fixpoint: the victim's interferer demand is exactly 1, which
+    Eq. 7 reports as ``unbounded`` once the response passes the deadline.
+    Every task is individually legal (wcet <= deadline) — the fault only
+    exists at the system level.
     """
     return TaskSystem(
         tasks=[
             TaskSpec("hog", wcet=5, period=5, priority=1),
             TaskSpec("victim", wcet=1, period=100, priority=2),
+        ]
+    )
+
+
+def make_slow_system() -> TaskSystem:
+    """Interferer demand 0.95 < 1: a fixpoint exists but is slow to reach.
+
+    ``R = 200 + ceil(R/20)*19`` converges to 4000 after 59 rounds, so
+    ``max_wcrt_iterations=40`` exhausts the budget on a recurrence that
+    does converge (``diverged``).  The closed-form bound
+    ``(200 + (0/20 + 1)*19) / (1 - 19/20)`` rounds up to 4380, which is
+    below the 6000-cycle deadline.
+    """
+    return TaskSystem(
+        tasks=[
+            TaskSpec("hog", wcet=19, period=20, priority=1),
+            TaskSpec("victim", wcet=200, period=6000, priority=2),
         ]
     )
 

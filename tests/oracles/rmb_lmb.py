@@ -4,7 +4,10 @@ The executable specification that :mod:`repro.analysis.rmb_lmb` (bit
 masks over set-grouped blocks) is checked against by
 ``tests/test_flow_equivalence.py``: ``dict[set index -> frozenset]``
 states pushed through a LIFO worklist, one transfer per (node, set,
-visit variant).  Not used by the package.
+visit variant).  Not used by the package.  :func:`node_visit_sequences`
+and :func:`every_visit_aggregate` keep *every* node visit, duplicates
+included, the way the package's trace aggregation did before it kept
+each distinct visit once.
 
 Section IV of the paper, following Lee et al. [21]:
 
@@ -30,14 +33,55 @@ the sets supersets of reality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain, compress, count, islice, repeat
+from operator import and_, ne
+from typing import Iterable, Mapping, Sequence
 
 from repro.cache.config import CacheConfig
 from repro.program.cfg import ControlFlowGraph
-from repro.vm.trace import NodeTraceAggregate
+from repro.vm.trace import CompactTrace, NodeRefs, NodeTraceAggregate
 
 BlockSet = frozenset[int]
 SetStates = dict[int, BlockSet]  # cache-set index -> blocks
+
+
+def node_visit_sequences(
+    trace: CompactTrace, config: CacheConfig
+) -> dict[str, list[tuple[int, ...]]]:
+    """Per node, the block-reference sequence of every visit, in order.
+
+    A *visit* is a maximal run of consecutive references issued by the
+    same node; repeated visits are all kept.
+    """
+    ids = trace.node_ids
+    if not ids:
+        return {}
+    blocks = list(map(and_, trace.addresses, repeat(-config.line_size)))
+    cuts = compress(count(1), map(ne, ids, islice(ids, 1, None)))
+    table = trace.node_table
+    visits: dict[str, list[tuple[int, ...]]] = {}
+    start = 0
+    for end in chain(cuts, (len(ids),)):
+        visits.setdefault(table[ids[start]], []).append(tuple(blocks[start:end]))
+        start = end
+    return visits
+
+
+def every_visit_aggregate(
+    config: CacheConfig, traces: Iterable[CompactTrace]
+) -> NodeTraceAggregate:
+    """The per-node aggregate of *traces* with every visit kept."""
+    visits: dict[str, list[tuple[int, ...]]] = {}
+    for trace in traces:
+        for node, sequences in node_visit_sequences(trace, config).items():
+            visits.setdefault(node, []).extend(sequences)
+    return NodeTraceAggregate(
+        config=config,
+        node_refs={
+            label: NodeRefs(label=label, visit_sequences=tuple(sequences))
+            for label, sequences in visits.items()
+        },
+    )
 
 
 def last_distinct(sequence: Sequence[int], limit: int) -> tuple[int, ...]:

@@ -1,10 +1,12 @@
-"""WCRT terminal states: converged vs deadline overrun vs divergence.
+"""WCRT terminal states: converged, deadline overrun, unbounded, diverged.
 
-The response-time iteration (Eq. 6/7) can end three ways and the results
-must stay distinguishable — a deadline overrun is an *exact* verdict of
-unschedulability, while iteration-budget exhaustion (divergence, typically
-utilization > 1) is a *conservative* one that lands in the degradation
-ledger as a ``DivergenceError`` entry (or raises it in strict mode).
+The response-time iteration (Eq. 6/7) can end four ways and the results
+must stay distinguishable.  A deadline overrun and an unbounded
+recurrence (interferer demand ``U >= 1``: no fixpoint exists) are *exact*
+verdicts of unschedulability.  Iteration-budget exhaustion with ``U < 1``
+(divergence) reports the closed-form fixpoint bound, a *conservative*
+verdict that lands in the degradation ledger as a ``DivergenceError``
+entry (or raises it in strict mode).
 """
 
 from __future__ import annotations
@@ -16,7 +18,11 @@ from repro.guard import AnalysisBudget, DegradationLedger
 from repro.wcrt import TaskSpec, TaskSystem, compute_system_wcrt
 from repro.wcrt.response_time import compute_task_wcrt
 
-from tests.faults import make_divergent_system, make_overloaded_system
+from tests.faults import (
+    make_divergent_system,
+    make_overloaded_system,
+    make_slow_system,
+)
 
 
 class TestTerminalStates:
@@ -41,8 +47,28 @@ class TestTerminalStates:
         # entry, the result is not a degradation.
         assert ledger.soundness == "exact"
 
+    def test_overload_is_unbounded_and_exact(self):
+        system = make_divergent_system()  # the victim's U is exactly 1
+        ledger = DegradationLedger()
+        result = compute_task_wcrt(
+            system,
+            "victim",
+            stop_at_deadline=False,
+            budget=AnalysisBudget(max_wcrt_iterations=40),
+            ledger=ledger,
+        )
+        assert result.status == "unbounded"
+        assert result.unbounded
+        assert not (result.converged or result.deadline_stopped or result.diverged)
+        assert not result.schedulable
+        # The first response past the deadline of 100, the same lower
+        # bound a deadline stop reports.
+        assert result.wcrt == 101
+        assert result.iterations[-2] <= 100 < result.iterations[-1]
+        assert ledger.soundness == "exact" and not ledger.events
+
     def test_divergence_is_conservative_with_ledger_entry(self):
-        system = make_divergent_system()
+        system = make_slow_system()  # U = 0.95: a fixpoint exists (4000)
         ledger = DegradationLedger()
         result = compute_task_wcrt(
             system,
@@ -53,16 +79,22 @@ class TestTerminalStates:
         )
         assert result.status == "diverged"
         assert result.diverged and not result.converged
-        assert not result.deadline_stopped
-        assert not result.schedulable  # sound verdict
+        assert not result.deadline_stopped and not result.unbounded
         assert result.iteration_count <= 41
+        # The closed-form bound: ceil((200 + 19) / (1 - 19/20)) = 4380,
+        # above the true fixpoint and below the deadline.
+        assert result.wcrt == 4380
+        exact = compute_task_wcrt(system, "victim", stop_at_deadline=False)
+        assert exact.converged and exact.wcrt == 4000 <= result.wcrt
+        assert result.schedulable
         assert ledger.soundness == "conservative"
         (event,) = ledger.for_stage("wcrt:victim")
         assert event.budget == "max_wcrt_iterations"
         assert "DivergenceError" in event.reason
+        assert "closed-form bound 4380" in event.fallback
 
     def test_strict_budget_raises_divergence_error(self):
-        system = make_divergent_system()
+        system = make_slow_system()
         with pytest.raises(DivergenceError) as info:
             compute_task_wcrt(
                 system,
@@ -74,6 +106,15 @@ class TestTerminalStates:
         assert info.value.exit_code == 4
         assert error_kind(info.value) == "divergence"
 
+    def test_strict_budget_accepts_an_unbounded_verdict(self):
+        result = compute_task_wcrt(
+            make_divergent_system(),
+            "victim",
+            stop_at_deadline=False,
+            budget=AnalysisBudget(max_wcrt_iterations=40, strict=True),
+        )
+        assert result.status == "unbounded"
+
     def test_diverged_wcrt_is_still_a_lower_bound(self):
         system = make_divergent_system()
         result = compute_task_wcrt(
@@ -83,8 +124,8 @@ class TestTerminalStates:
             budget=AnalysisBudget(max_wcrt_iterations=40),
             ledger=DegradationLedger(),
         )
-        # The recurrence is monotone, so the last iterate bounds the true
-        # (here: infinite) response from below and exceeds the WCET.
+        # The recurrence is monotone, so the reported iterate bounds the
+        # true (here: infinite) response from below and exceeds the WCET.
         assert result.wcrt >= system.task("victim").wcet
         assert result.iterations == sorted(result.iterations)
 
@@ -114,15 +155,26 @@ class TestOverloadRegression:
 class TestSystemWCRTLedger:
     def test_system_result_reports_diverged_tasks(self):
         wcrt = compute_system_wcrt(
-            make_divergent_system(),
+            make_slow_system(),
             stop_at_deadline=False,
             budget=AnalysisBudget(max_wcrt_iterations=40),
         )
         assert wcrt.diverged_tasks() == ["victim"]
-        assert wcrt.unschedulable_tasks() == ["victim"]
-        assert not wcrt.schedulable
+        assert wcrt.unschedulable_tasks() == []  # the bound meets the deadline
+        assert wcrt.schedulable
         assert wcrt.soundness == "conservative"
         assert "max_wcrt_iterations" in wcrt.ledger.tripped_budgets()
+
+    def test_unbounded_task_is_unschedulable_not_diverged(self):
+        wcrt = compute_system_wcrt(
+            make_divergent_system(),
+            stop_at_deadline=False,
+            budget=AnalysisBudget(max_wcrt_iterations=40),
+        )
+        assert wcrt.diverged_tasks() == []
+        assert wcrt.unschedulable_tasks() == ["victim"]
+        assert not wcrt.schedulable
+        assert wcrt.soundness == "exact"
 
     def test_shared_ledger_is_the_result_ledger(self):
         ledger = DegradationLedger()

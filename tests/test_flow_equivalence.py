@@ -3,9 +3,13 @@
 ``repro.analysis.rmb_lmb`` / ``repro.analysis.useful`` solve RMB/LMB as one
 gen/kill problem over set-grouped block bits and keep useful points as
 masks; ``tests/oracles`` holds the per-set frozenset implementation they
-replaced.  Checked here on Experiments I/II at the experiments' and the
-paper's cache geometries, and on fuzz-drawn programs covering
-lru/fifo/plru x write-through/write-back:
+replaced.  The package reads each node's *distinct* visits
+(:class:`~repro.vm.trace.NodeTraceAggregate`); the oracle is fed every
+visit of every scenario's trace, duplicates included, so the checks also
+prove that dropping repeated visits changes nothing.  Checked here on
+Experiments I/II at the experiments' and the paper's cache geometries,
+and on fuzz-drawn programs covering lru/fifo/plru x
+write-through/write-back:
 
 * RMB/LMB at every block entry and exit, per (label, set);
 * per-point useful sets, reload bounds, block counts and the
@@ -28,6 +32,7 @@ from repro.cache import CacheConfig
 from repro.experiments import EXPERIMENT_I_SPEC, EXPERIMENT_II_SPEC, build_context
 from repro.fuzz.build import build_case
 from repro.fuzz.generator import case_from_seed
+from repro.vm.trace import CompactTrace
 from tests.oracles import rmb_lmb as oracle_rmb_lmb
 from tests.oracles import useful as oracle_useful
 from tests.oracles.pathcost import approach4_lines
@@ -65,6 +70,16 @@ def _task_sets():
     return systems
 
 
+def _every_visit(art):
+    """*art*'s per-node aggregate with every visit of every scenario."""
+    traces = art.wcet.traces
+    if hasattr(traces, "compact"):
+        compact = list(traces.compact().values())
+    else:
+        compact = [CompactTrace.from_recorder(r) for r in traces.values()]
+    return oracle_rmb_lmb.every_visit_aggregate(art.config, compact)
+
+
 @pytest.fixture(scope="module")
 def systems():
     built = []
@@ -72,9 +87,10 @@ def systems():
         oracles = {}
         for name, art in artifacts.items():
             cfg = art.program.cfg
-            flow = oracle_rmb_lmb.solve_rmb_lmb(cfg, art.aggregate, art.config)
-            useful = oracle_useful.compute_useful_blocks(cfg, flow, art.aggregate)
-            oracles[name] = (flow, useful)
+            every = _every_visit(art)
+            flow = oracle_rmb_lmb.solve_rmb_lmb(cfg, every, art.config)
+            useful = oracle_useful.compute_useful_blocks(cfg, flow, every)
+            oracles[name] = (flow, useful, every)
         built.append((tag, artifacts, order, oracles))
     return built
 
@@ -93,6 +109,22 @@ def test_inputs_cover_every_policy_and_write_mode(systems):
     }
     programs = sum(len(artifacts) for tag, artifacts, *_ in systems if tag in fuzz)
     assert programs >= 100
+
+
+def test_aggregate_is_every_visit_deduplicated(systems):
+    repeated = 0
+    for tag, artifacts, _, oracles in systems:
+        for name, art in artifacts.items():
+            every = oracles[name][2]
+            assert list(art.aggregate.node_refs) == list(every.node_refs)
+            for label, refs in every.node_refs.items():
+                distinct = tuple(dict.fromkeys(refs.visit_sequences))
+                assert art.aggregate.refs(label).visit_sequences == distinct, (
+                    f"{tag} {name} {label}"
+                )
+                repeated += len(refs.visit_sequences) - len(distinct)
+            assert art.aggregate.footprint() == every.footprint()
+    assert repeated  # the inputs really do repeat visits
 
 
 def test_rmb_lmb_per_label_and_set(systems):

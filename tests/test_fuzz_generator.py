@@ -126,6 +126,7 @@ class TestOracleBank:
             "kernel_vs_naive",
             "prune_vs_enumerate",
             "useful_antichain",
+            "wcrt_certificate",
             "wcet_soundness",
             "reload_soundness",
             "heap_vs_scan",
@@ -138,3 +139,27 @@ class TestOracleBank:
     def test_single_oracle_selection(self):
         case = build_case(case_from_seed(4, 0))
         assert run_oracles(case, names=["approach_ordering"]) == []
+
+    def test_wcrt_certificate_sees_both_sides_of_u_one(self, monkeypatch):
+        """The period rescaling makes every approach meet both an
+        overloaded (``unbounded``) and a converging recurrence, and the
+        three-round runs trip into ``diverged`` bounds."""
+        from repro.fuzz import oracles
+
+        seen = set()
+        original = oracles.compute_task_wcrt
+
+        def spy(system, name, cpre, **kwargs):
+            result = original(system, name, cpre=cpre, **kwargs)
+            approach = cpre.__defaults__[0]  # the oracle binds it there
+            seen.add((approach, kwargs.get("max_iterations"), result.status))
+            return result
+
+        monkeypatch.setattr(oracles, "compute_task_wcrt", spy)
+        for index in range(4):
+            case = build_case(case_from_seed(4, index))
+            assert run_oracles(case, names=["wcrt_certificate"]) == []
+        for approach in oracles.ALL_APPROACHES:
+            assert (approach, None, "unbounded") in seen
+            assert (approach, None, "converged") in seen
+            assert (approach, 3, "diverged") in seen

@@ -41,8 +41,8 @@ from tests.faults import (
     DEGENERATE_GEOMETRIES,
     INVALID_GEOMETRIES,
     exploding_scenarios,
-    make_divergent_system,
     make_exploding_program,
+    make_slow_system,
 )
 
 BRANCHES = 6  # 2**6 = 64 feasible paths: cheap to build, easy to blow.
@@ -536,14 +536,14 @@ class TestRobustnessInvariant:
 
         def divergent_task_set():
             return compute_system_wcrt(
-                make_divergent_system(),
+                make_slow_system(),
                 stop_at_deadline=False,
                 budget=AnalysisBudget(max_wcrt_iterations=50),
             ).ledger
 
         def divergent_task_set_strict():
             return compute_system_wcrt(
-                make_divergent_system(),
+                make_slow_system(),
                 stop_at_deadline=False,
                 budget=AnalysisBudget(max_wcrt_iterations=50, strict=True),
             ).ledger

@@ -121,10 +121,11 @@ class TestColumnarAggregate:
             write_back=write_back,
         )
         recorders = [random_recorder(seed), random_recorder(seed + 100, 200)]
-        expected: dict[str, list[tuple[int, ...]]] = {}
+        expected: dict[str, dict[tuple[int, ...], None]] = {}
         for recorder in recorders:
             for node, sequences in reference_visits(recorder, config).items():
-                expected.setdefault(node, []).extend(sequences)
+                # Distinct visits, each once, in first-seen order.
+                expected.setdefault(node, {}).update(dict.fromkeys(sequences))
         aggregate = NodeTraceAggregate.from_compact(
             config, [CompactTrace.from_recorder(r) for r in recorders]
         )
@@ -135,7 +136,7 @@ class TestColumnarAggregate:
     def test_empty_trace_has_no_visits(self):
         config = CacheConfig(num_sets=8, ways=2, line_size=16)
         trace = CompactTrace.from_recorder(TraceRecorder())
-        assert trace.node_visit_sequences(config) == {}
+        assert NodeTraceAggregate.from_compact(config, [trace]).node_refs == {}
 
 
 class TestRelocation:

@@ -29,6 +29,25 @@ class TestTaskReport:
         text = task_report(analyzed_pair["high"])
         assert "then@" in text and "else@" in text
 
+    def test_tripped_path_enumeration_is_named(self):
+        from repro.analysis import analyze_task
+        from repro.cache import CacheConfig
+        from repro.guard import AnalysisBudget
+        from repro.program import SystemLayout
+        from repro.workloads import build_workload
+
+        workload = build_workload("ed")  # two feasible paths
+        art = analyze_task(
+            SystemLayout().place(workload.program),
+            workload.scenario_map(),
+            CacheConfig.scaled_8k(),
+            budget=AnalysisBudget(max_paths=1),
+        )
+        assert not art.path_enumeration_complete
+        text = task_report(art, include_reuse=False, max_paths=1)
+        assert "path enumeration stopped at max_paths=1" in text
+        assert "feasible path(s)" not in text
+
     def test_experiment_task_report(self, experiment1_context):
         text = task_report(experiment1_context.artifacts["ed"])
         assert "'ed'" in text
@@ -79,3 +98,22 @@ class TestSystemReport:
         )
         text = system_report(crpd, system, context_switch=100)
         assert "MISSES DEADLINE" in text
+
+    def test_unbounded_flagged(self, analyzed_pair):
+        crpd = CRPDAnalyzer(
+            {"low": analyzed_pair["low"], "high": analyzed_pair["high"]}
+        )
+        high_wcet = analyzed_pair["high"].wcet.cycles
+        low_wcet = analyzed_pair["low"].wcet.cycles
+        # high alone fills the processor (C = P), so low's U >= 1.
+        system = TaskSystem(
+            tasks=[
+                TaskSpec(name="high", wcet=high_wcet, period=high_wcet,
+                         priority=1),
+                TaskSpec(name="low", wcet=low_wcet,
+                         period=2 * (low_wcet + high_wcet), priority=2),
+            ]
+        )
+        text = system_report(crpd, system, stop_at_deadline=False)
+        assert "UNBOUNDED (U >= 1)" in text
+        assert "MISSES DEADLINE" not in text

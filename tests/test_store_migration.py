@@ -110,12 +110,13 @@ def test_kind_collision_is_stale_not_a_wrong_payload(
 
 
 def test_schema3_flow_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
-    """Schema 4 changed only the flow payload (bit-mask RMB/LMB states and
-    useful points): a flow entry stamped with schema 3 is a counted stale
-    miss that recomputes the same analysis, while the other kinds hit."""
+    """Schema 4 changed the flow payload (bit-mask RMB/LMB states and
+    useful points), schema 5 the keys and the flow's visit lists: a flow
+    entry stamped with schema 3 is a counted stale miss that recomputes
+    the same analysis, while the other kinds hit."""
     from repro.analysis.store import SCHEMA_VERSION
 
-    assert SCHEMA_VERSION == 4
+    assert SCHEMA_VERSION == 5
     layout, scenarios, entries, cold = _case(tmp_path, tiny_cache_config)
     for entry in entries:
         stored = pickle.loads(entry.read_bytes())

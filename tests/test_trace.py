@@ -3,7 +3,15 @@
 import pytest
 
 from repro.cache import CacheConfig
-from repro.vm.trace import MemRef, NodeRefs, NodeTraceAggregate, TraceRecorder
+from repro.vm.trace import (
+    CompactTrace,
+    MemRef,
+    NodeRefs,
+    NodeTraceAggregate,
+    TraceRecorder,
+)
+
+from tests.oracles.rmb_lmb import node_visit_sequences
 
 
 @pytest.fixture
@@ -52,13 +60,13 @@ class TestRecorder:
                 (0x030, "read", "a"),
             ]
         )
-        visits = recorder.node_visit_sequences(config)
+        visits = node_visit_sequences(CompactTrace.from_recorder(recorder), config)
         assert visits["a"] == [(0x000, 0x010), (0x030,)]
         assert visits["b"] == [(0x020,)]
 
     def test_empty_recorder(self, config):
         recorder = TraceRecorder()
-        assert recorder.node_visit_sequences(config) == {}
+        assert node_visit_sequences(CompactTrace.from_recorder(recorder), config) == {}
         assert recorder.block_addresses(config) == frozenset()
         assert len(recorder) == 0
 
@@ -90,6 +98,24 @@ class TestAggregate:
         aggregate = NodeTraceAggregate.from_recorders(config, [r1, r2])
         assert aggregate.refs("a").blocks() == frozenset({0x000, 0x100})
         assert aggregate.footprint() == frozenset({0x000, 0x100, 0x200})
+
+    def test_keeps_each_distinct_visit_once_in_first_seen_order(self, config):
+        r1 = make_recorder(
+            [
+                (0x000, "read", "a"),
+                (0x010, "read", "b"),
+                (0x020, "read", "a"),
+                (0x010, "read", "b"),
+                (0x000, "read", "a"),
+            ]
+        )
+        r2 = make_recorder([(0x030, "read", "c"), (0x020, "read", "a")])
+        aggregate = NodeTraceAggregate.from_recorders(config, [r1, r2])
+        assert list(aggregate.node_refs) == ["a", "b", "c"]
+        assert aggregate.refs("a").visit_sequences == ((0x000,), (0x020,))
+        assert aggregate.refs("b").visit_sequences == ((0x010,),)
+        assert aggregate.refs("b").deterministic
+        assert not aggregate.refs("a").deterministic
 
     def test_unknown_node_is_empty(self, config):
         aggregate = NodeTraceAggregate.from_recorders(config, [])
