@@ -145,7 +145,8 @@ def _bench_parallel_sweep(spec):
     for context, result in zip(contexts, batch):
         for name in spec.priority_order:
             assert (
-                result.wcet[name] == context.artifacts[name].wcet.cycles
+                result.payload["wcet"][name]
+                == context.artifacts[name].wcet.cycles
             ), f"{spec.key}: sweep WCET diverged from per-point loop"
     return {
         "points": len(points),
@@ -183,10 +184,9 @@ def _bench_geometry_sweep():
         assert warm.store_hits > 0, "geometry sweep never touched the store"
 
     for cold_result, warm_result in zip(recompute, warm):
-        assert cold_result.wcrt == warm_result.wcrt, (
+        assert cold_result.payload == warm_result.payload, (
             f"{cold_result.point.label()}: warm sweep diverged from recompute"
         )
-        assert cold_result.events == warm_result.events
     return {
         "points": len(points),
         "recompute_seconds": round(recompute_seconds, 4),
@@ -362,7 +362,6 @@ def _bench_serve():
     from statistics import median
 
     from repro.batch.engine import SweepPoint, analyze_batch
-    from repro.experiments.setup import ALL_SPECS
     from repro.serve.protocol import canonical_json, point_payload
     from repro.serve.service import AnalysisService
 
@@ -373,7 +372,6 @@ def _bench_serve():
     with tempfile.TemporaryDirectory() as tmp:
         directory = pathlib.Path(tmp)
         expected = {}
-        specs = {s.key: s for s in ALL_SPECS}
         for body in bodies:  # warm the store + compute references
             point = SweepPoint(
                 experiment=body["experiment"],
@@ -381,10 +379,7 @@ def _bench_serve():
             )
             batch = analyze_batch([point], store=ArtifactStore(directory))
             expected[canonical_json(body)] = canonical_json(
-                point_payload(
-                    batch.results[0],
-                    periods=specs[body["experiment"]].periods,
-                )
+                point_payload(batch.results[0])
             )
 
         total = SERVE_CLIENTS * SERVE_REQUESTS_PER_CLIENT

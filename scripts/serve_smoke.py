@@ -6,7 +6,10 @@ metrics exports on), runs two concurrent clients through the full
 protocol — health, concurrent ``wait=true`` submits at two miss
 penalties, a ``/v1/compare`` round-trip, ``/v1/stats`` — then sends
 SIGTERM and verifies the drain: exit code 0, the ``drained and
-stopped`` banner, and flushed, parseable trace/metrics exports.
+stopped`` banner, and flushed, parseable trace/metrics exports.  Each
+served ``result`` must also be byte-identical (canonical JSON) to the
+same point analysed in-process through ``analyze_batch`` and
+``point_payload``, the identity docs/serving.md promises.
 
 Artifacts (``serve-trace.jsonl``, ``serve-metrics.json``,
 ``serve-compare.json``) are left in the working directory for the CI
@@ -27,6 +30,7 @@ import threading
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
 TRACE_PATH = Path("serve-trace.jsonl")
 METRICS_PATH = Path("serve-metrics.json")
 COMPARE_PATH = Path("serve-compare.json")
@@ -91,6 +95,8 @@ def main() -> int:
         envelopes: dict = {}
         errors: list = []
 
+        penalties = {"client-a": 10, "client-b": 40}
+
         def client(name: str, penalty: int) -> None:
             try:
                 status, payload = request(
@@ -113,8 +119,8 @@ def main() -> int:
                 errors.append(f"{name}: {error!r}")
 
         threads = [
-            threading.Thread(target=client, args=("client-a", 10)),
-            threading.Thread(target=client, args=("client-b", 40)),
+            threading.Thread(target=client, args=item)
+            for item in penalties.items()
         ]
         for thread in threads:
             thread.start()
@@ -130,6 +136,18 @@ def main() -> int:
             "serve_smoke: 2 concurrent clients done "
             f"(jobs {sorted(e['job'] for e in envelopes.values())})"
         )
+
+        from repro.batch.engine import SweepPoint, analyze_batch
+        from repro.serve.protocol import canonical_json, point_payload
+
+        for name, penalty in penalties.items():
+            point = SweepPoint(experiment="exp1", miss_penalty=penalty)
+            direct = canonical_json(
+                point_payload(analyze_batch([point]).results[0])
+            )
+            if canonical_json(envelopes[name]["result"]) != direct:
+                fail(f"{name}: served result differs from the in-process run")
+        print("serve_smoke: served results byte-identical to in-process runs")
 
         status, compare = request(
             port,

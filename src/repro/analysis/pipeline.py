@@ -8,8 +8,11 @@ fixpoint (Eq. 7) — is wired here and nowhere else.
 an optional layout assignment into a :class:`PlacedSystem`;
 :func:`run_pipeline` analyses that into a :class:`PipelineResult`.
 ``build_context``, ``analyze_batch``, ``WhatIfSession`` and
-``build_case`` are thin layers over these two functions, so every front
-door reports the same lines, WCRTs and soundness for the same system.
+``build_case`` are thin layers over these two functions, and
+:meth:`PipelineResult.payload` is the one result record they all report
+(sweep rows, what-if states, served results and optimizer evaluations
+are key projections of it), so every front door reports the same lines,
+WCRTs and soundness for the same system.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.analysis import artifacts as _artifacts
-from repro.analysis.crpd import Approach, CRPDAnalyzer, PreemptionEstimate
+from repro.analysis.crpd import ALL_APPROACHES, Approach, CRPDAnalyzer
 from repro.cache.config import CacheConfig
 from repro.errors import ConfigError
 from repro.guard.ledger import DegradationLedger
@@ -28,6 +31,7 @@ from repro.wcrt.task import TaskSpec, TaskSystem
 
 if TYPE_CHECKING:
     from repro.analysis.artifacts import TaskArtifacts
+    from repro.analysis.crpd import PreemptionEstimate
     from repro.analysis.store import ArtifactStore
     from repro.analysis.wcet import Scenarios
     from repro.batch.pool import WarmPool
@@ -248,6 +252,10 @@ def _stagger_stride(programs) -> int:
     return extent + alignment
 
 
+#: The cache fields a result payload's ``config`` reports.
+CONFIG_KEYS = ("num_sets", "ways", "line_size", "miss_penalty", "policy", "write_back")
+
+
 @dataclass
 class PipelineResult:
     """One analysed system: artifacts, CRPD, task system and ledger.
@@ -297,6 +305,56 @@ class PipelineResult:
                 ledger=self.ledger,
             )
         return self._wcrt[approach]
+
+    def payload(self, wcrt: "dict | None" = None) -> dict:
+        """The system's canonical result record, as plain JSON data; every
+        front door reports it or a key projection of it.
+
+        ``config``; per-task ``periods``, ``jitters``, ``wcet`` (Table I);
+        per-pair ``lines`` under Approaches "1"-"4" (Table II);
+        per-approach Eq. 7 ``wcrt``, ``status``, ``schedulable`` (Tables
+        III-VI); ``soundness`` and the ledger's ``events``.  *wcrt* maps
+        each :class:`Approach` to ``{task: WCRTResult}`` (a what-if
+        session's warm-started fixpoints); by default :meth:`wcrt` runs
+        here.  The ledger is read last, so Eq. 7's entries are in it.
+        """
+        # Pairs before fixpoints: the ledger then lists pair events first,
+        # and only a pair estimated whole is kept in the store.
+        lines = {
+            f"{e.preempted}<-{e.preempting}": {
+                str(a.value): count for a, count in e.lines.items()
+            }
+            for e in self.estimates
+        }
+        if wcrt is None:
+            wcrt = {a: self.wcrt(a).results for a in ALL_APPROACHES}
+        config = self.placed.config
+        specs = {task.name: task for task in self.system.tasks}
+        order = self.placed.order
+        return {
+            "config": {key: getattr(config, key) for key in CONFIG_KEYS},
+            "periods": {name: specs[name].period for name in order},
+            "jitters": {name: specs[name].jitter for name in order},
+            "wcet": {name: specs[name].wcet for name in order},
+            "lines": lines,
+            "wcrt": {
+                str(a.value): {name: r.wcrt for name, r in results.items()}
+                for a, results in wcrt.items()
+            },
+            "status": {
+                str(a.value): {name: r.status for name, r in results.items()}
+                for a, results in wcrt.items()
+            },
+            "schedulable": {
+                str(a.value): all(r.schedulable for r in results.values())
+                for a, results in wcrt.items()
+            },
+            "soundness": self.soundness,
+            "events": [
+                [e.stage, e.budget, e.reason, e.fallback]
+                for e in self.ledger.events
+            ],
+        }
 
     def bindings(self) -> "list[TaskBinding]":
         """Simulator bindings, driving each task with its WCET scenario."""

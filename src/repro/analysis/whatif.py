@@ -279,64 +279,26 @@ def check_edit_conflicts(edits) -> None:
 
 @dataclass
 class WhatIfResult:
-    """One fully re-analysed state of a what-if session."""
+    """One fully re-analysed state of a what-if session: its result
+    :attr:`payload` (built once, over the session's warm-started Eq. 7
+    fixpoints), the typed ``config`` and ``events`` callers re-enter or
+    print, and the edit's telemetry."""
 
     label: str
     config: CacheConfig
-    periods: dict
-    jitters: dict
-    wcet: dict
-    estimates: list
-    #: ``Approach -> task name -> WCRTResult`` (true fixpoints; the
-    #: iteration runs with ``stop_at_deadline=False`` like the batch
-    #: engine, so Table III/V-style above-period values are exact).
-    wcrt: dict
-    soundness: str
+    payload: dict
     events: tuple
     elapsed_seconds: float = 0.0
     invalidated: dict = field(default_factory=dict)
     reused: dict = field(default_factory=dict)
     warm_started: int = 0
 
-    def schedulable(self, approach: Approach) -> bool:
-        return all(r.schedulable for r in self.wcrt[Approach(approach)].values())
+    @property
+    def periods(self) -> dict:
+        return self.payload["periods"]
 
-    def _payload(self) -> dict:
-        lines = {
-            f"{e.preempted}<-{e.preempting}": {
-                str(a.value): count for a, count in e.lines.items()
-            }
-            for e in self.estimates
-        }
-        return {
-            "config": {
-                "num_sets": self.config.num_sets,
-                "ways": self.config.ways,
-                "line_size": self.config.line_size,
-                "miss_penalty": self.config.miss_penalty,
-                "policy": self.config.policy,
-                "write_back": self.config.write_back,
-            },
-            "periods": dict(self.periods),
-            "jitters": dict(self.jitters),
-            "wcet": dict(self.wcet),
-            "lines": lines,
-            "wcrt": {
-                str(a.value): {name: r.wcrt for name, r in results.items()}
-                for a, results in self.wcrt.items()
-            },
-            "status": {
-                str(a.value): {name: r.status for name, r in results.items()}
-                for a, results in self.wcrt.items()
-            },
-            "schedulable": {
-                str(a.value): self.schedulable(a) for a in self.wcrt
-            },
-            "soundness": self.soundness,
-            "events": [
-                [e.stage, e.budget, e.reason, e.fallback] for e in self.events
-            ],
-        }
+    def schedulable(self, approach: Approach) -> bool:
+        return self.payload["schedulable"][str(Approach(approach).value)]
 
     def signature(self) -> str:
         """Canonical JSON of every analysis *result* this state carries.
@@ -346,18 +308,17 @@ class WhatIfResult:
         equivalence suite asserts byte-identity of this string against a
         cold session's.
         """
-        return json.dumps(self._payload(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.payload, sort_keys=True, separators=(",", ":"))
 
     def to_dict(self) -> dict:
-        payload = self._payload()
-        payload.update(
-            label=self.label,
-            elapsed_seconds=self.elapsed_seconds,
-            invalidated=dict(self.invalidated),
-            reused=dict(self.reused),
-            warm_started=self.warm_started,
-        )
-        return payload
+        return {
+            **self.payload,
+            "label": self.label,
+            "elapsed_seconds": self.elapsed_seconds,
+            "invalidated": dict(self.invalidated),
+            "reused": dict(self.reused),
+            "warm_started": self.warm_started,
+        }
 
 
 class WhatIfSession:
@@ -633,12 +594,13 @@ class WhatIfSession:
         started = time.perf_counter()
         invalidated = {node: 0 for node in GRAPH_NODES}
         reused = {node: 0 for node in GRAPH_NODES}
-        order = self._placed.order
         with _OBS.tracer.span("whatif.edit", edit=label) as span:
             pipeline = run_pipeline(
                 self._placed, budget=self.budget, store=self._store
             )
-            estimates = pipeline.estimates
+            # Every pair is estimated before Eq. 7 runs, so the ledger
+            # lists pair events ahead of fixpoint events, as a batch does.
+            pipeline.estimates
             self._diff_artifacts(pipeline, invalidated, reused)
             # The sensitivity helpers (critical scaling factor, breakdown
             # miss penalty) and the optimizer's breakdown objective
@@ -661,16 +623,10 @@ class WhatIfSession:
                         )
                     if reused[node]:
                         metrics.counter(f"whatif.reused.{node}").inc(reused[node])
-        specs = {task.name: task for task in pipeline.system.tasks}
         result = WhatIfResult(
             label=label,
             config=self._placed.config,
-            periods={name: specs[name].period for name in order},
-            jitters={name: specs[name].jitter for name in order},
-            wcet={name: specs[name].wcet for name in order},
-            estimates=estimates,
-            wcrt=wcrt,
-            soundness=pipeline.soundness,
+            payload=pipeline.payload(wcrt),
             events=tuple(pipeline.ledger.events),
             elapsed_seconds=elapsed,
             invalidated=invalidated,

@@ -25,11 +25,10 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.analysis.crpd import ALL_APPROACHES, PreemptionEstimate
 from repro.cache.config import CacheConfig
 from repro.obs import STATE as _OBS
 
@@ -37,7 +36,6 @@ if TYPE_CHECKING:
     from repro.analysis.store import ArtifactStore
     from repro.batch.pool import WarmPool
     from repro.guard.budget import AnalysisBudget
-    from repro.guard.ledger import DegradationEvent
     from repro.program.layout import LayoutAssignment
 
 __all__ = [
@@ -94,19 +92,14 @@ class SweepPoint:
 class PointResult:
     """Everything one sweep point produces, compact enough to ship.
 
-    ``wcrt`` maps approach value (1-4) to per-task response times;
-    ``schedulable`` carries the per-approach verdict.  ``events`` are the
-    degradation events this point's analysis recorded (replayed from the
-    store on warm runs, so warm and cold batches report identically).
+    ``payload`` is the point's canonical result record
+    (:meth:`~repro.analysis.pipeline.PipelineResult.payload`), plain
+    JSON data built in the worker.  Its ``events`` are replayed from the
+    store on warm runs, so warm and cold batches report identically.
     """
 
     point: SweepPoint
-    wcet: dict[str, int]
-    estimates: list[PreemptionEstimate]
-    wcrt: dict[int, dict[str, int]]
-    schedulable: dict[int, bool]
-    soundness: str
-    events: tuple["DegradationEvent", ...]
+    payload: dict
     analysis_seconds: float
     #: Store lookups this point answered warm/cold (0/0 without a store).
     store_hits: int = 0
@@ -114,6 +107,8 @@ class PointResult:
 
     def to_dict(self) -> dict:
         """JSON-ready summary (the ``repro sweep`` output row)."""
+        payload = self.payload
+        config = payload["config"]
         layout = (
             self.point.layout.to_dict() if self.point.layout is not None else None
         )
@@ -121,29 +116,22 @@ class PointResult:
             "experiment": self.point.experiment,
             "label": self.point.label(),
             **({"layout": layout} if layout is not None else {}),
-            "miss_penalty": self.point.config().miss_penalty,
+            "miss_penalty": config["miss_penalty"],
             "geometry": {
-                "num_sets": self.point.config().num_sets,
-                "ways": self.point.config().ways,
-                "line_size": self.point.config().line_size,
+                key: config[key] for key in ("num_sets", "ways", "line_size")
             },
-            "wcet": dict(self.wcet),
+            "wcet": payload["wcet"],
             "lines": {
-                f"{e.preempted}<-{e.preempting}": {
-                    f"approach{a.value}": e.lines[a] for a in e.lines
-                }
-                for e in self.estimates
+                pair: {f"approach{a}": count for a, count in counts.items()}
+                for pair, counts in payload["lines"].items()
             },
-            "wcrt": {
-                f"approach{approach}": dict(per_task)
-                for approach, per_task in self.wcrt.items()
-            },
+            "wcrt": {f"approach{a}": per for a, per in payload["wcrt"].items()},
             "schedulable": {
-                f"approach{approach}": verdict
-                for approach, verdict in self.schedulable.items()
+                f"approach{a}": verdict
+                for a, verdict in payload["schedulable"].items()
             },
-            "soundness": self.soundness,
-            "degradations": len(self.events),
+            "soundness": payload["soundness"],
+            "degradations": len(payload["events"]),
             "analysis_seconds": self.analysis_seconds,
             # Per-point store traffic: a regressing point is attributable
             # (cold recompute vs cache-answered) straight from the sweep
@@ -353,31 +341,14 @@ def _analyze_point(context: tuple, point: SweepPoint) -> PointResult:
         "batch.point", experiment=point.experiment, label=point.label()
     ) as span:
         pipeline = run_pipeline(placed, budget=budget, store=store)
-        estimates = pipeline.estimates
-        wcrt: dict[int, dict[str, int]] = {}
-        schedulable: dict[int, bool] = {}
-        for approach in ALL_APPROACHES:
-            system_wcrt = pipeline.wcrt(approach)
-            wcrt[approach.value] = {
-                name: system_wcrt.wcrt(name) for name in placed.order
-            }
-            schedulable[approach.value] = system_wcrt.schedulable
         result = PointResult(
             point=point,
-            wcet={
-                name: pipeline.artifacts[name].wcet.cycles
-                for name in placed.order
-            },
-            estimates=estimates,
-            wcrt=wcrt,
-            schedulable=schedulable,
-            soundness=pipeline.soundness,
-            events=tuple(pipeline.ledger.events),
+            payload=pipeline.payload(),
             analysis_seconds=perf_counter() - started,
             store_hits=(store.hits - hits_before) if store is not None else 0,
             store_misses=(
                 store.misses - misses_before
             ) if store is not None else 0,
         )
-        span.set(soundness=result.soundness)
+        span.set(soundness=result.payload["soundness"])
     return result

@@ -286,14 +286,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         budget=_budget_from(args),
     )
     for result in batch:
-        verdicts = " ".join(
-            f"a{approach}={'ok' if ok else 'MISS'}"
-            for approach, ok in sorted(result.schedulable.items())
-        )
+        payload = result.payload
         print(
-            f"{result.point.label():24s} {verdicts}  "
-            f"soundness={result.soundness} "
-            f"degradations={len(result.events)}"
+            f"{result.point.label():24s} {_verdicts(payload)}  "
+            f"soundness={payload['soundness']} "
+            f"degradations={len(payload['events'])}"
         )
     summary = batch.summary()
     print(
@@ -312,20 +309,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_whatif_state(result) -> None:
-    verdicts = " ".join(
-        f"a{approach.value}={'ok' if result.schedulable(approach) else 'MISS'}"
-        for approach in sorted(result.wcrt)
+def _verdicts(payload: dict) -> str:
+    """``a1=ok a2=MISS ...``: a result payload's per-approach verdicts."""
+    return " ".join(
+        f"a{approach}={'ok' if ok else 'MISS'}"
+        for approach, ok in payload["schedulable"].items()
     )
+
+
+def _print_whatif_state(result) -> None:
     invalidated = result.invalidated
     print(
-        f"{result.label:28s} {verdicts}  "
+        f"{result.label:28s} {_verdicts(result.payload)}  "
         f"{result.elapsed_seconds * 1e3:8.2f} ms  "
         f"recomputed tasks={invalidated.get('task', 0)} "
         f"pairs={invalidated.get('pair', 0)} "
         f"wcrt={invalidated.get('wcrt', 0)} "
         f"(warm-started {result.warm_started})  "
-        f"soundness={result.soundness}"
+        f"soundness={result.payload['soundness']}"
     )
 
 

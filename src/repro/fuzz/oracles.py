@@ -12,7 +12,9 @@ Three families, mirroring the tentpole spec:
   matrix, non-dominated useful vectors vs every
   execution point, heap vs scan scheduler identity,
   warm-vs-cold artifact + ledger parity through the :class:`ArtifactStore`,
-  relocated traces vs VM re-execution after random layout moves.
+  relocated traces vs VM re-execution after random layout moves, one
+  result payload across the front doors (``build_case``, what-if, serve,
+  optimizer) with warm-started Eq. 7 fixpoints vs cold ones.
 
 Soundness oracles that depend on assumptions the paper itself makes are
 gated accordingly, so a violation is always an engine bug and never a
@@ -829,6 +831,52 @@ def oracle_wcrt_certificate(
     return check.violations
 
 
+def oracle_front_doors(
+    case: BuiltCase, budget: AnalysisBudget | None = None
+) -> list[Violation]:
+    """Every front door reports one result payload for the spec.
+
+    A fresh ``build_case``'s ``pipeline.payload()`` and a fresh
+    :class:`~repro.analysis.whatif.WhatIfSession`'s state are equal as
+    canonical JSON (the served and optimizer views are key projections
+    of that payload, so they follow).  Then the warm-start memo meets
+    cold starts: doubling the top task's period must equal a session
+    built cold at that period (Eq. 7 memo reset, sub-artifacts shared),
+    and restoring it must return the identical ``signature()`` (its
+    fixpoints warm-start from the doubled ones)."""
+    from repro.analysis.whatif import Edit, WhatIfSession
+    from repro.serve.protocol import canonical_json
+
+    check = _Check("front_doors")
+    built = build_case(case.spec, budget=budget).pipeline.payload()
+    store = ArtifactStore(directory=None)
+    with WhatIfSession(case.spec, budget=budget, store=store) as session:
+        state = session.result()
+        check.expect(
+            state.signature() == canonical_json(built),
+            "WhatIfSession payload differs from build_case's",
+        )
+        top = case.tasks[0].name
+        period = state.periods[top]
+        doubled = session.apply(Edit(kind="period", task=top, value=2 * period))
+        with WhatIfSession(
+            case.spec,
+            budget=budget,
+            store=store,
+            period_overrides={top: 2 * period},
+        ) as cold:
+            check.expect(
+                doubled.signature() == cold.result().signature(),
+                f"period:{top}={2 * period} differs from a cold session",
+            )
+        restored = session.apply(Edit(kind="period", task=top, value=period))
+        check.expect(
+            restored.signature() == state.signature(),
+            f"period:{top}={2 * period} and back changed the signature",
+        )
+    return check.violations
+
+
 def oracle_heap_vs_scan(
     case: BuiltCase, budget: AnalysisBudget | None = None
 ) -> list[Violation]:
@@ -1018,6 +1066,7 @@ ORACLES: dict[str, Callable[..., list[Violation]]] = {
     "prune_vs_enumerate": oracle_prune_vs_enumerate,
     "useful_antichain": oracle_useful_antichain,
     "wcrt_certificate": oracle_wcrt_certificate,
+    "front_doors": oracle_front_doors,
     "wcet_soundness": oracle_wcet_soundness,
     "reload_soundness": oracle_reload_soundness,
     "heap_vs_scan": oracle_heap_vs_scan,

@@ -15,9 +15,8 @@ from repro.optimize.search import (
     BudgetOutcome,
     OptimizeOutcome,
     default_cache_budgets,
+    evaluation_payload,
     optimize,
-    payload_of_point,
-    payload_of_result,
     wcrt_score,
 )
 
@@ -35,8 +34,7 @@ __all__ = [
     "BudgetOutcome",
     "OptimizeOutcome",
     "default_cache_budgets",
+    "evaluation_payload",
     "optimize",
-    "payload_of_point",
-    "payload_of_result",
     "wcrt_score",
 ]

@@ -45,7 +45,7 @@ from repro.analysis.whatif import WhatIfSession
 from repro.cache.config import CacheConfig
 from repro.errors import ConfigError
 from repro.obs import STATE as _OBS
-from repro.optimize.moves import Move, MoveProposer
+from repro.optimize.moves import MoveProposer
 from repro.optimize.pareto import pareto_front
 from repro.program.layout import LayoutAssignment, LayoutError
 
@@ -59,32 +59,11 @@ OBJECTIVES = ("wcrt", "breakdown")
 COOLING = 0.95
 
 
-def payload_of_result(result) -> dict:
-    """A :class:`WhatIfResult`'s evaluation payload (see module doc)."""
-    return {
-        "wcet": {name: int(v) for name, v in result.wcet.items()},
-        "wcrt": {
-            str(a.value): {n: int(r.wcrt) for n, r in per.items()}
-            for a, per in result.wcrt.items()
-        },
-        "schedulable": {
-            str(a.value): result.schedulable(a) for a in result.wcrt
-        },
-    }
-
-
-def payload_of_point(point_result) -> dict:
-    """A batch :class:`PointResult` in the same payload shape."""
-    return {
-        "wcet": {name: int(v) for name, v in point_result.wcet.items()},
-        "wcrt": {
-            str(a): {n: int(v) for n, v in per.items()}
-            for a, per in point_result.wcrt.items()
-        },
-        "schedulable": {
-            str(a): bool(v) for a, v in point_result.schedulable.items()
-        },
-    }
+def evaluation_payload(payload: dict) -> dict:
+    """A layout's evaluation: its result payload (see
+    :meth:`~repro.analysis.pipeline.PipelineResult.payload`) restricted
+    to ``wcet``, ``wcrt`` and ``schedulable``."""
+    return {key: payload[key] for key in ("wcet", "wcrt", "schedulable")}
 
 
 def wcrt_score(payload: dict, approach: Approach, periods: dict) -> int:
@@ -392,7 +371,7 @@ def _search(
     baseline = session.result()
     periods = dict(baseline.periods)
     baseline_assignment = session.layout_assignment()
-    baseline_payload = payload_of_result(baseline)
+    baseline_payload = evaluation_payload(baseline.payload)
     baseline_score = _score(session, baseline_payload, objective, approach, periods)
     evals = 1
     log_entry(
@@ -439,7 +418,7 @@ def _search(
                 pool=pool,
             )
             for candidate, point_result in zip(candidates, batch.results):
-                payload = payload_of_point(point_result)
+                payload = evaluation_payload(point_result.payload)
                 score = _score(session, payload, objective, approach, periods)
                 evals += 1
                 improved = score < best_score
@@ -498,7 +477,7 @@ def _search(
                         counters.counter("optimize.moves.invalid").inc()
                     continue
                 evals += 1
-                payload = payload_of_result(result)
+                payload = evaluation_payload(result.payload)
                 score = _score(session, payload, objective, approach, periods)
                 delta = score - current_score
                 if temperature > 0:

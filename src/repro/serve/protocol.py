@@ -10,10 +10,13 @@ tests, so any schema drift fails tier-1 before it reaches a client.
 The **canonical result payload** is the part of an analysis result that
 is a pure function of the submitted system — configuration, per-task
 WCET, per-pair reload lines, per-approach WCRT and schedulability,
-soundness and the degradation ledger.  Timing and store telemetry are
-deliberately *not* in it (they live in separate envelope fields), so a
-served result is byte-identical — via :func:`canonical_json` — to the
-same system analysed directly through
+soundness and the degradation ledger.  It is built in one place,
+:meth:`~repro.analysis.pipeline.PipelineResult.payload`;
+:func:`point_payload` and :func:`whatif_payload` only restrict it to
+:data:`RESULT_KEYS` and add ``kind``/``label``.  Timing and store
+telemetry are deliberately *not* in it (they live in separate envelope
+fields), so a served result is byte-identical — via
+:func:`canonical_json` — to the same system analysed directly through
 :func:`~repro.batch.engine.analyze_batch` or
 :class:`~repro.analysis.whatif.WhatIfSession`.  The concurrency suite
 holds the daemon to exactly that.
@@ -283,70 +286,31 @@ def parse_request(payload) -> AnalyzeRequest:
 # ----------------------------------------------------------------------
 
 
-def point_payload(result: "PointResult", periods: dict) -> dict:
-    """Canonical payload of one analysed sweep point.
-
-    Pure content only: ``analysis_seconds`` and the per-point store
-    telemetry of :class:`~repro.batch.engine.PointResult` are excluded
-    so warm, cold and served runs of the same point serialize
-    identically.
-    """
-    config = result.point.config()
+def _result(kind: str, label: str, payload: dict) -> dict:
+    """``kind`` and ``label`` plus *payload* restricted to
+    :data:`RESULT_KEYS` (in the payload's own key order)."""
     return {
-        "kind": "point",
-        "label": result.point.label(),
-        "config": {
-            "num_sets": config.num_sets,
-            "ways": config.ways,
-            "line_size": config.line_size,
-            "miss_penalty": config.miss_penalty,
-            "policy": config.policy,
-            "write_back": config.write_back,
-        },
-        "periods": {name: periods[name] for name in sorted(periods)},
-        "wcet": dict(result.wcet),
-        "lines": {
-            f"{e.preempted}<-{e.preempting}": {
-                str(a.value): count for a, count in e.lines.items()
-            }
-            for e in result.estimates
-        },
-        "wcrt": {
-            str(approach): dict(per_task)
-            for approach, per_task in result.wcrt.items()
-        },
-        "schedulable": {
-            str(approach): verdict
-            for approach, verdict in result.schedulable.items()
-        },
-        "soundness": result.soundness,
-        "events": [
-            [e.stage, e.budget, e.reason, e.fallback] for e in result.events
-        ],
+        "kind": kind,
+        "label": label,
+        **{key: value for key, value in payload.items() if key in RESULT_KEYS},
     }
+
+
+def point_payload(result: "PointResult", periods: "dict | None" = None) -> dict:
+    """Canonical payload of one analysed sweep point: a projection of
+    :attr:`PointResult.payload <repro.batch.engine.PointResult.payload>`,
+    which leaves timing and store telemetry out.  *periods* is ignored
+    (kept for existing callers): the payload carries its own."""
+    return _result("point", result.point.label(), result.payload)
 
 
 def whatif_payload(result: "WhatIfResult", label: str) -> dict:
-    """Canonical payload of one analysed fuzz SystemSpec.
-
-    Derived from :meth:`~repro.analysis.whatif.WhatIfResult._payload`
-    (the session's own byte-identity surface) and reshaped onto
+    """Canonical payload of one analysed fuzz SystemSpec: a projection of
+    :attr:`WhatIfResult.payload
+    <repro.analysis.whatif.WhatIfResult.payload>` onto
     :data:`RESULT_KEYS`, so point and spec results diff uniformly in
-    :func:`compare_payloads`.
-    """
-    payload = result._payload()
-    return {
-        "kind": "spec",
-        "label": label,
-        "config": payload["config"],
-        "periods": payload["periods"],
-        "wcet": payload["wcet"],
-        "lines": payload["lines"],
-        "wcrt": payload["wcrt"],
-        "schedulable": payload["schedulable"],
-        "soundness": payload["soundness"],
-        "events": payload["events"],
-    }
+    :func:`compare_payloads`."""
+    return _result("spec", label, result.payload)
 
 
 # ----------------------------------------------------------------------

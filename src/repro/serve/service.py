@@ -496,7 +496,6 @@ class AnalysisService:
         budget = request.budget if request.budget is not None else self._budget
         if request.kind == "point":
             from repro.batch.engine import SweepPoint, analyze_batch
-            from repro.experiments.setup import ALL_SPECS
 
             point = SweepPoint(
                 experiment=request.experiment,
@@ -504,20 +503,13 @@ class AnalysisService:
                 cache=request.cache,
             )
             batch = analyze_batch(
-                [point],
-                store=self._store,
-                budget=budget,
-                pool=self._pool,
+                [point], store=self._store, budget=budget, pool=self._pool
             )
-            spec = {s.key: s for s in ALL_SPECS}[request.experiment]
-            return point_payload(batch.results[0], periods=spec.periods)
+            return point_payload(batch.results[0])
         from repro.analysis.whatif import WhatIfSession
         from repro.fuzz.spec import SystemSpec
 
-        spec = SystemSpec.from_json(request.spec)
         session = WhatIfSession(
-            spec,
-            budget=budget,
-            store=self._store,
+            SystemSpec.from_json(request.spec), budget=budget, store=self._store
         )
         return whatif_payload(session.result(), label=request.label)

@@ -18,7 +18,7 @@ batches produce identical span trees.
 
 from __future__ import annotations
 
-import pickle
+import json
 
 import pytest
 
@@ -67,10 +67,12 @@ def sweep_points() -> list[SweepPoint]:
     return [draw_point(draw) for _ in range(DRAWS)]
 
 
-def reference_point(point: SweepPoint, store=None) -> tuple:
+def reference_point(point: SweepPoint, store=None) -> str:
     """The naive per-point loop ``analyze_batch`` must be equal to:
     place the experiment, analyse every task, estimate every pair,
-    run the four WCRT fixpoints — no pool, no batch dedup."""
+    run the four WCRT fixpoints — no pool, no batch dedup — written out
+    as the payload it must produce, in its key order (see
+    :func:`ordered_json`)."""
     from repro.experiments.setup import ALL_SPECS
 
     spec = {s.key: s for s in ALL_SPECS}[point.experiment]
@@ -106,54 +108,68 @@ def reference_point(point: SweepPoint, store=None) -> tuple:
             for name in spec.priority_order
         ]
     )
-    wcrt = {}
-    schedulable = {}
-    for approach in ALL_APPROACHES:
-        system_wcrt = compute_system_wcrt(
+    wcrt = {
+        str(approach.value): compute_system_wcrt(
             system,
             cpre=lambda low, high, _a=approach: analyzer.cpre(low, high, _a),
             context_switch=spec.context_switch_cycles,
             stop_at_deadline=False,
             ledger=ledger,
-        )
-        wcrt[approach.value] = {
-            name: system_wcrt.wcrt(name) for name in spec.priority_order
+        ).results
+        for approach in ALL_APPROACHES
+    }
+    order = spec.priority_order
+    return ordered_json(
+        {
+            "config": {
+                "num_sets": config.num_sets,
+                "ways": config.ways,
+                "line_size": config.line_size,
+                "miss_penalty": config.miss_penalty,
+                "policy": config.policy,
+                "write_back": config.write_back,
+            },
+            "periods": {name: spec.periods[name] for name in order},
+            "jitters": {name: 0 for name in order},
+            "wcet": {name: artifacts[name].wcet.cycles for name in order},
+            "lines": {
+                f"{e.preempted}<-{e.preempting}": {
+                    str(a.value): e.lines[a] for a in ALL_APPROACHES
+                }
+                for e in estimates
+            },
+            "wcrt": {
+                a: {name: results[name].wcrt for name in order}
+                for a, results in wcrt.items()
+            },
+            "status": {
+                a: {name: results[name].status for name in order}
+                for a, results in wcrt.items()
+            },
+            "schedulable": {
+                a: all(r.schedulable for r in results.values())
+                for a, results in wcrt.items()
+            },
+            "soundness": ledger.soundness,
+            "events": [
+                [e.stage, e.budget, e.reason, e.fallback] for e in ledger.events
+            ],
         }
-        schedulable[approach.value] = system_wcrt.schedulable
-    return (
-        {name: artifacts[name].wcet.cycles for name in spec.priority_order},
-        _estimate_rows(estimates),
-        wcrt,
-        schedulable,
-        ledger.soundness,
-        tuple(ledger.events),
     )
 
 
-def _estimate_rows(estimates) -> list[tuple]:
-    return [
-        (
-            e.preempted,
-            e.preempting,
-            {a.value: e.lines[a] for a in ALL_APPROACHES},
-        )
-        for e in estimates
-    ]
+def ordered_json(payload: dict) -> str:
+    """*payload* as JSON in its own key order.  Unlike ``canonical_json``
+    this keeps the order of pairs in ``lines`` and of tasks in ``wcrt``/
+    ``status`` checked: ``repro sweep --json`` writes them unsorted."""
+    return json.dumps(payload)
 
 
-def point_fingerprint(result) -> bytes:
-    """Everything a :class:`PointResult` asserts about the system, as
-    bytes — timing and store telemetry excluded, they legitimately vary."""
-    return pickle.dumps(
-        (
-            result.wcet,
-            _estimate_rows(result.estimates),
-            result.wcrt,
-            result.schedulable,
-            result.soundness,
-            result.events,
-        )
-    )
+def point_fingerprint(result) -> str:
+    """Everything a :class:`PointResult` asserts about the system: its
+    payload in key order — timing and store telemetry live outside it,
+    they legitimately vary."""
+    return ordered_json(result.payload)
 
 
 class TestBatchEquivalence:
@@ -163,7 +179,7 @@ class TestBatchEquivalence:
         unique = list(dict.fromkeys(sweep_points))
         assert len(unique) >= 12  # the draw pool really gets exercised
         reference = {
-            point: pickle.dumps(reference_point(point)) for point in unique
+            point: reference_point(point) for point in unique
         }
 
         store_a = ArtifactStore(directory=tmp_path / "a")
@@ -210,9 +226,7 @@ class TestBatchEquivalence:
         store = ArtifactStore(directory=tmp_path)
         batch = analyze_batch(points, jobs=2, store=store)
         for point, result in zip(points, batch):
-            assert point_fingerprint(result) == pickle.dumps(
-                reference_point(point)
-            )
+            assert point_fingerprint(result) == reference_point(point)
 
 
 class TestBatchTraceDeterminism:

@@ -127,6 +127,7 @@ class TestOracleBank:
             "prune_vs_enumerate",
             "useful_antichain",
             "wcrt_certificate",
+            "front_doors",
             "wcet_soundness",
             "reload_soundness",
             "heap_vs_scan",

@@ -18,7 +18,7 @@ import pytest
 from repro.analysis.store import ArtifactStore
 from repro.analysis.whatif import WhatIfSession
 from repro.batch import SweepPoint, analyze_batch
-from repro.optimize import optimize, payload_of_point
+from repro.optimize import evaluation_payload, optimize
 from repro.program.layout import LayoutAssignment
 
 
@@ -78,7 +78,7 @@ class TestColdRecomputationOracle:
         batch = analyze_batch(points)
         for entry, point_result in zip(entries, batch.results):
             warm = json.dumps(entry["eval"], sort_keys=True)
-            cold = json.dumps(payload_of_point(point_result), sort_keys=True)
+            cold = json.dumps(evaluation_payload(point_result.payload), sort_keys=True)
             assert warm == cold, f"divergence at move {entry['move']!r}"
 
     def test_baseline_assignment_matches_the_default_placement(self, run):
@@ -89,5 +89,5 @@ class TestColdRecomputationOracle:
             [SweepPoint(experiment="exp1", cache=config)]
         ).results[0]
         assert json.dumps(baseline["eval"], sort_keys=True) == json.dumps(
-            payload_of_point(plain), sort_keys=True
+            evaluation_payload(plain.payload), sort_keys=True
         )

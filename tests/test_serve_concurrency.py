@@ -29,7 +29,6 @@ from repro.analysis.store import ArtifactStore
 from repro.analysis.whatif import WhatIfSession
 from repro.batch.engine import SweepPoint, analyze_batch
 from repro.cache.config import CacheConfig
-from repro.experiments.setup import ALL_SPECS
 from repro.fuzz.generator import case_from_seed
 from repro.serve.daemon import make_server
 from repro.serve.protocol import (
@@ -75,9 +74,8 @@ def _point_reference(body: dict, store: ArtifactStore) -> str:
         miss_penalty=body["miss_penalty"],
         cache=cache,
     )
-    batch = analyze_batch([point], store=store)
-    spec = {s.key: s for s in ALL_SPECS}[body["experiment"]]
-    return canonical_json(point_payload(batch.results[0], periods=spec.periods))
+    result = analyze_batch([point], store=store).results[0]
+    return canonical_json(point_payload(result))
 
 
 def _spec_reference(body: dict, store: ArtifactStore) -> str:

@@ -16,10 +16,10 @@ and the sparse dict kernels must agree exactly on every draw
 (``min(a, b, L) == min(min(a, L), min(b, L))`` makes the capped dense
 layout lossless), and the production Approach-4 rule must equal the
 branch-and-bound and enumeration references.  The front-door cases run
-one system through every entry point (``build_context`` + the table
-WCRTs, ``analyze_batch``, ``WhatIfSession``, an ``AnalysisService``
-point request, ``build_case``) and demand identical lines, WCRTs and
-soundness.
+one system through every entry point (the tables context, ``analyze_batch``,
+``WhatIfSession``, an ``AnalysisService`` point request, ``repro whatif
+--json``, the optimizer's baseline evaluation, ``build_case``) and
+demand one canonical result payload.
 
 Case tally (the satellite demands >= 150 randomized cases):
 
@@ -62,6 +62,7 @@ from repro.fuzz.generator import (
 from repro.errors import ConfigError
 from repro.fuzz.spec import SystemSpec, replace_task
 from repro.program.layout import LayoutError
+from repro.serve.protocol import RESULT_KEYS, canonical_json
 
 from tests.oracles.pathcost import approach4_lines as enumerated_approach4
 
@@ -108,7 +109,9 @@ def materialize(edit, state) -> Edit:
     if isinstance(edit, Edit):
         return edit
     _, task, mult = edit
-    return Edit(kind="period", task=task, value=state.wcet[task] * mult + 1)
+    return Edit(
+        kind="period", task=task, value=state.payload["wcet"][task] * mult + 1
+    )
 
 
 def apply_to_reference(spec, config, overrides, edit: Edit):
@@ -336,82 +339,71 @@ class TestDenseKernelParity:
 # ----------------------------------------------------------------------
 # Front doors: one system, every entry point, one answer
 # ----------------------------------------------------------------------
-def _verdict(lines, wcrt, schedulable, soundness) -> str:
-    """Canonical JSON of the per-pair lines, per-approach WCRTs,
-    schedulability verdicts and soundness tag."""
-    return json.dumps(
-        {
-            "lines": lines,
-            "wcrt": wcrt,
-            "schedulable": schedulable,
-            "soundness": soundness,
-        },
-        sort_keys=True,
-    )
+#: The payload keys every front door reports: the served result's
+#: :data:`~repro.serve.protocol.RESULT_KEYS` minus its envelope tags.
+FRONT_DOOR_KEYS = RESULT_KEYS - {"kind", "label"}
 
 
-def _estimate_lines(estimates) -> dict:
-    return {
-        f"{e.preempted}<-{e.preempting}": {
-            str(a.value): count for a, count in e.lines.items()
-        }
-        for e in estimates
-    }
+def _front_door(payload: dict, keys=FRONT_DOOR_KEYS) -> str:
+    """Canonical JSON of *payload* restricted to *keys*."""
+    return canonical_json({key: payload[key] for key in keys})
 
 
 class TestFrontDoorEquivalence:
     @pytest.mark.parametrize("key", ["exp1", "exp2"])
-    def test_experiment_front_doors_agree(self, key):
+    def test_experiment_front_doors_agree(self, key, tmp_path, capsys):
+        """Six front doors, one payload: the tables context, a batch
+        point, a what-if session, a served job, state 0 of ``repro
+        whatif --json`` and the optimizer's baseline evaluation."""
         from repro.batch.engine import SweepPoint, analyze_batch
+        from repro.cli import main
         from repro.experiments.setup import ALL_SPECS
         from repro.experiments.tables import ExperimentSuite
-        from repro.serve.protocol import point_payload
+        from repro.optimize import optimize
         from repro.serve.service import AnalysisService
 
         spec = {s.key: s for s in ALL_SPECS}[key]
-        order = list(spec.priority_order)
         suite = ExperimentSuite(spec, penalties=(20,))
-        context = suite.context(20)
-        tables = _verdict(
-            _estimate_lines(context.crpd.estimate_all_pairs(order)),
-            {
-                str(a.value): {n: suite.wcrt(20, a).wcrt(n) for n in order}
-                for a in Approach
-            },
-            {str(a.value): suite.wcrt(20, a).schedulable for a in Approach},
-            suite.soundness(),
-        )
-
+        tables = suite.context(20).pipeline.payload()
         point = analyze_batch([SweepPoint(key, miss_penalty=20)]).results[0]
-        batch = point_payload(point, spec.periods)
-
         with WhatIfSession(key, miss_penalty=20) as session:
-            whatif = session.result()._payload()
-
+            whatif = session.result().payload
         with AnalysisService(workers=1) as service:
             job = service.submit(
                 {"kind": "point", "experiment": key, "miss_penalty": 20}
             )
             assert service.wait(job.id, timeout=180)
             served = job.result
+        out = tmp_path / "whatif.json"
+        argv = ["--no-cache", "whatif", "--base", key, "--json", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        cli = json.loads(out.read_text())[0]
+        expected = _front_door(tables)
+        for door, payload in (
+            ("analyze_batch", point.payload),
+            ("WhatIfSession", whatif),
+            ("serve", served),
+            ("repro whatif --json", cli),
+        ):
+            assert _front_door(payload) == expected, door
 
-        for payload in (batch, whatif, served):
-            assert _verdict(
-                payload["lines"],
-                payload["wcrt"],
-                payload["schedulable"],
-                payload["soundness"],
-            ) == tables
+        outcome = optimize(
+            key, budget_evals=1, cache_budgets=[CacheConfig.scaled_8k(20)]
+        )
+        evaluation = ("wcet", "wcrt", "schedulable")
+        assert _front_door(
+            outcome.default_budget.baseline_payload, evaluation
+        ) == _front_door(tables, evaluation)
 
     def test_fuzz_spec_front_doors_agree(self, whatif_cases):
         from repro.fuzz.build import build_case
 
         spec, _ = whatif_cases[0]
-        case = build_case(spec)
-        order = [task.name for task in case.tasks]
-        built = _estimate_lines(case.analyzer.estimate_all_pairs(order))
         with WhatIfSession(spec) as session:
-            assert session.result()._payload()["lines"] == built
+            assert session.result().signature() == canonical_json(
+                build_case(spec).pipeline.payload()
+            )
 
     def test_exact_paths_recovers_eq4_on_the_cli(self, capsys):
         """``--max-paths 1`` trips ED's enumeration: Approach 4 for OFDM
