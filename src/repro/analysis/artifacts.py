@@ -206,7 +206,9 @@ def analyze_task(
     recorders only when a consumer reads it.
     """
     program = layout.program
-    program.cfg.validate()
+    if not getattr(program, "_validated", False):
+        program.cfg.validate()
+        program._validated = True
     path_limit = 4096
     if budget is not None:
         max_steps = min(max_steps, budget.max_sim_steps)

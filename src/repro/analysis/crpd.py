@@ -310,8 +310,19 @@ class CRPDAnalyzer:
         — so the writeback term is bounded by the footprint intersection
         ``S(Ma, Mb)`` (Equation 2) regardless of the reload approach.
         """
+        approach = Approach(approach)
+        lines = self._lines_cache.get((preempted, preempting, approach))
+        if lines is None:
+            order = list(self.tasks)
+            if self._pair_store_key(preempted, preempting) is not None and (
+                order.index(preempting) < order.index(preempted)
+            ):
+                # Every pair through the pair store in priority order, so
+                # cold and warm runs record one ledger order.
+                self.estimate_all_pairs(order)
+            lines = self.lines_reloaded(preempted, preempting, approach)
         penalty = self.config.miss_penalty if miss_penalty is None else miss_penalty
-        cost = self.lines_reloaded(preempted, preempting, approach) * penalty
+        cost = lines * penalty
         writeback = self.config.effective_writeback_penalty
         if writeback:
             dirty_bound = self.lines_reloaded(

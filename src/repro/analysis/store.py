@@ -164,11 +164,13 @@ class _Digest:
 def structure_digest(program: Program) -> str:
     """Program identity: blocks, structure and arrays — no addresses.
 
-    Hashes ``repr()`` of every instruction, so :func:`analyze_task
-    <repro.analysis.artifacts.analyze_task>` computes it once per task and
-    hands it to every key that covers the program's structure.  Not
-    memoised on the (mutable) :class:`Program`.
+    Hashes ``repr()`` of every instruction once per program object: the
+    digest is memoised on the (never mutated) :class:`Program`, outside
+    its pickled state.
     """
+    cached = getattr(program, "_structure_digest", None)
+    if cached is not None:
+        return cached
     digest = _Digest("structure")
     cfg = program.cfg
     feed = digest.feed
@@ -184,7 +186,8 @@ def structure_digest(program: Program) -> str:
     for name in sorted(program.arrays):
         decl = program.arrays[name]
         feed(f"array={decl.name}:{decl.words}:{decl.element_size}")
-    return digest.hexdigest()
+    program._structure_digest = digest.hexdigest()
+    return program._structure_digest
 
 
 def _feed_placement(digest: _Digest, layout: ProgramLayout) -> None:
@@ -199,6 +202,17 @@ def _feed_scenarios(digest: _Digest, scenarios: Scenarios) -> None:
         inputs = scenarios[scenario_name]
         for array_name in sorted(inputs):
             digest.feed(f"input={array_name}:{tuple(inputs[array_name])!r}")
+
+
+def _scenarios_digest(program: Program, scenarios: Scenarios) -> str:
+    """Digest of *scenarios*, memoised on *program* for the one scenarios
+    object it last saw (held, so its identity stays valid)."""
+    memo = getattr(program, "_scenarios_digest", None)
+    if memo is None or memo[0] is not scenarios:
+        digest = _Digest("scenarios")
+        _feed_scenarios(digest, scenarios)
+        memo = program._scenarios_digest = (scenarios, digest.hexdigest())
+    return memo[1]
 
 
 def trace_key(structure: str, scenarios: Scenarios, max_steps: int) -> str:
@@ -300,7 +314,7 @@ def artifact_key(
     digest.feed(f"structure={structure}")
     _feed_placement(digest, layout)
     digest.feed(f"config={config!r}")
-    _feed_scenarios(digest, scenarios)
+    digest.feed(f"scenarios={_scenarios_digest(layout.program, scenarios)}")
     digest.feed(f"max_steps={max_steps}")
     digest.feed(f"path_limit={path_limit}")
     digest.feed(f"strict={strict}")
@@ -475,7 +489,7 @@ class ArtifactStore:
     """
 
     directory: Optional[Path] = None
-    memory_slots: int = 64
+    memory_slots: int = 192
     enabled: bool = True
     hits: int = 0
     misses: int = 0

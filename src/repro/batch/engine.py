@@ -231,7 +231,8 @@ def analyze_batch(
     ``jobs > 1`` fans unique points out across a
     :class:`~repro.batch.pool.WarmPool` — one shipped context per
     experiment, workers' derived state and store handles warm across
-    points; pass *pool* to reuse a caller-managed pool.  With a *store*,
+    points; pass *pool* to reuse a caller-managed pool.  A serial pool
+    runs every point in-process on *store* itself.  With a *store*,
     repeat batches are assembled almost entirely from cached
     sub-artifacts.  A broken pool degrades to an identical serial
     computation; analysis errors propagate unchanged.
@@ -267,17 +268,18 @@ def analyze_batch(
             for point in order:
                 by_spec.setdefault(point.experiment, []).append(point)
             results_by_point: dict[SweepPoint, PointResult] = {}
-            store_directory = (
+            # A serial pool runs points here, on the caller's own store.
+            store_slot = store if pool.serial else (
                 store.directory if store is not None and store.enabled else None
             )
-            # One shipped context per experiment; every point of that
-            # experiment is an item against it.  Specs iterate in the
-            # deterministic order their points first appeared.
+            # One context per experiment; every point of that experiment
+            # is an item against it.  Specs iterate in the deterministic
+            # order their points first appeared.
             for key, spec_points in by_spec.items():
                 context = (
                     "batch.point",
                     resolve_system(specs[key]),
-                    store_directory,
+                    store_slot,
                     budget,
                     _OBS.enabled,
                 )
@@ -325,15 +327,18 @@ def _analyze_point(context: tuple, point: SweepPoint) -> PointResult:
     from dataclasses import replace
 
     from repro.analysis.pipeline import run_pipeline
+    from repro.analysis.store import ArtifactStore
     from repro.batch.pool import worker_store
 
-    _, placed, store_directory, budget, _ = context
+    _, placed, store, budget, _ = context
     placed = replace(placed, config=point.config())
     if point.layout is not None:
         # Re-place the shipped programs at the point's explicit
         # assignment; overlap raises LayoutError before any analysis.
         placed = placed.with_assignment(point.layout)
-    store = worker_store(context, store_directory)
+    if store is not None and not isinstance(store, ArtifactStore):
+        # A shipped store directory: one warm handle per context here.
+        store = worker_store(context, store)
     started = perf_counter()
     hits_before = store.hits if store is not None else 0
     misses_before = store.misses if store is not None else 0

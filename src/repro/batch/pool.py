@@ -10,7 +10,8 @@ one set of workers alive for the lifetime of a batch and ships shared
 * :meth:`WarmPool.seed` pickles the context a single time, content-hashes
   it and spools it to a temp file; seeding the same value twice is free
   (dedup by digest).  The bytes written are counted by the
-  ``batch.pool.ship_bytes`` metric.
+  ``batch.pool.ship_bytes`` metric.  A serial pool ships and keeps
+  nothing: its token carries the caller's object itself.
 * Workers load a spooled context on first use and keep it in a bounded
   per-process cache, so every later task against the same token is served
   warm — no unpickling, and the worker's per-context derived state (see
@@ -42,7 +43,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.obs import STATE as _OBS
 
@@ -67,6 +68,12 @@ _POOL_FAILURES = (
 #: seed one context per experiment spec, so a handful suffices; the bound
 #: only matters for pathological churn.
 _WORKER_CONTEXT_SLOTS = 4
+
+
+class _Local(NamedTuple):
+    """A serial pool's context token: the caller's object itself."""
+
+    value: Any
 
 
 class WarmPool:
@@ -105,15 +112,23 @@ class WarmPool:
         #: Pool-infrastructure failures that degraded this pool to serial.
         self.fallbacks = 0
 
+    @property
+    def serial(self) -> bool:
+        """True when maps run in-process (``jobs <= 1``, or fallen back)."""
+        return self._serial
+
     # ------------------------------------------------------------------
-    def seed(self, context: Any) -> str:
-        """Register *context* for shipping; returns its content token.
+    def seed(self, context: Any) -> "str | _Local":
+        """Register *context* for shipping; returns its token.
 
         The value is pickled exactly once; re-seeding an equal value (same
         pickle bytes) returns the existing token without writing anything.
+        A serial pool's token just wraps *context*: nothing is shipped.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
+        if self._serial:
+            return _Local(context)
         raw = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
         token = hashlib.sha256(raw).hexdigest()[:24]
         with self._lock:
@@ -135,7 +150,7 @@ class WarmPool:
         self,
         fn: Callable[[Any, Any], Any],
         items: Iterable[Any],
-        context: str | None = None,
+        context: "str | _Local | None" = None,
     ) -> list[Any]:
         """``[fn(ctx, item) for item in items]``, fanned out, in order.
 
@@ -147,7 +162,8 @@ class WarmPool:
         if self._closed:
             raise RuntimeError("pool is closed")
         items = list(items)
-        if context is not None and context not in self._contexts:
+        local = isinstance(context, _Local)
+        if context is not None and not local and context not in self._contexts:
             raise KeyError(f"unknown context token {context!r}")
         if not items:
             return []
@@ -155,7 +171,7 @@ class WarmPool:
             self.tasks += len(items)
         if _OBS.enabled:
             _OBS.metrics.counter("batch.pool.tasks").inc(len(items))
-        if not self._serial:
+        if not (self._serial or local):
             try:
                 return self._map_parallel(fn, items, context)
             except _POOL_FAILURES as error:
@@ -180,9 +196,12 @@ class WarmPool:
         return results
 
     def _map_serial(
-        self, fn, items: Sequence[Any], context: str | None
+        self, fn, items: Sequence[Any], context: "str | _Local | None"
     ) -> list[Any]:
-        value = self._contexts[context][1] if context is not None else None
+        if isinstance(context, _Local):
+            value = context.value
+        else:
+            value = self._contexts[context][1] if context is not None else None
         return [fn(value, item) for item in items]
 
     def _fall_back(self, error: BaseException) -> None:
@@ -363,20 +382,19 @@ def derived(context: Any, name: str, factory: Callable[[], Any]) -> Any:
             return analyzer.estimate_pair(*pair)
 
     Keyed by the context's cache token inside workers, and by object
-    identity on the serial path (where the context object is long-lived
-    in the caller), so warm and serial execution share the semantics.
+    identity in-process (a fallback), where each entry holds its context
+    so no other object can reuse the identity while the entry lives.
     """
     with _WORKER_LOCK:
         token = _CONTEXT_IDS.get(id(context))
         if token is None:
             token = f"local-{id(context):x}"
         key = (token, name)
-        value = _DERIVED_CACHE.get(key)
-        if value is None:
-            value = factory()
-            _DERIVED_CACHE[key] = value
+        entry = _DERIVED_CACHE.get(key)
+        if entry is None:
+            entry = _DERIVED_CACHE[key] = (context, factory())
             while len(_DERIVED_CACHE) > _DERIVED_SLOTS:
                 _DERIVED_CACHE.popitem(last=False)
         else:
             _DERIVED_CACHE.move_to_end(key)
-        return value
+        return entry[1]

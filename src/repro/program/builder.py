@@ -103,7 +103,8 @@ class ArrayDecl:
 
 @dataclass
 class Program:
-    """A built program: CFG + structure tree + data declarations."""
+    """A built program: CFG + structure tree + data declarations (never
+    mutated, so analyses memoise per-program work on the object)."""
 
     name: str
     cfg: ControlFlowGraph
@@ -119,6 +120,10 @@ class Program:
     @property
     def data_size_bytes(self) -> int:
         return sum(decl.size_bytes for decl in self.arrays.values())
+
+    def __getstate__(self):
+        # Underscored per-object memos stay out of every pickle.
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 class BuilderError(RuntimeError):

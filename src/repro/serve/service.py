@@ -14,9 +14,9 @@ worker runs its job *serially in-thread* through the shared
 :class:`~repro.batch.pool.WarmPool` (held at ``jobs=1``), so
 parallelism across clients comes from the worker threads while each
 job's analysis stays deterministic.  All workers share one
-:class:`~repro.analysis.store.ArtifactStore` (thread-safe since this
-PR) and one seeded context per experiment, so a result any client
-computed warms every later client's request.
+:class:`~repro.analysis.store.ArtifactStore` (thread-safe), the one
+handle every job reads, so a result any client computed warms every
+later client's request; the serial pool ships and keeps nothing.
 
 Observability isolation
 -----------------------
@@ -177,12 +177,6 @@ class AnalysisService:
 
         if self._started:
             return self
-        if getattr(self._pool, "_closed", False):
-            # A previous shutdown closed the pool; restart with a fresh
-            # one (warm contexts are rebuilt on first use).
-            from repro.batch.pool import WarmPool
-
-            self._pool = WarmPool(jobs=1)
         self._saved_obs = (STATE.enabled, STATE.tracer, STATE.metrics)
         fallback_tracer = (
             STATE.tracer
@@ -243,7 +237,6 @@ class AnalysisService:
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads = []
-        self._pool.close()
         if self._saved_obs is not None:
             STATE.enabled, STATE.tracer, STATE.metrics = self._saved_obs
             self._saved_obs = None

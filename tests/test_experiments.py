@@ -8,6 +8,7 @@ penalty.  Session-scoped fixtures keep the expensive analyses shared.
 import pytest
 
 from repro.analysis import ALL_APPROACHES, Approach
+from repro.analysis.store import ArtifactStore
 from repro.experiments import (
     ALL_SPECS,
     EXPERIMENT_I_SPEC,
@@ -24,6 +25,8 @@ from repro.experiments import (
     table_improvement,
     table_wcrt,
 )
+from repro.guard.budget import AnalysisBudget
+from repro.obs import observed
 
 
 class TestSpecs:
@@ -193,6 +196,45 @@ class TestWCRTTables:
         text = table.render()
         assert "ART" in text
         assert len(table.rows) == len(suite1.penalties) * 2
+
+
+class TestPairStoreUnderEq7:
+    def test_warm_degraded_tables_recompute_no_pair_in_one_ledger_order(
+        self, tmp_path
+    ):
+        """Eq. 7 reads CRPD pairs through the pair store, every pair in
+        priority order before the fixpoints, so a second store-backed run
+        of ``tables --no-art`` (a fresh handle on the same directory)
+        computes no pair and records the cold run's ledger event for
+        event, degraded pairs first, then the starved fixpoints."""
+        budget = AnalysisBudget(max_paths=1, max_wcrt_iterations=3)
+        runs = []
+        for _ in range(2):
+            store = ArtifactStore(directory=tmp_path)
+            ledgers = {}
+            with observed() as (_, metrics):
+                for spec in ALL_SPECS:
+                    suite = ExperimentSuite(spec, budget=budget, store=store)
+                    table2_cache_lines(suite.context(20))
+                    table_wcrt(suite, include_art=False)
+                    for penalty in suite.penalties:
+                        ledgers[spec.key, penalty] = [
+                            (event.stage, event.budget)
+                            for event in suite.context(penalty).ledger.events
+                        ]
+            counters = metrics.to_dict()["counters"]
+            runs.append((ledgers, counters.get("crpd.pairs_computed", 0)))
+        (cold, cold_pairs), (warm, warm_pairs) = runs
+        # Three pairs x four approaches per experiment, once for all
+        # penalties (pair counts never read the miss penalty).
+        assert cold_pairs == 24
+        assert warm_pairs == 0
+        assert warm == cold
+        assert cold["exp1", 40] == [
+            ("paths:ed", "max_paths"),
+            ("crpd:ofdm<-ed", "max_paths"),
+        ] + [("wcrt:ofdm", "max_wcrt_iterations")] * 4
+        assert cold["exp2", 40] == [("wcrt:adpcmc", "max_wcrt_iterations")] * 4
 
 
 class TestFigures:

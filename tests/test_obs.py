@@ -8,6 +8,7 @@ span adoption across the ``jobs=2`` process fan-out.
 from __future__ import annotations
 
 import json
+import statistics
 import threading
 import time
 
@@ -257,7 +258,15 @@ class TestStateAndProfiled:
         assert work.__wrapped__(21) == 42
 
     def test_disabled_overhead_under_five_percent(self):
-        """The no-op guard on a kernel microloop costs < 5% wall time."""
+        """The no-op guard costs < 5% of a kernel call's CPU time.
+
+        The guard's cost does not depend on the body it wraps, so it is
+        measured where it is not drowned by the body: N disabled-wrapper
+        calls around a trivial body against N bare calls, in many
+        interleaved pairs of ``process_time`` readings (the median pair
+        ignores the pairs a busy host disturbs).  That per-call cost must
+        stay within 5% of one call of a ~8 ms kernel microloop.
+        """
 
         def kernel(n):
             total = 0
@@ -265,25 +274,30 @@ class TestStateAndProfiled:
                 total += value
             return total
 
-        instrumented = profiled("bench.kernel")(kernel)
-        n = 200_000
+        def trivial(value):
+            return value
 
-        def timed(fn):
-            started = time.perf_counter()
-            fn(n)
-            return time.perf_counter() - started
+        wrapped = profiled("bench.trivial")(trivial)
+        calls = 2_000
+
+        def cpu_seconds(fn, *args):
+            started = time.process_time()
+            fn(*args)
+            return time.process_time() - started
+
+        def loop(fn):
+            for _ in range(calls):
+                fn(0)
 
         assert STATE.enabled is False
-        # Interleaved repeats, so host speed drift hits both sides alike;
-        # min-of-N damps scheduler noise.  The wrapper adds one enabled
-        # check per call against ~10ms of loop body.
-        base = traced_off = float("inf")
-        for _ in range(7):
-            base = min(base, timed(kernel))
-            traced_off = min(traced_off, timed(instrumented))
-        assert traced_off <= base * 1.05, (
-            f"disabled instrumentation overhead "
-            f"{(traced_off / base - 1) * 100:.1f}% exceeds 5%"
+        guard = statistics.median(
+            (cpu_seconds(loop, wrapped) - cpu_seconds(loop, trivial)) / calls
+            for _ in range(41)
+        )
+        body = statistics.median(cpu_seconds(kernel, 200_000) for _ in range(5))
+        assert guard <= body * 0.05, (
+            f"disabled instrumentation costs {guard * 1e9:.0f} ns per call, "
+            f"over 5% of a {body * 1e3:.2f} ms kernel call"
         )
 
 

@@ -523,3 +523,22 @@ def test_queued_and_running_jobs_are_never_evicted(monkeypatch):
         assert running.done.wait(timeout=60)
         assert service.status_envelope(running.id)[0] == 200
         assert len(service._jobs) == 1
+
+
+def test_point_requests_leave_the_serial_pool_nothing(tmp_path):
+    """Every job runs serially on the service's own store, so point
+    requests with 200 distinct budgets leave no pool context, no spool
+    directory and no shipped byte behind."""
+    from repro.analysis.store import ArtifactStore
+
+    store = ArtifactStore(directory=tmp_path)
+    with AnalysisService(workers=2, store=store) as service:
+        for index in range(200):
+            job = service.submit({**FAST, "budget": {"max_paths": 8 + index}})
+            assert job.done.wait(timeout=120)
+            assert job.state == "done", job.error
+        assert service._pool._contexts == {}
+        assert service._pool._spool_dir is None
+        stats = service.stats()
+        assert stats["pool"]["ship_bytes"] == 0
+        assert stats["pool"]["tasks"] == 200

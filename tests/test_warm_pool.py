@@ -4,7 +4,8 @@ The :class:`~repro.batch.pool.WarmPool` carries three contracts the
 batch engine, the CRPD fan-out and the fuzz runner all lean on:
 
 * *seed dedup* — a context value is pickled and spooled exactly once,
-  however often it is seeded, and ``ship_bytes`` counts those bytes;
+  however often it is seeded, and ``ship_bytes`` counts those bytes (a
+  serial pool ships nothing and maps against the caller's object);
 * *warm reuse* — workers keep unpickled contexts (and their
   :func:`~repro.batch.pool.derived` state) across tasks, counted by
   ``reuse``;
@@ -43,6 +44,10 @@ def _raise_repro(context, item):
     raise ReproError(f"analysis failed on {item}")
 
 
+def _context_identity(context, item):
+    return id(context)
+
+
 def _derived_id(context, item):
     value = derived(context, "probe", lambda: object())
     return id(value)
@@ -78,7 +83,7 @@ class TestWarmPoolBasics:
 class TestSeedDedup:
     def test_equal_contexts_ship_once(self):
         with observed() as (_, metrics):
-            with WarmPool(jobs=1) as pool:
+            with WarmPool(jobs=2) as pool:
                 token1 = pool.seed({"layouts": list(range(100))})
                 shipped = pool.ship_bytes
                 assert shipped > 0
@@ -91,6 +96,21 @@ class TestSeedDedup:
         counters = metrics.to_dict()["counters"]
         assert counters["batch.pool.contexts"] == 2
         assert counters["batch.pool.ship_bytes"] == pool.ship_bytes
+
+    def test_serial_pool_ships_and_keeps_nothing(self):
+        context = {"base": 7}
+        with WarmPool(jobs=1) as pool:
+            token = pool.seed(context)
+            assert pool.map(_with_context, [1, 2], context=token) == [
+                (7, 1), (7, 2)
+            ]
+            assert pool.map(_context_identity, [0], context=token) == [
+                id(context)
+            ]
+            assert pool.ship_bytes == 0
+            assert pool._contexts == {}
+            assert pool._spool_dir is None
+            assert pool.tasks == 3
 
 
 class TestWarmReuse:
