@@ -1,15 +1,10 @@
-"""Perf bench: cold vs warm vs parallel analysis engine timings.
+"""Perf bench: cold vs warm analysis engine timings.
 
 Times the guarded analysis pipeline on the paper's two experiments —
 
 * **cold**: empty artifact store, every task analysed from scratch,
 * **warm**: fresh in-memory state over the same on-disk store, so every
   task analysis is answered by disk sub-artifact hits,
-* **parallel sweep**: a 4-penalty sweep at ``--jobs 2`` through the warm
-  :class:`~repro.batch.pool.WarmPool` batch engine, against the old
-  per-call-pool loop that forked fresh workers for every point (the
-  regression this engine exists to fix: per-call pools made ``--jobs 2``
-  *slower* than serial),
 * **geometry sweep**: a penalty × geometry grid re-run against a
   populated store, against full per-point recompute — the sub-artifact
   decomposition gate —
@@ -23,8 +18,8 @@ Results land in ``BENCH_perf.json`` at the repo root (uploaded by the CI
 perf-smoke job, diffed against the committed baseline by
 ``scripts/bench_gate_diff.py``) and ``benchmarks/out/perf_engine.txt``.
 The assertions at the end are the CI gates: warm >= 2x on Experiment I,
-``parallel_speedup >= 1.3`` on the exp1 jobs=2 sweep, and >= 3x
-warm-sweep speedup on the geometry grid.
+>= 3x warm-sweep speedup on the geometry grid, the what-if p50, the
+optimizer throughput floor and the serve p99.
 """
 
 from __future__ import annotations
@@ -49,7 +44,6 @@ from tests.oracles.pathcost import max_path_conflict
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 WARM_SPEEDUP_GATE = 2.0  # CI fails below this, Experiment I only
-PARALLEL_SPEEDUP_GATE = 1.3  # warm-pool jobs=2 sweep vs per-call pools
 SWEEP_WARM_SPEEDUP_GATE = 3.0  # geometry grid: warm store vs recompute
 WHATIF_P50_GATE_SECONDS = 0.050  # single-edit re-analysis, warm, ROADMAP 2
 SERVE_P99_GATE_MS = 500.0  # submit-to-result, 16 clients on a warm grid
@@ -61,9 +55,9 @@ SWEEP_PENALTIES = (10, 20, 30, 40)
 SWEEP_GEOMETRIES = ((64, 4, 32), (128, 2, 32), (32, 4, 16))
 
 
-def _time_build(spec, store=None, jobs=1):
+def _time_build(spec, store=None):
     started = perf_counter()
-    context = build_context(spec, miss_penalty=20, store=store, jobs=jobs)
+    context = build_context(spec, miss_penalty=20, store=store)
     return perf_counter() - started, context
 
 
@@ -83,78 +77,17 @@ def _bench_experiment(spec):
                 "expected all disk hits"
             )
             warm_seconds = seconds if warm_seconds is None else min(warm_seconds, seconds)
-        parallel_seconds, parallel = _time_build(spec, jobs=2)
 
     for name in spec.priority_order:
         assert (
             cold.artifacts[name].wcet.cycles
             == warm.artifacts[name].wcet.cycles
-            == parallel.artifacts[name].wcet.cycles
         ), f"{spec.key}/{name}: engines disagree on WCET"
     return {
         "cold_seconds": round(cold_seconds, 4),
         "warm_seconds": round(warm_seconds, 4),
         "warm_speedup": round(cold_seconds / warm_seconds, 2),
-        "parallel_jobs2_seconds": round(parallel_seconds, 4),
         "tasks": list(spec.priority_order),
-    }
-
-
-def _old_style_point(spec, penalty):
-    """One sweep point the pre-batch way: fresh per-call pools for the
-    task fan-out and the pair fan-out, full CRPD + WCRT downstream."""
-    from repro.analysis.crpd import ALL_APPROACHES
-    from repro.wcrt.response_time import compute_system_wcrt
-
-    context = build_context(spec, miss_penalty=penalty, jobs=2)
-    context.crpd.estimate_all_pairs(list(context.priority_order), jobs=2)
-    for approach in ALL_APPROACHES:
-        compute_system_wcrt(
-            context.system,
-            cpre=lambda low, high, _a=approach: context.crpd.cpre(
-                low, high, _a
-            ),
-            context_switch=spec.context_switch_cycles,
-            stop_at_deadline=False,
-        )
-    return context
-
-
-def _bench_parallel_sweep(spec):
-    """Warm-pool jobs=2 sweep vs the per-call-pool jobs=2 loop.
-
-    Both sides run the identical four-penalty workload (task analyses,
-    all preemption pairs, all four WCRT fixpoints) with no store, so the
-    measured gap is purely pool lifecycle: worker start-up and context
-    shipping once per batch instead of twice per point.
-    """
-    from repro.batch import analyze_batch, sweep_grid
-
-    points = sweep_grid((spec.key,), SWEEP_PENALTIES)
-
-    started = perf_counter()
-    contexts = [
-        _old_style_point(spec, penalty) for penalty in SWEEP_PENALTIES
-    ]
-    per_call_seconds = perf_counter() - started
-
-    started = perf_counter()
-    batch = analyze_batch(points, jobs=2)
-    warm_pool_seconds = perf_counter() - started
-
-    for context, result in zip(contexts, batch):
-        for name in spec.priority_order:
-            assert (
-                result.payload["wcet"][name]
-                == context.artifacts[name].wcet.cycles
-            ), f"{spec.key}: sweep WCET diverged from per-point loop"
-    return {
-        "points": len(points),
-        "per_call_pool_jobs2_seconds": round(per_call_seconds, 4),
-        "warm_pool_jobs2_seconds": round(warm_pool_seconds, 4),
-        "parallel_speedup": round(per_call_seconds / warm_pool_seconds, 2),
-        "pool_reuse": batch.pool_reuse,
-        "pool_ship_bytes": batch.pool_ship_bytes,
     }
 
 
@@ -469,7 +402,6 @@ def test_perf_engine():
         "bench": "perf_engine",
         "gate": {
             "exp1_warm_speedup_min": WARM_SPEEDUP_GATE,
-            "exp1_parallel_speedup_min": PARALLEL_SPEEDUP_GATE,
             "sweep_warm_speedup_min": SWEEP_WARM_SPEEDUP_GATE,
             "whatif_warm_p50_max_ms": WHATIF_P50_GATE_SECONDS * 1e3,
             "serve_p99_max_ms": SERVE_P99_GATE_MS,
@@ -477,10 +409,6 @@ def test_perf_engine():
         },
         "exp1": _bench_experiment(EXPERIMENT_I_SPEC),
         "exp2": _bench_experiment(EXPERIMENT_II_SPEC),
-        "parallel_sweep": {
-            "exp1": _bench_parallel_sweep(EXPERIMENT_I_SPEC),
-            "exp2": _bench_parallel_sweep(EXPERIMENT_II_SPEC),
-        },
         "geometry_sweep": _bench_geometry_sweep(),
         "path_bomb": _bench_path_bomb(),
         "whatif": {
@@ -496,9 +424,6 @@ def test_perf_engine():
     # experiment is the one gated.
     results["gated"] = {
         "exp1_warm_speedup": results["exp1"]["warm_speedup"],
-        "exp1_parallel_speedup": results["parallel_sweep"]["exp1"][
-            "parallel_speedup"
-        ],
         "sweep_warm_speedup": results["geometry_sweep"]["warm_sweep_speedup"],
         "whatif_edits_per_sec": min(
             results["whatif"][key]["edits_per_sec"] for key in ("exp1", "exp2")
@@ -516,16 +441,7 @@ def test_perf_engine():
         lines.append(
             f"{key}: cold {r['cold_seconds'] * 1000:.0f} ms, "
             f"warm {r['warm_seconds'] * 1000:.0f} ms "
-            f"({r['warm_speedup']}x), "
-            f"jobs=2 {r['parallel_jobs2_seconds'] * 1000:.0f} ms"
-        )
-    for key in ("exp1", "exp2"):
-        r = results["parallel_sweep"][key]
-        lines.append(
-            f"{key} jobs=2 sweep ({r['points']} pts): per-call pools "
-            f"{r['per_call_pool_jobs2_seconds'] * 1000:.0f} ms, warm pool "
-            f"{r['warm_pool_jobs2_seconds'] * 1000:.0f} ms "
-            f"({r['parallel_speedup']}x)"
+            f"({r['warm_speedup']}x)"
         )
     sweep = results["geometry_sweep"]
     lines.append(
@@ -569,17 +485,11 @@ def test_perf_engine():
     )
     write_artifact("perf_engine.txt", "\n".join(lines))
 
-    # The CI gates: warm analysis >= 2x on Exp I, the warm-pool jobs=2
-    # sweep >= 1.3x over per-call pools, and the geometry sweep >= 3x
-    # warm over recompute.
+    # The CI gates: warm analysis >= 2x on Exp I and the geometry sweep
+    # >= 3x warm over recompute.
     assert results["exp1"]["warm_speedup"] >= WARM_SPEEDUP_GATE, (
         f"warm speedup {results['exp1']['warm_speedup']}x below the "
         f"{WARM_SPEEDUP_GATE}x gate (see BENCH_perf.json)"
-    )
-    exp1_parallel = results["parallel_sweep"]["exp1"]["parallel_speedup"]
-    assert exp1_parallel >= PARALLEL_SPEEDUP_GATE, (
-        f"jobs=2 sweep speedup {exp1_parallel}x below the "
-        f"{PARALLEL_SPEEDUP_GATE}x gate (see BENCH_perf.json)"
     )
     assert sweep["warm_sweep_speedup"] >= SWEEP_WARM_SPEEDUP_GATE, (
         f"geometry-sweep warm speedup {sweep['warm_sweep_speedup']}x below "

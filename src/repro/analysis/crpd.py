@@ -37,7 +37,6 @@ from repro.obs import STATE as _OBS
 
 if TYPE_CHECKING:
     from repro.analysis.store import ArtifactStore
-    from repro.batch.pool import WarmPool
     from repro.guard.budget import AnalysisBudget, BudgetClock
     from repro.guard.ledger import DegradationLedger
 
@@ -314,11 +313,12 @@ class CRPDAnalyzer:
         lines = self._lines_cache.get((preempted, preempting, approach))
         if lines is None:
             order = list(self.tasks)
-            if self._pair_store_key(preempted, preempting) is not None and (
-                order.index(preempting) < order.index(preempted)
+            if preempted in self.tasks and (
+                preempting in order[: order.index(preempted)]
             ):
-                # Every pair through the pair store in priority order, so
-                # cold and warm runs record one ledger order.
+                # Every pair (through the pair store, when there is one)
+                # in priority order on the first uncached one, so runs
+                # with and without a store record one ledger order.
                 self.estimate_all_pairs(order)
             lines = self.lines_reloaded(preempted, preempting, approach)
         penalty = self.config.miss_penalty if miss_penalty is None else miss_penalty
@@ -423,114 +423,16 @@ class CRPDAnalyzer:
         return estimate
 
     def estimate_all_pairs(
-        self,
-        priority_order: list[str],
-        jobs: int = 1,
-        pool: "WarmPool | None" = None,
+        self, priority_order: list[str]
     ) -> list[PreemptionEstimate]:
         """Every feasible preemption pair of a priority-ordered task list.
 
         ``priority_order`` lists task names from highest to lowest priority;
         each task can be preempted by every earlier (higher-priority) task.
-
-        ``jobs > 1`` shards the pairs across the workers of a
-        :class:`~repro.batch.pool.WarmPool`; pass *pool* to reuse an
-        already-warm one (a sweep seeds the task artifacts once and every
-        later call ships only pair names).  The merge is deterministic:
-        estimates, line-cache entries, ledger events and timing accumulate
-        in pair-submission order, so the result — and every later
-        ``cpre``/``lines_reloaded`` lookup — is identical to a sequential
-        run.  Each worker re-arms the analysis budget locally (its own
-        wall clock, strictness and ledger); worker degradations and
-        :class:`BudgetExceeded` failures propagate back to the caller,
-        while a *broken pool* degrades to an identical serial computation
-        (see :mod:`repro.batch.pool`).
+        The pairs are estimated in that order, lowest-priority task last.
         """
-        pairs: list[tuple[str, str]] = []
-        for low_index, preempted in enumerate(priority_order):
-            for preempting in priority_order[:low_index]:
-                pairs.append((preempted, preempting))
-        if pool is None and (jobs <= 1 or len(pairs) <= 1):
-            return [self.estimate_pair(*pair) for pair in pairs]
-        from repro.batch.pool import WarmPool, adopt_observed
-
-        own_pool: "WarmPool | None" = None
-        if pool is None:
-            own_pool = pool = WarmPool(jobs)
-        estimates: list[PreemptionEstimate] = []
-        try:
-            with _OBS.tracer.span(
-                "crpd.estimate_all_pairs", jobs=pool.jobs, pairs=len(pairs)
-            ) as fan_span:
-                token = pool.seed(self._pool_context())
-                # Warm pools preserve item order, so spans are adopted and
-                # metrics merged deterministically regardless of which
-                # worker finished first.
-                for estimate, events, seconds, records, snapshot in pool.map(
-                    _pair_task, pairs, context=token
-                ):
-                    estimates.append(estimate)
-                    for approach, lines in estimate.lines.items():
-                        key = (
-                            estimate.preempted, estimate.preempting, approach
-                        )
-                        self._lines_cache.setdefault(key, lines)
-                    self.ledger.events.extend(events)
-                    for approach, spent in seconds.items():
-                        self.analysis_seconds[approach] += spent
-                    adopt_observed(records, snapshot, fan_span.span_id)
-        finally:
-            if own_pool is not None:
-                own_pool.close()
-        return estimates
-
-    def _pool_context(self) -> tuple:
-        """The shared state a pair worker needs, shipped once per pool."""
-        store_directory = (
-            self.store.directory
-            if self.store is not None and self.store.enabled
-            else None
-        )
-        return (
-            "crpd.pairs",
-            dict(self.tasks),
-            self.mumbs_mode,
-            self.budget,
-            store_directory,
-            _OBS.enabled,
-        )
-
-
-def _pair_task(context: tuple, pair: tuple[str, str]):
-    """Estimate one pair against a shipped analyzer context.
-
-    Runs in a :class:`~repro.batch.pool.WarmPool` worker — or in-process
-    on the serial fallback path, against the very same context object.
-    The analyzer is derived from the context once per worker and reused
-    for every pair it is handed (its artifacts' memoised dense vectors and
-    path matrices stay warm across pairs, which is the point).
-    """
-    from repro.batch.pool import derived, run_observed, worker_store
-
-    _, tasks, mumbs_mode, budget, store_directory, obs = context
-
-    def make_analyzer() -> "CRPDAnalyzer":
-        return CRPDAnalyzer(
-            tasks,
-            mumbs_mode=mumbs_mode,
-            budget=budget,
-            store=worker_store(context, store_directory),
-        )
-
-    analyzer = derived(context, "crpd.analyzer", make_analyzer)
-    events_before = len(analyzer.ledger.events)
-    seconds_before = dict(analyzer.analysis_seconds)
-    estimate, records, snapshot = run_observed(
-        lambda: analyzer.estimate_pair(*pair), obs
-    )
-    events = analyzer.ledger.events[events_before:]
-    seconds = {
-        approach: analyzer.analysis_seconds[approach] - seconds_before[approach]
-        for approach in ALL_APPROACHES
-    }
-    return estimate, events, seconds, records, snapshot
+        return [
+            self.estimate_pair(preempted, preempting)
+            for low_index, preempted in enumerate(priority_order)
+            for preempting in priority_order[:low_index]
+        ]

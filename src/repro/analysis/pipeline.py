@@ -25,7 +25,6 @@ from repro.analysis.crpd import ALL_APPROACHES, Approach, CRPDAnalyzer
 from repro.cache.config import CacheConfig
 from repro.errors import ConfigError
 from repro.guard.ledger import DegradationLedger
-from repro.obs import STATE as _OBS
 from repro.wcrt.response_time import SystemWCRT, compute_system_wcrt
 from repro.wcrt.task import TaskSpec, TaskSystem
 
@@ -34,7 +33,6 @@ if TYPE_CHECKING:
     from repro.analysis.crpd import PreemptionEstimate
     from repro.analysis.store import ArtifactStore
     from repro.analysis.wcet import Scenarios
-    from repro.batch.pool import WarmPool
     from repro.guard.budget import AnalysisBudget
     from repro.program.layout import LayoutAssignment, ProgramLayout
     from repro.sched.simulator import TaskBinding
@@ -389,38 +387,31 @@ def run_pipeline(
     *,
     budget: "AnalysisBudget | None" = None,
     store: "ArtifactStore | None" = None,
-    jobs: int = 1,
-    pool: "WarmPool | None" = None,
 ) -> PipelineResult:
     """Analyse every task of *placed* and assemble the CRPD/WCRT chain.
 
-    With a *budget* every stage shares one wall clock and one ledger.
-    ``jobs > 1`` (or a caller's warm *pool*) fans the per-task analyses
-    out across a :class:`~repro.batch.pool.WarmPool`; each worker re-arms
-    the budget locally and the artifacts and ledger events merge back in
-    priority order, so results are identical to the serial run.  *store*
+    The tasks are analysed one after another in priority order.  With a
+    *budget* every stage shares one wall clock and one ledger.  *store*
     answers stages seen before (see :mod:`repro.analysis.store`) and
-    caches CRPD pair counts.
+    caches CRPD pair counts.  Only independent systems run in parallel
+    (:func:`~repro.batch.engine.analyze_batch`).
     """
     ledger = DegradationLedger()
     clock = budget.start() if budget is not None else None
-    if pool is not None or jobs > 1:
-        artifacts = _analyze_pooled(placed, budget, ledger, store, jobs, pool)
-    else:
-        # Looked up on the module so instrumentation patching
-        # ``artifacts.analyze_task`` sees every call.
-        artifacts = {
-            task.name: _artifacts.analyze_task(
-                task.layout,
-                task.scenarios,
-                placed.config,
-                budget=budget,
-                ledger=ledger,
-                clock=clock,
-                store=store,
-            )
-            for task in placed.tasks
-        }
+    # Looked up on the module so instrumentation patching
+    # ``artifacts.analyze_task`` sees every call.
+    artifacts = {
+        task.name: _artifacts.analyze_task(
+            task.layout,
+            task.scenarios,
+            placed.config,
+            budget=budget,
+            ledger=ledger,
+            clock=clock,
+            store=store,
+        )
+        for task in placed.tasks
+    }
     crpd = CRPDAnalyzer(
         artifacts,
         mumbs_mode=placed.mumbs_mode,
@@ -444,65 +435,3 @@ def run_pipeline(
         budget=budget,
     )
 
-
-def _analyze_pooled(placed, budget, ledger, store, jobs, pool) -> dict:
-    from repro.batch.pool import WarmPool, adopt_observed
-
-    own_pool = None
-    if pool is None:
-        own_pool = pool = WarmPool(jobs)
-    store_directory = store.directory if store is not None and store.enabled else None
-    # The layouts and scenarios ship once per pool; items carry only what
-    # varies between calls.
-    shared = (
-        "pipeline.tasks",
-        {task.name: (task.layout, task.scenarios) for task in placed.tasks},
-        store_directory,
-    )
-    items = [
-        (task.name, placed.config, budget, _OBS.enabled)
-        for task in placed.tasks
-    ]
-    current = _OBS.tracer.current_span()
-    parent_id = current.span_id if current is not None else None
-    artifacts = {}
-    try:
-        token = pool.seed(shared)
-        # The pool yields in priority order, so worker spans are adopted
-        # and metrics merged deterministically.
-        for name, task_artifacts, events, records, snapshot in pool.map(
-            _analyze_task_item, items, context=token
-        ):
-            artifacts[name] = task_artifacts
-            ledger.events.extend(events)
-            adopt_observed(records, snapshot, parent_id)
-    finally:
-        if own_pool is not None:
-            own_pool.close()
-    return artifacts
-
-
-def _analyze_task_item(context, item):
-    """Analyse one task in a :class:`~repro.batch.pool.WarmPool` worker.
-
-    Also runs in-process on the pool's serial fallback path.  The worker
-    re-arms the budget (its own wall clock) and records degradations into
-    a private ledger whose events the parent merges in priority order.
-    Artifacts carry columnar traces
-    (:class:`~repro.vm.trace.LazyTraces`), which keeps the result pickle
-    small enough for the fan-out to pay off.
-    """
-    from repro.batch.pool import run_observed, worker_store
-
-    _, tasks, store_directory = context
-    name, config, budget, obs_enabled = item
-    ledger = DegradationLedger()
-    store = worker_store(context, store_directory)
-    layout, scenarios = tasks[name]
-    artifacts, records, snapshot = run_observed(
-        lambda: _artifacts.analyze_task(
-            layout, scenarios, config, budget=budget, ledger=ledger, store=store
-        ),
-        obs_enabled,
-    )
-    return name, artifacts, ledger.events, records, snapshot

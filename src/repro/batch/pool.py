@@ -1,11 +1,13 @@
 """Warm persistent worker pool with once-per-context seeding.
 
-Every parallel entry point used to create a fresh ``ProcessPoolExecutor``
-per call — ``build_context(jobs=2)`` forked workers, analysed three tasks
-and tore the pool down again; the next penalty point paid worker start-up,
-context pickling and cold per-context state all over.  :class:`WarmPool` keeps
-one set of workers alive for the lifetime of a batch and ships shared
-*context* (task artifacts, layouts, oracle configuration) exactly once:
+Only independent systems run in parallel: the points of a batch
+(:func:`~repro.batch.engine.analyze_batch`, behind ``sweep``, optimizer
+generations and ``serve``) and the cases of a fuzz campaign.  One task
+set is always analysed serially — its three tasks and three preemption
+pairs are too little work to pay for worker start-up and shipping.
+:class:`WarmPool` keeps one set of workers alive for the lifetime of a
+batch and ships shared *context* (placed systems, oracle
+configuration) exactly once:
 
 * :meth:`WarmPool.seed` pickles the context a single time, content-hashes
   it and spools it to a temp file; seeding the same value twice is free
@@ -373,13 +375,13 @@ def _remember_context(token: str, context: Any) -> None:
 def derived(context: Any, name: str, factory: Callable[[], Any]) -> Any:
     """Per-context memo for state derived from a shipped context.
 
-    Task functions use this to build expensive per-context objects (a
-    :class:`~repro.analysis.crpd.CRPDAnalyzer` over the shipped
-    artifacts, say) once per worker instead of once per task::
+    Task functions use this to build expensive per-context objects (an
+    :class:`~repro.analysis.store.ArtifactStore` handle on the shipped
+    store directory, say) once per worker instead of once per task::
 
-        def _pair_task(context, pair):
-            analyzer = derived(context, "analyzer", lambda: make(context))
-            return analyzer.estimate_pair(*pair)
+        def _point_task(context, point):
+            store = derived(context, "store", lambda: open_store(context))
+            return analyse(point, store)
 
     Keyed by the context's cache token inside workers, and by object
     identity in-process (a fallback), where each entry holds its context

@@ -91,7 +91,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
     tables = generate_all_tables(
         include_art=not args.no_art, budget=_budget_from(args),
-        jobs=args.jobs, store=_store_from(args),
+        store=_store_from(args),
     )
     wanted = set(args.only) if args.only else None
     for key, table in tables.items():
@@ -161,7 +161,6 @@ def cmd_crpd(args: argparse.Namespace) -> int:
         _spec_for(args.experiment),
         miss_penalty=args.penalty,
         budget=_budget_from(args),
-        jobs=args.jobs,
         store=_store_from(args),
     )
     print(table2_cache_lines(context).render())
@@ -176,7 +175,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _spec_for(args.experiment),
         miss_penalty=args.penalty,
         budget=_budget_from(args),
-        jobs=args.jobs,
         store=_store_from(args),
     )
     horizon = args.horizon or 2 * context.system.hyperperiod
@@ -214,7 +212,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     ]
     for table in generate_all_tables(
         include_art=not args.no_art, budget=_budget_from(args),
-        jobs=args.jobs, store=_store_from(args),
+        store=_store_from(args),
     ).values():
         sections.append("```")
         sections.append(table.render())
@@ -622,8 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for task analysis and preemption pairs "
-        "(default: 1, sequential)",
+        help="worker processes for sweep points, optimizer generations and "
+        "fuzz cases (default 1); other commands run serially",
     )
     parser.add_argument(
         "--no-cache", action="store_true",

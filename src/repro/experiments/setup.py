@@ -30,7 +30,6 @@ from repro.cache.config import CacheConfig
 
 if TYPE_CHECKING:
     from repro.analysis.store import ArtifactStore
-    from repro.batch.pool import WarmPool
 from repro.cache.state import CacheState
 from repro.guard.budget import AnalysisBudget
 from repro.guard.ledger import DegradationLedger
@@ -163,9 +162,7 @@ def build_context(
     miss_penalty: int = 20,
     cache: CacheConfig | None = None,
     budget: AnalysisBudget | None = None,
-    jobs: int = 1,
     store: "ArtifactStore | None" = None,
-    pool: "WarmPool | None" = None,
 ) -> ExperimentContext:
     """Build, place and analyse one experiment's task set.
 
@@ -173,29 +170,20 @@ def build_context(
     penalty of an explicit cache config wins over *miss_penalty*).  With
     a *budget* the whole analysis runs guarded: every stage shares one
     wall clock and writes degradations into the context's ledger.
-
-    ``jobs > 1`` fans the per-task analyses out across the workers of a
-    :class:`~repro.batch.pool.WarmPool` (each re-arming the budget
-    locally; the wall clock then counts per task rather than across
-    tasks); artifacts and ledger events merge back in priority order, so
-    results are deterministic.  Pass *pool* to reuse an already-warm pool
-    across the points of a sweep.  ``store`` short-circuits analyses
-    whose inputs were seen before (see :mod:`repro.analysis.store`) and
-    enables pair-level CRPD caching.  The chain itself is
-    :func:`~repro.analysis.pipeline.run_pipeline`.
+    ``store`` short-circuits analyses whose inputs were seen before (see
+    :mod:`repro.analysis.store`) and enables pair-level CRPD caching.
+    The chain itself is :func:`~repro.analysis.pipeline.run_pipeline`.
     """
     # The span brackets exactly the region build_seconds times, so trace
     # durations reconcile with the context's reported wall time.
     with _OBS.tracer.span(
-        "experiments.build_context", experiment=spec.key, jobs=jobs
+        "experiments.build_context", experiment=spec.key
     ) as span:
         started = perf_counter()
         result = run_pipeline(
             resolve_system(spec, cache=cache, miss_penalty=miss_penalty),
             budget=budget,
-            jobs=jobs,
             store=store,
-            pool=pool,
         )
         context = ExperimentContext(
             spec=spec, pipeline=result, build_seconds=perf_counter() - started

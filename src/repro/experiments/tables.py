@@ -39,7 +39,6 @@ class ExperimentSuite:
     penalties: tuple[int, ...] = MISS_PENALTIES
     horizon: int | None = None
     budget: AnalysisBudget | None = None
-    jobs: int = 1
     store: "ArtifactStore | None" = None
     _contexts: dict[int, ExperimentContext] = field(default_factory=dict)
 
@@ -49,7 +48,6 @@ class ExperimentSuite:
                 self.spec,
                 miss_penalty=penalty,
                 budget=self.budget,
-                jobs=self.jobs,
                 store=self.store,
             )
         return self._contexts[penalty]
@@ -221,14 +219,13 @@ def generate_all_tables(
     horizon: int | None = None,
     include_art: bool = True,
     budget: AnalysisBudget | None = None,
-    jobs: int = 1,
     store: "ArtifactStore | None" = None,
 ) -> dict[str, Table]:
     """Regenerate every table of the paper; keys 'table1' .. 'table6'."""
     suites = {
         spec.key: ExperimentSuite(
             spec, penalties=penalties, horizon=horizon, budget=budget,
-            jobs=jobs, store=store,
+            store=store,
         )
         for spec in ALL_SPECS
     }

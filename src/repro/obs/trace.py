@@ -6,12 +6,14 @@ call sites never pass context explicitly.  Finished spans are appended,
 under a lock, to an in-memory record list in *completion* order and
 written out as one JSON object per line by :meth:`Tracer.export_jsonl`.
 
-Process fan-out (``--jobs``) is handled by *adoption*: worker processes
-run their own tracer, ship their finished records back with the result,
-and the parent re-parents them under its fan-out span with
-:meth:`Tracer.adopt`.  Because workers are merged in submission order and
-ids are reassigned sequentially, the merged span tree is deterministic —
-only the durations vary between runs.
+The process fan-out of independent systems (``--jobs`` on sweeps,
+optimizer generations and fuzz campaigns) is handled by *adoption*:
+worker processes run their own tracer, ship their finished records back
+with the result, and the parent re-parents them under its fan-out span
+(``batch.analyze``, say) with :meth:`Tracer.adopt`.  Because workers are
+merged in submission order and ids are reassigned sequentially, the
+merged span tree is deterministic — only the durations vary between
+runs.
 
 The default tracer is :data:`NULL_TRACER`: every ``span()`` returns one
 shared no-op context manager and every ``event()`` is a single attribute

@@ -199,6 +199,21 @@ class TestWCRTTables:
 
 
 class TestPairStoreUnderEq7:
+    @staticmethod
+    def _ledgers(budget, store):
+        """Every table context's ledger, as ``(stage, budget)`` pairs."""
+        ledgers = {}
+        for spec in ALL_SPECS:
+            suite = ExperimentSuite(spec, budget=budget, store=store)
+            table2_cache_lines(suite.context(20))
+            table_wcrt(suite, include_art=False)
+            for penalty in suite.penalties:
+                ledgers[spec.key, penalty] = [
+                    (event.stage, event.budget)
+                    for event in suite.context(penalty).ledger.events
+                ]
+        return ledgers
+
     def test_warm_degraded_tables_recompute_no_pair_in_one_ledger_order(
         self, tmp_path
     ):
@@ -206,22 +221,14 @@ class TestPairStoreUnderEq7:
         priority order before the fixpoints, so a second store-backed run
         of ``tables --no-art`` (a fresh handle on the same directory)
         computes no pair and records the cold run's ledger event for
-        event, degraded pairs first, then the starved fixpoints."""
+        event, degraded pairs first, then the starved fixpoints.  A run
+        without a store records the same ledgers."""
         budget = AnalysisBudget(max_paths=1, max_wcrt_iterations=3)
         runs = []
         for _ in range(2):
             store = ArtifactStore(directory=tmp_path)
-            ledgers = {}
             with observed() as (_, metrics):
-                for spec in ALL_SPECS:
-                    suite = ExperimentSuite(spec, budget=budget, store=store)
-                    table2_cache_lines(suite.context(20))
-                    table_wcrt(suite, include_art=False)
-                    for penalty in suite.penalties:
-                        ledgers[spec.key, penalty] = [
-                            (event.stage, event.budget)
-                            for event in suite.context(penalty).ledger.events
-                        ]
+                ledgers = self._ledgers(budget, store)
             counters = metrics.to_dict()["counters"]
             runs.append((ledgers, counters.get("crpd.pairs_computed", 0)))
         (cold, cold_pairs), (warm, warm_pairs) = runs
@@ -230,6 +237,8 @@ class TestPairStoreUnderEq7:
         assert cold_pairs == 24
         assert warm_pairs == 0
         assert warm == cold
+        # Without a store, Eq. 7 still estimates every pair first.
+        assert self._ledgers(budget, store=None) == cold
         assert cold["exp1", 40] == [
             ("paths:ed", "max_paths"),
             ("crpd:ofdm<-ed", "max_paths"),

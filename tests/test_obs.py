@@ -1,8 +1,9 @@
 """Unit tests for the zero-dependency observability layer (``repro.obs``).
 
 Covers span nesting and ordering, the JSONL schema contract, histogram
-bucketing and merge, the disabled-mode overhead bound, and deterministic
-span adoption across the ``jobs=2`` process fan-out.
+bucketing and merge, and the disabled-mode overhead bound.  Deterministic
+span adoption across the ``jobs=2`` process fan-out is pinned on the
+batch engine (``tests/test_batch_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -299,42 +300,3 @@ class TestStateAndProfiled:
             f"disabled instrumentation costs {guard * 1e9:.0f} ns per call, "
             f"over 5% of a {body * 1e3:.2f} ms kernel call"
         )
-
-
-class TestFanOutDeterminism:
-    def test_jobs2_pair_fanout_merges_deterministically(
-        self, experiment1_context
-    ):
-        """Two jobs=2 runs produce identical span trees and counters."""
-        order = list(experiment1_context.priority_order)
-
-        def run():
-            with observed() as (tracer, metrics):
-                experiment1_context.crpd.estimate_all_pairs(order, jobs=2)
-            shape = [
-                (r["name"], r["parent"], r["id"], r["attrs"].get("preempted"),
-                 r["attrs"].get("preempting"))
-                for r in tracer.records
-            ]
-            counters = {
-                # Pool health telemetry (batch.pool.reuse et al.)
-                # depends on which warm worker picked up which pair —
-                # scheduling, not analysis — so it is exempt from the
-                # determinism contract.
-                name: value
-                for name, value in metrics.to_dict()["counters"].items()
-                if not name.startswith("batch.pool.")
-            }
-            return shape, counters
-
-        shape1, counters1 = run()
-        shape2, counters2 = run()
-        assert shape1 == shape2
-        assert counters1 == counters2
-        names = [entry[0] for entry in shape1]
-        assert names.count("crpd.pair") == 12  # 3 pairs x 4 approaches
-        assert names.count("crpd.estimate_all_pairs") == 1
-        # Every adopted pair span hangs off the fan-out span.
-        fan = next(e for e in shape1 if e[0] == "crpd.estimate_all_pairs")
-        pair_parents = {e[1] for e in shape1 if e[0] == "crpd.pair"}
-        assert pair_parents == {fan[2]}
