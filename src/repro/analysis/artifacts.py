@@ -19,7 +19,8 @@ everything has no sound shortcut.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.rmb_lmb import RMBLMBResult, solve_rmb_lmb
 from repro.analysis.useful import UsefulBlocksAnalysis, compute_useful_blocks
@@ -28,7 +29,6 @@ from repro.analysis.wcet import (
     WCETResult,
     cycles_from_counts,
     measure_wcet_detailed,
-    replay_counts,
     worst_of,
 )
 from repro.cache.ciip import CIIP
@@ -38,7 +38,7 @@ from repro.obs import STATE as _OBS
 from repro.program.builder import Program
 from repro.program.layout import ProgramLayout
 from repro.program.paths import PathProfile, enumerate_path_profiles
-from repro.vm.trace import LazyTraces, NodeTraceAggregate
+from repro.vm.trace import NodeTraceAggregate
 
 if TYPE_CHECKING:
     from repro.analysis.store import ArtifactStore, FlowBundle
@@ -255,7 +255,7 @@ def analyze_task(
                 return memo.artifacts
         span.set(cache_hit=False)
 
-        wcet, placed, keys = _wcet_stage(
+        wcet, aggregate, keys = _wcet_stage(
             layout, scenarios, config, max_steps, store if use_store else None,
             clock, program.name, structure,
         )
@@ -265,8 +265,8 @@ def analyze_task(
             keys["flow"] = flow_key(keys["trace"], layout, config)
             keys["paths"] = paths_key(structure, path_limit, strict)
         flow = _flow_stage(
-            program, scenarios, config, store if use_store else None,
-            keys.get("flow"), placed, clock,
+            program, config, store if use_store else None, keys.get("flow"),
+            aggregate, clock,
         )
         path_profiles, path_complete, local_events = _paths_stage(
             program, path_limit, budget, ledger, span,
@@ -313,19 +313,19 @@ def _wcet_stage(
     name: str,
     structure: "str | None",
 ):
-    """Trace + sim sub-artifacts -> (wcet, traces at *layout*, keys).
+    """Trace + sim sub-artifacts -> (wcet, aggregate thunk, keys).
 
     Every path charges the cache the same way: by replaying columns.
     Cold: one cache-free VM run per scenario records its columns and
     base cycles (the trace sub-artifact), then one replay of those
     columns through a fresh cache yields the counts (the sim
     sub-artifact).  The trace key is placement-free, so a hit may come
-    from another placement of the same program: the columnar traces are
-    then relocated to this one — lazily, only if a sim or flow miss
-    reads the addresses.  Trace hit with a sim miss (new geometry or
-    placement): replay the relocated columns — no VM.  Both hits (new
-    costs only): reassemble cycle counts arithmetically and defer trace
-    decoding entirely.
+    from another placement of the same program.  Trace hit with a sim
+    or flow miss (new geometry or placement): replay and aggregate the
+    bundle's block view (:meth:`~repro.analysis.store.TraceBundle.view`)
+    through this placement's block table — no VM, no event relocated.
+    Both hits (new costs only): reassemble cycle counts arithmetically
+    and defer trace decoding entirely.
     """
     from repro.analysis.store import (
         SimBundle,
@@ -350,13 +350,13 @@ def _wcet_stage(
             layout, scenarios, config, max_steps=max_steps,
             relocatable=store is not None,
         )
-        placed = wcet.traces
+        traces = wcet.traces.compact()
         if store is not None:
             store.put(
                 t_key,
                 TraceBundle(
                     scenario_names=tuple(scenarios),
-                    traces=placed.compact(),
+                    traces=traces,
                     base_cycles={
                         scenario: run.base_cycles
                         for scenario, run in runs.items()
@@ -375,20 +375,17 @@ def _wcet_stage(
                 ),
                 kind="sim",
             )
-        return wcet, placed, keys
+        aggregate = partial(NodeTraceAggregate.from_compact, config, traces.values())
+        return wcet, aggregate, keys
     bases = layout.region_bases()
-    placed = trace_bundle.placed(bases)
+    view = partial(trace_bundle.view, config.line_size, bases, scenarios)
     sim_bundle = store.get(s_key, kind="sim")
     if sim_bundle is None:
         # New geometry or placement against a known trace: replay, don't
         # re-simulate.
         if clock is not None:
             clock.check(f"wcet:{name}")
-        traces = placed.compact()
-        sim_bundle = SimBundle(counts={
-            scenario: replay_counts(traces[scenario], config)
-            for scenario in scenarios
-        })
+        sim_bundle = SimBundle(counts=view().counts(bases, config))
         store.put(s_key, sim_bundle, kind="sim")
     # Iterate in the *caller's* scenario order (identical content hashes
     # regardless of order), so worst-scenario tie-breaking matches what a
@@ -405,23 +402,22 @@ def _wcet_stage(
     if store.directory is not None:
         traces = StoreBackedTraces(store.directory, t_key, tuple(scenarios), bases)
     else:
-        traces = placed
+        traces = trace_bundle.placed(bases)
     wcet = WCETResult(
         cycles=per_scenario[worst],
         worst_scenario=worst,
         per_scenario_cycles=per_scenario,
         traces=traces,
     )
-    return wcet, placed, keys
+    return wcet, lambda: view().aggregate(bases, config), keys
 
 
 def _flow_stage(
     program: Program,
-    scenarios: Scenarios,
     config: CacheConfig,
     store: "ArtifactStore | None",
     f_key: "str | None",
-    placed: LazyTraces,
+    build_aggregate: "Callable[[], NodeTraceAggregate]",
     clock: "BudgetClock | None",
 ) -> "FlowBundle":
     """Aggregate/CIIP/RMB-LMB/useful sub-artifact, restamped to *config*."""
@@ -434,10 +430,7 @@ def _flow_stage(
         return _restamp_flow(flow, config)
     if clock is not None:
         clock.check(f"dataflow:{program.name}")
-    traces = placed.compact()
-    aggregate = NodeTraceAggregate.from_compact(
-        config, [traces[scenario] for scenario in scenarios]
-    )
+    aggregate = build_aggregate()
     footprint = aggregate.footprint()
     dataflow = solve_rmb_lmb(program.cfg, aggregate, config)
     useful = compute_useful_blocks(program.cfg, dataflow)

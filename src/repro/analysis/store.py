@@ -20,8 +20,8 @@ trace     program structure + scenarios + ``max_steps`` — the VM's
           *every* cache configuration; no address ever feeds back into
           control flow either, so the stream is invariant across
           placements up to a per-region shift (the bundle records each
-          event's region and the placement it ran at, and is relocated
-          as ``address + delta[region]`` when read at another placement)
+          event's region and the placement it ran at, and is read at
+          another placement through its :meth:`TraceBundle.view`)
 sim       trace key + placement + ``num_sets, ways, line_size, policy,
           write_back`` — per-scenario access/miss/writeback counts; cycle
           counts reassemble from these in O(1) for any cost parameters
@@ -39,8 +39,8 @@ task      composite of everything (in-memory assembly memo only)
 pinned.  A miss-penalty sweep therefore recomputes *nothing* but the
 pair/task assembly; a geometry sweep re-runs only the set-index-dependent
 kernels (sim replay + flow) against the cached trace; and a layout move
-re-runs the same kernels for the moved task only, against its relocated
-trace — never the VM.
+re-runs the same kernels for the moved task only, against its trace's
+block view — never the VM.
 
 Every key additionally covers ``SCHEMA_VERSION`` and a fingerprint of the
 installed ``repro`` source code, so editing any module of this package
@@ -84,7 +84,7 @@ from repro.errors import ReproError
 from repro.obs import STATE as _OBS
 from repro.program.builder import Program
 from repro.program.layout import ProgramLayout
-from repro.vm.trace import CompactTrace, LazyTraces, TraceRecorder
+from repro.vm.trace import CompactTrace, LazyTraces, TraceRecorder, TraceView
 
 if TYPE_CHECKING:
     from repro.analysis.artifacts import TaskArtifacts
@@ -348,7 +348,7 @@ class TraceBundle:
     worst-scenario selection tie-breaks identically to a cold run.  The
     traces hold the addresses of the placement the VM ran at, whose
     :meth:`~repro.program.layout.ProgramLayout.region_bases` are
-    ``bases``; :meth:`placed` moves them to any other placement.
+    ``bases``; :meth:`view` and :meth:`placed` read them at any other.
     """
 
     scenario_names: tuple[str, ...]
@@ -362,6 +362,25 @@ class TraceBundle:
         return LazyTraces(
             self.traces, [new - old for new, old in zip(bases, self.bases)]
         )
+
+    def view(self, line_size: int, bases: tuple[int, ...], scenarios) -> TraceView:
+        """The :class:`~repro.vm.trace.TraceView` of the *scenarios* (in
+        order) for the phase class of *bases*, each mod *line_size*: built
+        once, from the traces moved into that class by less than a line,
+        and kept outside the pickled state."""
+        shift = tuple((new - old) % line_size for new, old in zip(bases, self.bases))
+        key = (line_size, shift, tuple(scenarios))
+        views = self.__dict__.setdefault("_views", {})
+        if key not in views:
+            views[key] = TraceView(
+                {name: self.traces[name].relocated(shift) for name in key[2]},
+                line_size,
+                [old + s for old, s in zip(self.bases, shift)],
+            )
+        return views[key]
+
+    def __getstate__(self):
+        return {key: value for key, value in self.__dict__.items() if key != "_views"}
 
 
 @dataclass

@@ -49,8 +49,8 @@ The layout edits (``code:``/``data:``/``color:``/``swap:``) are the
 optimizer's neighbor moves: they pin explicit placements through a
 :class:`~repro.program.layout.LayoutAssignment` and only invalidate the
 moved task's sim/flow sub-artifacts: traces and path profiles are
-placement-free, so a move relocates the stored trace instead of
-re-running the VM.  Proposals that would overlap regions raise
+placement-free, so a move reads the stored trace's block view instead
+of re-running the VM.  Proposals that would overlap regions raise
 :class:`~repro.program.layout.LayoutError` *before* any session state
 changes, so a rejected move leaves the session untouched.
 
@@ -407,7 +407,7 @@ class WhatIfSession:
         :class:`~repro.program.layout.LayoutError` before any session
         state changes.  Incremental reuse still applies — only tasks
         whose placement actually differs recompute their sim/flow
-        sub-artifacts, against their relocated stored traces.
+        sub-artifacts, from their stored traces' block views.
         """
         self._set_assignment(assignment)
         return self._run_state(label or "assignment")

@@ -742,8 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_whatif.add_argument(
         "--edit", action="append", metavar="EDIT", default=None,
         help="an edit to apply (repeatable, applied in order): penalty=N, "
-        "geometry=SETSxWAYSxLINE, period:TASK=N or array:TASK:INDEX=WORDS "
-        "(fuzz bases only)",
+        "geometry=SETSxWAYSxLINE, period:TASK=N, array:TASK:INDEX=WORDS "
+        "(fuzz bases only), or a layout move: code:TASK=ADDR, data:TASK=ADDR, "
+        "color:TASK:INDEX=COLOR or swap:TASK=TASK",
     )
     p_whatif.add_argument(
         "--json", metavar="FILE", default=None,

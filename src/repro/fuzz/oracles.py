@@ -12,7 +12,7 @@ Three families, mirroring the tentpole spec:
   matrix, non-dominated useful vectors vs every
   execution point, heap vs scan scheduler identity,
   warm-vs-cold artifact + ledger parity through the :class:`ArtifactStore`,
-  relocated traces vs VM re-execution after random layout moves, one
+  block-view moves vs VM re-execution after random layout moves, one
   result payload across the front doors (``build_case``, what-if, serve,
   optimizer) with warm-started Eq. 7 fixpoints vs cold ones.
 
@@ -974,16 +974,15 @@ def _columns(trace: CompactTrace) -> tuple:
 def oracle_relocation(
     case: BuiltCase, budget: AnalysisBudget | None = None
 ) -> list[Violation]:
-    """Layout moves relocate the stored trace instead of re-running the VM.
+    """Layout moves read the stored trace instead of re-running the VM.
 
     Applies random ``code:``/``data:``/``color:``/``swap:`` moves to a
-    warm session, then checks that every task's relocated trace (served
-    from the trace recorded at the original one, never the VM), its
-    per-scenario hit/miss/writeback counts and its cycles equal a
-    ``step()``-by-``step()`` re-execution at its new placement — the
-    stored trace came from the block-decoded ``run()``, so the reference
-    is the other entry point — and that the warm session's signature
-    equals a cold session's there.
+    warm session, then checks that every task's relocated trace, and the
+    counts and cycles read through its block view, equal a
+    ``step()``-by-``step()`` re-execution at its new placement (the
+    stored trace came from ``run()``), that its sim and flow entries
+    equal a cold run's there, and that the warm session's signature
+    equals a cold session's.
     """
     from repro.analysis.whatif import WhatIfSession
 
@@ -1051,6 +1050,17 @@ def oracle_relocation(
                 moved.wcet.per_scenario_cycles[scenario] == machine.cycles,
                 f"{where}: {moved.wcet.per_scenario_cycles[scenario]} cycles "
                 f"differ from a VM re-execution's {machine.cycles}",
+            )
+        fresh = ArtifactStore(directory=None)
+        cold = analyze_task(
+            layout, task.scenarios, case.config, budget=budget, store=fresh
+        )
+        for kind in ("sim", "flow"):  # flow: aggregate, RMB/LMB, useful, CIIP
+            check.expect(
+                store.get(moved.subkeys[kind], kind=kind)
+                == fresh.get(cold.subkeys[kind], kind=kind),
+                f"{task.name} at {layout.region_bases()}: {kind} entry "
+                "differs from a cold run's",
             )
     check.expect(
         store.misses_by_kind.get("trace") == len(case.tasks),

@@ -21,9 +21,10 @@ construction (lower scores are better).
 Every neighbor is evaluated through a
 :class:`~repro.analysis.whatif.WhatIfSession` jump
 (:meth:`~repro.analysis.whatif.WhatIfSession.set_assignment`): only the
-moved task's sim/flow sub-artifacts recompute, by replaying its stored
-trace relocated to the new placement (the VM never re-runs), and
-rejected moves revert warm out of the session's store.  The move log records, for every visited layout,
+moved task's sim/flow sub-artifacts recompute, from its stored trace's
+block view at the new placement (the VM never re-runs, no event is
+relocated), and rejected moves revert warm out of the session's store.
+The move log records, for every visited layout,
 the assignment and its evaluation payload — byte-comparable against a
 cold :func:`analyze_batch` recomputation, which the equivalence suite
 pins.  Nothing in the log or the Pareto front carries timing, so a run

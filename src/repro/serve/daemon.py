@@ -174,12 +174,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._bad_request(f"unknown path {self.path!r}")
 
 
+class _Server(ThreadingHTTPServer):
+    request_queue_size = 128  # socketserver's 5 refuses bursts of clients
+    daemon_threads = True
+
+
 def make_server(
     host: str, port: int, service: AnalysisService, verbose: bool = False
 ) -> ThreadingHTTPServer:
     """A bound (not yet serving) threaded HTTP server over *service*."""
-    server = ThreadingHTTPServer((host, port), _Handler)
-    server.daemon_threads = True
+    server = _Server((host, port), _Handler)
     server.service = service
     server.verbose = verbose
     return server

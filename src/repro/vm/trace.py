@@ -12,10 +12,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, count, islice, repeat
-from operator import and_, ne
+from operator import and_, ne, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.cache.config import CacheConfig
+from repro.cache.state import CacheState
+from repro.obs import STATE as _OBS
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,8 @@ class CompactTrace:
             return self
         if self.regions is None:
             raise ValueError("trace was recorded without its layout")
+        if _OBS.enabled:
+            _OBS.metrics.counter("trace.relocations").inc()
         addresses = array(
             "Q", [address + deltas[region]
                   for address, region in zip(self.addresses, self.regions)]
@@ -340,16 +344,8 @@ class NodeTraceAggregate:
         line_mask = -config.line_size
         visits: dict[str, dict[tuple[int, ...], None]] = {}
         for trace in traces:
-            ids = trace.node_ids
             blocks = list(map(and_, trace.addresses, repeat(line_mask)))
-            cuts = compress(count(1), map(ne, ids, islice(ids, 1, None)))
-            table = trace.node_table
-            start = 0
-            for end in chain(cuts, (len(ids),) if ids else ()):
-                visits.setdefault(table[ids[start]], {})[
-                    tuple(blocks[start:end])
-                ] = None
-                start = end
+            _add_visits(visits, trace, blocks)
         node_refs = {
             label: NodeRefs(label=label, visit_sequences=tuple(sequences))
             for label, sequences in visits.items()
@@ -377,3 +373,79 @@ class NodeTraceAggregate:
 
     def per_node_blocks(self) -> dict[str, frozenset[int]]:
         return {label: refs.blocks() for label, refs in self.node_refs.items()}
+
+
+def _add_visits(visits: dict, trace: CompactTrace, values: Sequence[int]) -> None:
+    """Add each node visit of *trace*, as its run of *values*, to *visits*."""
+    ids = trace.node_ids
+    cuts = compress(count(1), map(ne, ids, islice(ids, 1, None)))
+    table = trace.node_table
+    start = 0
+    for end in chain(cuts, (len(ids),) if ids else ()):
+        visits.setdefault(table[ids[start]], {})[tuple(values[start:end])] = None
+        start = end
+
+
+class TraceView:
+    """Relocatable traces as a per-block table: what a layout move reads.
+
+    An event's *key* is the ``(block, region)`` it touches at region
+    *bases* (two regions may share a block there, and part elsewhere).
+    A move by whole lines is one table of moved blocks, O(footprint):
+    ``streams`` holds each scenario's key ids minus reads and fetches
+    that repeat the previous id (hits that change no cache state under
+    any policy), their write flags, and how many were dropped; ``visits``
+    holds each node's distinct visits as key-id runs."""
+
+    __slots__ = ("bases", "keys", "streams", "visits")
+
+    def __init__(self, traces: Mapping[str, CompactTrace], line_size: int, bases):
+        if _OBS.enabled:
+            _OBS.metrics.counter("trace.views_built").inc()
+        self.bases = tuple(bases)
+        index: dict[tuple[int, int], int] = {}
+        self.streams: dict[str, tuple[array, bytes, int]] = {}
+        visits: dict[str, dict[tuple[int, ...], None]] = {}
+        for name, trace in traces.items():
+            blocks = map(and_, trace.addresses, repeat(-line_size))
+            ids = [index.setdefault(key, len(index))
+                   for key in zip(blocks, trace.regions)]
+            writes = trace.kinds.translate(_WRITE_FLAGS)
+            keep = list(map(or_, map(ne, ids, chain((-1,), ids)), writes))
+            stream = array("I", compress(ids, keep))
+            self.streams[name] = (
+                stream, bytes(compress(writes, keep)), len(ids) - len(stream)
+            )
+            _add_visits(visits, trace, ids)
+        self.keys = list(index)
+        self.visits = {label: tuple(runs) for label, runs in visits.items()}
+
+    def moved(self, bases: Sequence[int]) -> list[int]:
+        """Each key's block at region *bases* (whole lines from ours)."""
+        deltas = [new - old for new, old in zip(bases, self.bases)]
+        return [block + deltas[region] for block, region in self.keys]
+
+    def counts(self, bases: Sequence[int], config: CacheConfig) -> dict:
+        """Each scenario's ``(accesses, misses, writebacks)`` from a cold
+        *config* cache at *bases*; the dropped repeats count as hits."""
+        moved = self.moved(bases)
+        counts = {}
+        for scenario, (stream, writes, dropped) in self.streams.items():
+            cache = CacheState(config)
+            cache.access_stream(map(moved.__getitem__, stream), writes)
+            stats = cache.stats
+            counts[scenario] = (
+                stats.hits + stats.misses + dropped, stats.misses, stats.writebacks
+            )
+        return counts
+
+    def aggregate(self, bases, config: CacheConfig) -> "NodeTraceAggregate":
+        """:meth:`NodeTraceAggregate.from_compact` of the traces moved to
+        *bases* (a move may make two runs one)."""
+        block = self.moved(bases).__getitem__
+        return NodeTraceAggregate(config=config, node_refs={
+            label: NodeRefs(label=label, visit_sequences=tuple(dict.fromkeys(
+                tuple(map(block, run)) for run in runs
+            )))
+            for label, runs in self.visits.items()
+        })

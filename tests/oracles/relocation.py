@@ -1,0 +1,61 @@
+"""Reference oracle: a layout move by per-event relocation.
+
+The executable specification of the block view
+(:class:`repro.vm.trace.TraceView`, read through
+:meth:`repro.analysis.store.TraceBundle.view`).  A move shifts every
+event of the stored traces to the new placement
+(:meth:`~repro.vm.trace.CompactTrace.relocated`), replays every shifted
+event through a cold cache and aggregates node visits over the shifted
+blocks; the flow analyses then run on that aggregate exactly as a cold
+analysis does.  Not used by the package.
+"""
+
+from __future__ import annotations
+
+from repro.analysis.rmb_lmb import solve_rmb_lmb
+from repro.analysis.store import FlowBundle, TraceBundle
+from repro.analysis.useful import compute_useful_blocks
+from repro.analysis.wcet import replay_counts
+from repro.cache.ciip import CIIP
+from repro.cache.config import CacheConfig
+from repro.program.builder import Program
+from repro.vm.trace import NodeTraceAggregate
+
+
+def relocated_counts(
+    bundle: TraceBundle, bases: tuple[int, ...], config: CacheConfig, scenarios
+) -> dict[str, tuple[int, int, int]]:
+    """Each scenario's ``(accesses, misses, writebacks)`` at *bases*."""
+    placed = bundle.placed(bases).compact()
+    return {scenario: replay_counts(placed[scenario], config) for scenario in scenarios}
+
+
+def relocated_aggregate(
+    bundle: TraceBundle, bases: tuple[int, ...], config: CacheConfig, scenarios
+) -> NodeTraceAggregate:
+    """The per-node aggregate of the *scenarios* at *bases*."""
+    placed = bundle.placed(bases).compact()
+    return NodeTraceAggregate.from_compact(
+        config, [placed[scenario] for scenario in scenarios]
+    )
+
+
+def relocated_flow(
+    program: Program,
+    bundle: TraceBundle,
+    bases: tuple[int, ...],
+    config: CacheConfig,
+    scenarios,
+) -> FlowBundle:
+    """The flow sub-artifact (aggregate, footprint CIIP, RMB/LMB, useful
+    blocks) of the *scenarios* at *bases*."""
+    aggregate = relocated_aggregate(bundle, bases, config, scenarios)
+    footprint = aggregate.footprint()
+    dataflow = solve_rmb_lmb(program.cfg, aggregate, config)
+    return FlowBundle(
+        aggregate=aggregate,
+        footprint=footprint,
+        footprint_ciip=CIIP.from_addresses(config, footprint),
+        dataflow=dataflow,
+        useful=compute_useful_blocks(program.cfg, dataflow),
+    )

@@ -31,6 +31,19 @@ class TestParser:
         assert args.only == ["table2"]
         assert args.no_art
 
+    def test_whatif_help_lists_every_edit_form(self, capsys):
+        """Every form ``parse_edit`` accepts, layout moves included."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["whatif", "--help"])
+        # argparse wraps help lines; compare the words.
+        out = " ".join(capsys.readouterr().out.split())
+        for form in (
+            "penalty=N", "geometry=SETSxWAYSxLINE", "period:TASK=N",
+            "array:TASK:INDEX=WORDS", "code:TASK=ADDR", "data:TASK=ADDR",
+            "color:TASK:INDEX=COLOR", "swap:TASK=TASK",
+        ):
+            assert form in out
+
 
 class TestCommands:
     def test_workloads_lists_all_six(self, capsys):

@@ -1,8 +1,7 @@
-"""Relocatable traces and the columnar kernels behind them.
+"""Relocatable traces, their block view and the columnar kernels.
 
-A layout move no longer re-runs the VM: the stored trace is shifted
-region by region to the new placement.  These tests pin the pieces that
-make it exact:
+A layout move does not re-run the VM: it reads the trace recorded at
+another placement.  These tests pin the pieces that make it exact:
 
 * the columnar replay (``CompactTrace.replay``) counts exactly what
   per-access ``CacheState.access`` counts, for every policy and both
@@ -10,21 +9,33 @@ make it exact:
 * the columnar per-node aggregation equals the ``MemRef``-based
   reference kept here as the oracle;
 * a relocated trace is byte-identical to a VM re-execution at the new
-  placement, in memory and through a disk store's pickled trace view.
+  placement, in memory and through a disk store's pickled trace view;
+* a move through the block view (``TraceBundle.view``) gives the counts,
+  aggregate and flow bundle of the per-event path kept in
+  ``tests/oracles/relocation.py``, byte for byte as stored.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.artifacts import analyze_task
-from repro.analysis.store import ArtifactStore
+from repro.analysis.store import (
+    SCHEMA_VERSION,
+    ArtifactStore,
+    StoredEntry,
+    TraceBundle,
+)
 from repro.analysis.whatif import WhatIfSession
 from repro.cache.config import CacheConfig
 from repro.cache.state import CacheState
+from repro.fuzz.build import build_case
+from repro.fuzz.generator import case_from_seed
+from repro.obs import observed
 from repro.program.layout import ProgramLayout, SystemLayout
 from repro.vm.machine import run_isolated
 from repro.vm.trace import (
@@ -34,6 +45,11 @@ from repro.vm.trace import (
     TraceRecorder,
 )
 from repro.workloads import build_workload
+from tests.oracles.relocation import (
+    relocated_aggregate,
+    relocated_counts,
+    relocated_flow,
+)
 
 POLICIES = ("lru", "fifo", "plru")
 
@@ -211,3 +227,237 @@ class TestDiskStoreRelocation:
                 inputs={k: list(v) for k, v in inputs.items()}, trace=recorder,
             )
             assert traces[scenario].events == recorder.events
+
+
+def _stored(kind: str, payload) -> bytes:
+    """The bytes a disk store writes for *payload*."""
+    return pickle.dumps(
+        StoredEntry(schema=SCHEMA_VERSION, kind=kind, payload=payload),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+
+
+def synthetic_bundle(
+    seed: int, regions: int = 3, spacing: int = 0x10000
+) -> TraceBundle:
+    """Two random scenarios over *regions* regions recorded *spacing*
+    bytes apart from 0x10000: each event references a random region at
+    a random offset, from a node that changes now and then, with random
+    kinds (so writes also repeat)."""
+    rng = random.Random(seed)
+    bases = tuple(0x10000 + spacing * region for region in range(regions))
+    traces = {}
+    for name, events in (("a", 500), ("b", 300)):
+        columns = TraceColumns(relocatable=True)
+        node = "n0"
+        for _ in range(events):
+            if rng.random() < 0.2:
+                node = f"n{rng.randrange(5)}"
+            region = rng.randrange(regions)
+            columns.append(
+                bases[region] + 4 * rng.randrange(0x60), rng.randrange(3),
+                node, region,
+            )
+        traces[name] = columns.compact()
+    return TraceBundle(
+        scenario_names=tuple(traces),
+        traces=traces,
+        base_cycles={name: 0 for name in traces},
+        bases=bases,
+    )
+
+
+def assert_view_matches_oracle(bundle, bases, config, scenarios=None):
+    scenarios = tuple(scenarios or bundle.scenario_names)
+    view = bundle.view(config.line_size, bases, scenarios)
+    assert view.counts(bases, config) == relocated_counts(
+        bundle, bases, config, scenarios
+    )
+    aggregate = view.aggregate(bases, config)
+    reference = relocated_aggregate(bundle, bases, config, scenarios)
+    assert list(aggregate.node_refs) == list(reference.node_refs)
+    assert aggregate.node_refs == reference.node_refs
+    return view, view.moved(bases)
+
+
+class TestBlockView:
+    """The view against the per-event oracle on hand-built traces, whose
+    random kinds include the write repeats a VM trace never has."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("write_back", (False, True))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_and_aggregate_equal_per_event_relocation(
+        self, policy, write_back, seed
+    ):
+        config = CacheConfig(
+            num_sets=8, ways=2, line_size=16, policy=policy,
+            write_back=write_back,
+        )
+        bundle = synthetic_bundle(seed)
+        rng = random.Random(seed)
+        for _ in range(6):
+            bases = tuple(
+                base + rng.choice((0, 4, 16, 0x40, 0x1004, -0x800))
+                for base in bundle.bases
+            )
+            assert_view_matches_oracle(bundle, bases, config)
+        # Caller order decides first-seen order across scenarios.
+        assert_view_matches_oracle(bundle, bundle.bases, config, ("b", "a"))
+
+    def test_regions_sharing_blocks_at_recording_move_apart(self):
+        config = CacheConfig(num_sets=8, ways=2, line_size=16)
+        # Both regions recorded over the same addresses: a block is named
+        # once per region.
+        bundle = synthetic_bundle(3, regions=2, spacing=0)
+        view = bundle.view(16, bundle.bases, "ab")
+        assert len({block for block, _ in view.keys}) < len(view.keys)
+        view, moved = assert_view_matches_oracle(bundle, (0x10000, 0x30000), config)
+        assert len(set(moved)) == len(moved)
+
+    def test_regions_moved_onto_one_block(self):
+        config = CacheConfig(num_sets=8, ways=2, line_size=16)
+        bundle = synthetic_bundle(5, regions=2)
+        view = bundle.view(16, bundle.bases, "ab")
+        assert len({block for block, _ in view.keys}) == len(view.keys)
+        # Region 1 onto region 0's addresses, by whole lines.
+        view, moved = assert_view_matches_oracle(bundle, (0x10000, 0x10000), config)
+        assert len(set(moved)) < len(moved)
+
+    def test_phase_classes_and_line_sizes_get_their_own_views(self):
+        bundle = synthetic_bundle(1)
+        with observed() as (_, metrics):
+            bundle.view(16, bundle.bases, "ab")
+            bundle.view(16, tuple(base + 0x40 for base in bundle.bases), "ab")
+            bundle.view(16, (0x10004,) + bundle.bases[1:], "ab")
+            bundle.view(32, bundle.bases, "ab")
+            bundle.view(32, bundle.bases, "ba")
+        counters = metrics.to_dict()["counters"]
+        assert counters["trace.views_built"] == 4
+        assert counters["trace.relocations"] == 2  # one per scenario
+        assert len(bundle._views) == 4
+
+    def test_pickle_is_unchanged_by_views(self):
+        bundle = synthetic_bundle(2)
+        before = _stored("trace", bundle)
+        bundle.view(16, bundle.bases, "ab")
+        bundle.view(16, (0x10008,) + bundle.bases[1:], "ab")
+        assert bundle._views
+        assert _stored("trace", bundle) == before
+        assert "_views" not in vars(pickle.loads(pickle.dumps(bundle)))
+        assert SCHEMA_VERSION == 5
+
+
+def _moves(task, rng):
+    """Random placements of *task*: shifts by whole and partial lines,
+    and data packed straight after the code (sharing its last block)
+    with an array pinned mid-line."""
+    home = task.layout
+    for move in range(4):
+        code = home.code_base + rng.choice((0, 4, 16, 64, 0x1000, 0x10004))
+        data = home.data_base + rng.choice((0, 4, 12, 32, 0x2000, 0x20010))
+        overrides = {}
+        if move == 3:
+            data = code + task.program.cfg.total_instructions * 4
+            arrays = list(task.program.arrays)
+            if arrays:
+                overrides = {arrays[-1]: data + 0x4000 + rng.choice((4, 8, 20))}
+        yield ProgramLayout(
+            program=task.program, code_base=code, data_base=data,
+            symbol_overrides=overrides,
+        )
+
+
+class TestViewOnFuzzCases:
+    """Moves of generated tasks through ``analyze_task``: the stored sim
+    and flow entries are the per-event oracle's, byte for byte."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("write_back", (False, True))
+    def test_stored_entries_equal_per_event_oracle(self, policy, write_back):
+        for index in range(3):
+            spec = case_from_seed(23, index)
+            spec = replace(
+                spec, cache=replace(spec.cache, policy=policy, write_back=write_back)
+            )
+            case = build_case(spec)
+            rng = random.Random(index)
+            for task in case.tasks:
+                store = ArtifactStore(directory=None)
+                home = analyze_task(
+                    task.layout, task.scenarios, case.config, store=store
+                )
+                bundle = store.get(home.subkeys["trace"], kind="trace")
+                for layout in _moves(task, rng):
+                    moved = analyze_task(
+                        layout, task.scenarios, case.config, store=store
+                    )
+                    bases = layout.region_bases()
+                    sim = store.get(moved.subkeys["sim"], kind="sim")
+                    flow = store.get(moved.subkeys["flow"], kind="flow")
+                    assert sim.counts == relocated_counts(
+                        bundle, bases, case.config, task.scenarios
+                    )
+                    reference = relocated_flow(
+                        task.program, bundle, bases, case.config, task.scenarios
+                    )
+                    assert flow == reference
+                    assert _stored("flow", flow) == _stored("flow", reference)
+                assert store.misses_by_kind["trace"] == 1
+
+
+class TestPaperWorkloadMoves:
+    def test_adpcm_scenarios_sharing_kinds_and_nodes_keep_their_streams(self):
+        """Both ADPCM inputs issue the same kinds from the same nodes at
+        data-dependent addresses: each scenario keeps its own stream."""
+        workload = build_workload("adpcmc")
+        scenarios = workload.scenario_map()
+        config = CacheConfig.scaled_8k(miss_penalty=20)
+        home = SystemLayout().place(workload.program)
+        store = ArtifactStore(directory=None)
+        artifacts = analyze_task(home, scenarios, config, store=store)
+        bundle = store.get(artifacts.subkeys["trace"], kind="trace")
+        first, second = (bundle.traces[name] for name in scenarios)
+        assert first.kinds == second.kinds and first.node_ids == second.node_ids
+        assert first.addresses != second.addresses
+        moved = ProgramLayout(
+            program=workload.program,
+            code_base=home.code_base + 0x10000,
+            data_base=home.data_base + 0x20000,
+        )
+        view, _ = assert_view_matches_oracle(
+            bundle, moved.region_bases(), config, scenarios
+        )
+        assert view.streams["tone"] != view.streams["noise"]
+        counts = relocated_counts(bundle, moved.region_bases(), config, scenarios)
+        assert counts["tone"] != counts["noise"]
+        result = analyze_task(moved, scenarios, config, store=store)
+        cold = analyze_task(moved, scenarios, config)
+        assert result.wcet.per_scenario_cycles == cold.wcet.per_scenario_cycles
+
+    def test_whole_line_move_relocates_no_event(self):
+        with WhatIfSession("exp1") as session:
+            session.result()
+            with observed() as (_, metrics):
+                session.apply("code:ed=0x8000")
+                session.apply("data:ed=0x9000")
+        counters = metrics.to_dict()["counters"]
+        assert counters.get("trace.relocations", 0) == 0
+        assert counters["trace.views_built"] == 1
+
+    def test_color_move_changing_a_phase_builds_a_second_view(self):
+        """With 32-byte lines, ``sobel_gx`` (ed's array 2) sits half a
+        line in; pinning it to a color band puts it on a line start."""
+        with WhatIfSession("exp1") as session:
+            session.result()
+            session.apply("geometry=128x2x32")
+            sobel_gx = session._placed.layouts()["ed"].symbol_base("sobel_gx")
+            assert sobel_gx % 32 == 16
+            with observed() as (_, metrics):
+                state = session.apply("color:ed:2=1")
+            assignment = session.layout_assignment()
+        counters = metrics.to_dict()["counters"]
+        assert counters["trace.views_built"] == 1
+        assert counters["trace.relocations"] == 2  # ed's two scenarios
+        cold = WhatIfSession("exp1", cache=state.config).set_assignment(assignment)
+        assert cold.signature() == state.signature()

@@ -18,6 +18,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -542,3 +543,69 @@ def test_point_requests_leave_the_serial_pool_nothing(tmp_path):
         stats = service.stats()
         assert stats["pool"]["ship_bytes"] == 0
         assert stats["pool"]["tasks"] == 200
+
+
+class _BusyStats:
+    """A service stand-in whose ``/v1/stats`` blocks until released."""
+
+    def __init__(self):
+        self.release = threading.Event()
+
+    def stats(self):
+        self.release.wait(timeout=60)
+        return {"ok": True}
+
+
+def test_connect_burst_to_busy_handlers_is_answered():
+    """64 clients connect at once while the listener accepts none of them
+    (as when its thread waits for the interpreter lock) and every handler
+    it later starts blocks: each connect completes in the listen backlog,
+    and every client gets its answer."""
+    clients = 64
+    service = _BusyStats()
+    server = make_server("127.0.0.1", 0, service)
+    address = server.server_address[:2]
+    connected = threading.Barrier(clients + 1)
+    answers: list = []
+    failures: list = []
+
+    def client() -> None:
+        try:
+            sock = socket.create_connection(address, timeout=5)
+        except OSError as error:
+            failures.append(repr(error))
+            connected.abort()
+            return
+        connection = http.client.HTTPConnection(*address, timeout=60)
+        connection.sock = sock
+        try:
+            connected.wait()
+            connection.request("GET", "/v1/stats")
+            response = connection.getresponse()
+            answers.append((response.status, json.loads(response.read())))
+        except BaseException as error:  # noqa: BLE001
+            failures.append(repr(error))
+        finally:
+            connection.close()
+
+    threads = [threading.Thread(target=client) for _ in range(clients)]
+    for thread in threads:
+        thread.start()
+    listener = threading.Thread(target=server.serve_forever, daemon=True)
+    try:
+        try:
+            connected.wait(timeout=30)
+        except threading.BrokenBarrierError:
+            pass
+        listener.start()
+        time.sleep(0.2)  # the accepted handlers pile up on the busy service
+        service.release.set()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        service.release.set()
+        if listener.is_alive():
+            server.shutdown()
+        server.server_close()
+    assert failures == []
+    assert answers == [(200, {"ok": True})] * clients
