@@ -9,7 +9,7 @@ from repro.analysis import analyze_task, solve_rmb_lmb
 from repro.analysis.rmb_lmb import solve_rmb_lmb as _solve
 from repro.cache import CIIP, CacheConfig, CacheState, conflict_bound
 from repro.program import ProgramBuilder, SystemLayout
-from repro.vm import Machine, NodeTraceAggregate, TraceRecorder
+from repro.vm import Machine, NodeTraceAggregate, TraceColumns
 from repro.wcrt import TaskSpec, TaskSystem, compute_system_wcrt
 
 
@@ -55,12 +55,12 @@ def test_rmb_lmb_fixpoint(benchmark):
     config = CacheConfig.scaled_16k()
     workload = build_ofdm()
     layout = SystemLayout().place(workload.program)
-    trace = TraceRecorder()
+    trace = TraceColumns()
     machine = Machine(layout=layout, cache=CacheState(config), trace=trace)
     for name, values in workload.scenarios[0].inputs.items():
         machine.write_array(name, values)
     machine.run()
-    aggregate = NodeTraceAggregate.from_recorders(config, [trace])
+    aggregate = NodeTraceAggregate.from_compact(config, [trace.compact()])
 
     result = benchmark(_solve, workload.program.cfg, aggregate, config)
     assert result.entry_rmb

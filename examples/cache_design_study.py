@@ -17,7 +17,7 @@ Run:  python examples/cache_design_study.py
 from repro.analysis import Approach, CRPDAnalyzer, analyze_task
 from repro.cache import CacheConfig
 from repro.program import SystemLayout
-from repro.vm import merge_traces, reuse_profile, set_pressure
+from repro.vm import reuse_profile, set_pressure
 from repro.workloads import build_edge_detection, build_mobile_robot, build_ofdm
 
 GEOMETRIES = [
@@ -41,22 +41,21 @@ def main():
         f"{c.ways}-way".rjust(7) for c in GEOMETRIES
     )
     print(header)
-    traces = {}
+    footprints = {}
     for name, workload in workloads.items():
         layout = SystemLayout().place(workload.program)
         art = analyze_task(layout, workload.scenario_map(), GEOMETRIES[1])
-        merged = merge_traces(art.wcet.traces.values())
-        traces[name] = merged
+        footprints[name] = art.footprint
         rates = []
         for config in GEOMETRIES:
-            profile = reuse_profile(merged, config)
+            profile = reuse_profile(art.wcet.traces, config)
             rates.append(f"{profile.predicted_miss_rate(config.ways):7.3f}")
-        profile = reuse_profile(merged, GEOMETRIES[1])
+        profile = reuse_profile(art.wcet.traces, GEOMETRIES[1])
         print(f"   {name:6s} {profile.accesses:>9d} " + " ".join(rates))
 
     print("\n2. set pressure (intra-task conflict potential), 2-way geometry")
-    for name, merged in traces.items():
-        pressure = set_pressure(merged, GEOMETRIES[1])
+    for name, footprint in footprints.items():
+        pressure = set_pressure(footprint, GEOMETRIES[1])
         over = pressure.overcommitted_sets()
         print(f"   {name:6s} sets used {pressure.sets_used:3d}/256, "
               f"max pressure {pressure.max_pressure}, "

@@ -197,13 +197,16 @@ def analyze_task(
     and placement-dependent, cost-free), the RMB/LMB/CIIP/useful analyses
     (likewise) and the path profiles (structure-only).  A penalty sweep
     therefore re-costs cached counts in O(1); a geometry sweep or a layout
-    move replays cached traces instead of re-simulating; and a full hit
-    assembles artifacts without touching the trace entry at all.
+    move replays cached traces instead of re-simulating; and when the
+    sim and flow entries both hit, the trace entry is still loaded for
+    its base cycles, but its events are neither replayed nor aggregated.
     Degradation events stored with a stage are replayed into *ledger* on
     every hit, so cached and cold runs are indistinguishable to callers.
 
-    ``wcet.traces`` is always a lazy columnar view, decoded into
-    recorders only when a consumer reads it.
+    ``wcet.traces`` maps each scenario to its
+    :class:`~repro.vm.trace.CompactTrace` at *layout*'s placement; from a
+    store the traces are relocated (and, from a disk store, loaded) only
+    when a consumer reads them.
     """
     program = layout.program
     if not getattr(program, "_validated", False):
@@ -325,7 +328,7 @@ def _wcet_stage(
     bundle's block view (:meth:`~repro.analysis.store.TraceBundle.view`)
     through this placement's block table — no VM, no event relocated.
     Both hits (new costs only): reassemble cycle counts arithmetically
-    and defer trace decoding entirely.
+    and leave the traces unread.
     """
     from repro.analysis.store import (
         SimBundle,
@@ -350,7 +353,7 @@ def _wcet_stage(
             layout, scenarios, config, max_steps=max_steps,
             relocatable=store is not None,
         )
-        traces = wcet.traces.compact()
+        traces = wcet.traces
         if store is not None:
             store.put(
                 t_key,

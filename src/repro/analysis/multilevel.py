@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 from repro.analysis.artifacts import TaskArtifacts, analyze_task
 from repro.analysis.crpd import Approach, CRPDAnalyzer
-from repro.analysis.wcet import Scenarios, WCETResult
+from repro.analysis.wcet import Scenarios, WCETResult, worst_of
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.errors import ConfigError
 from repro.program.layout import ProgramLayout
 from repro.vm.machine import run_isolated
-from repro.vm.trace import LazyTraces, TraceColumns
+from repro.vm.trace import TraceColumns
 
 
 @dataclass
@@ -49,7 +50,7 @@ def measure_wcet_hierarchy(
 ) -> WCETResult:
     """Cold-stack WCET: every scenario starts with both levels empty."""
     if not scenarios:
-        raise ValueError("at least one input scenario is required")
+        raise ConfigError("at least one input scenario is required")
     per_scenario: dict[str, int] = {}
     traces = {}
     for name, inputs in scenarios.items():
@@ -64,12 +65,12 @@ def measure_wcet_hierarchy(
         )
         per_scenario[name] = machine.cycles
         traces[name] = columns.compact()
-    worst = max(per_scenario, key=per_scenario.get)
+    worst = worst_of(per_scenario)
     return WCETResult(
         cycles=per_scenario[worst],
         worst_scenario=worst,
         per_scenario_cycles=per_scenario,
-        traces=LazyTraces(traces),
+        traces=traces,
     )
 
 

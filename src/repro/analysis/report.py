@@ -20,7 +20,7 @@ from repro.analysis.artifacts import TaskArtifacts
 from repro.analysis.crpd import ALL_APPROACHES, CRPDAnalyzer
 from repro.obs import STATE as _OBS
 from repro.program.paths import sfp_prs_segments
-from repro.vm.traceio import merge_traces, reuse_profile, set_pressure
+from repro.vm.traceio import reuse_profile, set_pressure
 from repro.wcrt.explain import explain_wcrt
 from repro.wcrt.task import TaskSystem
 
@@ -95,9 +95,8 @@ def task_report(
         lines.append(f"  path {profile.describe()}")
 
     if include_reuse:
-        merged = merge_traces(artifacts.wcet.traces.values())
-        profile = reuse_profile(merged, config)
-        pressure = set_pressure(merged, config)
+        profile = reuse_profile(artifacts.wcet.traces, config)
+        pressure = set_pressure(artifacts.footprint, config)
         lines.append("")
         lines.append("[cache behaviour]")
         lines.append(f"  {profile.accesses} references, "

@@ -84,7 +84,7 @@ from repro.errors import ReproError
 from repro.obs import STATE as _OBS
 from repro.program.builder import Program
 from repro.program.layout import ProgramLayout
-from repro.vm.trace import CompactTrace, LazyTraces, TraceRecorder, TraceView
+from repro.vm.trace import CompactTrace, LazyTraces, TraceView
 
 if TYPE_CHECKING:
     from repro.analysis.artifacts import TaskArtifacts
@@ -433,14 +433,14 @@ class CachedAnalysis:
 
 
 class StoreBackedTraces(Mapping):
-    """``scenario -> TraceRecorder`` resolved from a trace sub-artifact.
+    """``scenario -> CompactTrace`` resolved from a trace sub-artifact.
 
     Warm analyses never need raw traces (sim counts and flow bundles
-    already encode everything the pipeline reads), so instead of loading
-    the — by far largest — trace entry eagerly, artifacts assembled from
-    cache carry this view, which fetches the columnar traces, relocates
-    them to the task's placement and decodes them only if a consumer
-    (reports, examples) actually iterates them.  Pickles as
+    already encode everything the pipeline reads), so instead of holding
+    the — by far largest — trace entry, artifacts assembled from a disk
+    store carry this view, which fetches the traces and relocates them
+    to the task's placement only if a consumer (reports, examples)
+    actually reads them.  Pickles as
     ``(directory, key, names, bases)``: workers on the same machine
     re-resolve against the same store directory, and the target region
     *bases* travel along because the placement-free key may name a
@@ -473,7 +473,7 @@ class StoreBackedTraces(Mapping):
             self._traces = bundle.placed(self._bases)
         return self._traces
 
-    def __getitem__(self, name: str) -> TraceRecorder:
+    def __getitem__(self, name: str) -> CompactTrace:
         if name not in self._names:
             raise KeyError(name)
         return self._load()[name]

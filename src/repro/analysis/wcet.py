@@ -20,7 +20,7 @@ from repro.cache.state import CacheState
 from repro.program.layout import ProgramLayout
 from repro.program.paths import enumerate_path_profiles
 from repro.vm.machine import run_isolated
-from repro.vm.trace import CompactTrace, LazyTraces, TraceColumns, TraceRecorder
+from repro.vm.trace import CompactTrace, TraceColumns
 
 #: Input scenarios: scenario name -> {array name -> initial values}.
 Scenarios = Mapping[str, Mapping[str, list[int]]]
@@ -30,16 +30,16 @@ Scenarios = Mapping[str, Mapping[str, list[int]]]
 class WCETResult:
     """Measured WCET plus the per-scenario breakdown and traces.
 
-    ``traces`` maps scenario name to its recorder: a
-    :class:`~repro.vm.trace.LazyTraces` view that decodes the columnar
-    traces into recorders on first access (or a plain dict of recorders —
-    both behave identically to consumers).
+    ``traces`` maps scenario name to its
+    :class:`~repro.vm.trace.CompactTrace` at the task's placement: a
+    plain dict after a VM run, or a mapping that relocates or loads the
+    stored traces on first read (see :mod:`repro.analysis.store`).
     """
 
     cycles: int
     worst_scenario: str
     per_scenario_cycles: dict[str, int]
-    traces: Mapping[str, TraceRecorder]
+    traces: Mapping[str, CompactTrace]
 
     @property
     def scenario_count(self) -> int:
@@ -184,7 +184,7 @@ def _wcet_from_runs(runs: dict[str, ScenarioRun]) -> WCETResult:
         cycles=per_scenario[worst],
         worst_scenario=worst,
         per_scenario_cycles=per_scenario,
-        traces=LazyTraces({name: run.trace for name, run in runs.items()}),
+        traces={name: run.trace for name, run in runs.items()},
     )
 
 

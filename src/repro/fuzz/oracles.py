@@ -1024,7 +1024,7 @@ def oracle_relocation(
         moved = analyze_task(
             layout, task.scenarios, case.config, budget=budget, store=store,
         )
-        relocated = moved.wcet.traces.compact()
+        relocated = moved.wcet.traces
         counts = store.get(moved.subkeys["sim"], kind="sim").counts
         for scenario, inputs in task.scenarios.items():
             machine = Machine(

@@ -50,7 +50,7 @@ from repro.program.instructions import (
     evaluate_unop,
 )
 from repro.program.layout import LayoutError, ProgramLayout
-from repro.vm.trace import _KIND_NAMES, _WRITE_FLAGS, TraceColumns, TraceRecorder
+from repro.vm.trace import _WRITE_FLAGS, TraceColumns
 
 if TYPE_CHECKING:
     from repro.cache.hierarchy import MemoryHierarchy
@@ -293,16 +293,14 @@ class Machine:
         memory: byte-address -> word value store; pass a shared dict to let
             runs of the same task see earlier writes, or a fresh dict for an
             isolated run.
-        trace: optional recorder for every memory reference: a
-            :class:`~repro.vm.trace.TraceColumns` (the columns the VM
-            appends to) or a per-event
-            :class:`~repro.vm.trace.TraceRecorder`.
+        trace: optional :class:`~repro.vm.trace.TraceColumns` the VM
+            appends every memory reference to.
     """
 
     layout: ProgramLayout
     cache: "CacheState | MemoryHierarchy | None"
     memory: dict[int, int] = field(default_factory=dict)
-    trace: "TraceColumns | TraceRecorder | None" = None
+    trace: "TraceColumns | None" = None
 
     def __post_init__(self) -> None:
         self.registers: dict[str, int] = {}
@@ -518,14 +516,11 @@ class Machine:
         cycles = 0
         cache = self.cache
         trace = self.trace
-        columns = isinstance(trace, TraceColumns)
         for event in range(first, last):
             kind = block.kinds[event]
             address = scratch[event] if kind else block.addresses[event]
-            if columns:
+            if trace is not None:
                 trace.append(address, kind, block.label, block.regions[event])
-            elif trace is not None:
-                trace.record(address, _KIND_NAMES[kind], block.label)
             if cache is not None:
                 cycles += cache.access(address, write=kind == 2).cycles
         return cycles
@@ -543,11 +538,7 @@ class Machine:
         blocks = self._decoded.blocks
         block = self._block
         position = self._position
-        trace = self.trace
-        if trace is None or isinstance(trace, TraceColumns):
-            columns = trace
-        else:
-            columns = TraceColumns()  # per-event recorder: convert at the end
+        columns = self.trace
         # This run's references; node ids come from *columns*' table.
         stream = TraceColumns(
             relocatable=columns is not None and columns.regions is not None
@@ -637,11 +628,8 @@ class Machine:
         """Record a run's references and charge them to the cache; return
         the cycles of those before the *failed* instruction's (all when
         ``None``)."""
-        trace = self.trace
         if columns is not None:
             columns.extend(stream)
-            if columns is not trace:
-                trace.record_columns(columns)
         cache = self.cache
         if cache is None:
             return 0
@@ -658,7 +646,7 @@ def run_isolated(
     layout: ProgramLayout,
     cache: "CacheState | MemoryHierarchy | None",
     inputs: dict[str, list[int]] | None = None,
-    trace: "TraceColumns | TraceRecorder | None" = None,
+    trace: "TraceColumns | None" = None,
     max_steps: int = 10_000_000,
 ) -> Machine:
     """Run one program start-to-finish on the given cache; return the machine.

@@ -1,10 +1,12 @@
 """Memory-reference traces and their per-node aggregation.
 
 The paper derives "the memory trace of each task with the simulation method
-as used in SYMTA" (Section III-B).  :class:`TraceRecorder` captures every
-code fetch and data access the VM issues; :class:`NodeTraceAggregate`
-condenses traces — possibly from several runs over different inputs — into
-the per-CFG-node reference information the RMB/LMB and CIIP analyses need.
+as used in SYMTA" (Section III-B).  The VM records every code fetch and data
+access it issues into :class:`TraceColumns`, whose :class:`CompactTrace` is
+the one trace type every analysis and report reads;
+:class:`NodeTraceAggregate` condenses traces — possibly from several runs
+over different inputs — into the per-CFG-node reference information the
+RMB/LMB and CIIP analyses need.
 """
 
 from __future__ import annotations
@@ -20,77 +22,23 @@ from repro.cache.state import CacheState
 from repro.obs import STATE as _OBS
 
 
-@dataclass(frozen=True)
-class MemRef:
-    """One memory reference: byte address, kind and issuing CFG node."""
-
-    address: int
-    kind: str  # "code", "read" or "write"
-    node: str  # basic-block label
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("code", "read", "write"):
-            raise ValueError(f"unknown reference kind {self.kind!r}")
-
-
-@dataclass
-class TraceRecorder:
-    """Accumulates the memory references of one or more VM runs."""
-
-    events: list[MemRef] = field(default_factory=list)
-    record_code: bool = True
-    record_data: bool = True
-
-    def record(self, address: int, kind: str, node: str) -> None:
-        if kind == "code" and not self.record_code:
-            return
-        if kind in ("read", "write") and not self.record_data:
-            return
-        self.events.append(MemRef(address=address, kind=kind, node=node))
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def addresses(self) -> list[int]:
-        return [event.address for event in self.events]
-
-    def block_addresses(self, config: CacheConfig) -> frozenset[int]:
-        """All distinct memory blocks referenced (the task's footprint M)."""
-        return frozenset(config.block(event.address) for event in self.events)
-
-    def block_sequence(self, config: CacheConfig) -> list[int]:
-        """Memory-block address of every reference, in program order."""
-        return [config.block(event.address) for event in self.events]
-
-    def record_columns(self, columns: "TraceColumns") -> None:
-        """Append every reference of *columns*, honouring the filters."""
-        table = tuple(columns.node_table)
-        for address, code, node_id in zip(
-            columns.addresses, columns.kinds, columns.node_ids
-        ):
-            self.record(address, _KIND_NAMES[code], table[node_id])
-
-
-#: CompactTrace kind codes, index-aligned with :class:`MemRef` kinds.
+#: CompactTrace kind codes: a code fetch, a data read, a data write.
 _KIND_CODES = {"code": 0, "read": 1, "write": 2}
-_KIND_NAMES = ("code", "read", "write")
 #: ``bytes.translate`` table turning kind codes into write flags.
 _WRITE_FLAGS = bytes(1 if code == _KIND_CODES["write"] else 0 for code in range(256))
 
 
 @dataclass(frozen=True)
 class CompactTrace:
-    """A :class:`TraceRecorder`'s event stream in columnar form.
+    """One run's memory references in columnar form.
 
     The VM's control flow is purely data-dependent — cache state only ever
     changes cycle *counts* — so the reference stream of a scenario is
     invariant across cache configurations.  That makes it the natural unit
-    of cross-configuration reuse, but a ``list[MemRef]`` is expensive to
-    pickle (one object per reference).  This encoding stores the same
-    stream as three parallel columns (8-byte addresses, 1-byte kinds,
-    4-byte node-table indices), which pickles as a few flat byte buffers:
-    ~7x smaller and an order of magnitude faster to (de)serialise, which
-    is what makes shipping traces to pool workers and the artifact store
+    of cross-configuration reuse.  The stream is stored as three parallel
+    columns (8-byte addresses, 1-byte kinds, 4-byte node-table indices),
+    which pickle as a few flat byte buffers, not one object per reference:
+    what makes shipping traces to pool workers and the artifact store
     affordable.
 
     Control flow never reads an address either, so the stream is also
@@ -106,33 +54,6 @@ class CompactTrace:
     node_table: tuple[str, ...]
     node_ids: array  # typecode "I", indices into node_table
     regions: "array | None" = None  # typecode "H"; None: not relocatable
-
-    @classmethod
-    def from_recorder(cls, recorder: "TraceRecorder") -> "CompactTrace":
-        """Encode *recorder*'s events (without regions: the VM records
-        those itself, see :class:`TraceColumns`)."""
-        events = recorder.events
-        table: dict[str, int] = {}
-        ids = array(
-            "I", [table.setdefault(event.node, len(table)) for event in events]
-        )
-        return cls(
-            addresses=array("Q", [event.address for event in events]),
-            kinds=bytes([_KIND_CODES[event.kind] for event in events]),
-            node_table=tuple(table),
-            node_ids=ids,
-        )
-
-    def expand(self) -> "TraceRecorder":
-        """Rebuild the equivalent :class:`TraceRecorder` (exact round-trip)."""
-        table = self.node_table
-        events = [
-            MemRef(address=address, kind=_KIND_NAMES[code], node=table[node_id])
-            for address, code, node_id in zip(
-                self.addresses, self.kinds, self.node_ids
-            )
-        ]
-        return TraceRecorder(events=events)
 
     def relocated(self, deltas: Sequence[int]) -> "CompactTrace":
         """This trace with region *r*'s events shifted by ``deltas[r]``.
@@ -228,66 +149,32 @@ class TraceColumns:
 
 
 class LazyTraces(Mapping):
-    """``scenario name -> TraceRecorder``, decoded from compact form on use.
+    """``scenario name -> CompactTrace`` at another placement, relocated
+    on first read.
 
-    Drop-in for the plain dict in :attr:`WCETResult.traces
-    <repro.analysis.wcet.WCETResult>`: consumers that never look at raw
-    traces (the CRPD/WCRT pipeline) pay nothing, while reports and
-    examples that do iterate get full recorders transparently.  Pickling
-    ships only the compact columns, never expanded recorders.
-
-    With *deltas* the view relocates the columns (see
-    :meth:`CompactTrace.relocated`) the first time they are asked for,
-    so a layout move pays for relocation only if something reads the
-    addresses.
+    *deltas* shift each region's events (see :meth:`CompactTrace.relocated`)
+    the first time any trace is asked for, so a layout move pays for
+    relocation only if something reads the addresses.
     """
 
-    def __init__(
-        self,
-        compact: Mapping[str, CompactTrace],
-        deltas: "Sequence[int] | None" = None,
-    ):
-        self._compact = dict(compact)
-        self._deltas = tuple(deltas) if deltas is not None and any(deltas) else None
-        self._expanded: dict[str, TraceRecorder] = {}
+    def __init__(self, traces: Mapping[str, CompactTrace], deltas: Sequence[int]):
+        self._traces = dict(traces)
+        self._deltas = tuple(deltas) if any(deltas) else None
 
-    def _placed(self) -> dict[str, CompactTrace]:
+    def __getitem__(self, name: str) -> CompactTrace:
         if self._deltas is not None:
-            self._compact = {
-                name: trace.relocated(self._deltas)
-                for name, trace in self._compact.items()
+            self._traces = {
+                scenario: trace.relocated(self._deltas)
+                for scenario, trace in self._traces.items()
             }
             self._deltas = None
-        return self._compact
-
-    def __getitem__(self, name: str) -> TraceRecorder:
-        recorder = self._expanded.get(name)
-        if recorder is None:
-            recorder = self._placed()[name].expand()
-            self._expanded[name] = recorder
-        return recorder
+        return self._traces[name]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._compact)
+        return iter(self._traces)
 
     def __len__(self) -> int:
-        return len(self._compact)
-
-    def compact(self) -> dict[str, CompactTrace]:
-        """The underlying columnar traces (no expansion)."""
-        return dict(self._placed())
-
-    def __getstate__(self):
-        return (self._compact, self._deltas)  # never expanded recorders
-
-    def __setstate__(self, state):
-        self._compact, self._deltas = state
-        self._expanded = {}
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LazyTraces):
-            return self._placed() == other._placed()
-        return NotImplemented
+        return len(self._traces)
 
 
 @dataclass(frozen=True)
@@ -351,14 +238,6 @@ class NodeTraceAggregate:
             for label, sequences in visits.items()
         }
         return cls(config=config, node_refs=node_refs)
-
-    @classmethod
-    def from_recorders(
-        cls, config: CacheConfig, recorders: Iterable[TraceRecorder]
-    ) -> "NodeTraceAggregate":
-        return cls.from_compact(
-            config, (CompactTrace.from_recorder(recorder) for recorder in recorders)
-        )
 
     def refs(self, label: str) -> NodeRefs:
         """Reference info for *label*; empty if the node never executed."""

@@ -1,10 +1,7 @@
-"""Trace persistence and cache-behaviour diagnostics.
+"""Cache-behaviour diagnostics of recorded traces.
 
-The paper's flow extracts memory traces once (with XRAY) and feeds them to
-the analyses.  This module gives the reproduction the same workflow
-conveniences: save recorded traces to a compact text format, reload them
-later without re-simulating, and compute the two diagnostics that explain
-*why* a workload behaves the way it does in a given cache:
+Two diagnostics explain *why* a workload behaves the way it does in a
+given cache:
 
 * the **reuse-distance histogram** — under LRU an access hits iff its
   set-local reuse distance is below the associativity, so the histogram
@@ -17,45 +14,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from repro.cache.config import CacheConfig
-from repro.vm.trace import MemRef, TraceRecorder
-
-_HEADER = "# repro-trace v1"
-
-
-def save_trace(recorder: TraceRecorder, path: str | Path) -> None:
-    """Write a recorded trace as one ``address kind node`` line per event."""
-    lines = [_HEADER]
-    lines.extend(
-        f"{event.address:#x} {event.kind} {event.node}"
-        for event in recorder.events
-    )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_trace(path: str | Path) -> TraceRecorder:
-    """Read a trace written by :func:`save_trace`."""
-    text = Path(path).read_text().splitlines()
-    if not text or text[0] != _HEADER:
-        raise ValueError(f"{path}: not a repro trace file")
-    recorder = TraceRecorder()
-    for line_number, line in enumerate(text[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            address_text, kind, node = line.split(" ", 2)
-            recorder.record(int(address_text, 16), kind, node)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_number}: malformed line") from exc
-    return recorder
+from repro.vm.trace import CompactTrace
 
 
 @dataclass(frozen=True)
 class ReuseProfile:
-    """Set-local reuse-distance histogram of one trace.
+    """Set-local reuse-distance histogram of one reference stream.
 
     ``histogram[d]`` counts re-references whose reuse distance (number of
     distinct same-set blocks touched since the previous reference to the
@@ -82,28 +49,31 @@ class ReuseProfile:
 
 
 def reuse_profile(
-    recorder: TraceRecorder, config: CacheConfig
+    traces: Mapping[str, CompactTrace], config: CacheConfig
 ) -> ReuseProfile:
-    """Compute the set-local LRU reuse-distance histogram of a trace."""
+    """The set-local LRU reuse-distance histogram of *traces*, whose
+    scenarios are read in order as one reference stream."""
+    line_mask = -config.line_size
     stacks: dict[int, list[int]] = {}
     histogram: Counter[int] = Counter()
     cold = 0
-    for event in recorder.events:
-        block = config.block(event.address)
-        stack = stacks.setdefault(config.index(block), [])
-        if block in stack:
-            distance = stack.index(block)
-            histogram[distance] += 1
-            stack.remove(block)
-        else:
-            cold += 1
-        stack.insert(0, block)
+    for trace in traces.values():
+        for address in trace.addresses:
+            block = address & line_mask
+            stack = stacks.setdefault(config.index(block), [])
+            if block in stack:
+                distance = stack.index(block)
+                histogram[distance] += 1
+                del stack[distance]
+            else:
+                cold += 1
+            stack.insert(0, block)
     return ReuseProfile(histogram=dict(histogram), cold=cold)
 
 
 @dataclass(frozen=True)
 class SetPressure:
-    """Distinct blocks per cache set for one trace (CIIP group sizes)."""
+    """Distinct blocks per cache set (CIIP group sizes)."""
 
     per_set: dict[int, int]
     ways: int
@@ -124,21 +94,14 @@ class SetPressure:
         )
 
 
-def set_pressure(recorder: TraceRecorder, config: CacheConfig) -> SetPressure:
-    """Distinct-block count per cache set (the |m̂_i| of Definition 3)."""
+def set_pressure(blocks: Iterable[int], config: CacheConfig) -> SetPressure:
+    """Distinct-block count per cache set (the |m̂_i| of Definition 3) of
+    the memory blocks (or addresses) *blocks*, such as a task's footprint."""
     blocks_per_set: dict[int, set[int]] = {}
-    for event in recorder.events:
-        block = config.block(event.address)
+    for address in blocks:
+        block = config.block(address)
         blocks_per_set.setdefault(config.index(block), set()).add(block)
     return SetPressure(
         per_set={index: len(blocks) for index, blocks in blocks_per_set.items()},
         ways=config.ways,
     )
-
-
-def merge_traces(recorders: Iterable[TraceRecorder]) -> TraceRecorder:
-    """Concatenate several traces (e.g. all scenarios of one task)."""
-    merged = TraceRecorder()
-    for recorder in recorders:
-        merged.events.extend(recorder.events)
-    return merged

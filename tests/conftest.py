@@ -7,6 +7,7 @@ import pytest
 from repro.cache import CacheConfig, CacheState
 from repro.program import ProgramBuilder, SystemLayout
 from repro.analysis import analyze_task
+from repro.vm.trace import _KIND_CODES, CompactTrace, TraceColumns
 
 
 @pytest.fixture
@@ -24,6 +25,15 @@ def tiny_cache(tiny_cache_config):
 def example2_config():
     """The paper's Example 2 cache: 1KB, 4-way, 16B lines, 16 sets."""
     return CacheConfig.example2_1k()
+
+
+def compact_trace(events) -> CompactTrace:
+    """The trace of ``(address, kind, node)`` references, kind one of
+    ``"code"``, ``"read"`` or ``"write"``, recorded as the VM records."""
+    columns = TraceColumns()
+    for address, kind, node in events:
+        columns.append(address, _KIND_CODES[kind], node, 0)
+    return columns.compact()
 
 
 def make_streaming_program(name: str, words: int, reps: int):

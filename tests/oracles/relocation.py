@@ -26,7 +26,7 @@ def relocated_counts(
     bundle: TraceBundle, bases: tuple[int, ...], config: CacheConfig, scenarios
 ) -> dict[str, tuple[int, int, int]]:
     """Each scenario's ``(accesses, misses, writebacks)`` at *bases*."""
-    placed = bundle.placed(bases).compact()
+    placed = bundle.placed(bases)
     return {scenario: replay_counts(placed[scenario], config) for scenario in scenarios}
 
 
@@ -34,7 +34,7 @@ def relocated_aggregate(
     bundle: TraceBundle, bases: tuple[int, ...], config: CacheConfig, scenarios
 ) -> NodeTraceAggregate:
     """The per-node aggregate of the *scenarios* at *bases*."""
-    placed = bundle.placed(bases).compact()
+    placed = bundle.placed(bases)
     return NodeTraceAggregate.from_compact(
         config, [placed[scenario] for scenario in scenarios]
     )

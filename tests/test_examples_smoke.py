@@ -3,7 +3,8 @@
 Every example must at least compile; the fast ones run end-to-end in a
 subprocess (the slow experiment walkthroughs are exercised through the
 same library calls by the experiments tests, so a compile check suffices
-for them here).
+for them here).  A fast example with a recorded copy of its output under
+``tests/golden/examples/`` must print exactly that.
 """
 
 import pathlib
@@ -15,9 +16,10 @@ import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 ALL_EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden" / "examples"
 
 #: Examples cheap enough to execute in the test suite.
-FAST_EXAMPLES = ["quickstart.py"]
+FAST_EXAMPLES = ["quickstart.py", "cache_design_study.py"]
 
 
 def test_examples_exist():
@@ -41,7 +43,11 @@ def test_fast_example_runs(name):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert "bound holds: True" in result.stdout
+    golden = GOLDEN_DIR / (pathlib.Path(name).stem + ".txt")
+    if golden.exists():
+        assert result.stdout == golden.read_text()
+    else:
+        assert "bound holds: True" in result.stdout
 
 
 def test_examples_have_docstrings_and_main():

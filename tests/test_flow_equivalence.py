@@ -32,7 +32,6 @@ from repro.cache import CacheConfig
 from repro.experiments import EXPERIMENT_I_SPEC, EXPERIMENT_II_SPEC, build_context
 from repro.fuzz.build import build_case
 from repro.fuzz.generator import case_from_seed
-from repro.vm.trace import CompactTrace
 from tests.oracles import rmb_lmb as oracle_rmb_lmb
 from tests.oracles import useful as oracle_useful
 from tests.oracles.pathcost import approach4_lines
@@ -72,12 +71,9 @@ def _task_sets():
 
 def _every_visit(art):
     """*art*'s per-node aggregate with every visit of every scenario."""
-    traces = art.wcet.traces
-    if hasattr(traces, "compact"):
-        compact = list(traces.compact().values())
-    else:
-        compact = [CompactTrace.from_recorder(r) for r in traces.values()]
-    return oracle_rmb_lmb.every_visit_aggregate(art.config, compact)
+    return oracle_rmb_lmb.every_visit_aggregate(
+        art.config, list(art.wcet.traces.values())
+    )
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,9 @@ from repro.analysis import (
     analyze_task_hierarchy,
     measure_wcet_hierarchy,
 )
+from repro.analysis.wcet import measure_wcet
 from repro.cache import CacheConfig, HierarchyConfig, MemoryHierarchy
+from repro.errors import ConfigError
 from repro.program import ProgramBuilder, SystemLayout
 from repro.vm import Machine
 
@@ -106,10 +108,14 @@ class TestHierarchicalAnalysis:
             HierarchicalCRPD({})
 
     def test_empty_scenarios_rejected(self, analyzed):
-        with pytest.raises(ValueError, match="scenario"):
-            measure_wcet_hierarchy(
-                analyzed["layouts"]["low"], {}, analyzed["hierarchy"]
-            )
+        """The same typed error as the single-level WCET (CLI exit 2)."""
+        layout, h = analyzed["layouts"]["low"], analyzed["hierarchy"]
+        for measure in (
+            lambda: measure_wcet(layout, {}, h.l1),
+            lambda: measure_wcet_hierarchy(layout, {}, h),
+        ):
+            with pytest.raises(ConfigError, match="at least one input scenario"):
+                measure()
 
 
 class TestEmpiricalSoundness:

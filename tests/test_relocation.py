@@ -6,8 +6,8 @@ another placement.  These tests pin the pieces that make it exact:
 * the columnar replay (``CompactTrace.replay``) counts exactly what
   per-access ``CacheState.access`` counts, for every policy and both
   write modes;
-* the columnar per-node aggregation equals the ``MemRef``-based
-  reference kept here as the oracle;
+* the columnar per-node aggregation equals the per-event reference
+  kept here as the oracle;
 * a relocated trace is byte-identical to a VM re-execution at the new
   placement, in memory and through a disk store's pickled trace view;
 * a move through the block view (``TraceBundle.view``) gives the counts,
@@ -38,13 +38,9 @@ from repro.fuzz.generator import case_from_seed
 from repro.obs import observed
 from repro.program.layout import ProgramLayout, SystemLayout
 from repro.vm.machine import run_isolated
-from repro.vm.trace import (
-    CompactTrace,
-    NodeTraceAggregate,
-    TraceColumns,
-    TraceRecorder,
-)
+from repro.vm.trace import CompactTrace, NodeTraceAggregate, TraceColumns
 from repro.workloads import build_workload
+from tests.conftest import compact_trace
 from tests.oracles.relocation import (
     relocated_aggregate,
     relocated_counts,
@@ -54,34 +50,34 @@ from tests.oracles.relocation import (
 POLICIES = ("lru", "fifo", "plru")
 
 
-def random_recorder(seed: int, events: int = 600) -> TraceRecorder:
-    """A random reference stream over a few hot and cold address bands,
-    grouped into node visits like a VM trace."""
+def random_events(seed: int, events: int = 600) -> list[tuple[int, str, str]]:
+    """A random ``(address, kind, node)`` stream over a few hot and cold
+    address bands, grouped into node visits like a VM trace."""
     rng = random.Random(seed)
     nodes = [f"n{i}" for i in range(5)]
-    recorder = TraceRecorder()
+    stream = []
     node = rng.choice(nodes)
     for _ in range(events):
         if rng.random() < 0.2:
             node = rng.choice(nodes)
         band = rng.choice((0x1000, 0x1040, 0x2000, 0x8000))
         kind = rng.choice(("code", "read", "write"))
-        recorder.record(band + rng.randrange(0, 512), kind, node)
-    return recorder
+        stream.append((band + rng.randrange(0, 512), kind, node))
+    return stream
 
 
-def reference_visits(recorder: TraceRecorder, config: CacheConfig) -> dict:
-    """The per-event ``MemRef`` aggregation the columnar kernel replaced."""
+def reference_visits(events, config: CacheConfig) -> dict:
+    """The per-event aggregation the columnar kernel replaced."""
     visits: dict[str, list[tuple[int, ...]]] = {}
     current_node = None
     current_refs: list[int] = []
-    for event in recorder.events:
-        if event.node != current_node:
+    for address, _, node in events:
+        if node != current_node:
             if current_node is not None:
                 visits.setdefault(current_node, []).append(tuple(current_refs))
-            current_node = event.node
+            current_node = node
             current_refs = []
-        current_refs.append(config.block(event.address))
+        current_refs.append(config.block(address))
     if current_node is not None:
         visits.setdefault(current_node, []).append(tuple(current_refs))
     return visits
@@ -97,14 +93,14 @@ def columns(trace: CompactTrace) -> tuple:
 
 
 def vm_trace(layout: ProgramLayout, inputs, config: CacheConfig) -> CompactTrace:
-    recorder = TraceRecorder()
+    recording = TraceColumns()
     run_isolated(
         layout,
         CacheState(config),
         inputs={name: list(values) for name, values in inputs.items()},
-        trace=recorder,
+        trace=recording,
     )
-    return CompactTrace.from_recorder(recorder)
+    return recording.compact()
 
 
 class TestColumnarReplay:
@@ -116,12 +112,12 @@ class TestColumnarReplay:
             num_sets=8, ways=2, line_size=16, policy=policy,
             write_back=write_back,
         )
-        recorder = random_recorder(seed)
+        events = random_events(seed)
         reference = CacheState(config)
-        for event in recorder.events:
-            reference.access(event.address, write=event.kind == "write")
+        for address, kind, _ in events:
+            reference.access(address, write=kind == "write")
         replayed = CacheState(config)
-        CompactTrace.from_recorder(recorder).replay(replayed)
+        compact_trace(events).replay(replayed)
         assert replayed.stats == reference.stats
         assert replayed.snapshot() == reference.snapshot()
         assert replayed.dirty_blocks() == reference.dirty_blocks()
@@ -136,14 +132,14 @@ class TestColumnarAggregate:
             num_sets=8, ways=2, line_size=16, policy=policy,
             write_back=write_back,
         )
-        recorders = [random_recorder(seed), random_recorder(seed + 100, 200)]
+        streams = [random_events(seed), random_events(seed + 100, 200)]
         expected: dict[str, dict[tuple[int, ...], None]] = {}
-        for recorder in recorders:
-            for node, sequences in reference_visits(recorder, config).items():
+        for events in streams:
+            for node, sequences in reference_visits(events, config).items():
                 # Distinct visits, each once, in first-seen order.
                 expected.setdefault(node, {}).update(dict.fromkeys(sequences))
         aggregate = NodeTraceAggregate.from_compact(
-            config, [CompactTrace.from_recorder(r) for r in recorders]
+            config, [compact_trace(events) for events in streams]
         )
         assert list(aggregate.node_refs) == list(expected)
         for node, sequences in expected.items():
@@ -151,7 +147,7 @@ class TestColumnarAggregate:
 
     def test_empty_trace_has_no_visits(self):
         config = CacheConfig(num_sets=8, ways=2, line_size=16)
-        trace = CompactTrace.from_recorder(TraceRecorder())
+        trace = compact_trace([])
         assert NodeTraceAggregate.from_compact(config, [trace]).node_refs == {}
 
 
@@ -185,8 +181,7 @@ class TestRelocation:
             ), scenario
 
     def test_unmoved_trace_is_returned_as_is(self):
-        recorder = random_recorder(1)
-        trace = CompactTrace.from_recorder(recorder)
+        trace = compact_trace(random_events(1))
         assert trace.relocated((0, 0)) is trace
         with pytest.raises(ValueError, match="without its layout"):
             trace.relocated((4, 0))
@@ -221,12 +216,9 @@ class TestDiskStoreRelocation:
         assert store.hits_by_kind.get("trace") == 1  # no VM run
         traces = pickle.loads(pickle.dumps(artifacts.wcet.traces))
         for scenario, inputs in scenarios.items():
-            recorder = TraceRecorder()
-            run_isolated(
-                moved, CacheState(config),
-                inputs={k: list(v) for k, v in inputs.items()}, trace=recorder,
-            )
-            assert traces[scenario].events == recorder.events
+            assert columns(traces[scenario]) == columns(
+                vm_trace(moved, inputs, config)
+            ), scenario
 
 
 def _stored(kind: str, payload) -> bytes:

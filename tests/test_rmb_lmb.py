@@ -174,7 +174,7 @@ class TestSoundnessAgainstSimulation:
         """Run a real program; at every block entry, the task's blocks that
         are actually resident must be contained in the RMB sets."""
         from repro.program import ProgramBuilder, SystemLayout
-        from repro.vm import Machine, TraceRecorder
+        from repro.vm import Machine, TraceColumns
 
         b = ProgramBuilder("p")
         data = b.array("data", words=24)
@@ -188,11 +188,11 @@ class TestSoundnessAgainstSimulation:
         cc = CacheConfig(num_sets=8, ways=2, line_size=16, miss_penalty=10)
 
         # First pass: record the trace for analysis.
-        trace = TraceRecorder()
+        trace = TraceColumns()
         machine = Machine(layout=layout, cache=CacheState(cc), trace=trace)
         machine.write_array("data", list(range(24)))
         machine.run()
-        agg = NodeTraceAggregate.from_recorders(cc, [trace])
+        agg = NodeTraceAggregate.from_compact(cc, [trace.compact()])
         result = solve_rmb_lmb(program.cfg, agg, cc)
         footprint = agg.footprint()
 

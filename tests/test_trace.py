@@ -3,14 +3,9 @@
 import pytest
 
 from repro.cache import CacheConfig
-from repro.vm.trace import (
-    CompactTrace,
-    MemRef,
-    NodeRefs,
-    NodeTraceAggregate,
-    TraceRecorder,
-)
+from repro.vm.trace import NodeRefs, NodeTraceAggregate
 
+from tests.conftest import compact_trace
 from tests.oracles.rmb_lmb import node_visit_sequences
 
 
@@ -19,40 +14,28 @@ def config():
     return CacheConfig(num_sets=16, ways=2, line_size=16)
 
 
-def make_recorder(events):
-    recorder = TraceRecorder()
-    for address, kind, node in events:
-        recorder.record(address, kind, node)
-    return recorder
-
-
-class TestMemRef:
-    def test_valid_kinds(self):
-        for kind in ("code", "read", "write"):
-            MemRef(address=0, kind=kind, node="n")
-
-    def test_invalid_kind(self):
-        with pytest.raises(ValueError, match="unknown reference kind"):
-            MemRef(address=0, kind="fetch", node="n")
-
-
 class TestRecorder:
+    """What a recorded trace holds: the VM's columns, read back."""
+
     def test_block_addresses(self, config):
-        recorder = make_recorder(
+        """A trace's footprint is its distinct memory blocks."""
+        trace = compact_trace(
             [(0x000, "read", "a"), (0x004, "read", "a"), (0x010, "write", "a")]
         )
-        assert recorder.block_addresses(config) == frozenset({0x000, 0x010})
+        footprint = NodeTraceAggregate.from_compact(config, [trace]).footprint()
+        assert footprint == frozenset({0x000, 0x010})
 
     def test_block_sequence_preserves_order(self, config):
-        recorder = make_recorder(
+        trace = compact_trace(
             [(0x010, "read", "a"), (0x000, "read", "a"), (0x013, "read", "a")]
         )
-        assert recorder.block_sequence(config) == [0x010, 0x000, 0x010]
+        aggregate = NodeTraceAggregate.from_compact(config, [trace])
+        assert aggregate.refs("a").visit_sequences == ((0x010, 0x000, 0x010),)
 
     def test_visit_boundaries(self, config):
         """Consecutive same-node references form one visit; a node change
         starts a new visit even for a previously seen node."""
-        recorder = make_recorder(
+        trace = compact_trace(
             [
                 (0x000, "read", "a"),
                 (0x010, "read", "a"),
@@ -60,15 +43,16 @@ class TestRecorder:
                 (0x030, "read", "a"),
             ]
         )
-        visits = node_visit_sequences(CompactTrace.from_recorder(recorder), config)
+        visits = node_visit_sequences(trace, config)
         assert visits["a"] == [(0x000, 0x010), (0x030,)]
         assert visits["b"] == [(0x020,)]
 
     def test_empty_recorder(self, config):
-        recorder = TraceRecorder()
-        assert node_visit_sequences(CompactTrace.from_recorder(recorder), config) == {}
-        assert recorder.block_addresses(config) == frozenset()
-        assert len(recorder) == 0
+        trace = compact_trace([])
+        assert node_visit_sequences(trace, config) == {}
+        aggregate = NodeTraceAggregate.from_compact(config, [trace])
+        assert aggregate.footprint() == frozenset()
+        assert len(trace) == 0
 
 
 class TestNodeRefs:
@@ -93,14 +77,14 @@ class TestNodeRefs:
 
 class TestAggregate:
     def test_merges_multiple_recorders(self, config):
-        r1 = make_recorder([(0x000, "read", "a")])
-        r2 = make_recorder([(0x100, "read", "a"), (0x200, "read", "b")])
-        aggregate = NodeTraceAggregate.from_recorders(config, [r1, r2])
+        r1 = compact_trace([(0x000, "read", "a")])
+        r2 = compact_trace([(0x100, "read", "a"), (0x200, "read", "b")])
+        aggregate = NodeTraceAggregate.from_compact(config, [r1, r2])
         assert aggregate.refs("a").blocks() == frozenset({0x000, 0x100})
         assert aggregate.footprint() == frozenset({0x000, 0x100, 0x200})
 
     def test_keeps_each_distinct_visit_once_in_first_seen_order(self, config):
-        r1 = make_recorder(
+        r1 = compact_trace(
             [
                 (0x000, "read", "a"),
                 (0x010, "read", "b"),
@@ -109,8 +93,8 @@ class TestAggregate:
                 (0x000, "read", "a"),
             ]
         )
-        r2 = make_recorder([(0x030, "read", "c"), (0x020, "read", "a")])
-        aggregate = NodeTraceAggregate.from_recorders(config, [r1, r2])
+        r2 = compact_trace([(0x030, "read", "c"), (0x020, "read", "a")])
+        aggregate = NodeTraceAggregate.from_compact(config, [r1, r2])
         assert list(aggregate.node_refs) == ["a", "b", "c"]
         assert aggregate.refs("a").visit_sequences == ((0x000,), (0x020,))
         assert aggregate.refs("b").visit_sequences == ((0x010,),)
@@ -118,12 +102,12 @@ class TestAggregate:
         assert not aggregate.refs("a").deterministic
 
     def test_unknown_node_is_empty(self, config):
-        aggregate = NodeTraceAggregate.from_recorders(config, [])
+        aggregate = NodeTraceAggregate.from_compact(config, [])
         assert aggregate.refs("ghost").blocks() == frozenset()
 
     def test_per_node_blocks(self, config):
-        r = make_recorder([(0x000, "read", "a"), (0x100, "write", "b")])
-        aggregate = NodeTraceAggregate.from_recorders(config, [r])
+        r = compact_trace([(0x000, "read", "a"), (0x100, "write", "b")])
+        aggregate = NodeTraceAggregate.from_compact(config, [r])
         per_node = aggregate.per_node_blocks()
         assert per_node == {
             "a": frozenset({0x000}),
@@ -131,10 +115,10 @@ class TestAggregate:
         }
 
     def test_footprint_matches_union_of_nodes(self, config):
-        r = make_recorder(
+        r = compact_trace(
             [(0x000, "read", "a"), (0x010, "read", "b"), (0x000, "write", "b")]
         )
-        aggregate = NodeTraceAggregate.from_recorders(config, [r])
+        aggregate = NodeTraceAggregate.from_compact(config, [r])
         union = set()
         for label in ("a", "b"):
             union |= aggregate.refs(label).blocks()

@@ -1,25 +1,20 @@
 """Tests for trace persistence and cache-behaviour diagnostics."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import CacheConfig, CacheState
-from repro.vm.trace import TraceRecorder
-from repro.vm.traceio import (
-    ReuseProfile,
-    load_trace,
-    merge_traces,
-    reuse_profile,
-    save_trace,
-    set_pressure,
-)
+from repro.vm.trace import TraceColumns
+from repro.vm.traceio import ReuseProfile, reuse_profile, set_pressure
+
+from tests.conftest import compact_trace
 
 
-def recorder_from(events):
-    recorder = TraceRecorder()
-    for address, kind, node in events:
-        recorder.record(address, kind, node)
-    return recorder
+def one(events):
+    """A one-scenario trace mapping, as ``WCETResult.traces`` holds."""
+    return {"s": compact_trace(events)}
 
 
 @pytest.fixture
@@ -28,30 +23,13 @@ def config():
 
 
 class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        recorder = recorder_from(
+    def test_roundtrip(self):
+        trace = compact_trace(
             [(0x100, "read", "a"), (0x204, "write", "b"), (0x100, "code", "a")]
         )
-        path = tmp_path / "trace.txt"
-        save_trace(recorder, path)
-        loaded = load_trace(path)
-        assert [(e.address, e.kind, e.node) for e in loaded.events] == [
-            (e.address, e.kind, e.node) for e in recorder.events
-        ]
+        assert pickle.loads(pickle.dumps(trace)) == trace
 
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a trace\n")
-        with pytest.raises(ValueError, match="not a repro trace"):
-            load_trace(path)
-
-    def test_malformed_line_reported_with_number(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("# repro-trace v1\n0x10 read a\ngarbage\n")
-        with pytest.raises(ValueError, match=":3"):
-            load_trace(path)
-
-    def test_roundtrip_of_real_run(self, tmp_path, config):
+    def test_roundtrip_of_real_run(self, config):
         from repro.program import ProgramBuilder, SystemLayout
         from repro.vm import run_isolated
 
@@ -60,41 +38,46 @@ class TestPersistence:
         with b.loop(16) as i:
             b.load("v", data, index=i)
         layout = SystemLayout().place(b.build())
-        recorder = TraceRecorder()
-        run_isolated(layout, CacheState(config), trace=recorder)
-        path = tmp_path / "run.txt"
-        save_trace(recorder, path)
-        loaded = load_trace(path)
-        assert loaded.block_addresses(config) == recorder.block_addresses(config)
+        columns = TraceColumns(relocatable=True)
+        run_isolated(layout, CacheState(config), trace=columns)
+        trace = columns.compact()
+        loaded = pickle.loads(pickle.dumps(trace))
+        assert loaded == trace
+        assert list(loaded.regions) == list(trace.regions)
+        assert reuse_profile({"s": loaded}, config) == reuse_profile(
+            {"s": trace}, config
+        )
 
 
 class TestReuseProfile:
     def test_cold_references_counted(self, config):
-        recorder = recorder_from([(0x000, "read", "a"), (0x100, "read", "a")])
-        profile = reuse_profile(recorder, config)
+        profile = reuse_profile(
+            one([(0x000, "read", "a"), (0x100, "read", "a")]), config
+        )
         assert profile.cold == 2
         assert profile.histogram == {}
 
     def test_immediate_reuse_distance_zero(self, config):
-        recorder = recorder_from([(0x000, "read", "a"), (0x004, "read", "a")])
-        profile = reuse_profile(recorder, config)
+        profile = reuse_profile(
+            one([(0x000, "read", "a"), (0x004, "read", "a")]), config
+        )
         assert profile.cold == 1
         assert profile.histogram == {0: 1}
 
     def test_intervening_distinct_block_increases_distance(self, config):
         # 0x000 and 0x080 share set 0 in an 8-set cache.
-        recorder = recorder_from(
-            [(0x000, "read", "a"), (0x080, "read", "a"), (0x000, "read", "a")]
+        profile = reuse_profile(
+            one([(0x000, "read", "a"), (0x080, "read", "a"), (0x000, "read", "a")]),
+            config,
         )
-        profile = reuse_profile(recorder, config)
         assert profile.cold == 2  # both blocks' first touches
         assert profile.histogram == {1: 1}  # re-reference past one distinct block
 
     def test_different_sets_do_not_interfere(self, config):
-        recorder = recorder_from(
-            [(0x000, "read", "a"), (0x010, "read", "a"), (0x000, "read", "a")]
+        profile = reuse_profile(
+            one([(0x000, "read", "a"), (0x010, "read", "a"), (0x000, "read", "a")]),
+            config,
         )
-        profile = reuse_profile(recorder, config)
         assert profile.histogram[0] == 1  # 0x010 is in set 1, distance stays 0
 
     def test_prediction_matches_real_lru_cache(self, config):
@@ -104,10 +87,10 @@ class TestReuseProfile:
 
         rng = random.Random(7)
         addresses = [rng.randrange(0, 0x400) for _ in range(400)]
-        recorder = recorder_from([(a, "read", "n") for a in addresses])
+        traces = one([(a, "read", "n") for a in addresses])
         for ways in (1, 2, 4):
             cache_config = CacheConfig(num_sets=8, ways=ways, line_size=16)
-            profile = reuse_profile(recorder, cache_config)
+            profile = reuse_profile(traces, cache_config)
             cache = CacheState(cache_config)
             hits = sum(1 for a in addresses if cache.access(a).hit)
             assert profile.predicted_hits(ways) == hits
@@ -122,40 +105,43 @@ class TestReuseProfile:
 
 class TestSetPressure:
     def test_counts_distinct_blocks_per_set(self, config):
-        recorder = recorder_from(
+        pressure = set_pressure(
             [
-                (0x000, "read", "a"),
-                (0x004, "read", "a"),  # same block
-                (0x080, "read", "a"),  # same set, new block
-                (0x010, "read", "a"),  # set 1
-            ]
+                0x000,
+                0x004,  # same block
+                0x080,  # same set, new block
+                0x010,  # set 1
+            ],
+            config,
         )
-        pressure = set_pressure(recorder, config)
         assert pressure.per_set == {0: 2, 1: 1}
         assert pressure.max_pressure == 2
         assert pressure.sets_used == 2
 
     def test_overcommitted_sets(self, config):
-        recorder = recorder_from(
-            [(0x000 + i * 0x80, "read", "a") for i in range(4)]  # 4 blocks, set 0
-        )
-        pressure = set_pressure(recorder, config)
+        # 4 blocks, all in set 0
+        pressure = set_pressure([0x000 + i * 0x80 for i in range(4)], config)
         assert pressure.overcommitted_sets() == [0]
 
     def test_empty_trace(self, config):
-        pressure = set_pressure(TraceRecorder(), config)
+        pressure = set_pressure(frozenset(), config)
         assert pressure.max_pressure == 0
         assert pressure.overcommitted_sets() == []
 
 
 class TestMerge:
-    def test_merge_concatenates(self):
-        a = recorder_from([(0x0, "read", "a")])
-        b = recorder_from([(0x10, "write", "b")])
-        merged = merge_traces([a, b])
-        assert len(merged) == 2
-        assert merged.events[0].address == 0x0
-        assert merged.events[1].address == 0x10
+    def test_merge_concatenates(self, config):
+        """Scenarios are read in order as one stream: the profile of two
+        traces is that of their concatenation, reuse across them
+        included."""
+        a = [(0x0, "read", "a"), (0x80, "read", "a")]
+        b = [(0x0, "write", "b"), (0x10, "read", "b")]
+        merged = reuse_profile(
+            {"a": compact_trace(a), "b": compact_trace(b)}, config
+        )
+        assert merged == reuse_profile(one(a + b), config)
+        assert merged.accesses == 4
+        assert merged.histogram == {1: 1}  # 0x0 again, past 0x80 in set 0
 
 
 @given(
@@ -167,8 +153,7 @@ class TestMerge:
 @settings(max_examples=40)
 def test_reuse_profile_predicts_lru_exactly(addresses, ways):
     config = CacheConfig(num_sets=4, ways=ways, line_size=16)
-    recorder = recorder_from([(a, "read", "n") for a in addresses])
-    profile = reuse_profile(recorder, config)
+    profile = reuse_profile(one([(a, "read", "n") for a in addresses]), config)
     cache = CacheState(config)
     hits = sum(1 for a in addresses if cache.access(a).hit)
     assert profile.predicted_hits(ways) == hits

@@ -3,7 +3,6 @@
 from repro.analysis import analyze_task, compute_useful_blocks, solve_rmb_lmb
 from repro.cache import CacheConfig
 from repro.program import ProgramBuilder, SystemLayout
-from repro.vm import NodeTraceAggregate, TraceRecorder
 from repro.vm.machine import run_isolated
 
 

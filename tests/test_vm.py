@@ -5,7 +5,7 @@ import pytest
 from repro.cache import CacheConfig, CacheState
 from repro.program import ProgramBuilder, SystemLayout
 from repro.program.instructions import BASE_CYCLES
-from repro.vm import Machine, TraceRecorder, VMError, run_isolated
+from repro.vm import Machine, TraceColumns, VMError, run_isolated
 
 
 def build_and_place(builder_fn, name="p"):
@@ -205,12 +205,12 @@ class TestTracing:
             b.store("v", out, index=0)
 
         layout = build_and_place(body)
-        trace = TraceRecorder()
+        trace = TraceColumns()
         run_isolated(layout, fresh_cache(), trace=trace)
-        kinds = [e.kind for e in trace.events]
-        assert kinds.count("read") == 1
-        assert kinds.count("write") == 1
-        assert kinds.count("code") == 3  # load, store, halt
+        kinds = trace.compact().kinds
+        assert kinds.count(1) == 1  # read
+        assert kinds.count(2) == 1  # write
+        assert kinds.count(0) == 3  # code: load, store, halt
 
     def test_trace_nodes_match_blocks(self):
         def body(b):
@@ -218,21 +218,11 @@ class TestTracing:
                 b.const("x", 1)
 
         layout = build_and_place(body)
-        trace = TraceRecorder()
+        trace = TraceColumns()
         run_isolated(layout, fresh_cache(), trace=trace)
-        labels = {e.node for e in trace.events}
+        compact = trace.compact()
+        labels = {compact.node_table[node] for node in compact.node_ids}
         assert labels <= set(layout.program.cfg.labels())
-
-    def test_trace_can_exclude_code(self):
-        def body(b):
-            data = b.array("data", words=1)
-            b.load("v", data, index=0)
-
-        layout = build_and_place(body)
-        trace = TraceRecorder(record_code=False)
-        run_isolated(layout, fresh_cache(), trace=trace)
-        assert all(e.kind != "code" for e in trace.events)
-        assert len(trace) == 1
 
     def test_trace_addresses_within_regions(self):
         def body(b):
@@ -241,13 +231,13 @@ class TestTracing:
                 b.load("v", data, index=i)
 
         layout = build_and_place(body)
-        trace = TraceRecorder()
+        trace = TraceColumns()
         run_isolated(layout, fresh_cache(), trace=trace)
-        for event in trace.events:
-            if event.kind == "code":
-                assert layout.code_base <= event.address < layout.code_end
+        for address, kind in zip(trace.addresses, trace.kinds):
+            if kind == 0:  # code fetch
+                assert layout.code_base <= address < layout.code_end
             else:
-                assert layout.data_base <= event.address < layout.data_end
+                assert layout.data_base <= address < layout.data_end
 
 
 class TestResumability:

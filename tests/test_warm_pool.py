@@ -200,6 +200,57 @@ class TestFallbackAndErrors:
         assert proc.returncode == 0, proc.stderr
         assert "fell back cleanly" in proc.stdout
 
+    def test_worker_killed_mid_sweep_falls_back_to_identical_results(self):
+        # A worker SIGKILLed while it analyses one point breaks the pool:
+        # the batch must rerun serially, return every payload exactly as
+        # a jobs=1 run does, count one fallback and let the interpreter
+        # exit 0.  The kill is patched in before the pool forks, so only
+        # forked workers inherit it (in_worker() guards the serial rerun).
+        script = textwrap.dedent(
+            """
+            import multiprocessing
+            import os
+            import signal
+
+            import repro.batch.engine as engine
+            from repro.batch.engine import analyze_batch, sweep_grid
+            from repro.batch.pool import WarmPool, in_worker
+
+            multiprocessing.set_start_method("fork", force=True)
+            analyze_point = engine._analyze_point
+
+            def dying(context, point):
+                if in_worker() and point.miss_penalty == 30:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return analyze_point(context, point)
+
+            engine._analyze_point = dying
+            points = sweep_grid(("exp1",), (10, 20, 30, 40))
+            with WarmPool(jobs=2) as pool:
+                fanned = analyze_batch(points, pool=pool)
+                assert pool.fallbacks == 1, pool.fallbacks
+            assert fanned.pool_fallbacks == 1
+            serial = analyze_batch(points, jobs=1)
+            assert serial.pool_fallbacks == 0
+            assert [r.payload for r in fanned] == [r.payload for r in serial]
+            print("payloads equal after", pool.fallbacks, "fallback")
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "payloads equal after 1 fallback" in proc.stdout
+
     def test_analysis_errors_propagate_without_fallback(self):
         with WarmPool(jobs=2) as pool:
             with pytest.raises(ReproError, match="analysis failed"):

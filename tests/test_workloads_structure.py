@@ -71,8 +71,8 @@ class TestScenarioCoverage:
             # union of all path labels.
             result = measure_wcet(layout, workload.scenario_map(), config)
             visited: set[str] = set()
-            for recorder in result.traces.values():
-                visited |= {event.node for event in recorder.events}
+            for trace in result.traces.values():
+                visited |= {trace.node_table[node] for node in trace.node_ids}
             for profile in profiles:
                 expected = {
                     label for label in profile.labels()
