@@ -55,6 +55,15 @@ CASES = {
          "--edit", "period:mr=40000"],
         _drop_whatif_timing,
     ),
+    # Degraded budgets: ED's paths and Eq. 7's rounds both run out, so
+    # every state replays pair and fixpoint degradation events.
+    "whatif_exp1_degraded.json": (
+        ["--no-cache", "--max-paths", "1", "--max-iterations", "3",
+         "whatif", "--base", "exp1",
+         "--edit", "penalty=40", "--edit", "code:ed=0x8000",
+         "--edit", "period:mr=40000"],
+        _drop_whatif_timing,
+    ),
     "optimize_exp1_seed3.json": (
         ["--no-cache", "optimize", "--experiment", "exp1", "--seed", "3",
          "--budget-evals", "24", "--generation", "4", "--patience", "6"],
