@@ -316,17 +316,15 @@ class PipelineResult:
             )
         return self._wcrt[approach]
 
-    def payload(self, wcrt: "dict | None" = None) -> dict:
+    def payload(self) -> dict:
         """The system's canonical result record, as plain JSON data; every
         front door reports it or a key projection of it.
 
         ``config``; per-task ``periods``, ``jitters``, ``wcet`` (Table I);
         per-pair ``lines`` under Approaches "1"-"4" (Table II);
         per-approach Eq. 7 ``wcrt``, ``status``, ``schedulable`` (Tables
-        III-VI); ``soundness`` and the ledger's ``events``.  *wcrt* maps
-        each :class:`Approach` to ``{task: WCRTResult}`` (a what-if
-        session's warm-started fixpoints); by default :meth:`wcrt` runs
-        here.  The ledger is read last, so Eq. 7's entries are in it.
+        III-VI); ``soundness`` and the ledger's ``events``.  The ledger is
+        read last, so Eq. 7's entries are in it.
         """
         # Pairs before fixpoints: the ledger then lists pair events first,
         # and only a pair estimated whole is kept in the store.
@@ -336,8 +334,7 @@ class PipelineResult:
             }
             for e in self.estimates
         }
-        if wcrt is None:
-            wcrt = {a: self.wcrt(a).results for a in ALL_APPROACHES}
+        wcrt = {a: self.wcrt(a).results for a in ALL_APPROACHES}
         config = self.placed.config
         specs = {task.name: task for task in self.system.tasks}
         order = self.placed.order

@@ -4,8 +4,7 @@ A :class:`WhatIfSession` holds one analysed system — a paper experiment
 (``"exp1"``/``"exp2"``) or a fuzz :class:`~repro.fuzz.spec.SystemSpec` —
 and re-analyses it after single-field edits (miss penalty, cache
 geometry, one task's period, one task's array footprint) at interactive
-latency.  ROADMAP item 2's target is < 50 ms per edit warm; the layout
-optimizer workload (ROADMAP item 3) sits on this layer.
+latency.  The layout optimizer scores every candidate through a session.
 
 The incremental machinery is the schema-3 content-addressed artifact
 graph itself.  Every pipeline stage is keyed by exactly the inputs it
@@ -25,21 +24,23 @@ values and byte-identical replayed degradation events (the equivalence
 suite pins this against cold sessions, >= 150 randomized cases).  The
 per-edit invalidation/reuse counts are surfaced on the ``whatif.edit``
 span and the ``whatif.invalidated.*`` / ``whatif.reused.*`` counters.
+Eq. 7 is not part of the graph: every state runs its four fixpoints
+cold, which takes a few rounds per task.
 
 Edit impact over that graph:
 
-==================  =====  ===  ====  =====  ====  ====  ====
-edit                trace  sim  flow  paths  pair  wcet  wcrt
-==================  =====  ===  ====  =====  ====  ====  ====
-``penalty=N``       keep   keep keep  keep   keep  redo  redo
-``geometry=SxWxL``  keep   redo redo  keep   redo  redo  redo
-``period:T=N``      keep   keep keep  keep   keep  keep  T + lower
-``array:T:J=W``     shift  ...  ...   T      T     T     redo
-``code:T=A``        keep   T    T     keep   T     T     redo
-``data:T=A``        keep   T    T     keep   T     T     redo
-``color:T:J=C``     keep   T    T     keep   T     T     redo
-``swap:T=U``        keep   T,U  T,U   keep   pairs both  redo
-==================  =====  ===  ====  =====  ====  ====  ====
+==================  =====  ===  ====  =====  ====  ====
+edit                trace  sim  flow  paths  pair  wcet
+==================  =====  ===  ====  =====  ====  ====
+``penalty=N``       keep   keep keep  keep   keep  redo
+``geometry=SxWxL``  keep   redo redo  keep   redo  redo
+``period:T=N``      keep   keep keep  keep   keep  keep
+``array:T:J=W``     shift  ...  ...   T      T     T
+``code:T=A``        keep   T    T     keep   T     T
+``data:T=A``        keep   T    T     keep   T     T
+``color:T:J=C``     keep   T    T     keep   T     T
+``swap:T=U``        keep   T,U  T,U   keep   pairs both
+==================  =====  ===  ====  =====  ====  ====
 
 ("shift": a footprint edit can move *other* tasks' layouts too — the
 stagger stride depends on the largest program — so per-task key diffing,
@@ -58,18 +59,6 @@ A batch of edits applied together must be conflict-free:
 :func:`check_edit_conflicts` rejects two edits that write the same
 target (two ``period:T1=`` edits, a ``swap:`` plus any placement edit of
 a swapped task, ...) instead of silently letting the last one win.
-
-WCRT fixpoints warm-start from the previous fixpoint when provably
-sound: the busy-window recurrence ``f`` is monotone, so iterating from
-any ``w0 <= lfp(f_new)`` reaches the same least fixpoint, and
-``w_old = lfp(f_old) <= lfp(f_new)`` whenever ``f_new >= f_old``
-pointwise.  That dominance is checked on the *actual* per-interferer
-terms (own WCET up, per-preemption costs up, periods down, jitters up),
-never inferred from the edit kind.  A warm result is accepted only when
-``iter_bound_old + iterations_warm <= max_iterations`` — a cold run
-reaches the fixpoint within that many steps, so acceptance can never
-disagree with a cold run's convergence verdict (soundness argument in
-``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -79,10 +68,10 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
-# analyze_task stays importable from this module: the traced benchmark
-# run (perfbench/layers.py) patches it here.
+# analyze_task and compute_task_wcrt stay importable from this module:
+# the traced benchmark run (perfbench/layers.py) patches them here.
 from repro.analysis.artifacts import analyze_task  # noqa: F401
-from repro.analysis.crpd import ALL_APPROACHES, Approach
+from repro.analysis.crpd import Approach
 from repro.analysis.pipeline import (
     PipelineResult,
     PlacedSystem,
@@ -94,13 +83,13 @@ from repro.analysis.store import ArtifactStore
 from repro.cache.config import CacheConfig
 from repro.errors import ConfigError
 from repro.obs import STATE as _OBS
-from repro.wcrt.response_time import WCRTResult, compute_task_wcrt
+from repro.wcrt.response_time import compute_task_wcrt  # noqa: F401
 
 if TYPE_CHECKING:
     from repro.guard.budget import AnalysisBudget
 
 #: Sub-artifact node classes reported by the invalidation counters.
-GRAPH_NODES = ("trace", "sim", "flow", "paths", "task", "pair", "wcrt")
+GRAPH_NODES = ("trace", "sim", "flow", "paths", "task", "pair")
 
 
 @dataclass(frozen=True)
@@ -280,9 +269,8 @@ def check_edit_conflicts(edits) -> None:
 @dataclass
 class WhatIfResult:
     """One fully re-analysed state of a what-if session: its result
-    :attr:`payload` (built once, over the session's warm-started Eq. 7
-    fixpoints), the typed ``config`` and ``events`` callers re-enter or
-    print, and the edit's telemetry."""
+    :attr:`payload`, the typed ``config`` and ``events`` callers re-enter
+    or print, and the edit's telemetry."""
 
     label: str
     config: CacheConfig
@@ -291,7 +279,9 @@ class WhatIfResult:
     elapsed_seconds: float = 0.0
     invalidated: dict = field(default_factory=dict)
     reused: dict = field(default_factory=dict)
-    warm_started: int = 0
+    # Every state runs Eq. 7 cold; the traced benchmark run
+    # (perfbench/layers.py) still reads this count.
+    warm_started = 0
 
     @property
     def periods(self) -> dict:
@@ -317,7 +307,6 @@ class WhatIfResult:
             "elapsed_seconds": self.elapsed_seconds,
             "invalidated": dict(self.invalidated),
             "reused": dict(self.reused),
-            "warm_started": self.warm_started,
         }
 
 
@@ -326,8 +315,7 @@ class WhatIfSession:
 
     Every state runs :func:`~repro.analysis.pipeline.run_pipeline` over
     the session's store; the session itself only key-diffs the result
-    against the previous state and memoises/warm-starts the Eq. 7
-    fixpoints.
+    against the previous state.
 
     Args:
         base: ``"exp1"``/``"exp2"``, an
@@ -366,12 +354,10 @@ class WhatIfSession:
             miss_penalty=miss_penalty,
             period_overrides=period_overrides,
         )
-        # Previous-state snapshots driving invalidation accounting and
-        # WCRT warm starts.
+        # Previous-state snapshots driving invalidation accounting.
         self._prev_subkeys: dict = {}
         self._prev_artifacts: dict = {}
         self._prev_pair_keys: dict = {}
-        self._wcrt_memo: dict = {}
         self._last: "WhatIfResult | None" = None
         self._pipeline: "PipelineResult | None" = None
 
@@ -598,19 +584,17 @@ class WhatIfSession:
             pipeline = run_pipeline(
                 self._placed, budget=self.budget, store=self._store
             )
-            # Every pair is estimated before Eq. 7 runs, so the ledger
-            # lists pair events ahead of fixpoint events, as a batch does.
-            pipeline.estimates
+            # The payload estimates every pair before Eq. 7 runs, so the
+            # ledger lists pair events ahead of fixpoint events.
+            payload = pipeline.payload()
             self._diff_artifacts(pipeline, invalidated, reused)
             # The sensitivity helpers (critical scaling factor, breakdown
             # miss penalty) and the optimizer's breakdown objective
             # re-score the *current* state through this result.
             self._pipeline = pipeline
-            wcrt, warm_started = self._wcrt_stage(pipeline, invalidated, reused)
             elapsed = time.perf_counter() - started
             span.set(
                 elapsed_ms=round(elapsed * 1e3, 3),
-                warm_started=warm_started,
                 **{f"invalidated_{k}": v for k, v in invalidated.items()},
             )
             if _OBS.enabled:
@@ -626,12 +610,11 @@ class WhatIfSession:
         result = WhatIfResult(
             label=label,
             config=self._placed.config,
-            payload=pipeline.payload(wcrt),
+            payload=payload,
             events=tuple(pipeline.ledger.events),
             elapsed_seconds=elapsed,
             invalidated=invalidated,
             reused=reused,
-            warm_started=warm_started,
         )
         self._last = result
         return result
@@ -670,131 +653,3 @@ class WhatIfSession:
         self._prev_subkeys = new_subkeys
         self._prev_artifacts = dict(artifacts)
         self._prev_pair_keys = new_pair_keys
-
-    def _max_iterations(self) -> int:
-        if self.budget is not None:
-            return min(1000, self.budget.max_wcrt_iterations)
-        return 1000
-
-    def _wcrt_stage(self, pipeline: "PipelineResult", invalidated: dict, reused: dict):
-        """Eq. 7 fixpoints per approach, memoised and warm-started.
-
-        A (approach, task) node whose *inputs* — own WCET/period/jitter,
-        context switch and every interferer's (period, jitter,
-        per-preemption cost) — are unchanged reuses the previous result
-        outright, replaying its divergence events so the ledger matches a
-        cold run's.  Otherwise the iteration warm-starts from the old
-        fixpoint when the new recurrence provably dominates the old one
-        (see the module docstring), falling back to a cold start whenever
-        the dominance check or the iteration-budget guard fails.
-        """
-        max_iterations = self._max_iterations()
-        system, ledger = pipeline.system, pipeline.ledger
-        ccs = pipeline.placed.context_switch
-        results: dict = {}
-        warm_started = 0
-        for approach in ALL_APPROACHES:
-            def cpre(low: str, high: str, _approach=approach) -> int:
-                return pipeline.crpd.cpre(low, high, _approach)
-
-            per_approach: dict = {}
-            for task in system.tasks:
-                interferers = system.higher_priority(task.name)
-                sig = (
-                    task.wcet,
-                    task.period,
-                    task.jitter,
-                    ccs,
-                    tuple(
-                        (
-                            other.name,
-                            other.period,
-                            other.jitter,
-                            other.wcet + cpre(task.name, other.name) + 2 * ccs,
-                        )
-                        for other in interferers
-                    ),
-                )
-                memo = self._wcrt_memo.get((approach, task.name))
-                if memo is not None and memo["sig"] == sig:
-                    result = memo["result"]
-                    for event in memo["events"]:
-                        ledger.events.append(event)
-                    reused["wcrt"] += 1
-                    per_approach[task.name] = result
-                    continue
-                invalidated["wcrt"] += 1
-                result = None
-                if memo is not None and _warm_start_sound(memo["sig"], sig, memo):
-                    warm = compute_task_wcrt(
-                        system,
-                        task.name,
-                        cpre=cpre,
-                        context_switch=ccs,
-                        max_iterations=max_iterations,
-                        stop_at_deadline=False,
-                        initial_window=memo["window"],
-                    )
-                    if (
-                        warm.converged
-                        and memo["iter_bound"] + warm.iteration_count
-                        <= max_iterations
-                    ):
-                        result = warm
-                        iter_bound = memo["iter_bound"] + warm.iteration_count
-                        events: tuple = ()
-                        warm_started += 1
-                if result is None:
-                    before = len(ledger.events)
-                    result = compute_task_wcrt(
-                        system,
-                        task.name,
-                        cpre=cpre,
-                        context_switch=ccs,
-                        max_iterations=max_iterations,
-                        stop_at_deadline=False,
-                        budget=self.budget,
-                        ledger=ledger,
-                    )
-                    events = tuple(ledger.events[before:])
-                    iter_bound = result.iteration_count
-                self._wcrt_memo[(approach, task.name)] = {
-                    "sig": sig,
-                    "result": result,
-                    "events": events,
-                    "window": result.wcrt - task.jitter,
-                    "iter_bound": iter_bound,
-                }
-                per_approach[task.name] = result
-            results[approach] = per_approach
-        return results, warm_started
-
-
-def _warm_start_sound(old_sig: tuple, new_sig: tuple, memo: dict) -> bool:
-    """True when iterating from the old fixpoint provably reaches the new one.
-
-    Requires the old iteration to have converged (a diverged window is
-    not a fixpoint) and the new recurrence to dominate the old pointwise:
-    own WCET non-decreasing and, interferer by interferer (same set, same
-    order), period non-increasing, jitter non-decreasing and
-    per-preemption cost (WCET + Cpre + 2 Ccs) non-decreasing.  Then
-    ``w_old = lfp(f_old) <= lfp(f_new)`` and monotone iteration from
-    ``w_old`` converges to ``lfp(f_new)`` exactly.
-    """
-    result: WCRTResult = memo["result"]
-    if not result.converged:
-        return False
-    old_wcet, _, _, _, old_interferers = old_sig
-    new_wcet, _, _, _, new_interferers = new_sig
-    if new_wcet < old_wcet:
-        return False
-    if len(old_interferers) != len(new_interferers):
-        return False
-    for old_term, new_term in zip(old_interferers, new_interferers):
-        o_name, o_period, o_jitter, o_cost = old_term
-        n_name, n_period, n_jitter, n_cost = new_term
-        if o_name != n_name:
-            return False
-        if n_period > o_period or n_jitter < o_jitter or n_cost < o_cost:
-            return False
-    return True

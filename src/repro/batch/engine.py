@@ -36,7 +36,6 @@ if TYPE_CHECKING:
     from repro.analysis.store import ArtifactStore
     from repro.batch.pool import WarmPool
     from repro.guard.budget import AnalysisBudget
-    from repro.program.layout import LayoutAssignment
 
 __all__ = [
     "BatchResult",
@@ -53,17 +52,12 @@ class SweepPoint:
 
     ``cache`` overrides the default scaled 8KB geometry entirely (its
     miss penalty then wins over *miss_penalty*), mirroring
-    :func:`~repro.experiments.setup.build_context`.  ``layout`` replaces
-    the experiment's default (strided) placement with an explicit
-    :class:`~repro.program.layout.LayoutAssignment` — the optimizer's
-    candidate generations are batches of such points.  Being hashable,
-    layout points dedup exactly like plain ones.
+    :func:`~repro.experiments.setup.build_context`.
     """
 
     experiment: str
     miss_penalty: int = 20
     cache: CacheConfig | None = None
-    layout: "LayoutAssignment | None" = None
 
     def config(self) -> CacheConfig:
         if self.cache is not None:
@@ -72,20 +66,11 @@ class SweepPoint:
 
     def label(self) -> str:
         config = self.config()
-        label = (
+        return (
             f"{self.experiment}"
             f"/s{config.num_sets}w{config.ways}l{config.line_size}"
             f"p{config.miss_penalty}"
         )
-        if self.layout is not None:
-            import hashlib
-            import json
-
-            digest = hashlib.sha256(
-                json.dumps(self.layout.to_dict(), sort_keys=True).encode()
-            ).hexdigest()[:8]
-            label += f"/L{digest}"
-        return label
 
 
 @dataclass
@@ -109,13 +94,9 @@ class PointResult:
         """JSON-ready summary (the ``repro sweep`` output row)."""
         payload = self.payload
         config = payload["config"]
-        layout = (
-            self.point.layout.to_dict() if self.point.layout is not None else None
-        )
         return {
             "experiment": self.point.experiment,
             "label": self.point.label(),
-            **({"layout": layout} if layout is not None else {}),
             "miss_penalty": config["miss_penalty"],
             "geometry": {
                 key: config[key] for key in ("num_sets", "ways", "line_size")
@@ -332,10 +313,6 @@ def _analyze_point(context: tuple, point: SweepPoint) -> PointResult:
 
     _, placed, store, budget, _ = context
     placed = replace(placed, config=point.config())
-    if point.layout is not None:
-        # Re-place the shipped programs at the point's explicit
-        # assignment; overlap raises LayoutError before any analysis.
-        placed = placed.with_assignment(point.layout)
     if store is not None and not isinstance(store, ArtifactStore):
         # A shipped store directory: one warm handle per context here.
         store = worker_store(context, store)

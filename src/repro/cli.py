@@ -321,9 +321,7 @@ def _print_whatif_state(result) -> None:
         f"{result.label:28s} {_verdicts(result.payload)}  "
         f"{result.elapsed_seconds * 1e3:8.2f} ms  "
         f"recomputed tasks={invalidated.get('task', 0)} "
-        f"pairs={invalidated.get('pair', 0)} "
-        f"wcrt={invalidated.get('wcrt', 0)} "
-        f"(warm-started {result.warm_started})  "
+        f"pairs={invalidated.get('pair', 0)}  "
         f"soundness={result.payload['soundness']}"
     )
 
@@ -410,7 +408,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         patience=args.patience,
         cache_budgets=cache_budgets,
         miss_penalty=args.penalty,
-        jobs=args.jobs,
         budget=_budget_from(args),
     )
     elapsed = time.perf_counter() - started
@@ -620,8 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for sweep points, optimizer generations and "
-        "fuzz cases (default 1); other commands run serially",
+        help="worker processes for sweep points and fuzz cases (default 1); "
+        "other commands run serially",
     )
     parser.add_argument(
         "--no-cache", action="store_true",

@@ -14,7 +14,7 @@ Three families, mirroring the tentpole spec:
   warm-vs-cold artifact + ledger parity through the :class:`ArtifactStore`,
   block-view moves vs VM re-execution after random layout moves, one
   result payload across the front doors (``build_case``, what-if, serve,
-  optimizer) with warm-started Eq. 7 fixpoints vs cold ones.
+  optimizer) with period edits vs cold sessions.
 
 Soundness oracles that depend on assumptions the paper itself makes are
 gated accordingly, so a violation is always an engine bug and never a
@@ -839,11 +839,10 @@ def oracle_front_doors(
     A fresh ``build_case``'s ``pipeline.payload()`` and a fresh
     :class:`~repro.analysis.whatif.WhatIfSession`'s state are equal as
     canonical JSON (the served and optimizer views are key projections
-    of that payload, so they follow).  Then the warm-start memo meets
-    cold starts: doubling the top task's period must equal a session
-    built cold at that period (Eq. 7 memo reset, sub-artifacts shared),
-    and restoring it must return the identical ``signature()`` (its
-    fixpoints warm-start from the doubled ones)."""
+    of that payload, so they follow).  Then an edited session meets a
+    cold one: doubling the top task's period must equal a session built
+    cold at that period (sub-artifacts shared), and restoring it must
+    return the identical ``signature()``."""
     from repro.analysis.whatif import Edit, WhatIfSession
     from repro.serve.protocol import canonical_json
 

@@ -2,8 +2,8 @@
 
 Searches code/data placement and page colors for a task set, minimizing
 system WCRT (or maximizing the critical scaling factor) under the CRPD
-analysis — the workload ROADMAP item 3 names as the heavy consumer of
-the what-if engine and the warm-pool batch backend.
+analysis.  Every candidate layout is scored through a what-if session
+(:mod:`repro.analysis.whatif`).
 """
 
 from repro.optimize.moves import MOVE_KINDS, SHIFT_STEPS, Move, MoveProposer

@@ -3,10 +3,9 @@
 One :func:`optimize` run searches, per cache budget (geometry), the
 space of :class:`~repro.program.layout.LayoutAssignment` placements:
 
-1. **Generation phase** — a seeded batch of random candidates fans out
-   through :func:`~repro.batch.engine.analyze_batch` on the shared
-   :class:`~repro.batch.pool.WarmPool` (one shipped context, cached
-   sub-artifacts); the best candidate seeds the local search.
+1. **Generation phase** — a seeded batch of random candidates, each
+   scored by a session jump like any neighbor; the best candidate seeds
+   the local search.
 2. **Restart 0** — greedy descent: accept only strictly improving
    neighbors, stop after *patience* proposals without improving the
    best-ever score.  With ``method="greedy"`` this is the whole search.
@@ -18,17 +17,17 @@ the same zero-temperature acceptance rule as a greedy run with the same
 seed, so ``anneal best <= greedy best <= baseline`` holds by
 construction (lower scores are better).
 
-Every neighbor is evaluated through a
+Every candidate and neighbor is evaluated through a
 :class:`~repro.analysis.whatif.WhatIfSession` jump
 (:meth:`~repro.analysis.whatif.WhatIfSession.set_assignment`): only the
-moved task's sim/flow sub-artifacts recompute, from its stored trace's
-block view at the new placement (the VM never re-runs, no event is
-relocated), and rejected moves revert warm out of the session's store.
-The move log records, for every visited layout,
-the assignment and its evaluation payload — byte-comparable against a
-cold :func:`analyze_batch` recomputation, which the equivalence suite
-pins.  Nothing in the log or the Pareto front carries timing, so a run
-is byte-reproducible from its seed.
+moved tasks' sim/flow sub-artifacts recompute, from their stored traces'
+block views at the new placement (the VM runs at most once per task,
+for the baseline), and rejected moves revert warm out of the session's
+store.  The move log records, for every visited layout, the assignment
+and its evaluation payload — byte-comparable against a cold, store-less
+pipeline run at that placement, which the equivalence suite pins.
+Nothing in the log or the Pareto front carries timing, so a run is
+byte-reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace as _dc_replace
 from random import Random
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.analysis.crpd import Approach
 from repro.analysis.sensitivity import critical_scaling_factor
@@ -49,9 +48,6 @@ from repro.obs import STATE as _OBS
 from repro.optimize.moves import MoveProposer
 from repro.optimize.pareto import pareto_front
 from repro.program.layout import LayoutAssignment, LayoutError
-
-if TYPE_CHECKING:
-    from repro.batch.pool import WarmPool
 
 METHODS = ("greedy", "anneal")
 OBJECTIVES = ("wcrt", "breakdown")
@@ -187,8 +183,6 @@ def optimize(
     patience: int = 25,
     cache_budgets=None,
     miss_penalty: "int | None" = None,
-    jobs: int = 1,
-    pool: "WarmPool | None" = None,
     store: "ArtifactStore | None" = None,
     budget=None,
 ) -> OptimizeOutcome:
@@ -256,8 +250,6 @@ def optimize(
                 restarts=restarts,
                 generation=generation,
                 patience=patience,
-                jobs=jobs,
-                pool=pool,
                 store=store,
                 budget=budget,
                 move_log=outcome.move_log,
@@ -298,8 +290,6 @@ def _optimize_budget(
     restarts,
     generation,
     patience,
-    jobs,
-    pool,
     store,
     budget,
     move_log,
@@ -317,8 +307,6 @@ def _optimize_budget(
         restarts=restarts,
         generation=generation,
         patience=patience,
-        jobs=jobs,
-        pool=pool,
         move_log=move_log,
     )
 
@@ -349,8 +337,6 @@ def _search(
     restarts,
     generation,
     patience,
-    jobs,
-    pool,
     move_log,
 ) -> BudgetOutcome:
     counters = _OBS.metrics if _OBS.enabled else None
@@ -387,12 +373,11 @@ def _search(
     best_payload = baseline_payload
     best_assignment = baseline_assignment
 
-    # -- generation phase: seeded random candidates through the batch
-    # engine (experiments + wcrt objective only; the breakdown objective
-    # needs the live analyzer, and the batch engine speaks experiments).
+    # -- generation phase: seeded random candidates, each scored by a
+    # session jump.  Only experiments under the wcrt objective generate:
+    # the gate predates scoring through the session, and keeping it keeps
+    # every seeded move log byte-identical.
     if exp_spec is not None and objective == "wcrt" and generation > 1:
-        from repro.batch.engine import SweepPoint, analyze_batch
-
         rng = Random(f"optimize:{seed}:{budget_index}:gen")
         candidates = []
         wanted = min(generation - 1, max(0, eval_cap - evals))
@@ -407,32 +392,22 @@ def _search(
                 candidate = move.assignment
             if candidate != baseline_assignment and candidate not in candidates:
                 candidates.append(candidate)
-        if candidates:
-            batch = analyze_batch(
-                [
-                    SweepPoint(
-                        experiment=exp_spec.key, cache=cache, layout=candidate
-                    )
-                    for candidate in candidates
-                ],
-                jobs=jobs,
-                pool=pool,
+        for candidate in candidates:
+            result = session.set_assignment(candidate, label="generation")
+            payload = evaluation_payload(result.payload)
+            score = _score(session, payload, objective, approach, periods)
+            evals += 1
+            improved = score < best_score
+            if improved:
+                best_score = score
+                best_payload = payload
+                best_assignment = candidate
+            log_entry(
+                "generation", "generation", candidate, payload, score,
+                improved, restart=None,
             )
-            for candidate, point_result in zip(candidates, batch.results):
-                payload = evaluation_payload(point_result.payload)
-                score = _score(session, payload, objective, approach, periods)
-                evals += 1
-                improved = score < best_score
-                if improved:
-                    best_score = score
-                    best_payload = payload
-                    best_assignment = candidate
-                log_entry(
-                    "generation", "generation", candidate, payload, score,
-                    improved, restart=None,
-                )
-                if counters:
-                    counters.counter("optimize.evals").inc()
+            if counters:
+                counters.counter("optimize.evals").inc()
 
     # -- local search restarts ----------------------------------------
     # Temperature scale: a few percent of the baseline WCRT mass, so

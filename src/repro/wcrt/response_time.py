@@ -169,7 +169,6 @@ def compute_task_wcrt(
     stop_at_deadline: bool = True,
     budget: "AnalysisBudget | None" = None,
     ledger: DegradationLedger | None = None,
-    initial_window: int | None = None,
 ) -> WCRTResult:
     """Iterate Equation 7 for one task until fixpoint or deadline overrun.
 
@@ -200,16 +199,6 @@ def compute_task_wcrt(
     (``max_wcrt_iterations``); exhausting it with ``U < 1`` yields a
     ``diverged`` result carrying the closed-form fixpoint bound and a
     ledger entry, or, in strict mode, a raised :class:`DivergenceError`.
-
-    ``initial_window`` warm-starts the busy-window iteration from a prior
-    fixpoint instead of ``Ci``.  The recurrence's right-hand side is
-    monotone in ``w``, so iterating from any start *at or below the least
-    fixpoint* converges to exactly the same fixpoint as the cold start —
-    the caller must guarantee that bound (the incremental what-if engine
-    does so by only warm-starting when the new recurrence dominates the
-    one that produced the old fixpoint pointwise; see
-    ``docs/performance.md``).  Starts below ``Ci`` are clamped up to
-    ``Ci``, matching the cold first iterate.
     """
     task = system.task(name)
     interferers = system.higher_priority(name)
@@ -242,8 +231,6 @@ def compute_task_wcrt(
     # Iterate on the busy window w; the response time is w + own jitter.
     with _OBS.tracer.span("wcrt.task", task=task.name) as span:
         window = task.wcet
-        if initial_window is not None and initial_window > window:
-            window = initial_window
         history = [window + task.jitter]
         # U is tested at most once: where the window first passes the
         # deadline, or where the rounds run out.

@@ -1,12 +1,12 @@
 """Fuzz-bank oracle for the optimizer's incremental evaluations.
 
-Every layout the optimizer visits is scored through a warm
-:class:`~repro.analysis.whatif.WhatIfSession` jump (or the warm-pool
-batch engine during the generation phase).  This suite replays each
-visited assignment through a *cold* :func:`~repro.batch.analyze_batch`
-call — fresh store, no session state — and asserts the evaluation
-payloads are byte-identical.  That is the soundness contract that lets
-the search trust its cheap evaluations.
+Every layout the optimizer visits, generation candidates included, is
+scored through a warm :class:`~repro.analysis.whatif.WhatIfSession`
+jump.  This suite replays each visited assignment through a *cold*
+:func:`~repro.analysis.pipeline.run_pipeline` call — no store, no
+session state — and asserts the evaluation payloads are byte-identical.
+That is the soundness contract that lets the search trust its cheap
+evaluations.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import json
 
 import pytest
 
+import repro.analysis.artifacts as artifacts
+from repro.analysis.pipeline import resolve_system, run_pipeline
 from repro.analysis.store import ArtifactStore
 from repro.analysis.whatif import WhatIfSession
 from repro.batch import SweepPoint, analyze_batch
@@ -65,20 +67,16 @@ class TestColdRecomputationOracle:
 
     def test_every_visited_layout_round_trips_cold(self, run):
         outcome, config = run
-        entries = visited(outcome)
-        points = [
-            SweepPoint(
-                experiment="exp1",
+        for entry in visited(outcome):
+            # Cold: no store, no session, the VM runs at this placement.
+            placed = resolve_system(
+                "exp1",
                 cache=config,
-                layout=LayoutAssignment.from_dict(entry["assignment"]),
+                assignment=LayoutAssignment.from_dict(entry["assignment"]),
             )
-            for entry in entries
-        ]
-        # Cold: no shared store, no warm pool, fresh everything.
-        batch = analyze_batch(points)
-        for entry, point_result in zip(entries, batch.results):
+            payload = run_pipeline(placed).payload()
             warm = json.dumps(entry["eval"], sort_keys=True)
-            cold = json.dumps(evaluation_payload(point_result.payload), sort_keys=True)
+            cold = json.dumps(evaluation_payload(payload), sort_keys=True)
             assert warm == cold, f"divergence at move {entry['move']!r}"
 
     def test_baseline_assignment_matches_the_default_placement(self, run):
@@ -91,3 +89,26 @@ class TestColdRecomputationOracle:
         assert json.dumps(baseline["eval"], sort_keys=True) == json.dumps(
             evaluation_payload(plain.payload), sort_keys=True
         )
+
+
+class TestGenerationReadsStoredTraces:
+    def test_optimizer_runs_the_vm_once_per_task(self, monkeypatch):
+        """Generation candidates are session jumps: across every cache
+        budget the VM runs only for the baseline session's tasks."""
+        calls = []
+        measure = artifacts.measure_wcet_detailed
+
+        def counting(layout, *args, **kwargs):
+            calls.append(layout.program.name)
+            return measure(layout, *args, **kwargs)
+
+        monkeypatch.setattr(artifacts, "measure_wcet_detailed", counting)
+        WhatIfSession("exp1", store=ArtifactStore(directory=None)).result()
+        baseline = list(calls)
+        assert len(baseline) == len(resolve_system("exp1").tasks)
+        calls.clear()
+        outcome = optimize(
+            "exp1", seed=3, budget_evals=24, generation=4, patience=6
+        )
+        assert any(e["kind"] == "generation" for e in outcome.move_log)
+        assert calls == baseline

@@ -11,7 +11,6 @@ from repro.analysis.store import ArtifactStore
 from repro.analysis.whatif import (
     Edit,
     WhatIfSession,
-    _warm_start_sound,
     check_edit_conflicts,
     parse_edit,
 )
@@ -26,8 +25,6 @@ from repro.fuzz.spec import (
     TaskDef,
 )
 from repro.obs import observed
-from repro.wcrt.response_time import WCRTResult
-from repro.wcrt.task import TaskSpec
 
 
 def small_spec() -> SystemSpec:
@@ -140,38 +137,32 @@ class TestInvalidationAccounting:
         with WhatIfSession(small_spec()) as session:
             base = session.result()
             assert base.label == "base"
-            # A cold base invalidates every node: 2 tasks x 4 stages,
-            # 1 pair, 4 approaches x 2 tasks of WCRT fixpoints.
+            # A cold base invalidates every node: 2 tasks x 4 stages and
+            # 1 pair.  Eq. 7 is no graph node: every state runs it cold.
             for stage in ("trace", "sim", "flow", "paths", "task"):
                 assert base.invalidated[stage] == 2
                 assert base.reused[stage] == 0
             assert base.invalidated["pair"] == 1
-            assert base.invalidated["wcrt"] == 8
+            assert set(base.invalidated) == set(base.reused) == {
+                "trace", "sim", "flow", "paths", "task", "pair"
+            }
 
             state = session.apply("penalty=40")
             # Penalty touches costs only: the whole sub-artifact layer is
             # answered from the session store; the task assembly memo
-            # (config-keyed) and every WCRT fixpoint recompute.
+            # (config-keyed) recomputes.
             for stage in ("trace", "sim", "flow", "paths"):
                 assert state.reused[stage] == 2
             assert state.invalidated["task"] == 2
             assert state.invalidated["pair"] == 0
-            assert state.invalidated["wcrt"] == 8
-            # Penalty up means the recurrence grew pointwise for the
-            # top task (no interferers), whose 4 fixpoints warm-start.
-            assert state.warm_started >= 4
 
             doubled = state.periods["t1"] * 2
             state = session.apply(f"period:t1={doubled}")
-            # A low-priority period edit leaves the artifact graph and
-            # every other task's fixpoints untouched.
+            # A period edit leaves the whole artifact graph untouched.
             assert state.invalidated["task"] == 0
             assert state.invalidated["pair"] == 0
-            assert state.invalidated["wcrt"] == 4
-            assert state.reused["wcrt"] == 4
-            # t1's busy-window recurrence is unchanged by its own period,
-            # so all 4 recomputed nodes restart from their own fixpoint.
-            assert state.warm_started == 4
+            assert state.reused["task"] == 2
+            assert state.reused["pair"] == 1
 
     def test_whatif_span_and_counters(self):
         with observed() as (tracer, metrics):
@@ -189,47 +180,7 @@ class TestInvalidationAccounting:
         counters = metrics.to_dict()["counters"]
         assert counters["whatif.edits"] == 2
         assert counters["whatif.reused.trace"] == 2
-        assert counters["whatif.invalidated.wcrt"] == 16
-
-
-class TestWarmStartGuard:
-    OLD = (10, 100, 0, 7, (("a", 50, 2, 30),))
-
-    def _memo(self, converged: bool = True) -> dict:
-        task = TaskSpec(name="t", wcet=10, period=100, priority=1)
-        return {
-            "result": WCRTResult(
-                task=task, wcrt=40, converged=converged, schedulable=True
-            )
-        }
-
-    def sound(self, new_sig, converged: bool = True) -> bool:
-        return _warm_start_sound(self.OLD, new_sig, self._memo(converged))
-
-    def test_pointwise_dominance_is_required(self):
-        assert self.sound(self.OLD)  # identity dominates
-        assert self.sound((12, 100, 0, 7, (("a", 50, 2, 30),)))  # wcet up
-        assert self.sound((10, 100, 0, 7, (("a", 40, 2, 30),)))  # period down
-        assert self.sound((10, 100, 0, 7, (("a", 50, 3, 30),)))  # jitter up
-        assert self.sound((10, 100, 0, 7, (("a", 50, 2, 45),)))  # cost up
-        # Own period/jitter don't appear in the busy-window recurrence.
-        assert self.sound((10, 60, 5, 7, (("a", 50, 2, 30),)))
-
-    def test_any_shrinking_term_blocks_the_warm_start(self):
-        assert not self.sound((9, 100, 0, 7, (("a", 50, 2, 30),)))
-        assert not self.sound((10, 100, 0, 7, (("a", 60, 2, 30),)))
-        assert not self.sound((10, 100, 0, 7, (("a", 50, 1, 30),)))
-        assert not self.sound((10, 100, 0, 7, (("a", 50, 2, 29),)))
-
-    def test_interferer_set_must_be_identical(self):
-        assert not self.sound((10, 100, 0, 7, (("b", 50, 2, 30),)))
-        assert not self.sound((10, 100, 0, 7, ()))
-        assert not self.sound(
-            (10, 100, 0, 7, (("a", 50, 2, 30), ("b", 50, 2, 30)))
-        )
-
-    def test_diverged_windows_are_not_fixpoints(self):
-        assert not self.sound(self.OLD, converged=False)
+        assert counters["whatif.invalidated.task"] == 4
 
 
 class TestSweepJsonTelemetry:
@@ -293,8 +244,9 @@ class TestWhatIfCli:
         ]
         assert states[1]["config"]["miss_penalty"] == 40
         assert states[2]["periods"]["t0"] == 50000
-        assert states[0]["invalidated"]["wcrt"] == 8
+        assert states[0]["invalidated"]["task"] == 2
         assert states[2]["invalidated"]["pair"] == 0
+        assert "warm_started" not in states[0]
         for state in states:
             assert state["elapsed_seconds"] > 0.0
             assert set(state["schedulable"]) == {"1", "2", "3", "4"}
