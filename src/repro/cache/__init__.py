@@ -7,7 +7,6 @@ from repro.cache.state import AccessResult, CacheState, CacheStats
 from repro.cache.ciip import (
     CIIP,
     conflict_bound,
-    conflict_bound_naive,
     conflict_bound_per_set,
     line_usage_bound,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "AccessResult",
     "CIIP",
     "conflict_bound",
-    "conflict_bound_naive",
     "conflict_bound_per_set",
     "line_usage_bound",
     "SetCounts",

@@ -109,31 +109,14 @@ def conflict_bound(a: CIIP, b: CIIP) -> int:
     Both partitions must share the same cache geometry.  Returns
     ``S(Ma, Mb)`` — the maximum number of cache lines used by blocks of
     ``a`` that blocks of ``b`` can evict (and vice versa).  Evaluated with
-    the per-set counter kernel; :func:`conflict_bound_naive` is the
-    reference set-algebra formulation the equivalence tests pin it to.
+    the per-set counter kernel; ``tests/oracles/ciip.py`` holds the
+    set-algebra formulation the equivalence tests pin it to.
     """
     if a.config != b.config:
         raise ConfigError("CIIPs built for different cache configurations")
     if _OBS.enabled:
         _OBS.metrics.counter("kernels.conflict_bound.kernel").inc()
     return conflict_kernel(a.set_counts, b.set_counts, a.config.ways)
-
-
-def conflict_bound_naive(a: CIIP, b: CIIP) -> int:
-    """Reference implementation of :func:`conflict_bound` via set algebra.
-
-    Kept as the executable specification: intersects the index sets and
-    takes group lengths per call, exactly as Equation 2 is written.  The
-    property tests assert ``conflict_bound == conflict_bound_naive`` on
-    randomized partitions.
-    """
-    if a.config != b.config:
-        raise ConfigError("CIIPs built for different cache configurations")
-    if _OBS.enabled:
-        _OBS.metrics.counter("kernels.conflict_bound.naive").inc()
-    ways = a.config.ways
-    shared = a.indices() & b.indices()
-    return sum(min(len(a.group(r)), len(b.group(r)), ways) for r in shared)
 
 
 def conflict_bound_per_set(a: CIIP, b: CIIP) -> dict[int, int]:

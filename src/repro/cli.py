@@ -14,9 +14,6 @@ Commands:
   (``exp1``/``exp2`` or a fuzz spec JSON), apply single-field edits and
   re-analyse only what each edit invalidated (see ``docs/performance.md``).
 * ``obs``       — observability utilities (``obs summarize trace.jsonl``).
-* ``fuzz``      — differential fuzzing campaign (``fuzz run``), single-case
-  replay (``fuzz replay``) and counterexample minimization
-  (``fuzz shrink``); see ``docs/fuzzing.md``.
 * ``serve``     — long-lived multi-tenant analysis daemon over the warm
   pool: ``POST /v1/analyze``, ``GET /v1/jobs/<id>``, ``POST /v1/compare``,
   per-client quotas and graceful shedding (see ``docs/serving.md``).
@@ -437,55 +434,6 @@ def cmd_obs_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Mirrors ``repro.fuzz.shrink.PLANTED`` without importing the fuzz package
-#: at parser-build time (cli keeps all subsystem imports lazy).
-PLANTED_NAMES = ("loop", "store")
-
-
-def _parse_shard(text: str) -> tuple[int, int]:
-    from repro.errors import ConfigError
-
-    try:
-        index_text, count_text = text.split("/", 1)
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise ConfigError(f"--shard must look like i/n, got {text!r}") from None
-    if count < 1 or not 0 <= index < count:
-        raise ConfigError(f"shard {index}/{count} out of range")
-    return index, count
-
-
-def _fuzz_budget(args: argparse.Namespace):
-    from repro.guard.budget import AnalysisBudget
-
-    return AnalysisBudget(
-        max_paths=args.max_paths,
-        max_wcrt_iterations=args.max_iterations,
-        max_sim_steps=2_000_000,
-        wall_clock_seconds=args.time_budget,
-        strict=args.strict,
-    )
-
-
-def cmd_fuzz_run(args: argparse.Namespace) -> int:
-    from repro.fuzz.runner import run_campaign
-
-    shard_index, shard_count = _parse_shard(args.shard)
-    result = run_campaign(
-        seed=args.seed,
-        cases=args.cases,
-        jobs=args.jobs,
-        shard_index=shard_index,
-        shard_count=shard_count,
-        corpus_dir=args.corpus,
-        budget=_fuzz_budget(args),
-        oracle_names=args.oracles,
-        report=lambda line: print(line, file=sys.stderr),
-    )
-    print(result.summary())
-    return 1 if result.failures else 0
-
-
 def _load_spec(path: str):
     import json
 
@@ -501,67 +449,6 @@ def _load_spec(path: str):
         raise ConfigError(f"spec {path!r} is not valid JSON: {error}") from error
     # Accept both a bare spec and a corpus failure entry wrapping one.
     return SystemSpec.from_json(payload.get("spec", payload))
-
-
-def cmd_fuzz_replay(args: argparse.Namespace) -> int:
-    from repro.fuzz.runner import run_one_case
-
-    spec = _load_spec(args.spec) if args.spec else None
-    violations = run_one_case(
-        args.seed,
-        args.index,
-        budget=_fuzz_budget(args),
-        oracle_names=args.oracles,
-        spec=spec,
-    )
-    for violation in violations:
-        print(violation)
-    source = args.spec or f"seed {args.seed} case {args.index}"
-    if violations:
-        print(f"{source}: {len(violations)} violation(s)")
-        return 1
-    print(f"{source}: ok")
-    return 0
-
-
-def cmd_fuzz_shrink(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError
-    from repro.fuzz.build import cfg_node_count
-    from repro.fuzz.generator import case_from_seed
-    from repro.fuzz.shrink import (
-        PLANTED,
-        planted_predicate,
-        shrink_case,
-        violation_predicate,
-        write_artifacts,
-    )
-
-    budget = _fuzz_budget(args)
-    spec = (
-        _load_spec(args.spec) if args.spec else case_from_seed(args.seed, args.index)
-    )
-    if args.planted is not None:
-        predicate = planted_predicate(args.planted, budget=budget)
-        # Planted doubles are shrinker self-tests: the emitted artifacts
-        # replay the real oracle bank, which the minimized case passes.
-        oracle_names = None
-    else:
-        predicate = violation_predicate(args.oracles, budget=budget)
-        oracle_names = args.oracles
-    try:
-        result = shrink_case(spec, predicate)
-    except ValueError as error:
-        raise ConfigError(str(error)) from None
-    print(
-        f"shrunk weight {result.weight_before} -> {result.weight_after} "
-        f"({result.rounds} round(s), {result.attempts} candidate(s)); "
-        f"{cfg_node_count(spec)} -> {result.cfg_nodes} CFG node(s)"
-    )
-    for kind, path in write_artifacts(
-        args.out, result, args.seed, args.index, oracle_names
-    ).items():
-        print(f"  {kind}: {path}")
-    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -617,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for sweep points and fuzz cases (default 1); "
+        help="worker processes for sweep points (default 1); "
         "other commands run serially",
     )
     parser.add_argument(
@@ -821,70 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_summarize.add_argument("trace", help="trace file from --trace-out")
     p_summarize.set_defaults(func=cmd_obs_summarize)
-
-    p_fuzz = sub.add_parser(
-        "fuzz", help="differential fuzzing campaign (see docs/fuzzing.md)"
-    )
-    fuzz_sub = p_fuzz.add_subparsers(dest="fuzz_command", required=True)
-
-    p_fz_run = fuzz_sub.add_parser(
-        "run", help="run a seeded campaign over random systems"
-    )
-    p_fz_run.add_argument("--cases", type=int, default=1000, metavar="N",
-                          help="cases in the campaign (default: 1000)")
-    p_fz_run.add_argument("--seed", type=int, default=0,
-                          help="campaign seed (default: 0)")
-    p_fz_run.add_argument(
-        "--shard", default="0/1", metavar="I/N",
-        help="run only shard I of N (case indices I, I+N, ...; default 0/1)",
-    )
-    p_fz_run.add_argument(
-        "--corpus", metavar="DIR", default=None,
-        help="resumable corpus directory: progress stamps + failing specs",
-    )
-    p_fz_run.add_argument(
-        "--oracles", nargs="*", metavar="NAME", default=None,
-        help="restrict to these oracles (default: all)",
-    )
-    p_fz_run.set_defaults(func=cmd_fuzz_run)
-
-    p_fz_replay = fuzz_sub.add_parser(
-        "replay", help="re-run one case and print its violations"
-    )
-    p_fz_replay.add_argument("--seed", type=int, default=0)
-    p_fz_replay.add_argument("--index", type=int, default=0,
-                             help="case index within the seed stream")
-    p_fz_replay.add_argument(
-        "--spec", metavar="FILE", default=None,
-        help="replay a saved spec (corpus fail-*.json or shrunk *.spec.json) "
-        "instead of regenerating from seed/index",
-    )
-    p_fz_replay.add_argument("--oracles", nargs="*", metavar="NAME",
-                             default=None)
-    p_fz_replay.set_defaults(func=cmd_fuzz_replay)
-
-    p_fz_shrink = fuzz_sub.add_parser(
-        "shrink", help="minimize a failing case by delta debugging"
-    )
-    p_fz_shrink.add_argument("--seed", type=int, default=0)
-    p_fz_shrink.add_argument("--index", type=int, default=0,
-                             help="case index within the seed stream")
-    p_fz_shrink.add_argument(
-        "--spec", metavar="FILE", default=None,
-        help="shrink a saved spec instead of regenerating from seed/index",
-    )
-    p_fz_shrink.add_argument("--oracles", nargs="*", metavar="NAME",
-                             default=None)
-    p_fz_shrink.add_argument(
-        "--planted", choices=sorted(PLANTED_NAMES), default=None,
-        help="shrink against a deliberately unsound oracle double "
-        "(shrinker self-test)",
-    )
-    p_fz_shrink.add_argument(
-        "--out", metavar="DIR", default="fuzz-out",
-        help="directory for spec/repro-script/pytest-stub artifacts",
-    )
-    p_fz_shrink.set_defaults(func=cmd_fuzz_shrink)
 
     p_serve = sub.add_parser(
         "serve",

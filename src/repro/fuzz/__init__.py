@@ -1,31 +1,21 @@
-"""Differential fuzzing and counterexample minimization.
-
-The campaign machinery lives in five modules:
+"""Serializable whole-system specs, their seeded generator and builder.
 
 * :mod:`repro.fuzz.spec` — serializable case descriptions (whole random
-  systems: programs, cache geometry, periods/jitter, preemption points).
+  systems: programs, cache geometry, periods/jitter, preemption points);
+  :class:`SystemSpec` is the input format of serve, what-if, the
+  optimizer and the pipeline.
 * :mod:`repro.fuzz.generator` — the seeded draw functions that produce
-  specs.  One generator serves both the campaign runner (backed by
+  specs.  One generator serves both the fuzz campaign (backed by
   :class:`random.Random`) and the Hypothesis property tests (backed by a
   ``draw`` adapter), so the two can't drift apart.
-* :mod:`repro.fuzz.oracles` — the oracle bank: soundness, paper
-  invariants, and engine-differential checks run on each built case.
-* :mod:`repro.fuzz.runner` — the sharded, resumable campaign runner.
-* :mod:`repro.fuzz.shrink` — the delta-debugging minimizer and its
-  repro-script / pytest-stub emitters.
+* :mod:`repro.fuzz.build` — a spec to a fully analysed, simulatable case.
 
-See ``docs/fuzzing.md`` for the reproducibility contract.
+The campaign itself (oracle bank, runner, shrinker) lives in
+``tests/fuzz``; see ``docs/fuzzing.md``.
 """
 
+from repro.fuzz.build import build_case
 from repro.fuzz.generator import RandomDraw, case_from_seed, draw_case
-from repro.fuzz.oracles import (
-    ORACLES,
-    Violation,
-    build_case,
-    run_oracles,
-)
-from repro.fuzz.runner import CampaignResult, run_campaign
-from repro.fuzz.shrink import ShrinkResult, shrink_case
 from repro.fuzz.spec import (
     BranchSpec,
     CacheSpec,
@@ -37,22 +27,15 @@ from repro.fuzz.spec import (
 )
 
 __all__ = [
-    "ORACLES",
     "BranchSpec",
     "CacheSpec",
-    "CampaignResult",
     "LoopSpec",
     "MemSpec",
     "ProgramSpec",
     "RandomDraw",
-    "ShrinkResult",
     "SystemSpec",
     "TaskDef",
-    "Violation",
     "build_case",
     "case_from_seed",
     "draw_case",
-    "run_campaign",
-    "run_oracles",
-    "shrink_case",
 ]

@@ -2,20 +2,10 @@
 
 from repro.sched.events import EventKind, JobRecord, SchedulerEvent
 from repro.sched.gantt import render_gantt
-from repro.sched.measurement import (
-    PreemptionMeasurement,
-    PreemptionStudy,
-    measure_preemption,
-    run_preemption_study,
-)
 from repro.sched.simulator import SimulationResult, Simulator, TaskBinding
 
 __all__ = [
     "render_gantt",
-    "PreemptionMeasurement",
-    "PreemptionStudy",
-    "measure_preemption",
-    "run_preemption_study",
     "EventKind",
     "JobRecord",
     "SchedulerEvent",

@@ -68,7 +68,7 @@ def _jitter_offset(max_jitter: int, job_index: int) -> int:
 
 # ----------------------------------------------------------------------
 # Scheduler queues: O(log n) heaps.  The original linear scans survive as
-# the executable specification in ``repro.fuzz.oracles.ScanSimulator``;
+# the executable specification in ``tests/oracles/scheduler.py``;
 # the heap_vs_scan oracle and the equivalence tests assert both produce
 # identical event streams.
 #

@@ -2,12 +2,33 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cache import CacheConfig, CacheState
 from repro.program import ProgramBuilder, SystemLayout
 from repro.analysis import analyze_task
 from repro.vm.trace import _KIND_CODES, CompactTrace, TraceColumns
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_from_root(*argv: str) -> subprocess.CompletedProcess:
+    """``python ARGV`` from the repo root with src/ and the root on the
+    path, the way ``docs/fuzzing.md`` runs the fuzz campaign."""
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(["src", str(ROOT)])),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
 
 
 @pytest.fixture

@@ -17,21 +17,25 @@ Pinned here (and documented in docs/fuzzing.md):
 from __future__ import annotations
 
 import json
+import shlex
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.errors import ConfigError
 from repro.fuzz.build import build_case, cfg_node_count
 from repro.fuzz.generator import case_from_seed
-from repro.fuzz.runner import (
+from repro.fuzz.spec import CacheSpec, SystemSpec, spec_weight
+
+from tests.conftest import run_from_root
+from tests.fuzz.oracles import ORACLES, Violation, run_oracles
+from tests.fuzz.runner import (
     CaseFailure,
     replay_command,
     run_campaign,
     run_one_case,
     shard_indices,
 )
-from repro.fuzz.oracles import ORACLES, Violation, run_oracles
-from repro.fuzz.spec import CacheSpec, SystemSpec, spec_weight
 
 
 class TestDeterminism:
@@ -113,9 +117,48 @@ class TestRunner:
         )
         payload = failure.to_json()
         assert payload["replay"] == replay_command(4, 17) == (
-            "repro fuzz replay --seed 4 --index 17"
+            "python -m tests.fuzz replay --seed 4 --index 17"
         )
         assert SystemSpec.from_json(payload["spec"]) == failure.spec
+
+
+class TestCommandLine:
+    def test_printed_replay_line_runs(self):
+        """The line a failure prints is a working command as written."""
+        python, *argv = shlex.split(replay_command(4, 17))
+        assert python == "python" and argv[:2] == ["-m", "tests.fuzz"]
+        done = run_from_root(*argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().endswith("ok")
+
+    def test_run_records_progress(self, tmp_path):
+        done = run_from_root(
+            "-m", "tests.fuzz",
+            "run", "--cases", "3", "--seed", "4", "--corpus", str(tmp_path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert "3 case(s)" in done.stdout and "ok" in done.stdout
+        progress = json.loads((tmp_path / "progress-4-0of1.json").read_text())
+        assert progress["completed"] == 3
+        assert (progress["seed"], progress["shard_count"]) == (4, 1)
+
+    def test_campaign_imports_neither_pytest_nor_hypothesis(self):
+        """CI's fuzz jobs install neither, so blocking both must not
+        break any module of the campaign or of the references."""
+        done = run_from_root("-c", (
+            "import importlib, pkgutil, sys\n"
+            "sys.modules['pytest'] = sys.modules['hypothesis'] = None\n"
+            "for name in ('tests.fuzz', 'tests.oracles'):\n"
+            "    package = importlib.import_module(name)\n"
+            "    for info in pkgutil.iter_modules(package.__path__):\n"
+            "        importlib.import_module(f'{name}.{info.name}')\n"
+        ))
+        assert done.returncode == 0, done.stderr
+
+    def test_product_cli_has_no_fuzz_group(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(["fuzz", "run"])
+        assert exit_info.value.code == 2
 
 
 class TestOracleBank:
@@ -145,7 +188,7 @@ class TestOracleBank:
         """The period rescaling makes every approach meet both an
         overloaded (``unbounded``) and a converging recurrence, and the
         three-round runs trip into ``diverged`` bounds."""
-        from repro.fuzz import oracles
+        from tests.fuzz import oracles
 
         seen = set()
         original = oracles.compute_task_wcrt

@@ -1,8 +1,8 @@
 """Minimized regressions from the differential fuzzing campaign.
 
-Each spec below was found by ``repro fuzz run``, root-caused, fixed, and
-minimized by ``repro fuzz shrink`` (the JSON is the shrinker's output,
-committed verbatim).  Keep these green: they are the smallest known
+Each spec below was found by ``python -m tests.fuzz run``, root-caused,
+fixed, and minimized by ``python -m tests.fuzz shrink`` (the JSON is the
+shrinker's output, committed verbatim).  Keep these green: they are the smallest known
 systems that distinguished a sound engine from an unsound one.
 """
 
@@ -14,8 +14,9 @@ from dataclasses import replace
 from repro.analysis.artifacts import analyze_task
 from repro.analysis.wcet import static_wcet_bound
 from repro.fuzz.build import build_case, scenarios_for
-from repro.fuzz.runner import run_one_case
 from repro.fuzz.spec import SystemSpec
+
+from tests.fuzz.runner import run_one_case
 
 # Campaign seed 4, case 8, shrunk from weight 452 to 37 (4 CFG nodes):
 # one single-word storing sweep on a one-line write-back cache.

@@ -12,8 +12,9 @@ from repro.analysis import ALL_APPROACHES, Approach, CRPDAnalyzer, analyze_task
 from repro.cache import CacheConfig, CacheState
 from repro.program import ProgramBuilder, SystemLayout
 from repro.sched import Simulator, TaskBinding
-from repro.vm import Machine
 from repro.wcrt import TaskSpec, TaskSystem, compute_system_wcrt
+
+from tests.oracles.measurement import measure_preemption
 
 
 def make_stream(name, words, reps):
@@ -126,26 +127,14 @@ class TestMeasuredReloadBound:
         # to completion on the shared cache, then finish the low task and
         # count how many of its evicted-and-reused blocks reload.
         for preempt_step in (40, 160, 400, 900):
-            cache = CacheState(config)
-            machine = Machine(layout=low_layout, cache=cache)
-            machine.write_array("data", low_inputs["data"])
-            steps = 0
-            while not machine.halted and steps < preempt_step:
-                machine.step()
-                steps += 1
-            if machine.halted:
+            measurement = measure_preemption(
+                low_layout, low_inputs, high_layout, high_inputs,
+                lambda: CacheState(config), preempt_step,
+                victim_footprint=low_art.footprint,
+            )
+            if measurement is None:
                 continue
-            resident_before = cache.resident_blocks() & low_art.footprint
-            intruder = Machine(layout=high_layout, cache=cache)
-            intruder.write_array("data", high_inputs["data"])
-            intruder.run()
-            evicted = resident_before - cache.resident_blocks()
-            reloaded: set[int] = set()
-            while not machine.halted:
-                before = cache.resident_blocks()
-                machine.step()
-                reloaded |= (cache.resident_blocks() - before) & evicted
-            measured = len(reloaded)
+            measured = measurement.reloaded
             for approach in ALL_APPROACHES:
                 bound = crpd.lines_reloaded("low", "high", approach)
                 assert measured <= bound, (preempt_step, approach)

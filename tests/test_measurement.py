@@ -5,7 +5,8 @@ import pytest
 from repro.analysis import ALL_APPROACHES, CRPDAnalyzer, analyze_task
 from repro.cache import CacheConfig, CacheState
 from repro.program import ProgramBuilder, SystemLayout
-from repro.sched import measure_preemption, run_preemption_study
+
+from tests.oracles.measurement import measure_preemption, run_preemption_study
 
 
 def build_stream(name, words, reps):
@@ -113,7 +114,7 @@ class TestMeasurePreemption:
             assert study.worst_reloaded <= bound, approach
 
     def test_empty_study(self):
-        from repro.sched.measurement import PreemptionStudy
+        from tests.oracles.measurement import PreemptionStudy
 
         study = PreemptionStudy()
         assert study.worst_reloaded == 0

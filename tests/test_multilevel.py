@@ -13,7 +13,8 @@ from repro.analysis.wcet import measure_wcet
 from repro.cache import CacheConfig, HierarchyConfig, MemoryHierarchy
 from repro.errors import ConfigError
 from repro.program import ProgramBuilder, SystemLayout
-from repro.vm import Machine
+
+from tests.oracles.measurement import measure_preemption
 
 
 def hierarchy():
@@ -129,24 +130,13 @@ class TestEmpiricalSoundness:
         low_inputs = analyzed["scenarios"]["low"]["d"]
         high_inputs = analyzed["scenarios"]["high"]["d"]
 
-        def run_low(preempt_at: int | None) -> int:
-            stack = MemoryHierarchy(h)
-            machine = Machine(layout=low_layout, cache=stack)
-            machine.write_array("data", low_inputs["data"])
-            steps = 0
-            while not machine.halted:
-                machine.step()
-                steps += 1
-                if preempt_at is not None and steps == preempt_at:
-                    intruder = Machine(layout=high_layout, cache=stack)
-                    intruder.write_array("data", high_inputs["data"])
-                    intruder.run()
-            return machine.cycles
-
-        baseline = run_low(None)
         for preempt_at in (30, 120, 400):
-            preempted_cycles = run_low(preempt_at)
-            extra = preempted_cycles - baseline
+            measurement = measure_preemption(
+                low_layout, low_inputs, high_layout, high_inputs,
+                lambda: MemoryHierarchy(h), preempt_at,
+            )
+            assert measurement is not None
+            extra = measurement.extra_cycles
             for approach in ALL_APPROACHES:
                 bound = crpd.cpre("low", "high", approach)
                 assert extra <= bound, (preempt_at, approach, extra, bound)

@@ -22,18 +22,19 @@ import pytest
 from repro.analysis import analyze_task, max_path_conflict_pruned
 from repro.analysis.store import ArtifactStore
 from repro.cache import CacheConfig, CacheState, CIIP
-from repro.cache.ciip import conflict_bound, conflict_bound_naive
+from repro.cache.ciip import conflict_bound
 from repro.cache.kernels import dense_from_ciip_counts
 from repro.experiments import EXPERIMENT_I_SPEC, EXPERIMENT_II_SPEC, build_context
-from repro.fuzz.oracles import ScanSimulator
 from repro.guard.budget import AnalysisBudget
 from repro.guard.ledger import DegradationLedger
 from repro.program import ProgramBuilder, SystemLayout
 from repro.sched.simulator import Simulator
 from repro.workloads import build_workload, workload_names
 
+from tests.oracles.ciip import conflict_bound_naive
 from tests.oracles.pathcost import approach4_lines as enumerated_approach4
 from tests.oracles.pathcost import max_path_conflict
+from tests.oracles.scheduler import ScanSimulator
 
 KERNEL_CASES = 120
 PRUNE_CASES = 60

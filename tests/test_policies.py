@@ -12,6 +12,8 @@ from repro.cache import (
 )
 from repro.cache.policies import FIFOSet, LRUSet, PLRUSet, make_set_policy
 
+from tests.oracles.measurement import measure_preemption
+
 
 class TestFactory:
     def test_known_policies(self):
@@ -170,7 +172,6 @@ def test_analysis_pipeline_runs_under_every_policy(case):
     and measured reloads stay below the Approach-4 bound."""
     from repro.analysis import Approach, CRPDAnalyzer, analyze_task
     from repro.program import ProgramBuilder, SystemLayout
-    from repro.vm import Machine
 
     config, _ = case
 
@@ -192,21 +193,9 @@ def test_analysis_pipeline_runs_under_every_policy(case):
     crpd = CRPDAnalyzer({"low": low_art, "high": high_art})
     bound = crpd.lines_reloaded("low", "high", Approach.COMBINED)
 
-    cache = CacheState(config)
-    machine = Machine(layout=low_layout, cache=cache)
-    machine.write_array("data", low_inputs["data"])
-    for _ in range(30):
-        if machine.halted:
-            return
-        machine.step()
-    resident_before = cache.resident_blocks() & low_art.footprint
-    intruder = Machine(layout=high_layout, cache=cache)
-    intruder.write_array("data", high_inputs["data"])
-    intruder.run()
-    evicted = resident_before - cache.resident_blocks()
-    reloaded: set[int] = set()
-    while not machine.halted:
-        before = cache.resident_blocks()
-        machine.step()
-        reloaded |= (cache.resident_blocks() - before) & evicted
-    assert len(reloaded) <= bound
+    measurement = measure_preemption(
+        low_layout, low_inputs, high_layout, high_inputs,
+        lambda: CacheState(config), 30, victim_footprint=low_art.footprint,
+    )
+    if measurement is not None:
+        assert measurement.reloaded <= bound

@@ -2,7 +2,7 @@
 
 The random-case space lives in :mod:`repro.fuzz.generator`; this file
 drives the same ``draw_*`` functions through a Hypothesis adapter
-(:class:`HypothesisDraw`), so the property tests and the ``repro fuzz``
+(:class:`HypothesisDraw`), so the property tests and the ``tests.fuzz``
 campaign explore one shared generator by construction — there is no
 second program-shape strategy to drift out of sync.
 
@@ -26,7 +26,8 @@ from repro.cache import CacheConfig, CacheState
 from repro.fuzz.build import build_program, scenarios_for
 from repro.fuzz.generator import Draw, draw_cache_spec, draw_program_spec
 from repro.program import SystemLayout
-from repro.vm import Machine
+
+from tests.oracles.measurement import measure_preemption, prepared_machine
 
 
 class HypothesisDraw(Draw):
@@ -82,46 +83,28 @@ _SETTINGS = settings(
 )
 
 
-def _run_to_step(layout, inputs, cache, step_limit):
-    machine = Machine(layout=layout, cache=cache)
-    for array, values in inputs.items():
-        machine.write_array(array, values)
-    steps = 0
-    while not machine.halted and steps < step_limit:
-        machine.step()
-        steps += 1
-    return machine
-
-
-def _measure_reloads(machine, cache, evicted):
-    reloaded: set[int] = set()
-    while not machine.halted:
-        before = cache.resident_blocks()
-        machine.step()
-        reloaded |= (cache.resident_blocks() - before) & evicted
-    return len(reloaded)
+def _measured_reloads(config, low, high, footprint, step):
+    """Reloads of *low* after *high* preempts it at *step* (None past
+    its end)."""
+    measurement = measure_preemption(
+        *low, *high, lambda: CacheState(config), step,
+        victim_footprint=footprint,
+    )
+    return None if measurement is None else measurement.reloaded
 
 
 @given(pair=task_pairs(), preempt_step=st.integers(min_value=1, max_value=400))
 @_SETTINGS
 def test_measured_reloads_bounded_by_every_approach(pair, preempt_step):
-    config, (low_layout, low_inputs), (high_layout, high_inputs) = pair
-    low_art = analyze_task(low_layout, scenarios_for(low_inputs), config)
-    high_art = analyze_task(high_layout, scenarios_for(high_inputs), config)
+    config, low, high = pair
+    low_art = analyze_task(low[0], scenarios_for(low[1]), config)
+    high_art = analyze_task(high[0], scenarios_for(high[1]), config)
     crpd = CRPDAnalyzer({"low": low_art, "high": high_art})
 
-    cache = CacheState(config)
-    machine = _run_to_step(low_layout, low_inputs, cache, preempt_step)
-    if machine.halted:
+    measured = _measured_reloads(config, low, high, low_art.footprint,
+                                 preempt_step)
+    if measured is None:
         return  # preemption point beyond the program's end; trivially fine
-
-    resident_before = cache.resident_blocks() & low_art.footprint
-    intruder = Machine(layout=high_layout, cache=cache)
-    for array, values in high_inputs.items():
-        intruder.write_array(array, values)
-    intruder.run()
-    evicted = resident_before - cache.resident_blocks()
-    measured = _measure_reloads(machine, cache, evicted)
 
     lines = {a: crpd.lines_reloaded("low", "high", a) for a in ALL_APPROACHES}
     for approach, bound in lines.items():
@@ -150,18 +133,11 @@ def test_per_point_mode_sound_and_dominates_def4(pair):
     assert tight_lines >= paper_lines
 
     # Empirical check against a mid-run full eviction by the real intruder.
-    cache = CacheState(config)
-    machine = _run_to_step(low_layout, low_inputs, cache, 60)
-    if machine.halted:
-        return
-    resident_before = cache.resident_blocks() & low_art.footprint
-    intruder = Machine(layout=high_layout, cache=cache)
-    for array, values in high_inputs.items():
-        intruder.write_array(array, values)
-    intruder.run()
-    evicted = resident_before - cache.resident_blocks()
-    machine_reloads = _measure_reloads(machine, cache, evicted)
-    assert machine_reloads <= tight_lines
+    measured = _measured_reloads(
+        config, (low_layout, low_inputs), (high_layout, high_inputs),
+        low_art.footprint, 60,
+    )
+    assert measured is None or measured <= tight_lines
 
 
 @given(pair=task_pairs())
@@ -222,13 +198,10 @@ def test_cold_wcet_dominates_warm_runs(pair):
     low_art = analyze_task(low_layout, scenarios_for(low_inputs), config)
     # Warm the cache with the other task, then run the measured scenario.
     cache = CacheState(config)
-    intruder = Machine(layout=high_layout, cache=cache)
-    for array, values in high_inputs.items():
-        intruder.write_array(array, values)
-    intruder.run()
+    prepared_machine(high_layout, cache, high_inputs).run()
     worst = low_art.wcet.worst_scenario
-    warm = Machine(layout=low_layout, cache=cache)
-    for array, values in scenarios_for(low_inputs)[worst].items():
-        warm.write_array(array, values)
+    warm = prepared_machine(
+        low_layout, cache, scenarios_for(low_inputs)[worst]
+    )
     warm.run()
     assert warm.cycles <= low_art.wcet.cycles

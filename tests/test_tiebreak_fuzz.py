@@ -30,12 +30,6 @@ import pytest
 from repro.cache import CacheConfig, CacheState
 from repro.errors import ConfigError
 from repro.program import SystemLayout
-from repro.fuzz.oracles import (
-    ScanSimulator,
-    _ScanReadyQueue,
-    _ScanReleaseQueue,
-    _ScanWaitingQueue,
-)
 from repro.sched.simulator import (
     Simulator,
     TaskBinding,
@@ -47,6 +41,12 @@ from repro.sched.simulator import (
 from repro.wcrt import TaskSpec, TaskSystem
 
 from tests.conftest import make_streaming_program
+from tests.oracles.scheduler import (
+    ScanSimulator,
+    _ScanReadyQueue,
+    _ScanReleaseQueue,
+    _ScanWaitingQueue,
+)
 
 
 def test_equal_priority_ties_are_unconstructible():
