@@ -14,7 +14,7 @@ most questions from the traces alone, before running any scheduler:
 Run:  python examples/cache_design_study.py
 """
 
-from repro.analysis import Approach, CRPDAnalyzer, analyze_task
+from repro.analysis import Approach, CRPDAnalyzer, analyze_task, scenario_traces
 from repro.cache import CacheConfig
 from repro.program import SystemLayout
 from repro.vm import reuse_profile, set_pressure
@@ -44,13 +44,15 @@ def main():
     footprints = {}
     for name, workload in workloads.items():
         layout = SystemLayout().place(workload.program)
-        art = analyze_task(layout, workload.scenario_map(), GEOMETRIES[1])
+        scenarios = workload.scenario_map()
+        art = analyze_task(layout, scenarios, GEOMETRIES[1])
         footprints[name] = art.footprint
+        traces = scenario_traces(layout, scenarios, GEOMETRIES[1])
         rates = []
         for config in GEOMETRIES:
-            profile = reuse_profile(art.wcet.traces, config)
+            profile = reuse_profile(traces, config)
             rates.append(f"{profile.predicted_miss_rate(config.ways):7.3f}")
-        profile = reuse_profile(art.wcet.traces, GEOMETRIES[1])
+        profile = reuse_profile(traces, GEOMETRIES[1])
         print(f"   {name:6s} {profile.accesses:>9d} " + " ".join(rates))
 
     print("\n2. set pressure (intra-task conflict potential), 2-way geometry")

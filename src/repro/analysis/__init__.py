@@ -49,7 +49,12 @@ from repro.analysis.useful import (
     UsefulBlocksAnalysis,
     compute_useful_blocks,
 )
-from repro.analysis.wcet import WCETResult, measure_wcet, static_wcet_bound
+from repro.analysis.wcet import (
+    WCETResult,
+    measure_wcet,
+    scenario_traces,
+    static_wcet_bound,
+)
 
 __all__ = [
     "TaskArtifacts",
@@ -89,5 +94,6 @@ __all__ = [
     "compute_useful_blocks",
     "WCETResult",
     "measure_wcet",
+    "scenario_traces",
     "static_wcet_bound",
 ]

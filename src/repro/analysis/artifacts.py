@@ -19,8 +19,7 @@ everything has no sound shortcut.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.analysis.rmb_lmb import RMBLMBResult, solve_rmb_lmb
 from repro.analysis.useful import UsefulBlocksAnalysis, compute_useful_blocks
@@ -198,15 +197,13 @@ def analyze_task(
     (likewise) and the path profiles (structure-only).  A penalty sweep
     therefore re-costs cached counts in O(1); a geometry sweep or a layout
     move replays cached traces instead of re-simulating; and when the
-    sim and flow entries both hit, the trace entry is still loaded for
-    its base cycles, but its events are neither replayed nor aggregated.
+    sim and flow entries both hit, the trace entry is not read at all.
     Degradation events stored with a stage are replayed into *ledger* on
     every hit, so cached and cold runs are indistinguishable to callers.
 
-    ``wcet.traces`` maps each scenario to its
-    :class:`~repro.vm.trace.CompactTrace` at *layout*'s placement; from a
-    store the traces are relocated (and, from a disk store, loaded) only
-    when a consumer reads them.
+    The artifacts carry no traces: the store holds them, and
+    :func:`~repro.analysis.wcet.scenario_traces` records them for a
+    diagnostic that reads events.
     """
     program = layout.program
     if not getattr(program, "_validated", False):
@@ -258,18 +255,20 @@ def analyze_task(
                 return memo.artifacts
         span.set(cache_hit=False)
 
-        wcet, aggregate, keys = _wcet_stage(
-            layout, scenarios, config, max_steps, store if use_store else None,
-            clock, program.name, structure,
-        )
+        keys: dict[str, str] = {}
         if use_store:
-            from repro.analysis.store import flow_key, paths_key
+            from repro.analysis.store import flow_key, paths_key, sim_key, trace_key
 
-            keys["flow"] = flow_key(keys["trace"], layout, config)
-            keys["paths"] = paths_key(structure, path_limit, strict)
-        flow = _flow_stage(
-            program, config, store if use_store else None, keys.get("flow"),
-            aggregate, clock,
+            t_key = trace_key(structure, scenarios, max_steps)
+            keys = {
+                "trace": t_key,
+                "sim": sim_key(t_key, layout, config),
+                "flow": flow_key(t_key, layout, config),
+                "paths": paths_key(structure, path_limit, strict),
+            }
+        wcet, flow = _wcet_stage(
+            layout, scenarios, config, max_steps, store if use_store else None,
+            keys, clock,
         )
         path_profiles, path_complete, local_events = _paths_stage(
             program, path_limit, budget, ledger, span,
@@ -312,141 +311,113 @@ def _wcet_stage(
     config: CacheConfig,
     max_steps: int,
     store: "ArtifactStore | None",
+    keys: dict[str, str],
     clock: "BudgetClock | None",
-    name: str,
-    structure: "str | None",
-):
-    """Trace + sim sub-artifacts -> (wcet, aggregate thunk, keys).
+) -> "tuple[WCETResult, FlowBundle]":
+    """Sim and flow sub-artifacts, and the trace one when either misses.
 
-    Every path charges the cache the same way: by replaying columns.
-    Cold: one cache-free VM run per scenario records its columns and
-    base cycles (the trace sub-artifact), then one replay of those
-    columns through a fresh cache yields the counts (the sim
-    sub-artifact).  The trace key is placement-free, so a hit may come
-    from another placement of the same program.  Trace hit with a sim
-    or flow miss (new geometry or placement): replay and aggregate the
-    bundle's block view (:meth:`~repro.analysis.store.TraceBundle.view`)
-    through this placement's block table — no VM, no event relocated.
-    Both hits (new costs only): reassemble cycle counts arithmetically
-    and leave the traces unread.
+    A sim entry holds each scenario's counts and base cycles, so when the
+    sim and flow entries both hit (new costs only) the WCET reassembles
+    arithmetically and no trace is read.  Otherwise every path charges
+    the cache the same way: by replaying columns.  Trace hit (new
+    geometry or placement; the trace key is placement-free, so it may
+    come from another placement of the same program): replay and
+    aggregate the bundle's block view
+    (:meth:`~repro.analysis.store.TraceBundle.view`) through this
+    placement's block table — no VM, no event relocated.  Trace miss
+    (cold, or the entry was evicted): one cache-free VM run per scenario
+    records its columns and base cycles (the trace sub-artifact), then
+    one replay of those columns through a fresh cache yields the counts.
     """
-    from repro.analysis.store import (
-        SimBundle,
-        StoreBackedTraces,
-        TraceBundle,
-        sim_key,
-        trace_key,
-    )
+    from repro.analysis.store import SimBundle, TraceBundle
 
-    keys: dict[str, str] = {}
-    trace_bundle = None
+    program = layout.program
+    sim = flow = None
     if store is not None:
-        t_key = trace_key(structure, scenarios, max_steps)
-        s_key = sim_key(t_key, layout, config)
-        keys["trace"] = t_key
-        keys["sim"] = s_key
-        trace_bundle = store.get(t_key, kind="trace")
-    if trace_bundle is None:
-        if clock is not None:
-            clock.check(f"wcet:{name}")
-        wcet, runs = measure_wcet_detailed(
-            layout, scenarios, config, max_steps=max_steps,
-            relocatable=store is not None,
-        )
-        traces = wcet.traces
-        if store is not None:
-            store.put(
-                t_key,
-                TraceBundle(
-                    scenario_names=tuple(scenarios),
-                    traces=traces,
-                    base_cycles={
-                        scenario: run.base_cycles
-                        for scenario, run in runs.items()
-                    },
-                    bases=layout.region_bases(),
-                ),
-                kind="trace",
+        sim = store.get(keys["sim"], kind="sim")
+        flow = store.get(keys["flow"], kind="flow")
+    if sim is None or flow is None:
+        bundle = None if store is None else store.get(keys["trace"], kind="trace")
+        if clock is not None and (bundle is None or sim is None):
+            clock.check(f"wcet:{program.name}")
+        if bundle is None:
+            _, runs = measure_wcet_detailed(
+                layout, scenarios, config, max_steps=max_steps
             )
-            store.put(
-                s_key,
-                SimBundle(
-                    counts={
-                        scenario: (run.accesses, run.misses, run.writebacks)
-                        for scenario, run in runs.items()
-                    }
-                ),
-                kind="sim",
+            traces = {scenario: run.trace for scenario, run in runs.items()}
+            counted = SimBundle(
+                counts={
+                    scenario: (run.accesses, run.misses, run.writebacks)
+                    for scenario, run in runs.items()
+                },
+                base_cycles={
+                    scenario: run.base_cycles for scenario, run in runs.items()
+                },
             )
-        aggregate = partial(NodeTraceAggregate.from_compact, config, traces.values())
-        return wcet, aggregate, keys
-    bases = layout.region_bases()
-    view = partial(trace_bundle.view, config.line_size, bases, scenarios)
-    sim_bundle = store.get(s_key, kind="sim")
-    if sim_bundle is None:
-        # New geometry or placement against a known trace: replay, don't
-        # re-simulate.
-        if clock is not None:
-            clock.check(f"wcet:{name}")
-        sim_bundle = SimBundle(counts=view().counts(bases, config))
-        store.put(s_key, sim_bundle, kind="sim")
+            if store is not None:
+                store.put(
+                    keys["trace"],
+                    TraceBundle(
+                        scenario_names=tuple(scenarios),
+                        traces=traces,
+                        base_cycles=counted.base_cycles,
+                        bases=layout.region_bases(),
+                    ),
+                    kind="trace",
+                )
+        else:
+            bases = layout.region_bases()
+            view = bundle.view(config.line_size, bases, scenarios)
+        if sim is None:
+            sim = counted if bundle is None else SimBundle(
+                counts=view.counts(bases, config),
+                base_cycles=bundle.base_cycles,
+            )
+            if store is not None:
+                store.put(keys["sim"], sim, kind="sim")
+        if flow is None:
+            if clock is not None:
+                clock.check(f"dataflow:{program.name}")
+            flow = _flow_stage(
+                program, config,
+                NodeTraceAggregate.from_compact(config, traces.values())
+                if bundle is None else view.aggregate(bases, config),
+            )
+            if store is not None:
+                store.put(keys["flow"], flow, kind="flow")
     # Iterate in the *caller's* scenario order (identical content hashes
     # regardless of order), so worst-scenario tie-breaking matches what a
     # cold run with these scenarios would pick.
     per_scenario = {
         scenario: cycles_from_counts(
-            config,
-            trace_bundle.base_cycles[scenario],
-            *sim_bundle.counts[scenario],
+            config, sim.base_cycles[scenario], *sim.counts[scenario]
         )
         for scenario in scenarios
     }
     worst = worst_of(per_scenario)
-    if store.directory is not None:
-        traces = StoreBackedTraces(store.directory, t_key, tuple(scenarios), bases)
-    else:
-        traces = trace_bundle.placed(bases)
     wcet = WCETResult(
         cycles=per_scenario[worst],
         worst_scenario=worst,
         per_scenario_cycles=per_scenario,
-        traces=traces,
     )
-    return wcet, lambda: view().aggregate(bases, config), keys
+    return wcet, _restamp_flow(flow, config)
 
 
 def _flow_stage(
-    program: Program,
-    config: CacheConfig,
-    store: "ArtifactStore | None",
-    f_key: "str | None",
-    build_aggregate: "Callable[[], NodeTraceAggregate]",
-    clock: "BudgetClock | None",
+    program: Program, config: CacheConfig, aggregate: NodeTraceAggregate
 ) -> "FlowBundle":
-    """Aggregate/CIIP/RMB-LMB/useful sub-artifact, restamped to *config*."""
+    """The aggregate/CIIP/RMB-LMB/useful sub-artifact of *aggregate*."""
     from repro.analysis.store import FlowBundle
 
-    flow = None
-    if store is not None and f_key is not None:
-        flow = store.get(f_key, kind="flow")
-    if flow is not None:
-        return _restamp_flow(flow, config)
-    if clock is not None:
-        clock.check(f"dataflow:{program.name}")
-    aggregate = build_aggregate()
     footprint = aggregate.footprint()
     dataflow = solve_rmb_lmb(program.cfg, aggregate, config)
-    useful = compute_useful_blocks(program.cfg, dataflow)
-    flow = FlowBundle(
+    return FlowBundle(
         aggregate=aggregate,
         footprint=footprint,
         footprint_ciip=CIIP.from_addresses(config, footprint),
         dataflow=dataflow,
-        useful=useful,
+        useful=compute_useful_blocks(program.cfg, dataflow),
     )
-    if store is not None and f_key is not None:
-        store.put(f_key, flow, kind="flow")
-    return flow
 
 
 def _restamp_flow(flow: "FlowBundle", config: CacheConfig) -> "FlowBundle":

@@ -27,7 +27,6 @@ from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.errors import ConfigError
 from repro.program.layout import ProgramLayout
 from repro.vm.machine import run_isolated
-from repro.vm.trace import TraceColumns
 
 
 @dataclass
@@ -52,25 +51,20 @@ def measure_wcet_hierarchy(
     if not scenarios:
         raise ConfigError("at least one input scenario is required")
     per_scenario: dict[str, int] = {}
-    traces = {}
     for name, inputs in scenarios.items():
         stack = MemoryHierarchy(hierarchy)
-        columns = TraceColumns()
         machine = run_isolated(
             layout,
             stack,  # duck-typed: same access_stream() protocol as CacheState
             inputs={array: list(values) for array, values in inputs.items()},
-            trace=columns,
             max_steps=max_steps,
         )
         per_scenario[name] = machine.cycles
-        traces[name] = columns.compact()
     worst = worst_of(per_scenario)
     return WCETResult(
         cycles=per_scenario[worst],
         worst_scenario=worst,
         per_scenario_cycles=per_scenario,
-        traces=traces,
     )
 
 

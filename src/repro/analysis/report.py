@@ -4,7 +4,8 @@ Two report levels:
 
 * :func:`task_report` — everything the per-task pipeline learned about one
   task (WCET per scenario, footprint and CIIP shape, useful blocks,
-  feasible paths, cache-behaviour diagnostics),
+  feasible paths) and, given the task's traces, cache-behaviour
+  diagnostics,
 * :func:`system_report` — the multi-task view: per-preemption-pair line
   estimates under all four approaches, Equation-7 WCRTs and their
   decomposition.
@@ -16,10 +17,13 @@ headers, not the numbers).
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from repro.analysis.artifacts import TaskArtifacts
 from repro.analysis.crpd import ALL_APPROACHES, CRPDAnalyzer
 from repro.obs import STATE as _OBS
 from repro.program.paths import sfp_prs_segments
+from repro.vm.trace import CompactTrace
 from repro.vm.traceio import reuse_profile, set_pressure
 from repro.wcrt.explain import explain_wcrt
 from repro.wcrt.task import TaskSystem
@@ -27,13 +31,16 @@ from repro.wcrt.task import TaskSystem
 
 def task_report(
     artifacts: TaskArtifacts,
-    include_reuse: bool = True,
+    traces: "Mapping[str, CompactTrace] | None" = None,
     max_paths: int | None = None,
 ) -> str:
     """Render the full single-task analysis as a text report.
 
-    *max_paths* is the path budget the artifacts were analysed under; the
-    report names it when path enumeration stopped there."""
+    With *traces* (scenario -> trace at the task's placement, as
+    :func:`~repro.analysis.wcet.scenario_traces` records them) the report
+    ends in a ``[cache behaviour]`` section.  *max_paths* is the path
+    budget the artifacts were analysed under; the report names it when
+    path enumeration stopped there."""
     config = artifacts.config
     lines = [
         f"== task {artifacts.name!r} ==",
@@ -94,8 +101,8 @@ def task_report(
     for profile in artifacts.path_profiles:
         lines.append(f"  path {profile.describe()}")
 
-    if include_reuse:
-        profile = reuse_profile(artifacts.wcet.traces, config)
+    if traces is not None:
+        profile = reuse_profile(traces, config)
         pressure = set_pressure(artifacts.footprint, config)
         lines.append("")
         lines.append("[cache behaviour]")

@@ -9,7 +9,8 @@ though most stages never read the changed input.
 
 Schema 2 decomposes the result into **sub-artifacts**, each keyed only by
 the inputs its stage actually reads.  Schema 3 takes the placement out of
-the trace and path keys:
+the trace and path keys.  Traces live here alone: analysis results never
+carry them.
 
 ========  =============================================================
 kind      key inputs
@@ -23,8 +24,10 @@ trace     program structure + scenarios + ``max_steps`` — the VM's
           event's region and the placement it ran at, and is read at
           another placement through its :meth:`TraceBundle.view`)
 sim       trace key + placement + ``num_sets, ways, line_size, policy,
-          write_back`` — per-scenario access/miss/writeback counts; cycle
-          counts reassemble from these in O(1) for any cost parameters
+          write_back`` — per-scenario access/miss/writeback counts and
+          the trace's base cycles; cycle counts reassemble from these in
+          O(1) for any cost parameters, so a sim and flow hit reads no
+          trace
 flow      trace key + placement + ``num_sets, ways, line_size, policy`` —
           the per-node aggregate, footprint CIIP, RMB/LMB solution and
           useful-block analysis (cost fields are re-stamped on reuse)
@@ -76,15 +79,14 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.analysis.wcet import Scenarios
 from repro.cache.config import CacheConfig
-from repro.errors import ReproError
 from repro.obs import STATE as _OBS
 from repro.program.builder import Program
 from repro.program.layout import ProgramLayout
-from repro.vm.trace import CompactTrace, LazyTraces, TraceView
+from repro.vm.trace import CompactTrace, TraceView
 
 if TYPE_CHECKING:
     from repro.analysis.artifacts import TaskArtifacts
@@ -103,7 +105,6 @@ __all__ = [
     "PathsBundle",
     "SCHEMA_VERSION",
     "SimBundle",
-    "StoreBackedTraces",
     "StoredEntry",
     "TraceBundle",
     "artifact_key",
@@ -118,11 +119,12 @@ __all__ = [
 
 #: Bump whenever the pickled entry layout changes incompatibly.
 #: Schema 1 stored monolithic ``CachedAnalysis`` bundles; schema 2 stores
-#: :class:`StoredEntry`-wrapped sub-artifacts; schema 3 stores relocatable
+#: :class:`StoredEntry`-wrapped sub-artifacts; schema 3 stores region-tagged
 #: traces under placement-free keys; schema 4 stores the flow's RMB/LMB
 #: states and useful points as bit masks; schema 5 keys structure by one
-#: digest and stores each node's distinct visits once in the flow.
-SCHEMA_VERSION = 5
+#: digest and stores each node's distinct visits once in the flow;
+#: schema 6 stores the base cycles with the sim counts.
+SCHEMA_VERSION = 6
 
 _SOURCE_FINGERPRINT: Optional[str] = None
 
@@ -342,26 +344,19 @@ class StoredEntry:
 
 @dataclass
 class TraceBundle:
-    """kind="trace": relocatable reference streams + invariant base cycles.
+    """kind="trace": region-tagged reference streams + invariant base cycles.
 
-    ``scenario_names`` preserves the caller's scenario order so replayed
-    worst-scenario selection tie-breaks identically to a cold run.  The
+    The store is the only holder of traces: analysis results carry
+    none.  ``scenario_names`` preserves the caller's scenario order.  The
     traces hold the addresses of the placement the VM ran at, whose
     :meth:`~repro.program.layout.ProgramLayout.region_bases` are
-    ``bases``; :meth:`view` and :meth:`placed` read them at any other.
+    ``bases``; :meth:`view` reads them at any other.
     """
 
     scenario_names: tuple[str, ...]
     traces: dict[str, CompactTrace]
     base_cycles: dict[str, int]
     bases: tuple[int, ...]
-
-    def placed(self, bases: tuple[int, ...]) -> LazyTraces:
-        """The traces at the placement with region *bases*, relocated on
-        first use."""
-        return LazyTraces(
-            self.traces, [new - old for new, old in zip(bases, self.bases)]
-        )
 
     def view(self, line_size: int, bases: tuple[int, ...], scenarios) -> TraceView:
         """The :class:`~repro.vm.trace.TraceView` of the *scenarios* (in
@@ -385,9 +380,12 @@ class TraceBundle:
 
 @dataclass
 class SimBundle:
-    """kind="sim": per-scenario ``(accesses, misses, writebacks)``."""
+    """kind="sim": per-scenario ``(accesses, misses, writebacks)`` and the
+    trace's base cycles, all a WCET reassembles from (so a sim hit
+    reads no trace)."""
 
     counts: dict[str, tuple[int, int, int]]
+    base_cycles: dict[str, int]
 
 
 @dataclass
@@ -430,66 +428,6 @@ class CachedAnalysis:
 
     artifacts: "TaskArtifacts"
     events: tuple["DegradationEvent", ...] = ()
-
-
-class StoreBackedTraces(Mapping):
-    """``scenario -> CompactTrace`` resolved from a trace sub-artifact.
-
-    Warm analyses never need raw traces (sim counts and flow bundles
-    already encode everything the pipeline reads), so instead of holding
-    the — by far largest — trace entry, artifacts assembled from a disk
-    store carry this view, which fetches the traces and relocates them
-    to the task's placement only if a consumer (reports, examples)
-    actually reads them.  Pickles as
-    ``(directory, key, names, bases)``: workers on the same machine
-    re-resolve against the same store directory, and the target region
-    *bases* travel along because the placement-free key may name a
-    bundle recorded at another placement.
-    """
-
-    def __init__(
-        self,
-        directory: Path,
-        key: str,
-        scenario_names: tuple[str, ...],
-        bases: tuple[int, ...],
-    ):
-        self._directory = Path(directory)
-        self._key = key
-        self._names = tuple(scenario_names)
-        self._bases = tuple(bases)
-        self._traces: Optional[LazyTraces] = None
-
-    def _load(self) -> LazyTraces:
-        if self._traces is None:
-            store = ArtifactStore(directory=self._directory)
-            bundle = store.get(self._key, kind="trace")
-            if bundle is None:
-                raise ReproError(
-                    f"trace sub-artifact {self._key[:12]}... vanished from "
-                    f"{self._directory}; re-run the analysis without a "
-                    "store or with an intact cache directory"
-                )
-            self._traces = bundle.placed(self._bases)
-        return self._traces
-
-    def __getitem__(self, name: str) -> CompactTrace:
-        if name not in self._names:
-            raise KeyError(name)
-        return self._load()[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __getstate__(self):
-        return (self._directory, self._key, self._names, self._bases)
-
-    def __setstate__(self, state):
-        self._directory, self._key, self._names, self._bases = state
-        self._traces = None
 
 
 @dataclass

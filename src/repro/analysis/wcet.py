@@ -28,18 +28,16 @@ Scenarios = Mapping[str, Mapping[str, list[int]]]
 
 @dataclass
 class WCETResult:
-    """Measured WCET plus the per-scenario breakdown and traces.
+    """Measured WCET plus the per-scenario breakdown.
 
-    ``traces`` maps scenario name to its
-    :class:`~repro.vm.trace.CompactTrace` at the task's placement: a
-    plain dict after a VM run, or a mapping that relocates or loads the
-    stored traces on first read (see :mod:`repro.analysis.store`).
+    The traces the runs recorded are not part of the result: the store
+    holds them (see :mod:`repro.analysis.store`), and
+    :func:`scenario_traces` records them afresh for a diagnostic.
     """
 
     cycles: int
     worst_scenario: str
     per_scenario_cycles: dict[str, int]
-    traces: Mapping[str, CompactTrace]
 
     @property
     def scenario_count(self) -> int:
@@ -110,8 +108,6 @@ def measure_wcet(
 
     Each scenario gets a fresh cache and a fresh memory image, matching the
     single-task WCET assumption (no useful cache contents at job start).
-    The recorded traces are returned for reuse by the footprint and RMB/LMB
-    analyses — one simulation pass feeds everything, as in SYMTA.
 
     Under LRU the cold start provably dominates any warm start (no
     cold-start anomalies; see ``tests/test_cache_state.py``), so the
@@ -129,16 +125,29 @@ def measure_wcet_detailed(
     scenarios: Scenarios,
     config: CacheConfig,
     max_steps: int = 10_000_000,
-    relocatable: bool = False,
 ) -> tuple[WCETResult, dict[str, ScenarioRun]]:
     """:func:`measure_wcet` plus each scenario's decomposed run.
 
-    The per-run cache statistics and base cycles feed the store's trace
-    and simulation sub-artifacts (see :mod:`repro.analysis.store`);
-    *relocatable* traces carry their ``regions`` column.
+    The per-run traces, cache statistics and base cycles feed the
+    store's trace and simulation sub-artifacts and the footprint and
+    RMB/LMB analyses — one simulation pass feeds everything, as in
+    SYMTA (see :mod:`repro.analysis.store`).
     """
-    runs = _run_scenarios(layout, scenarios, config, max_steps, relocatable)
+    runs = _run_scenarios(layout, scenarios, config, max_steps)
     return _wcet_from_runs(runs), runs
+
+
+def scenario_traces(
+    layout: ProgramLayout,
+    scenarios: Scenarios,
+    config: CacheConfig,
+    max_steps: int = 10_000_000,
+) -> dict[str, CompactTrace]:
+    """Each scenario's :class:`~repro.vm.trace.CompactTrace` at *layout*,
+    from one :func:`measure_wcet_detailed` run: what a diagnostic that
+    reads events (``repro analyze --reuse``) renders from."""
+    _, runs = measure_wcet_detailed(layout, scenarios, config, max_steps=max_steps)
+    return {name: run.trace for name, run in runs.items()}
 
 
 def _run_scenarios(
@@ -146,7 +155,6 @@ def _run_scenarios(
     scenarios: Scenarios,
     config: CacheConfig,
     max_steps: int,
-    relocatable: bool = False,
 ) -> dict[str, ScenarioRun]:
     """One cache-free VM run per scenario into columns, then one replay
     of the columns through a cold cache."""
@@ -154,7 +162,7 @@ def _run_scenarios(
         raise ConfigError("at least one input scenario is required")
     runs: dict[str, ScenarioRun] = {}
     for name, inputs in scenarios.items():
-        columns = TraceColumns(relocatable=relocatable)
+        columns = TraceColumns()
         machine = run_isolated(
             layout,
             None,
@@ -184,7 +192,6 @@ def _wcet_from_runs(runs: dict[str, ScenarioRun]) -> WCETResult:
         cycles=per_scenario[worst],
         worst_scenario=worst,
         per_scenario_cycles=per_scenario,
-        traces={name: run.trace for name, run in runs.items()},
     )
 
 

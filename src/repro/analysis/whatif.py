@@ -6,12 +6,12 @@ and re-analyses it after single-field edits (miss penalty, cache
 geometry, one task's period, one task's array footprint) at interactive
 latency.  The layout optimizer scores every candidate through a session.
 
-The incremental machinery is the schema-3 content-addressed artifact
-graph itself.  Every pipeline stage is keyed by exactly the inputs it
-reads::
+The incremental machinery is the content-addressed artifact graph of
+the store (:mod:`repro.analysis.store`) itself.  Every pipeline stage is
+keyed by exactly the inputs it reads::
 
     trace(structure, scenarios, max_steps)
-      -> sim(trace, placement, geometry)   # hit/miss counts
+      -> sim(trace, placement, geometry)   # hit/miss counts, base cycles
       -> flow(trace, placement, geometry)  # CIIP / RMB-LMB / useful blocks
     paths(structure, limit, strict)        # feasible path profiles
     pair(flow_a, paths_a, flow_b, paths_b, mode, exact_paths, strict)
@@ -51,7 +51,7 @@ optimizer's neighbor moves: they pin explicit placements through a
 :class:`~repro.program.layout.LayoutAssignment` and only invalidate the
 moved task's sim/flow sub-artifacts: traces and path profiles are
 placement-free, so a move reads the stored trace's block view instead
-of re-running the VM.  Proposals that would overlap regions raise
+of re-running the VM, and a move seen before reads no trace at all.  Proposals that would overlap regions raise
 :class:`~repro.program.layout.LayoutError` *before* any session state
 changes, so a rejected move leaves the session untouched.
 

@@ -125,7 +125,7 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis import analyze_task, task_report
+    from repro.analysis import analyze_task, scenario_traces, task_report
     from repro.cache import CacheConfig
     from repro.guard.ledger import DegradationLedger
     from repro.program import SystemLayout
@@ -134,18 +134,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     workload = build_workload(args.workload)
     config = CacheConfig.scaled_8k(miss_penalty=args.penalty)
     layout = SystemLayout().place(workload.program)
+    scenarios = workload.scenario_map()
     ledger = DegradationLedger()
     budget = _budget_from(args)
     art = analyze_task(
         layout,
-        workload.scenario_map(),
+        scenarios,
         config,
         budget=budget,
         ledger=ledger,
         store=_store_from(args),
     )
+    traces = None
+    if args.reuse:
+        # analyze_task's step cap under this budget.
+        max_steps = min(10_000_000, budget.max_sim_steps)
+        traces = scenario_traces(layout, scenarios, config, max_steps=max_steps)
     print(f"workload {args.workload!r}: {workload.description}\n")
-    print(task_report(art, include_reuse=args.reuse, max_paths=budget.max_paths))
+    print(task_report(art, traces=traces, max_paths=budget.max_paths))
     print(f"\nsoundness: {ledger.soundness}")
     _report_degradations(ledger)
     return 0

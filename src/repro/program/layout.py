@@ -162,7 +162,7 @@ class ProgramLayout:
         return self.symbol_base(name) + element * decl.element_size
 
     def region_spans(self) -> list[tuple[int, int]]:
-        """Half-open span of each relocatable region: the code, then every
+        """Half-open span of each movable region: the code, then every
         array in declaration order.
 
         The VM issues every address as a region's base plus an offset that

@@ -540,9 +540,7 @@ class Machine:
         position = self._position
         columns = self.trace
         # This run's references; node ids come from *columns*' table.
-        stream = TraceColumns(
-            relocatable=columns is not None and columns.regions is not None
-        )
+        stream = TraceColumns()
         addresses = stream.addresses
         kinds = stream.kinds
         node_ids = stream.node_ids
@@ -585,8 +583,7 @@ class Machine:
                                 block.label, block.events
                             )
                         node_ids += ids
-                        if regions is not None:
-                            regions += block.regions
+                        regions += block.regions
                 else:
                     self._append(
                         stream, columns, block, position, block.starts[stop],
@@ -621,8 +618,7 @@ class Machine:
         if ids is None:
             ids = runs[block] = columns.node_run(block.label, block.events)
         stream.node_ids += ids[first:last]
-        if stream.regions is not None:
-            stream.regions += block.regions[first:last]
+        stream.regions += block.regions[first:last]
 
     def _charge(self, stream, columns, failed) -> int:
         """Record a run's references and charge them to the cache; return

@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, count, islice, repeat
 from operator import and_, ne, or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.cache.config import CacheConfig
 from repro.cache.state import CacheState
@@ -42,9 +42,9 @@ class CompactTrace:
     affordable.
 
     Control flow never reads an address either, so the stream is also
-    invariant across *placements* up to a per-region shift.  A trace built
-    against its layout carries a fourth column, ``regions``: the index,
-    in :meth:`~repro.program.layout.ProgramLayout.region_spans` order, of
+    invariant across *placements* up to a per-region shift.  Every trace
+    carries a fourth column, ``regions``: the index, in
+    :meth:`~repro.program.layout.ProgramLayout.region_spans` order, of
     the region (code, or the array touched) each event falls in.
     :meth:`relocated` then moves it to any other placement in O(events).
     """
@@ -53,7 +53,7 @@ class CompactTrace:
     kinds: bytes  # one _KIND_CODES byte per event
     node_table: tuple[str, ...]
     node_ids: array  # typecode "I", indices into node_table
-    regions: "array | None" = None  # typecode "H"; None: not relocatable
+    regions: array  # typecode "H"
 
     def relocated(self, deltas: Sequence[int]) -> "CompactTrace":
         """This trace with region *r*'s events shifted by ``deltas[r]``.
@@ -64,8 +64,6 @@ class CompactTrace:
         """
         if not any(deltas):
             return self
-        if self.regions is None:
-            raise ValueError("trace was recorded without its layout")
         if _OBS.enabled:
             _OBS.metrics.counter("trace.relocations").inc()
         addresses = array(
@@ -93,19 +91,19 @@ class TraceColumns:
     """The columns of a :class:`CompactTrace` under construction.
 
     What the VM records into (:class:`~repro.vm.machine.Machine`): flat
-    address, kind and node-id columns, the node table in first-appearance
-    order and, when *relocatable*, the ``regions`` column.  No per-event
-    objects are built; :meth:`compact` is a copy of the columns.
+    address, kind, node-id and region columns, and the node table in
+    first-appearance order.  No per-event objects are built;
+    :meth:`compact` is a copy of the columns.
     """
 
     __slots__ = ("addresses", "kinds", "node_ids", "node_table", "regions", "_runs")
 
-    def __init__(self, relocatable: bool = False):
+    def __init__(self):
         self.addresses = array("Q")
         self.kinds = bytearray()
         self.node_ids = array("I")
         self.node_table: dict[str, int] = {}
-        self.regions = array("H") if relocatable else None
+        self.regions = array("H")
         self._runs: dict[tuple[str, int], array] = {}
 
     def node_id(self, label: str) -> int:
@@ -125,16 +123,14 @@ class TraceColumns:
         self.addresses.append(address)
         self.kinds.append(kind)
         self.node_ids.append(self.node_id(label))
-        if self.regions is not None:
-            self.regions.append(region)
+        self.regions.append(region)
 
     def extend(self, other: "TraceColumns") -> None:
         """Append *other*'s columns; its node ids index this table."""
         self.addresses += other.addresses
         self.kinds += other.kinds
         self.node_ids += other.node_ids
-        if self.regions is not None:
-            self.regions += other.regions
+        self.regions += other.regions
 
     def compact(self) -> CompactTrace:
         """The recorded columns as a :class:`CompactTrace` (copied, so
@@ -144,37 +140,8 @@ class TraceColumns:
             kinds=bytes(self.kinds),
             node_table=tuple(self.node_table),
             node_ids=self.node_ids[:],
-            regions=None if self.regions is None else self.regions[:],
+            regions=self.regions[:],
         )
-
-
-class LazyTraces(Mapping):
-    """``scenario name -> CompactTrace`` at another placement, relocated
-    on first read.
-
-    *deltas* shift each region's events (see :meth:`CompactTrace.relocated`)
-    the first time any trace is asked for, so a layout move pays for
-    relocation only if something reads the addresses.
-    """
-
-    def __init__(self, traces: Mapping[str, CompactTrace], deltas: Sequence[int]):
-        self._traces = dict(traces)
-        self._deltas = tuple(deltas) if any(deltas) else None
-
-    def __getitem__(self, name: str) -> CompactTrace:
-        if self._deltas is not None:
-            self._traces = {
-                scenario: trace.relocated(self._deltas)
-                for scenario, trace in self._traces.items()
-            }
-            self._deltas = None
-        return self._traces[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._traces)
-
-    def __len__(self) -> int:
-        return len(self._traces)
 
 
 @dataclass(frozen=True)

@@ -114,18 +114,19 @@ def analyzed_pair(tiny_cache_config):
     high = make_two_path_program("high", words=16)
     low_layout = layout.place(low)
     high_layout = layout.place(high)
-    low_art = analyze_task(
-        low_layout, {"default": {"data": list(range(48))}}, config
-    )
-    high_art = analyze_task(
-        high_layout,
-        {
+    scenarios = {
+        "low": {"default": {"data": list(range(48))}},
+        "high": {
             "a": {"data": list(range(16)), "table_a": [2] * 16, "flag": [1]},
             "b": {"data": list(range(16)), "table_b": [3] * 16, "flag": [0]},
         },
-        config,
-    )
-    return {"low": low_art, "high": high_art, "config": config}
+    }
+    low_art = analyze_task(low_layout, scenarios["low"], config)
+    high_art = analyze_task(high_layout, scenarios["high"], config)
+    return {
+        "low": low_art, "high": high_art, "config": config,
+        "scenarios": scenarios,
+    }
 
 
 # ----------------------------------------------------------------------

@@ -73,6 +73,7 @@ from repro.wcrt.task import TaskSpec, TaskSystem
 
 from tests.oracles.ciip import conflict_bound_naive, naive_dense, naive_usage
 from tests.oracles.measurement import measure_preemption, prepared_machine
+from tests.oracles.relocation import relocated_traces
 from tests.oracles.response_time import reference_task_wcrt
 from tests.oracles.scheduler import ScanSimulator
 
@@ -113,6 +114,22 @@ def _simulate(case: BuiltCase, simulator_class, budget: AnalysisBudget | None):
         context_switch_cycles=case.spec.context_switch,
     )
     return simulator.run(case.horizon(), budget=budget)
+
+
+def _production_run(case: BuiltCase, budget: AnalysisBudget | None):
+    """The production :class:`Simulator`'s run of *case*, made once per
+    case and budget and shared by ``heap_vs_scan`` and ``art_soundness``;
+    a :class:`ReproError` the run raised is raised again."""
+    runs = case.__dict__.setdefault("_production_runs", {})
+    if budget not in runs:
+        try:
+            runs[budget] = _simulate(case, Simulator, budget)
+        except ReproError as error:
+            runs[budget] = error
+    run = runs[budget]
+    if isinstance(run, ReproError):
+        raise run
+    return run
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +257,7 @@ def oracle_art_soundness(
         return []
     check = _Check("art_soundness")
     try:
-        result = _simulate(case, Simulator, budget)
+        result = _production_run(case, budget)
     except ReproError:
         return check.violations  # budget-capped runs are not evidence
     observed: dict[str, int] = {}
@@ -742,7 +759,7 @@ def oracle_heap_vs_scan(
     """Heap- and scan-backed schedulers produce identical runs."""
     check = _Check("heap_vs_scan")
     try:
-        heap = _simulate(case, Simulator, budget)
+        heap = _production_run(case, budget)
         scan = _simulate(case, ScanSimulator, budget)
     except ReproError:
         return check.violations
@@ -836,8 +853,9 @@ def oracle_relocation(
     """Layout moves read the stored trace instead of re-running the VM.
 
     Applies random ``code:``/``data:``/``color:``/``swap:`` moves to a
-    warm session, then checks that every task's relocated trace, and the
-    counts and cycles read through its block view, equal a
+    warm session, then checks that every task's stored trace, relocated
+    event by event (:func:`tests.oracles.relocation.relocated_traces`),
+    and the counts and cycles read through its block view, equal a
     ``step()``-by-``step()`` re-execution at its new placement (the
     stored trace came from ``run()``), that its sim and flow entries
     equal a cold run's there, and that the warm session's signature
@@ -883,7 +901,9 @@ def oracle_relocation(
         moved = analyze_task(
             layout, task.scenarios, case.config, budget=budget, store=store,
         )
-        relocated = moved.wcet.traces
+        relocated = relocated_traces(
+            store.get(moved.subkeys["trace"], kind="trace"), layout.region_bases()
+        )
         counts = store.get(moved.subkeys["sim"], kind="sim").counts
         for scenario, inputs in task.scenarios.items():
             machine = Machine(

@@ -3,8 +3,9 @@
 The executable specification of the block view
 (:class:`repro.vm.trace.TraceView`, read through
 :meth:`repro.analysis.store.TraceBundle.view`).  A move shifts every
-event of the stored traces to the new placement
-(:meth:`~repro.vm.trace.CompactTrace.relocated`), replays every shifted
+event of the stored traces to the new placement at once
+(:func:`relocated_traces`, by
+:meth:`~repro.vm.trace.CompactTrace.relocated`), replays every shifted
 event through a cold cache and aggregates node visits over the shifted
 blocks; the flow analyses then run on that aggregate exactly as a cold
 analysis does.  Not used by the package.
@@ -19,14 +20,26 @@ from repro.analysis.wcet import replay_counts
 from repro.cache.ciip import CIIP
 from repro.cache.config import CacheConfig
 from repro.program.builder import Program
-from repro.vm.trace import NodeTraceAggregate
+from repro.vm.trace import CompactTrace, NodeTraceAggregate
+
+
+def relocated_traces(
+    bundle: TraceBundle, bases: tuple[int, ...]
+) -> dict[str, CompactTrace]:
+    """Every stored trace at the placement with region *bases*, each
+    event shifted by its region's move."""
+    deltas = [new - old for new, old in zip(bases, bundle.bases)]
+    return {
+        scenario: trace.relocated(deltas)
+        for scenario, trace in bundle.traces.items()
+    }
 
 
 def relocated_counts(
     bundle: TraceBundle, bases: tuple[int, ...], config: CacheConfig, scenarios
 ) -> dict[str, tuple[int, int, int]]:
     """Each scenario's ``(accesses, misses, writebacks)`` at *bases*."""
-    placed = bundle.placed(bases)
+    placed = relocated_traces(bundle, bases)
     return {scenario: replay_counts(placed[scenario], config) for scenario in scenarios}
 
 
@@ -34,7 +47,7 @@ def relocated_aggregate(
     bundle: TraceBundle, bases: tuple[int, ...], config: CacheConfig, scenarios
 ) -> NodeTraceAggregate:
     """The per-node aggregate of the *scenarios* at *bases*."""
-    placed = bundle.placed(bases)
+    placed = relocated_traces(bundle, bases)
     return NodeTraceAggregate.from_compact(
         config, [placed[scenario] for scenario in scenarios]
     )

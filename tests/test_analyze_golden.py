@@ -1,11 +1,13 @@
 """The ``repro analyze --reuse`` report may not change by a byte, and it
-reads the same from every path a task's traces can come by.
+reads the same from every path a task's artifacts can come by.
 
 The goldens under ``tests/golden/analyze/`` hold the full report of each
 built-in workload, ``[cache behaviour]`` diagnostics included.  The
-trace-path tests render one task's report from a cold analysis, from a
-warm disk store (whose traces load only when read) and from a what-if
-layout move (whose traces relocate when read), and require the same text.
+artifacts carry no traces: the report renders that section from the
+traces of one VM run its caller passes in.  The trace-path tests render
+one task's report from a cold analysis, from a warm disk store (which
+reads no trace entry) and from a what-if layout move, and require the
+same text.
 
 Regenerate goldens with ``REPRO_UPDATE_GOLDENS=1 pytest
 tests/test_analyze_golden.py``.
@@ -18,13 +20,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_task, task_report
-from repro.analysis.store import ArtifactStore, StoreBackedTraces
+from repro.analysis import analyze_task, scenario_traces, task_report
+from repro.analysis.store import ArtifactStore
 from repro.analysis.whatif import WhatIfSession
 from repro.cache import CacheConfig
 from repro.cli import main
 from repro.program import SystemLayout
-from repro.vm.trace import CompactTrace, LazyTraces
+from repro.vm.trace import CompactTrace
 from repro.workloads import build_workload, workload_names
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "analyze"
@@ -55,47 +57,33 @@ def _ed():
     return layout, workload.scenario_map(), CacheConfig.scaled_8k(miss_penalty=20)
 
 
-def _assert_compact(traces, scenarios) -> None:
-    assert list(traces) == list(scenarios)
-    for trace in traces.values():
-        assert isinstance(trace, CompactTrace)
-
-
 class TestTracePaths:
-    def test_cold_traces_are_compact(self):
+    def test_scenario_traces_are_compact(self):
         layout, scenarios, config = _ed()
-        art = analyze_task(layout, scenarios, config)
-        assert type(art.wcet.traces) is dict
-        _assert_compact(art.wcet.traces, scenarios)
+        traces = scenario_traces(layout, scenarios, config)
+        assert list(traces) == list(scenarios)
+        for trace in traces.values():
+            assert isinstance(trace, CompactTrace)
+            assert len(trace.regions) == len(trace)
 
-    def test_memory_store_traces_are_compact(self):
+    def test_warm_disk_store_reads_no_trace(self, tmp_path):
         layout, scenarios, config = _ed()
-        store = ArtifactStore(directory=None)
-        cold = analyze_task(layout, scenarios, config, store=store)
-        moved = SystemLayout(base_address=0x40000).place(layout.program)
-        warm = analyze_task(moved, scenarios, config, store=store)
-        assert store.hits_by_kind.get("trace") == 1
-        assert isinstance(warm.wcet.traces, LazyTraces)
-        _assert_compact(cold.wcet.traces, scenarios)
-        _assert_compact(warm.wcet.traces, scenarios)
-        assert warm.wcet.traces != cold.wcet.traces  # relocated
-
-    def test_disk_store_traces_are_compact(self, tmp_path):
-        layout, scenarios, config = _ed()
-        analyze_task(layout, scenarios, config, store=ArtifactStore(tmp_path))
-        warm = analyze_task(layout, scenarios, config, store=ArtifactStore(tmp_path))
-        assert isinstance(warm.wcet.traces, StoreBackedTraces)
-        _assert_compact(warm.wcet.traces, scenarios)
+        cold = analyze_task(layout, scenarios, config, store=ArtifactStore(tmp_path))
+        store = ArtifactStore(tmp_path)
+        warm = analyze_task(layout, scenarios, config, store=store)
+        assert store.hits_by_kind == {"sim": 1, "flow": 1, "paths": 1}
+        assert "trace" not in store.misses_by_kind
+        assert warm.wcet == cold.wcet
 
     def test_report_is_the_same_from_a_warm_disk_store(self, tmp_path):
         layout, scenarios, config = _ed()
-        cold = task_report(analyze_task(layout, scenarios, config))
+        traces = scenario_traces(layout, scenarios, config)
+        cold = task_report(analyze_task(layout, scenarios, config), traces=traces)
         analyze_task(layout, scenarios, config, store=ArtifactStore(tmp_path))
         store = ArtifactStore(tmp_path)
         warm = analyze_task(layout, scenarios, config, store=store)
         assert store.hits_by_kind.get("flow") == 1  # nothing recomputed
-        assert isinstance(warm.wcet.traces, StoreBackedTraces)
-        assert task_report(warm, include_reuse=True) == cold
+        assert task_report(warm, traces=traces) == cold
 
     def test_report_is_the_same_after_a_what_if_move(self):
         with WhatIfSession("exp1") as session:
@@ -105,8 +93,8 @@ class TestTracePaths:
             (task,) = [task for task in session.placed.tasks if task.name == "ed"]
             config = session.placed.config
         assert task.layout.code_base == 0x8000
-        assert isinstance(moved.wcet.traces, LazyTraces)
         cold = analyze_task(task.layout, task.scenarios, config)
-        assert task_report(moved, include_reuse=True) == task_report(
-            cold, include_reuse=True
+        traces = scenario_traces(task.layout, task.scenarios, config)
+        assert task_report(moved, traces=traces) == task_report(
+            cold, traces=traces
         )

@@ -24,7 +24,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis import CRPDAnalyzer, ExecutionPoint, UsefulBlocks, UsefulBlocksAnalysis
+from repro.analysis import (
+    CRPDAnalyzer,
+    ExecutionPoint,
+    UsefulBlocks,
+    UsefulBlocksAnalysis,
+    scenario_traces,
+)
 from repro.analysis.crpd import Approach
 from repro.analysis.intertask import approach1_lines, approach2_lines
 from repro.analysis.rmb_lmb import BlockBits
@@ -48,14 +54,16 @@ GEOMETRIES = {
 
 
 def _task_sets():
-    """(tag, {name: artifacts}, priority order) of every checked system."""
+    """(tag, {name: artifacts}, priority order, {name: scenarios}) of every
+    checked system."""
     systems = []
     for spec in (EXPERIMENT_I_SPEC, EXPERIMENT_II_SPEC):
         for geometry, cache in GEOMETRIES.items():
             context = build_context(spec, cache=cache)
-            systems.append(
-                (f"{spec.key}@{geometry}", context.artifacts, spec.priority_order)
-            )
+            systems.append((
+                f"{spec.key}@{geometry}", context.artifacts, spec.priority_order,
+                {task.name: task.scenarios for task in context.pipeline.placed.tasks},
+            ))
     for index in range(FUZZ_CASES):
         case = build_case(case_from_seed(FUZZ_SEED, index))
         systems.append(
@@ -64,26 +72,27 @@ def _task_sets():
                 f"{'/wb' if case.config.write_back else '/wt'}",
                 {task.name: task.artifacts for task in case.tasks},
                 tuple(task.name for task in case.tasks),
+                {task.name: task.scenarios for task in case.tasks},
             )
         )
     return systems
 
 
-def _every_visit(art):
+def _every_visit(art, scenarios):
     """*art*'s per-node aggregate with every visit of every scenario."""
     return oracle_rmb_lmb.every_visit_aggregate(
-        art.config, list(art.wcet.traces.values())
+        art.config, scenario_traces(art.layout, scenarios, art.config).values()
     )
 
 
 @pytest.fixture(scope="module")
 def systems():
     built = []
-    for tag, artifacts, order in _task_sets():
+    for tag, artifacts, order, scenarios in _task_sets():
         oracles = {}
         for name, art in artifacts.items():
             cfg = art.program.cfg
-            every = _every_visit(art)
+            every = _every_visit(art, scenarios[name])
             flow = oracle_rmb_lmb.solve_rmb_lmb(cfg, every, art.config)
             useful = oracle_useful.compute_useful_blocks(cfg, flow, every)
             oracles[name] = (flow, useful, every)

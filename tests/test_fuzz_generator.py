@@ -22,7 +22,7 @@ import shlex
 import pytest
 
 from repro.cli import main as repro_main
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.fuzz.build import build_case, cfg_node_count
 from repro.fuzz.generator import case_from_seed
 from repro.fuzz.spec import CacheSpec, SystemSpec, spec_weight
@@ -207,3 +207,30 @@ class TestOracleBank:
             assert (approach, None, "unbounded") in seen
             assert (approach, None, "converged") in seen
             assert (approach, 3, "diverged") in seen
+
+    def test_one_production_scheduler_run_per_case_and_budget(self, monkeypatch):
+        """``heap_vs_scan`` and ``art_soundness`` share the production
+        scheduler's run of a case, a raised budget error included."""
+        from repro.guard.budget import AnalysisBudget
+        from tests.fuzz import oracles
+
+        runs = []
+
+        class Counting(oracles.Simulator):
+            def run(self, horizon, **kwargs):
+                runs.append(kwargs.get("budget"))
+                return super().run(horizon, **kwargs)
+
+        monkeypatch.setattr(oracles, "Simulator", Counting)
+        case = next(
+            case for case in map(build_case, (case_from_seed(4, i) for i in range(20)))
+            if case.config.policy == "lru" and not case.config.write_back
+        )
+        names = ["heap_vs_scan", "art_soundness"]
+        starved = AnalysisBudget(max_sim_steps=1)
+        for budget in (None, starved, None, starved):
+            assert run_oracles(case, names=names, budget=budget) == []
+        assert runs == [None, starved]
+        with pytest.raises(ReproError):
+            oracles._production_run(case, starved)
+        assert runs == [None, starved]

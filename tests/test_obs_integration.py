@@ -65,23 +65,22 @@ class TestStoreHonesty:
             analyze_task(layout, scenarios, tiny_cache_config, store=warm)
 
         # Cold instance: first run misses every sub-artifact lookup
-        # (task memo, trace, flow, paths), second run is answered whole
-        # by the memory-only task memo.  Fresh instance: the four disk
-        # sub-artifacts hit, only the task memo misses.
-        for store, hits, misses in ((cold, 1, 4), (warm, 4, 1)):
+        # (task memo, sim, flow, trace, paths), second run is answered
+        # whole by the memory-only task memo.  Fresh instance: the sim,
+        # flow and paths entries hit (the trace is not read), only the
+        # task memo misses.
+        for store, hits, misses in ((cold, 1, 5), (warm, 3, 1)):
             assert store.gets == store.hits + store.misses
             assert (store.hits, store.misses) == (hits, misses)
         assert cold.hits_by_kind == {"task": 1}
-        assert warm.hits_by_kind == {
-            "trace": 1, "sim": 1, "flow": 1, "paths": 1,
-        }
+        assert warm.hits_by_kind == {"sim": 1, "flow": 1, "paths": 1}
         counters = metrics.to_dict()["counters"]
         assert counters["store.gets"] == counters["store.hits"] + counters[
             "store.misses"
         ]
         assert counters["store.gets"] == cold.gets + warm.gets
         assert counters["store.hits.memory"] == 1  # the task-memo hit
-        assert counters["store.hits.disk"] == 4
+        assert counters["store.hits.disk"] == 3
         # Cold writes trace/sim/flow/paths plus the memory-only memo;
         # the warm instance re-memoizes its own task memo.
         assert counters["store.puts"] == 6

@@ -265,21 +265,21 @@ class TestCacheEquivalence:
             cold = analyze_task(
                 layout, workload.scenario_map(), config, store=cold_store
             )
-            # Cold: every sub-artifact lookup misses (the sim bundle is
-            # written without a prior lookup, so it never counts here).
+            # Cold: every sub-artifact lookup misses.
             assert cold_store.hits == 0
             assert cold_store.misses_by_kind == {
-                "task": 1, "trace": 1, "flow": 1, "paths": 1,
+                "task": 1, "sim": 1, "flow": 1, "trace": 1, "paths": 1,
             }
             warm_store = ArtifactStore(directory=tmp_path)  # disk only
             warm = analyze_task(
                 layout, workload.scenario_map(), config, store=warm_store
             )
-            # Warm from disk: all four persisted sub-artifacts hit; only
-            # the memory-only assembly memo misses.
+            # Warm from disk: the sim, flow and paths entries hit and the
+            # trace is never read; only the memory-only assembly memo
+            # misses.
             assert warm_store.hits_by_kind == {
-                "trace": 1, "sim": 1, "flow": 1, "paths": 1,
-            }, f"case {case}: expected four disk hits"
+                "sim": 1, "flow": 1, "paths": 1,
+            }, f"case {case}: expected three disk hits"
             assert warm_store.misses_by_kind == {"task": 1}
             assert _artifact_fingerprint(cold) == _artifact_fingerprint(warm)
 
@@ -311,9 +311,7 @@ class TestCacheEquivalence:
             ledger=warm_ledger,
             store=warm_store,
         )
-        assert warm_store.hits_by_kind == {
-            "trace": 1, "sim": 1, "flow": 1, "paths": 1,
-        }
+        assert warm_store.hits_by_kind == {"sim": 1, "flow": 1, "paths": 1}
         assert warm_ledger.events == cold_ledger.events
         assert warm_ledger.soundness == cold_ledger.soundness == "conservative"
         assert _artifact_fingerprint(cold) == _artifact_fingerprint(warm)
@@ -336,12 +334,12 @@ class TestCacheEquivalence:
             layout, workload.scenario_map(), config, store=store
         )
         # The second run re-enumerates paths (new budget => new key) and
-        # re-misses the budget-keyed assembly memo, but replays the
-        # simulation sub-artifacts.
+        # re-misses the budget-keyed assembly memo, but reuses the sim and
+        # flow sub-artifacts (and so never reads the trace).
         assert store.misses_by_kind == {
-            "task": 2, "trace": 1, "flow": 1, "paths": 2,
+            "task": 2, "sim": 1, "flow": 1, "trace": 1, "paths": 2,
         }
-        assert store.hits_by_kind == {"trace": 1, "sim": 1, "flow": 1}
+        assert store.hits_by_kind == {"sim": 1, "flow": 1}
         assert full.path_enumeration_complete
 
 

@@ -9,7 +9,7 @@ another placement.  These tests pin the pieces that make it exact:
 * the columnar per-node aggregation equals the per-event reference
   kept here as the oracle;
 * a relocated trace is byte-identical to a VM re-execution at the new
-  placement, in memory and through a disk store's pickled trace view;
+  placement, in memory and read back from a disk store's trace entry;
 * a move through the block view (``TraceBundle.view``) gives the counts,
   aggregate and flow bundle of the per-event path kept in
   ``tests/oracles/relocation.py``, byte for byte as stored.
@@ -45,6 +45,7 @@ from tests.oracles.relocation import (
     relocated_aggregate,
     relocated_counts,
     relocated_flow,
+    relocated_traces,
 )
 
 POLICIES = ("lru", "fifo", "plru")
@@ -166,7 +167,7 @@ class TestRelocation:
             symbol_overrides={arrays[0]: 0x80008},
         )
         for scenario, inputs in workload.scenario_map().items():
-            recording = TraceColumns(relocatable=True)
+            recording = TraceColumns()
             run_isolated(
                 home, CacheState(config),
                 inputs={k: list(v) for k, v in inputs.items()}, trace=recording,
@@ -183,8 +184,8 @@ class TestRelocation:
     def test_unmoved_trace_is_returned_as_is(self):
         trace = compact_trace(random_events(1))
         assert trace.relocated((0, 0)) is trace
-        with pytest.raises(ValueError, match="without its layout"):
-            trace.relocated((4, 0))
+        moved = trace.relocated((4, 0))  # every event is in region 0
+        assert list(moved.addresses) == [address + 4 for address in trace.addresses]
 
     def test_layout_move_reuses_the_stored_trace(self):
         """A ``code:`` move hits the trace and paths entries; only the
@@ -214,11 +215,15 @@ class TestDiskStoreRelocation:
         store = ArtifactStore(directory=tmp_path)
         artifacts = analyze_task(moved, scenarios, config, store=store)
         assert store.hits_by_kind.get("trace") == 1  # no VM run
-        traces = pickle.loads(pickle.dumps(artifacts.wcet.traces))
+        bundle = ArtifactStore(directory=tmp_path).get(
+            artifacts.subkeys["trace"], kind="trace"
+        )
+        traces = relocated_traces(bundle, moved.region_bases())
         for scenario, inputs in scenarios.items():
             assert columns(traces[scenario]) == columns(
                 vm_trace(moved, inputs, config)
             ), scenario
+        assert artifacts.wcet == analyze_task(moved, scenarios, config).wcet
 
 
 def _stored(kind: str, payload) -> bytes:
@@ -240,7 +245,7 @@ def synthetic_bundle(
     bases = tuple(0x10000 + spacing * region for region in range(regions))
     traces = {}
     for name, events in (("a", 500), ("b", 300)):
-        columns = TraceColumns(relocatable=True)
+        columns = TraceColumns()
         node = "n0"
         for _ in range(events):
             if rng.random() < 0.2:
@@ -337,7 +342,7 @@ class TestBlockView:
         assert bundle._views
         assert _stored("trace", bundle) == before
         assert "_views" not in vars(pickle.loads(pickle.dumps(bundle)))
-        assert SCHEMA_VERSION == 5
+        assert SCHEMA_VERSION == 6
 
 
 def _moves(task, rng):

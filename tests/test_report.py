@@ -2,20 +2,27 @@
 
 import pytest
 
-from repro.analysis import CRPDAnalyzer, system_report, task_report
+from repro.analysis import CRPDAnalyzer, scenario_traces, system_report, task_report
 from repro.wcrt import TaskSpec, TaskSystem
+
+
+def _traces(analyzed_pair, name):
+    art = analyzed_pair[name]
+    return scenario_traces(art.layout, analyzed_pair["scenarios"][name], art.config)
 
 
 class TestTaskReport:
     def test_sections_present(self, analyzed_pair):
-        text = task_report(analyzed_pair["low"])
+        text = task_report(
+            analyzed_pair["low"], traces=_traces(analyzed_pair, "low")
+        )
         for header in ("[wcet]", "[memory footprint]",
                        "[useful memory blocks]", "[control structure]",
                        "[cache behaviour]"):
             assert header in text
 
     def test_reuse_section_optional(self, analyzed_pair):
-        text = task_report(analyzed_pair["low"], include_reuse=False)
+        text = task_report(analyzed_pair["low"])
         assert "[cache behaviour]" not in text
 
     def test_numbers_consistent_with_artifacts(self, analyzed_pair):
@@ -44,7 +51,7 @@ class TestTaskReport:
             budget=AnalysisBudget(max_paths=1),
         )
         assert not art.path_enumeration_complete
-        text = task_report(art, include_reuse=False, max_paths=1)
+        text = task_report(art, max_paths=1)
         assert "path enumeration stopped at max_paths=1" in text
         assert "feasible path(s)" not in text
 

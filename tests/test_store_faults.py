@@ -11,13 +11,15 @@ lookup still lands in ``misses`` (``gets == hits + misses``).
 
 One analysis persists four sub-artifact entries (trace, sim, flow,
 paths — see the decomposition in ``docs/performance.md``), so the tests
-rot *every* entry.  On the rotten re-run the trace lookup misses, which
-sends the whole WCET stage down the cold path — the sim entry is then
-never read, so only three corrupt reads are counted while all four
-files heal.
+rot *every* entry.  On the rotten re-run the sim and flow lookups miss,
+so the trace entry is read too and misses, which sends the WCET stage
+down the cold path: four corrupt reads are counted and all four files
+heal.  A warm run whose sim and flow entries hit reads no trace.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
@@ -31,7 +33,7 @@ from tests.faults import PICKLE_CORRUPTIONS
 
 #: Disk entries one analysis persists / corrupt reads on a rotten re-run.
 PERSISTED_KINDS = 4
-CORRUPT_READS = 3  # trace, flow, paths; sim is skipped once trace misses
+CORRUPT_READS = 4  # sim, flow, trace, paths
 
 
 def _analyzed_once(tmp_path, config):
@@ -66,7 +68,7 @@ def test_corrupt_entry_is_a_counted_miss_and_heals(
     assert store.hits == 0
     assert store.corrupt + store.stale == CORRUPT_READS
     assert store.misses_by_kind == {
-        "task": 1, "trace": 1, "flow": 1, "paths": 1,
+        "task": 1, "sim": 1, "flow": 1, "trace": 1, "paths": 1,
     }
     assert store.gets == store.hits + store.misses
     # Recomputation matches the cold run.
@@ -78,7 +80,7 @@ def test_corrupt_entry_is_a_counted_miss_and_heals(
     retry = ArtifactStore(directory=tmp_path)
     analyze_task(layout, scenarios, tiny_cache_config, store=retry)
     assert retry.corrupt == 0
-    assert retry.hits_by_kind == {"trace": 1, "sim": 1, "flow": 1, "paths": 1}
+    assert retry.hits_by_kind == {"sim": 1, "flow": 1, "paths": 1}
     assert retry.misses_by_kind == {"task": 1}
 
 
@@ -127,4 +129,30 @@ def test_mangled_tail_does_not_resurrect_stale_artifacts(
     store = ArtifactStore(directory=tmp_path)
     analyze_task(layout, scenarios, tiny_cache_config, store=store)
     assert store.corrupt == 0
-    assert store.hits_by_kind == {"trace": 1, "sim": 1, "flow": 1, "paths": 1}
+    assert store.hits_by_kind == {"sim": 1, "flow": 1, "paths": 1}
+
+
+def test_evicted_trace_is_recorded_again(tmp_path, tiny_cache_config, monkeypatch):
+    """A sim hit with a flow miss needs the trace; when its entry is gone
+    the VM runs again, once, and the trace entry is put back."""
+    import repro.analysis.artifacts as artifacts
+
+    layout, scenarios, entries, cold = _analyzed_once(tmp_path, tiny_cache_config)
+    for entry in entries:
+        if pickle.loads(entry.read_bytes()).kind in ("trace", "flow"):
+            entry.unlink()
+    runs = []
+    measure = artifacts.measure_wcet_detailed
+    monkeypatch.setattr(
+        artifacts, "measure_wcet_detailed",
+        lambda *args, **kwargs: runs.append(1) or measure(*args, **kwargs),
+    )
+    store = ArtifactStore(directory=tmp_path)
+    warm = analyze_task(layout, scenarios, tiny_cache_config, store=store)
+    assert runs == [1]
+    assert store.hits_by_kind == {"sim": 1, "paths": 1}
+    assert store.misses_by_kind == {"task": 1, "flow": 1, "trace": 1}
+    assert all(entry.exists() for entry in entries)
+    assert warm.wcet == cold.wcet
+    assert warm.footprint == cold.footprint
+    assert warm.useful.mumbs() == cold.useful.mumbs()

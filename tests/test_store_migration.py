@@ -14,7 +14,12 @@ from __future__ import annotations
 import pickle
 
 from repro.analysis import analyze_task
-from repro.analysis.store import ArtifactStore, CachedAnalysis, StoredEntry
+from repro.analysis.store import (
+    ArtifactStore,
+    CachedAnalysis,
+    SimBundle,
+    StoredEntry,
+)
 from repro.obs import observed
 from repro.program import SystemLayout
 
@@ -53,12 +58,12 @@ def test_v1_entries_are_counted_stale_misses_and_heal(
         store = ArtifactStore(directory=tmp_path)
         warm = analyze_task(layout, scenarios, tiny_cache_config, store=store)
 
-    # Three stale reads (trace/flow/paths; sim is skipped once the trace
-    # lookup misses), zero corruption, zero hits — and honest counting.
+    # Four stale reads (sim/flow/trace/paths), zero corruption, zero
+    # hits — and honest counting.
     assert store.hits == 0
-    assert (store.stale, store.corrupt) == (3, 0)
+    assert (store.stale, store.corrupt) == (4, 0)
     assert store.gets == store.hits + store.misses
-    assert metrics.to_dict()["counters"]["store.stale"] == 3
+    assert metrics.to_dict()["counters"]["store.stale"] == 4
     # The recomputation is a full, correct cold run.
     assert warm.wcet.cycles == cold.wcet.cycles
     assert warm.footprint == cold.footprint
@@ -66,7 +71,7 @@ def test_v1_entries_are_counted_stale_misses_and_heal(
     retry = ArtifactStore(directory=tmp_path)
     analyze_task(layout, scenarios, tiny_cache_config, store=retry)
     assert retry.stale == 0
-    assert retry.hits_by_kind == {"trace": 1, "sim": 1, "flow": 1, "paths": 1}
+    assert retry.hits_by_kind == {"sim": 1, "flow": 1, "paths": 1}
 
 
 def test_wrong_schema_envelope_is_stale(tmp_path, tiny_cache_config):
@@ -86,20 +91,20 @@ def test_wrong_schema_envelope_is_stale(tmp_path, tiny_cache_config):
         )
     store = ArtifactStore(directory=tmp_path)
     analyze_task(layout, scenarios, tiny_cache_config, store=store)
-    assert (store.stale, store.corrupt, store.hits) == (3, 0, 0)
+    assert (store.stale, store.corrupt, store.hits) == (4, 0, 0)
 
 
 def test_kind_collision_is_stale_not_a_wrong_payload(
     tmp_path, tiny_cache_config
 ):
     """An entry of the *right* schema but the wrong kind (e.g. a paths
-    bundle squatting on a trace key) must never be returned as a hit."""
+    bundle squatting on a sim key) must never be returned as a hit."""
     layout, scenarios, entries, cold = _case(tmp_path, tiny_cache_config)
     payloads = [pickle.loads(e.read_bytes()) for e in entries]
     by_kind = {p.kind: (e, p) for e, p in zip(entries, payloads)}
-    trace_entry, _ = by_kind["trace"]
+    sim_entry, _ = by_kind["sim"]
     _, paths_payload = by_kind["paths"]
-    trace_entry.write_bytes(
+    sim_entry.write_bytes(
         pickle.dumps(paths_payload, protocol=pickle.HIGHEST_PROTOCOL)
     )
 
@@ -116,7 +121,7 @@ def test_schema3_flow_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
     the same analysis, while the other kinds hit."""
     from repro.analysis.store import SCHEMA_VERSION
 
-    assert SCHEMA_VERSION == 5
+    assert SCHEMA_VERSION == 6
     layout, scenarios, entries, cold = _case(tmp_path, tiny_cache_config)
     for entry in entries:
         stored = pickle.loads(entry.read_bytes())
@@ -133,3 +138,30 @@ def test_schema3_flow_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
     assert store.hits_by_kind == {"trace": 1, "sim": 1, "paths": 1}
     assert warm.useful.mumbs() == cold.useful.mumbs()
     assert warm.dataflow.entry_rmb == cold.dataflow.entry_rmb
+
+
+def test_schema5_sim_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
+    """Schema 6 stores the base cycles with the sim counts: a sim entry
+    stamped with schema 5 (counts only) is a counted stale miss, read
+    back from the trace entry into the same payload as a cold run's."""
+    layout, scenarios, entries, cold = _case(tmp_path, tiny_cache_config)
+    (sim_entry,) = [
+        entry for entry in entries
+        if pickle.loads(entry.read_bytes()).kind == "sim"
+    ]
+    current = pickle.loads(sim_entry.read_bytes())
+    counts_only = SimBundle.__new__(SimBundle)  # what schema 5 pickled
+    counts_only.counts = current.payload.counts
+    sim_entry.write_bytes(
+        pickle.dumps(
+            StoredEntry(schema=5, kind="sim", payload=counts_only),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+    )
+    store = ArtifactStore(directory=tmp_path)
+    warm = analyze_task(layout, scenarios, tiny_cache_config, store=store)
+    assert (store.stale, store.corrupt) == (1, 0)
+    assert store.hits_by_kind == {"flow": 1, "trace": 1, "paths": 1}
+    assert store.misses_by_kind == {"task": 1, "sim": 1}
+    assert warm.wcet == cold.wcet
+    assert pickle.loads(sim_entry.read_bytes()) == current

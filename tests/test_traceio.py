@@ -13,7 +13,7 @@ from tests.conftest import compact_trace
 
 
 def one(events):
-    """A one-scenario trace mapping, as ``WCETResult.traces`` holds."""
+    """A one-scenario trace mapping, as ``scenario_traces`` returns."""
     return {"s": compact_trace(events)}
 
 
@@ -38,7 +38,7 @@ class TestPersistence:
         with b.loop(16) as i:
             b.load("v", data, index=i)
         layout = SystemLayout().place(b.build())
-        columns = TraceColumns(relocatable=True)
+        columns = TraceColumns()
         run_isolated(layout, CacheState(config), trace=columns)
         trace = columns.compact()
         loaded = pickle.loads(pickle.dumps(trace))

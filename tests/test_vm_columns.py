@@ -48,7 +48,7 @@ def step_until_halt(machine: Machine, max_steps: int = 10_000_000) -> int:
 
 def prepared(layout, cache, inputs) -> Machine:
     machine = Machine(
-        layout=layout, cache=cache, trace=TraceColumns(relocatable=True)
+        layout=layout, cache=cache, trace=TraceColumns()
     )
     for name, values in inputs.items():
         machine.write_array(name, list(values))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import measure_wcet, static_wcet_bound
+from repro.analysis import measure_wcet, scenario_traces, static_wcet_bound
 from repro.cache import CacheConfig
 from repro.program import ProgramBuilder, SystemLayout
 
@@ -47,9 +47,9 @@ class TestMeasureWCET:
 
     def test_traces_returned_per_scenario(self, config):
         layout = two_path_layout()
-        result = measure_wcet(layout, {"a": {"flag": [1]}}, config)
-        assert set(result.traces) == {"a"}
-        assert len(result.traces["a"]) > 0
+        traces = scenario_traces(layout, {"a": {"flag": [1]}}, config)
+        assert set(traces) == {"a"}
+        assert len(traces["a"]) > 0
 
     def test_each_scenario_gets_cold_cache(self, config):
         """Scenario order must not matter (no cache state leaks)."""

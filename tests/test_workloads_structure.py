@@ -56,7 +56,7 @@ class TestScenarioCoverage:
     def test_scenarios_cover_all_feasible_paths(self):
         """Each feasible path must be driven by at least one scenario —
         the requirement for simulation-based WCET (SYMTA method)."""
-        from repro.analysis import measure_wcet
+        from repro.analysis import scenario_traces
         from repro.cache import CacheConfig
         from repro.program import SystemLayout
         from repro.program.paths import path_footprint
@@ -69,9 +69,9 @@ class TestScenarioCoverage:
             assert len(workload.scenarios) >= min(len(profiles), 2) or len(profiles) == 1
             # Run every scenario; union of visited labels must cover the
             # union of all path labels.
-            result = measure_wcet(layout, workload.scenario_map(), config)
+            traces = scenario_traces(layout, workload.scenario_map(), config)
             visited: set[str] = set()
-            for trace in result.traces.values():
+            for trace in traces.values():
                 visited |= {trace.node_table[node] for node in trace.node_ids}
             for profile in profiles:
                 expected = {
