@@ -1,11 +1,12 @@
 """Micro-benchmarks of the substrate primitives.
 
 Not a paper table — these track the cost of the building blocks every
-experiment leans on: LRU cache access, VM instruction dispatch, RMB/LMB
-fixpoint solving, CIIP intersection and the WCRT iteration.
+experiment leans on: LRU cache access, trace replay, VM instruction
+dispatch, RMB/LMB fixpoint solving, CIIP intersection and the WCRT
+iteration.
 """
 
-from repro.analysis import analyze_task, solve_rmb_lmb
+from repro.analysis import analyze_task, scenario_traces, solve_rmb_lmb
 from repro.analysis.rmb_lmb import solve_rmb_lmb as _solve
 from repro.cache import CIIP, CacheConfig, CacheState, conflict_bound
 from repro.program import ProgramBuilder, SystemLayout
@@ -19,10 +20,32 @@ def test_cache_access_throughput(benchmark):
     addresses = [(i * 52) % 0x8000 for i in range(4096)]
 
     def run():
-        return cache.touch_all(addresses)
+        return sum(cache.access(address).cycles for address in addresses)
 
     benchmark(run)
     assert cache.stats.accesses > 0
+
+
+def test_replay_throughput(benchmark):
+    """``access_stream`` over Experiment I's recorded traces, each from a
+    cold cache: the kernel behind every WCET charge, geometry edit and
+    layout move."""
+    from repro.experiments import EXPERIMENT_I_SPEC
+
+    config = CacheConfig.scaled_8k()
+    traces = []
+    for build in EXPERIMENT_I_SPEC.builders.values():
+        workload = build()
+        layout = SystemLayout().place(workload.program)
+        traces.extend(
+            scenario_traces(layout, workload.scenario_map(), config).values()
+        )
+
+    def run():
+        return sum(trace.replay(CacheState(config)) for trace in traces)
+
+    cycles = benchmark(run)
+    assert cycles > 0
 
 
 def test_vm_instruction_throughput(benchmark):

@@ -358,7 +358,6 @@ def _wcet_stage(
                 store.put(
                     keys["trace"],
                     TraceBundle(
-                        scenario_names=tuple(scenarios),
                         traces=traces,
                         base_cycles=counted.base_cycles,
                         bases=layout.region_bases(),

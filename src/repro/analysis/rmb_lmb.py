@@ -229,6 +229,13 @@ def solve_rmb_lmb(
             referenced |= mask
             if not lru:
                 continue
+            if len(latest) < ways:
+                # No set reaches L distinct blocks: each keeps all of
+                # them, and none is strongly updated.
+                recent |= mask
+                upcoming |= mask
+                strong = 0
+                continue
             counts = Counter(map(set_of.__getitem__, latest))
             if max(counts.values(), default=0) <= ways:
                 recent |= mask  # every set keeps all its blocks

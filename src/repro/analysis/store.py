@@ -123,8 +123,9 @@ __all__ = [
 #: traces under placement-free keys; schema 4 stores the flow's RMB/LMB
 #: states and useful points as bit masks; schema 5 keys structure by one
 #: digest and stores each node's distinct visits once in the flow;
-#: schema 6 stores the base cycles with the sim counts.
-SCHEMA_VERSION = 6
+#: schema 6 stores the base cycles with the sim counts; schema 7 drops the
+#: trace bundle's scenario-name tuple.
+SCHEMA_VERSION = 7
 
 _SOURCE_FINGERPRINT: Optional[str] = None
 
@@ -347,13 +348,12 @@ class TraceBundle:
     """kind="trace": region-tagged reference streams + invariant base cycles.
 
     The store is the only holder of traces: analysis results carry
-    none.  ``scenario_names`` preserves the caller's scenario order.  The
-    traces hold the addresses of the placement the VM ran at, whose
+    none.  ``traces`` keeps the caller's scenario order.  The traces
+    hold the addresses of the placement the VM ran at, whose
     :meth:`~repro.program.layout.ProgramLayout.region_bases` are
     ``bases``; :meth:`view` reads them at any other.
     """
 
-    scenario_names: tuple[str, ...]
     traces: dict[str, CompactTrace]
     base_cycles: dict[str, int]
     bases: tuple[int, ...]

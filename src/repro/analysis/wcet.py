@@ -143,24 +143,21 @@ def scenario_traces(
     config: CacheConfig,
     max_steps: int = 10_000_000,
 ) -> dict[str, CompactTrace]:
-    """Each scenario's :class:`~repro.vm.trace.CompactTrace` at *layout*,
-    from one :func:`measure_wcet_detailed` run: what a diagnostic that
-    reads events (``repro analyze --reuse``) renders from."""
-    _, runs = measure_wcet_detailed(layout, scenarios, config, max_steps=max_steps)
-    return {name: run.trace for name, run in runs.items()}
+    """Each scenario's :class:`~repro.vm.trace.CompactTrace` at *layout*:
+    what a diagnostic that reads events (``repro analyze --reuse``)
+    renders from.  Records only: the stream is the same under every
+    cache configuration, so nothing is charged to *config*."""
+    recorded = _record_scenarios(layout, scenarios, max_steps)
+    return {name: trace for name, (_, trace) in recorded.items()}
 
 
-def _run_scenarios(
-    layout: ProgramLayout,
-    scenarios: Scenarios,
-    config: CacheConfig,
-    max_steps: int,
-) -> dict[str, ScenarioRun]:
-    """One cache-free VM run per scenario into columns, then one replay
-    of the columns through a cold cache."""
+def _record_scenarios(
+    layout: ProgramLayout, scenarios: Scenarios, max_steps: int
+) -> dict[str, tuple[int, CompactTrace]]:
+    """One cache-free VM run per scenario: its base cycles and trace."""
     if not scenarios:
         raise ConfigError("at least one input scenario is required")
-    runs: dict[str, ScenarioRun] = {}
+    recorded = {}
     for name, inputs in scenarios.items():
         columns = TraceColumns()
         machine = run_isolated(
@@ -170,13 +167,26 @@ def _run_scenarios(
             trace=columns,
             max_steps=max_steps,
         )
-        trace = columns.compact()
+        recorded[name] = (machine.cycles, columns.compact())
+    return recorded
+
+
+def _run_scenarios(
+    layout: ProgramLayout,
+    scenarios: Scenarios,
+    config: CacheConfig,
+    max_steps: int,
+) -> dict[str, ScenarioRun]:
+    """Each scenario's recorded run, replayed through a cold cache."""
+    runs: dict[str, ScenarioRun] = {}
+    recorded = _record_scenarios(layout, scenarios, max_steps)
+    for name, (base_cycles, trace) in recorded.items():
         accesses, misses, writebacks = replay_counts(trace, config)
         runs[name] = ScenarioRun(
             cycles=cycles_from_counts(
-                config, machine.cycles, accesses, misses, writebacks
+                config, base_cycles, accesses, misses, writebacks
             ),
-            base_cycles=machine.cycles,
+            base_cycles=base_cycles,
             accesses=accesses,
             misses=misses,
             writebacks=writebacks,

@@ -109,9 +109,6 @@ class MemoryHierarchy:
         l2_misses = self.l2.stats.misses - l2_misses
         return cycles + l2_misses * self.config.l2.miss_penalty
 
-    def touch_all(self, addresses: list[int]) -> int:
-        return sum(self.access(address).cycles for address in addresses)
-
     def contains(self, address: int) -> bool:
         """True if the block is resident at any level."""
         return self.l1.contains(address) or self.l2.contains(address)

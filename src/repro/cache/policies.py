@@ -2,14 +2,14 @@
 
 The paper assumes LRU but notes the approach "can also be applied to the
 caches with other replacement algorithms with minor modifications"
-(Section III-A).  This module provides the policy abstraction and three
-implementations:
+(Section III-A).  Three policies are modelled:
 
 * ``lru``  — least recently used (the paper's assumption),
 * ``fifo`` — first-in first-out (hits do not refresh),
 * ``plru`` — tree-based pseudo-LRU as found in many real L1 designs.
 
-A policy manages one cache set.  The inter-task bound of Equation 2 is
+Each policy's replacement rule is one replay loop over plain per-set
+lists in :mod:`repro.cache.state`.  The inter-task bound of Equation 2 is
 policy-independent (each insertion evicts at most one line and a set holds
 at most ``L`` lines — see ``tests/test_policies.py`` for the property
 check), but the *strong updates* of the RMB/LMB dataflow are justified by
@@ -17,172 +17,4 @@ LRU only; :func:`repro.analysis.rmb_lmb.solve_rmb_lmb` degrades to weak
 (still sound) updates for other policies.
 """
 
-from __future__ import annotations
-
-from typing import Protocol
-
-from repro.errors import ConfigError
-
 POLICY_NAMES = ("lru", "fifo", "plru")
-
-
-class SetPolicy(Protocol):
-    """Replacement state for a single cache set."""
-
-    def lookup(self, block: int) -> bool:
-        """True (and update recency metadata) if *block* is resident."""
-
-    def insert(self, block: int) -> int | None:
-        """Insert a missing *block*; return the evicted block, if any."""
-
-    def resident(self) -> tuple[int, ...]:
-        """Currently resident blocks, in policy-specific priority order."""
-
-    def remove(self, block: int) -> bool:
-        """Invalidate one block; True if it was resident."""
-
-    def clear(self) -> None:
-        """Invalidate the whole set."""
-
-
-class LRUSet:
-    """Least recently used: hits move the block to the front."""
-
-    def __init__(self, ways: int):
-        self._ways = ways
-        self._lines: list[int] = []  # most recently used first
-
-    def lookup(self, block: int) -> bool:
-        if block in self._lines:
-            self._lines.remove(block)
-            self._lines.insert(0, block)
-            return True
-        return False
-
-    def insert(self, block: int) -> int | None:
-        evicted = None
-        if len(self._lines) >= self._ways:
-            evicted = self._lines.pop()
-        self._lines.insert(0, block)
-        return evicted
-
-    def resident(self) -> tuple[int, ...]:
-        return tuple(self._lines)
-
-    def remove(self, block: int) -> bool:
-        if block in self._lines:
-            self._lines.remove(block)
-            return True
-        return False
-
-    def clear(self) -> None:
-        self._lines.clear()
-
-
-class FIFOSet:
-    """First-in first-out: eviction order fixed at insertion time."""
-
-    def __init__(self, ways: int):
-        self._ways = ways
-        self._lines: list[int] = []  # newest first
-
-    def lookup(self, block: int) -> bool:
-        return block in self._lines
-
-    def insert(self, block: int) -> int | None:
-        evicted = None
-        if len(self._lines) >= self._ways:
-            evicted = self._lines.pop()
-        self._lines.insert(0, block)
-        return evicted
-
-    def resident(self) -> tuple[int, ...]:
-        return tuple(self._lines)
-
-    def remove(self, block: int) -> bool:
-        if block in self._lines:
-            self._lines.remove(block)
-            return True
-        return False
-
-    def clear(self) -> None:
-        self._lines.clear()
-
-
-class PLRUSet:
-    """Tree-based pseudo-LRU for power-of-two associativity.
-
-    A complete binary tree over the ``ways`` slots, heap-indexed from 1:
-    node ``i`` has children ``2i`` (left) and ``2i+1`` (right); leaf
-    ``ways + slot`` is way *slot*.  Each internal bit points toward the
-    pseudo-LRU side (0 = left, 1 = right); touching a slot flips every bit
-    on its root path to point *away* from it, and the victim is found by
-    following the bits from the root.  ``ways == 1`` degenerates to
-    direct-mapped behaviour.
-    """
-
-    def __init__(self, ways: int):
-        if ways < 1 or ways & (ways - 1):
-            raise ConfigError(f"plru requires power-of-two ways, got {ways}")
-        self._ways = ways
-        self._depth = ways.bit_length() - 1
-        self._slots: list[int | None] = [None] * ways
-        self._bits = [0] * (2 * ways)  # heap-indexed; leaves unused
-
-    def _touch(self, slot: int) -> None:
-        """Point every bit on the root path away from *slot*."""
-        node = 1
-        for level in range(self._depth):
-            direction = (slot >> (self._depth - 1 - level)) & 1
-            self._bits[node] = 1 - direction
-            node = 2 * node + direction
-
-    def _victim_slot(self) -> int:
-        node = 1
-        for _ in range(self._depth):
-            node = 2 * node + self._bits[node]
-        return node - self._ways
-
-    def lookup(self, block: int) -> bool:
-        for slot, resident in enumerate(self._slots):
-            if resident == block:
-                self._touch(slot)
-                return True
-        return False
-
-    def insert(self, block: int) -> int | None:
-        for slot, resident in enumerate(self._slots):
-            if resident is None:
-                self._slots[slot] = block
-                self._touch(slot)
-                return None
-        victim_slot = self._victim_slot()
-        evicted = self._slots[victim_slot]
-        self._slots[victim_slot] = block
-        self._touch(victim_slot)
-        return evicted
-
-    def resident(self) -> tuple[int, ...]:
-        return tuple(block for block in self._slots if block is not None)
-
-    def remove(self, block: int) -> bool:
-        for slot, resident in enumerate(self._slots):
-            if resident == block:
-                self._slots[slot] = None
-                return True
-        return False
-
-    def clear(self) -> None:
-        self._slots = [None] * self._ways
-
-
-def make_set_policy(policy: str, ways: int) -> SetPolicy:
-    """Instantiate the per-set replacement state for *policy*."""
-    if policy == "lru":
-        return LRUSet(ways)
-    if policy == "fifo":
-        return FIFOSet(ways)
-    if policy == "plru":
-        return PLRUSet(ways)
-    raise ConfigError(f"unknown replacement policy {policy!r}; "
-                     f"choose from {POLICY_NAMES}")

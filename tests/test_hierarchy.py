@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import CacheConfig, CacheState, HierarchyConfig, MemoryHierarchy
 
+from tests.oracles.cache import touch_all
+
 
 def make_hierarchy(l1_penalty=10, l2_penalty=40, l2_line=32):
     return HierarchyConfig(
@@ -132,7 +134,7 @@ def test_hierarchy_cycles_bracketed(addresses):
     equal the sum of per-level miss counts weighted by their penalties."""
     config = make_hierarchy()
     stack = MemoryHierarchy(config)
-    total = stack.touch_all(addresses)
+    total = touch_all(stack, addresses)
     l1_misses = stack.l1.stats.misses
     l2_misses = stack.l2.stats.misses
     expected = (
@@ -150,6 +152,6 @@ def test_hierarchy_cycles_bracketed(addresses):
 @settings(max_examples=50)
 def test_l2_misses_never_exceed_l1_misses(addresses):
     stack = MemoryHierarchy(make_hierarchy())
-    stack.touch_all(addresses)
+    touch_all(stack, addresses)
     assert stack.l2.stats.accesses == stack.l1.stats.misses
     assert stack.l2.stats.misses <= stack.l1.stats.misses

@@ -10,8 +10,8 @@ from repro.cache import (
     CacheState,
     conflict_bound,
 )
-from repro.cache.policies import FIFOSet, LRUSet, PLRUSet, make_set_policy
 
+from tests.oracles.cache import FIFOSet, LRUSet, PLRUSet, make_set_policy
 from tests.oracles.measurement import measure_preemption
 
 

@@ -257,7 +257,6 @@ def synthetic_bundle(
             )
         traces[name] = columns.compact()
     return TraceBundle(
-        scenario_names=tuple(traces),
         traces=traces,
         base_cycles={name: 0 for name in traces},
         bases=bases,
@@ -265,7 +264,7 @@ def synthetic_bundle(
 
 
 def assert_view_matches_oracle(bundle, bases, config, scenarios=None):
-    scenarios = tuple(scenarios or bundle.scenario_names)
+    scenarios = tuple(scenarios or bundle.traces)
     view = bundle.view(config.line_size, bases, scenarios)
     assert view.counts(bases, config) == relocated_counts(
         bundle, bases, config, scenarios
@@ -342,7 +341,7 @@ class TestBlockView:
         assert bundle._views
         assert _stored("trace", bundle) == before
         assert "_views" not in vars(pickle.loads(pickle.dumps(bundle)))
-        assert SCHEMA_VERSION == 6
+        assert SCHEMA_VERSION == 7
 
 
 def _moves(task, rng):

@@ -12,6 +12,7 @@ never a silently wrong result.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 from repro.analysis import analyze_task
 from repro.analysis.store import (
@@ -19,6 +20,7 @@ from repro.analysis.store import (
     CachedAnalysis,
     SimBundle,
     StoredEntry,
+    TraceBundle,
 )
 from repro.obs import observed
 from repro.program import SystemLayout
@@ -121,7 +123,7 @@ def test_schema3_flow_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
     the same analysis, while the other kinds hit."""
     from repro.analysis.store import SCHEMA_VERSION
 
-    assert SCHEMA_VERSION == 6
+    assert SCHEMA_VERSION == 7
     layout, scenarios, entries, cold = _case(tmp_path, tiny_cache_config)
     for entry in entries:
         stored = pickle.loads(entry.read_bytes())
@@ -165,3 +167,33 @@ def test_schema5_sim_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
     assert store.misses_by_kind == {"task": 1, "sim": 1}
     assert warm.wcet == cold.wcet
     assert pickle.loads(sim_entry.read_bytes()) == current
+
+
+def test_schema6_trace_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
+    """Schema 7 dropped the trace bundle's ``scenario_names``: a trace
+    entry stamped with schema 6 (which carried it) is a counted stale
+    miss when a new geometry reads it, recorded afresh into the same
+    payload as a cold run's."""
+    layout, scenarios, entries, _ = _case(tmp_path, tiny_cache_config)
+    (trace_entry,) = [
+        entry for entry in entries
+        if pickle.loads(entry.read_bytes()).kind == "trace"
+    ]
+    current = pickle.loads(trace_entry.read_bytes())
+    named = TraceBundle.__new__(TraceBundle)  # what schema 6 pickled
+    named.__dict__.update(
+        scenario_names=tuple(scenarios), **vars(current.payload)
+    )
+    trace_entry.write_bytes(
+        pickle.dumps(
+            StoredEntry(schema=6, kind="trace", payload=named),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+    )
+    wider = replace(tiny_cache_config, ways=2 * tiny_cache_config.ways)
+    store = ArtifactStore(directory=tmp_path)
+    warm = analyze_task(layout, scenarios, wider, store=store)
+    assert (store.stale, store.corrupt) == (1, 0)
+    assert store.misses_by_kind.get("trace") == 1
+    assert warm.wcet == analyze_task(layout, scenarios, wider).wcet
+    assert pickle.loads(trace_entry.read_bytes()) == current

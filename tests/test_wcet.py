@@ -51,6 +51,22 @@ class TestMeasureWCET:
         assert set(traces) == {"a"}
         assert len(traces["a"]) > 0
 
+    def test_traces_are_recorded_without_a_replay(self, config, monkeypatch):
+        """A diagnostic's traces charge no cache: nothing is replayed, and
+        the columns equal those the WCET run records."""
+        from repro.analysis import wcet
+
+        layout = two_path_layout()
+        scenarios = {"a": {"flag": [1]}, "b": {"flag": [0]}}
+        _, runs = wcet.measure_wcet_detailed(layout, scenarios, config)
+
+        def no_replay(*args):
+            raise AssertionError("scenario_traces replayed a trace")
+
+        monkeypatch.setattr(wcet, "replay_counts", no_replay)
+        traces = scenario_traces(layout, scenarios, config)
+        assert traces == {name: run.trace for name, run in runs.items()}
+
     def test_each_scenario_gets_cold_cache(self, config):
         """Scenario order must not matter (no cache state leaks)."""
         layout = two_path_layout()
