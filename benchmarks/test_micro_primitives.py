@@ -85,8 +85,44 @@ def test_rmb_lmb_fixpoint(benchmark):
     machine.run()
     aggregate = NodeTraceAggregate.from_compact(config, [trace.compact()])
 
-    result = benchmark(_solve, workload.program.cfg, aggregate, config)
+    result = benchmark(_solve, workload.program.cfg, aggregate.visits(), config)
     assert result.entry_rmb
+
+
+def test_flow_from_view(benchmark):
+    """RMB/LMB solved from Experiment I's trace views at a placement
+    moved by whole lines: what a layout move or a geometry edit runs."""
+    from repro.analysis.store import TraceBundle
+    from repro.experiments import EXPERIMENT_I_SPEC
+
+    config = CacheConfig.scaled_8k()
+    solves = []
+    for build in EXPERIMENT_I_SPEC.builders.values():
+        workload = build()
+        layout = SystemLayout().place(workload.program)
+        traces = scenario_traces(layout, workload.scenario_map(), config)
+        home = layout.region_bases()
+        bundle = TraceBundle(
+            traces=traces, base_cycles=dict.fromkeys(traces, 0), bases=home
+        )
+        bases = tuple(base + 0x140 * (region + 1) for region, base in enumerate(home))
+        view = bundle.view(config.line_size, bases, tuple(traces))
+        moved = [trace.relocated([new - old for new, old in zip(bases, home)])
+                 for trace in traces.values()]
+        expected = _solve(
+            workload.program.cfg,
+            NodeTraceAggregate.from_compact(config, moved).visits(), config,
+        )
+        solves.append((workload.program.cfg, view, bases, expected))
+
+    def run():
+        return [
+            _solve(cfg, view.visits, config, view.moved(bases))
+            for cfg, view, bases, _ in solves
+        ]
+
+    results = benchmark(run)
+    assert results == [expected for *_, expected in solves]
 
 
 def test_ciip_conflict_bound(benchmark):

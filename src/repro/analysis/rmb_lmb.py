@@ -16,27 +16,32 @@ Both are "may" analyses over the task CFG.  Cache sets never interact,
 so block sets are ``int`` masks over the footprint numbered in ``(set
 index, block)`` order (:class:`BlockBits`): each set is one contiguous
 bit slice, and all sets are solved at once.  Each node's transfer is
-``out = gen | (in & keep)``, built once from its distinct visit
-sequences (:class:`~repro.vm.trace.NodeTraceAggregate` keeps each
-once).  Under LRU ``gen`` holds each visit's last (RMB) / first (LMB)
-``L`` distinct blocks per set, and ``keep`` clears a set's slice only
-when *every* visit references ``>= L`` distinct blocks of it — they
-fully determine the set (a strong update);
+``out = gen | (in & keep)``, built once from its distinct visits
+(:func:`~repro.vm.trace.distinct_visits`).  Under LRU ``gen`` holds each
+visit's last (RMB) / first (LMB) ``L`` distinct blocks per set, and
+``keep`` clears a set's slice only when *every* visit references ``>= L``
+distinct blocks of it — they fully determine the set (a strong update);
 otherwise incoming blocks survive (a weak update, a superset of reality).
 FIFO/PLRU admit no truncation: ``gen`` is every reference, nothing is
-killed.  The frozenset oracle lives in ``tests/oracles/rmb_lmb.py``.
+killed.
+
+Visits arrive as ids with a per-call table from id to block: a cold
+analysis passes blocks (:meth:`~repro.vm.trace.NodeTraceAggregate.visits`),
+a layout move the key ids of a :class:`~repro.vm.trace.TraceView` and
+their blocks at the new placement.  The frozenset oracle lives in
+``tests/oracles/rmb_lmb.py``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.cache.config import CacheConfig
 from repro.obs import profiled
 from repro.program.cfg import ControlFlowGraph
-from repro.vm.trace import NodeTraceAggregate
+from repro.vm.trace import Visit, distinct_visits
 
 
 def last_distinct(sequence: Sequence[int], limit: int) -> tuple[int, ...]:
@@ -76,14 +81,16 @@ class BlockBits:
 
     @classmethod
     def number(cls, config: CacheConfig, blocks: Iterable[int]) -> "BlockBits":
-        ordered = sorted((config.index(block), block) for block in blocks)
+        shift, last = config.offset_bits, config.num_sets - 1
+        ordered = sorted(((block >> shift) & last, block) for block in blocks)
+        sets = tuple(index for index, _ in ordered)
         slices: dict[int, tuple[int, int]] = {}
-        for bit, (index, _) in enumerate(ordered):
-            slices[index] = (slices.get(index, (bit,))[0], bit + 1)
+        start = 0
+        for index, stop in {index: bit + 1 for bit, index in enumerate(sets)}.items():
+            slices[index] = (start, stop)
+            start = stop
         return cls(
-            blocks=tuple(block for _, block in ordered),
-            sets=tuple(index for index, _ in ordered),
-            slices=slices,
+            blocks=tuple(block for _, block in ordered), sets=sets, slices=slices
         )
 
     def ones(self, mask: int) -> Iterator[int]:
@@ -188,10 +195,16 @@ def _fixpoint(
 @profiled("analyze.dataflow")
 def solve_rmb_lmb(
     cfg: ControlFlowGraph,
-    aggregate: NodeTraceAggregate,
+    visits: Mapping[str, Sequence[Visit]],
     config: CacheConfig,
+    blocks: "Sequence[int] | None" = None,
 ) -> RMBLMBResult:
     """Solve both dataflow problems for one task.
+
+    *visits* maps each executed node to its distinct visits; their ids
+    are blocks, or, with *blocks*, indices into it (a view's key ids and
+    :meth:`~repro.vm.trace.TraceView.moved`).  Where two ids share a
+    block the visits are re-read at block level.
 
     The RMB analysis starts from an empty cache at the task entry (the
     task's own blocks cannot already be useful when it starts); the LMB
@@ -201,49 +214,66 @@ def solve_rmb_lmb(
     ways = config.ways
     lru = config.policy == "lru"
     labels = cfg.labels()
-    variants = [aggregate.refs(label).visit_sequences for label in labels]
-    footprint: set[int] = set()
-    for visits in variants:
-        footprint.update(*visits)
+    variants = [visits.get(label, ()) for label in labels]
+    if blocks is None:
+        footprint: set[int] = set()
+        for node in variants:
+            for distinct, _ in node:
+                footprint.update(distinct)
+    else:
+        footprint = set(blocks)
+        if len(footprint) < len(blocks):
+            block = blocks.__getitem__
+            variants = [
+                distinct_visits(tuple(map(block, run)) for _, run in node)
+                for node in variants
+            ]
+            blocks = None
     bits = BlockBits.number(config, footprint)
     bit_of = {block: 1 << bit for bit, block in enumerate(bits.blocks)}
+    set_of = dict(zip(bits.blocks, bits.sets))
+    if blocks is not None:  # id -> bit and set, one list lookup each
+        bit_of = list(map(bit_of.__getitem__, blocks))
+        set_of = list(map(set_of.__getitem__, blocks))
+    bit, set_index = bit_of.__getitem__, set_of.__getitem__
 
     def mask_of(distinct: Iterable[int]) -> int:
-        # Distinct blocks have distinct bits, so the sum is their OR.
-        return sum(map(bit_of.__getitem__, distinct))
+        return sum(map(bit, distinct))
 
-    set_of = dict(zip(bits.blocks, bits.sets))
     slice_of = {
         index: (1 << stop) - (1 << start)
         for index, (start, stop) in bits.slices.items()
     }
     full = (1 << len(bits.blocks)) - 1
     own, gen_rmb, gen_lmb, keep = [], [], [], []
-    for visits in variants:
+    for node in variants:
         referenced = recent = upcoming = 0
         # Slices every visit so far strongly updates; none without visits.
-        strong = full if visits and lru else 0
-        for visit in visits:
-            latest = dict.fromkeys(reversed(visit))  # distinct, newest first
-            mask = mask_of(latest)
+        strong = full if node and lru else 0
+        for distinct, run in node:
+            mask = sum(map(bit, distinct))  # distinct bits: the sum is the OR
             referenced |= mask
             if not lru:
                 continue
-            if len(latest) < ways:
-                # No set reaches L distinct blocks: each keeps all of
-                # them, and none is strongly updated.
-                recent |= mask
-                upcoming |= mask
-                strong = 0
-                continue
-            counts = Counter(map(set_of.__getitem__, latest))
-            if max(counts.values(), default=0) <= ways:
+            if not strong:
+                if not mask & ~(recent & upcoming):
+                    # Each gen is a subset of its visit's mask and strong
+                    # only shrinks: this visit changes nothing.
+                    continue
+                if len(distinct) - len(set(map(set_index, distinct))) < ways:
+                    # No set holds more than L of the distinct blocks:
+                    # each keeps all of them.
+                    recent |= mask
+                    upcoming |= mask
+                    continue
+            counts = Counter(map(set_index, distinct))
+            if max(counts.values()) <= ways:
                 recent |= mask  # every set keeps all its blocks
                 upcoming |= mask
             else:
                 by_set: dict[int, list[int]] = {}
-                for block in visit:
-                    by_set.setdefault(set_of[block], []).append(block)
+                for key in run:
+                    by_set.setdefault(set_index(key), []).append(key)
                 for sequence in by_set.values():
                     recent |= mask_of(last_distinct(sequence, ways))
                     upcoming |= mask_of(first_distinct(sequence, ways))

@@ -48,10 +48,13 @@ class CIIP:
         Addresses are first normalised to their containing memory blocks,
         then partitioned by cache-set index.
         """
+        shift, last = config.offset_bits, config.num_sets - 1
+        line = -config.line_size
         groups: dict[int, set[int]] = {}
         for address in addresses:
-            block = config.block(address)
-            groups.setdefault(config.index(block), set()).add(block)
+            if address < 0:
+                config._check_address(address)  # raises ConfigError
+            groups.setdefault((address >> shift) & last, set()).add(address & line)
         frozen = {index: frozenset(blocks) for index, blocks in groups.items()}
         return cls(config=config, groups=frozen)
 

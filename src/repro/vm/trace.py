@@ -3,10 +3,10 @@
 The paper derives "the memory trace of each task with the simulation method
 as used in SYMTA" (Section III-B).  The VM records every code fetch and data
 access it issues into :class:`TraceColumns`, whose :class:`CompactTrace` is
-the one trace type every analysis and report reads;
-:class:`NodeTraceAggregate` condenses traces — possibly from several runs
-over different inputs — into the per-CFG-node reference information the
-RMB/LMB and CIIP analyses need.
+the one trace type every analysis and report reads.  Per CFG node, the
+RMB/LMB analysis reads each distinct visit once (:func:`distinct_visits`):
+:class:`NodeTraceAggregate` condenses the traces of a fresh VM run, and
+a :class:`TraceView` keeps them as key ids a layout move maps to blocks.
 """
 
 from __future__ import annotations
@@ -156,23 +156,12 @@ class NodeRefs:
     label: str
     visit_sequences: tuple[tuple[int, ...], ...]
 
-    @property
-    def deterministic(self) -> bool:
-        """True when every observed visit issued the same block sequence."""
-        return len(set(self.visit_sequences)) <= 1
-
     def blocks(self) -> frozenset[int]:
         """All blocks referenced by any visit of this node."""
         merged: set[int] = set()
         for sequence in self.visit_sequences:
             merged.update(sequence)
         return frozenset(merged)
-
-    def representative_sequence(self) -> tuple[int, ...]:
-        """The visit sequence when deterministic; empty otherwise."""
-        if self.visit_sequences and self.deterministic:
-            return self.visit_sequences[0]
-        return ()
 
 
 @dataclass
@@ -210,15 +199,29 @@ class NodeTraceAggregate:
         """Reference info for *label*; empty if the node never executed."""
         return self.node_refs.get(label, NodeRefs(label=label, visit_sequences=()))
 
-    def footprint(self) -> frozenset[int]:
-        """Union of all blocks referenced by all nodes (the task's M)."""
-        merged: set[int] = set()
-        for refs in self.node_refs.values():
-            merged.update(refs.blocks())
-        return frozenset(merged)
+    def visits(self) -> dict[str, tuple[Visit, ...]]:
+        """Each node's visits as :func:`distinct_visits` of its blocks:
+        what :func:`~repro.analysis.rmb_lmb.solve_rmb_lmb` reads."""
+        return {
+            label: distinct_visits(refs.visit_sequences)
+            for label, refs in self.node_refs.items()
+        }
 
-    def per_node_blocks(self) -> dict[str, frozenset[int]]:
-        return {label: refs.blocks() for label, refs in self.node_refs.items()}
+
+#: One node visit as the RMB/LMB transfer reads it: its distinct values
+#: (blocks, or key ids of a :class:`TraceView`) in first-use order, and
+#: the run itself for the rare set that one visit over-fills.
+Visit = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def distinct_visits(runs: Iterable[tuple[int, ...]]) -> tuple[Visit, ...]:
+    """Each of *runs* as ``(its distinct values in first-use order, run)``."""
+    visits = []
+    for run in runs:
+        distinct = tuple(dict.fromkeys(run))
+        # A run that repeats nothing is its own distinct tuple: share it.
+        visits.append((run if len(distinct) == len(run) else distinct, run))
+    return tuple(visits)
 
 
 def _add_visits(visits: dict, trace: CompactTrace, values: Sequence[int]) -> None:
@@ -241,7 +244,9 @@ class TraceView:
     ``streams`` holds each scenario's key ids minus reads and fetches
     that repeat the previous id (hits that change no cache state under
     any policy), their write flags, and how many were dropped; ``visits``
-    holds each node's distinct visits as key-id runs."""
+    holds each node's distinct key-id runs as :func:`distinct_visits`,
+    which the RMB/LMB solver reads through :meth:`moved` at any
+    placement of the class (no block-level visit is built)."""
 
     __slots__ = ("bases", "keys", "streams", "visits")
 
@@ -264,7 +269,9 @@ class TraceView:
             )
             _add_visits(visits, trace, ids)
         self.keys = list(index)
-        self.visits = {label: tuple(runs) for label, runs in visits.items()}
+        self.visits = {
+            label: distinct_visits(runs) for label, runs in visits.items()
+        }
 
     def moved(self, bases: Sequence[int]) -> list[int]:
         """Each key's block at region *bases* (whole lines from ours)."""
@@ -284,14 +291,3 @@ class TraceView:
                 stats.hits + stats.misses + dropped, stats.misses, stats.writebacks
             )
         return counts
-
-    def aggregate(self, bases, config: CacheConfig) -> "NodeTraceAggregate":
-        """:meth:`NodeTraceAggregate.from_compact` of the traces moved to
-        *bases* (a move may make two runs one)."""
-        block = self.moved(bases).__getitem__
-        return NodeTraceAggregate(config=config, node_refs={
-            label: NodeRefs(label=label, visit_sequences=tuple(dict.fromkeys(
-                tuple(map(block, run)) for run in runs
-            )))
-            for label, runs in self.visits.items()
-        })

@@ -989,7 +989,7 @@ def oracle_relocation(
         cold = analyze_task(
             layout, task.scenarios, case.config, budget=budget, store=fresh
         )
-        for kind in ("sim", "flow"):  # flow: aggregate, RMB/LMB, useful, CIIP
+        for kind in ("sim", "flow"):  # flow: RMB/LMB, useful, CIIP
             check.expect(
                 store.get(moved.subkeys[kind], kind=kind)
                 == fresh.get(cold.subkeys[kind], kind=kind),

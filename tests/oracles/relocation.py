@@ -7,8 +7,8 @@ event of the stored traces to the new placement at once
 (:func:`relocated_traces`, by
 :meth:`~repro.vm.trace.CompactTrace.relocated`), replays every shifted
 event through a cold cache and aggregates node visits over the shifted
-blocks; the flow analyses then run on that aggregate exactly as a cold
-analysis does.  Not used by the package.
+blocks; the flow analyses then run on that aggregate's block-level
+visits exactly as a cold analysis does.  Not used by the package.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.cache.ciip import CIIP
 from repro.cache.config import CacheConfig
 from repro.program.builder import Program
 from repro.vm.trace import CompactTrace, NodeTraceAggregate
+from tests.oracles.rmb_lmb import footprint
 
 
 def relocated_traces(
@@ -60,15 +61,18 @@ def relocated_flow(
     config: CacheConfig,
     scenarios,
 ) -> FlowBundle:
-    """The flow sub-artifact (aggregate, footprint CIIP, RMB/LMB, useful
-    blocks) of the *scenarios* at *bases*."""
+    """The flow sub-artifact (footprint CIIP, RMB/LMB, useful blocks) of
+    the *scenarios* at *bases*, solved over the relocated aggregate's
+    block-level visits."""
     aggregate = relocated_aggregate(bundle, bases, config, scenarios)
-    footprint = aggregate.footprint()
-    dataflow = solve_rmb_lmb(program.cfg, aggregate, config)
+    dataflow = solve_rmb_lmb(program.cfg, aggregate.visits(), config)
+    # Set-grouped order, as the package numbers blocks, so the pickled
+    # CIIP is byte-identical.
+    blocks = sorted(
+        footprint(aggregate), key=lambda block: (config.index(block), block)
+    )
     return FlowBundle(
-        aggregate=aggregate,
-        footprint=footprint,
-        footprint_ciip=CIIP.from_addresses(config, footprint),
+        footprint_ciip=CIIP.from_addresses(config, blocks),
         dataflow=dataflow,
         useful=compute_useful_blocks(program.cfg, dataflow),
     )

@@ -4,9 +4,9 @@
 gen/kill problem over set-grouped block bits and keep useful points as
 masks; ``tests/oracles`` holds the per-set frozenset implementation they
 replaced.  The package reads each node's *distinct* visits
-(:class:`~repro.vm.trace.NodeTraceAggregate`); the oracle is fed every
-visit of every scenario's trace, duplicates included, so the checks also
-prove that dropping repeated visits changes nothing.  Checked here on
+(:meth:`~repro.vm.trace.NodeTraceAggregate.visits`); the oracle is fed
+every visit of every scenario's trace, duplicates included, so the checks
+also prove that dropping repeated visits changes nothing.  Checked here on
 Experiments I/II at the experiments' and the paper's cache geometries,
 and on fuzz-drawn programs covering lru/fifo/plru x
 write-through/write-back:
@@ -38,6 +38,7 @@ from repro.cache import CacheConfig
 from repro.experiments import EXPERIMENT_I_SPEC, EXPERIMENT_II_SPEC, build_context
 from repro.fuzz.build import build_case
 from repro.fuzz.generator import case_from_seed
+from repro.vm.trace import NodeTraceAggregate
 from tests.oracles import rmb_lmb as oracle_rmb_lmb
 from tests.oracles import useful as oracle_useful
 from tests.oracles.pathcost import approach4_lines
@@ -78,10 +79,13 @@ def _task_sets():
     return systems
 
 
-def _every_visit(art, scenarios):
-    """*art*'s per-node aggregate with every visit of every scenario."""
-    return oracle_rmb_lmb.every_visit_aggregate(
-        art.config, scenario_traces(art.layout, scenarios, art.config).values()
+def _aggregates(art, scenarios):
+    """*art*'s per-node aggregates of every scenario's trace: with every
+    visit (the oracle's input) and with each distinct visit once."""
+    traces = scenario_traces(art.layout, scenarios, art.config).values()
+    return (
+        oracle_rmb_lmb.every_visit_aggregate(art.config, traces),
+        NodeTraceAggregate.from_compact(art.config, traces),
     )
 
 
@@ -92,10 +96,10 @@ def systems():
         oracles = {}
         for name, art in artifacts.items():
             cfg = art.program.cfg
-            every = _every_visit(art, scenarios[name])
+            every, distinct = _aggregates(art, scenarios[name])
             flow = oracle_rmb_lmb.solve_rmb_lmb(cfg, every, art.config)
             useful = oracle_useful.compute_useful_blocks(cfg, flow, every)
-            oracles[name] = (flow, useful, every)
+            oracles[name] = (flow, useful, every, distinct)
         built.append((tag, artifacts, order, oracles))
     return built
 
@@ -117,18 +121,25 @@ def test_inputs_cover_every_policy_and_write_mode(systems):
 
 
 def test_aggregate_is_every_visit_deduplicated(systems):
+    """The cold path's aggregate keeps each distinct visit once, and the
+    per-node blocks and footprint the artifacts read off the dataflow
+    are the every-visit oracle's."""
     repeated = 0
     for tag, artifacts, _, oracles in systems:
         for name, art in artifacts.items():
-            every = oracles[name][2]
-            assert list(art.aggregate.node_refs) == list(every.node_refs)
+            every, aggregate = oracles[name][2:]
+            assert list(aggregate.node_refs) == list(every.node_refs)
             for label, refs in every.node_refs.items():
                 distinct = tuple(dict.fromkeys(refs.visit_sequences))
-                assert art.aggregate.refs(label).visit_sequences == distinct, (
+                assert aggregate.refs(label).visit_sequences == distinct, (
                     f"{tag} {name} {label}"
                 )
                 repeated += len(refs.visit_sequences) - len(distinct)
-            assert art.aggregate.footprint() == every.footprint()
+            assert art.per_node_blocks() == oracle_rmb_lmb.per_node_blocks(every), (
+                f"{tag} {name}"
+            )
+            assert art.footprint == oracle_rmb_lmb.footprint(every), f"{tag} {name}"
+            assert art.footprint_ciip.blocks() == art.footprint
     assert repeated  # the inputs really do repeat visits
 
 

@@ -11,8 +11,10 @@ another placement.  These tests pin the pieces that make it exact:
 * a relocated trace is byte-identical to a VM re-execution at the new
   placement, in memory and read back from a disk store's trace entry;
 * a move through the block view (``TraceBundle.view``) gives the counts,
-  aggregate and flow bundle of the per-event path kept in
-  ``tests/oracles/relocation.py``, byte for byte as stored.
+  per-node visits and flow bundle of the per-event path kept in
+  ``tests/oracles/relocation.py``, byte for byte as stored, and the
+  RMB/LMB solution solved from the view's key-id visits equals the
+  block-level solve of the relocated aggregate at every placement.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.artifacts import analyze_task
+from repro.analysis.rmb_lmb import solve_rmb_lmb
 from repro.analysis.store import (
     SCHEMA_VERSION,
     ArtifactStore,
@@ -36,6 +39,7 @@ from repro.cache.state import CacheState
 from repro.fuzz.build import build_case
 from repro.fuzz.generator import case_from_seed
 from repro.obs import observed
+from repro.program import BasicBlock, Branch, Const, ControlFlowGraph, Halt, Jump
 from repro.program.layout import ProgramLayout, SystemLayout
 from repro.vm.machine import run_isolated
 from repro.vm.trace import CompactTrace, NodeTraceAggregate, TraceColumns
@@ -47,6 +51,7 @@ from tests.oracles.relocation import (
     relocated_flow,
     relocated_traces,
 )
+from tests.oracles.rmb_lmb import footprint
 
 POLICIES = ("lru", "fifo", "plru")
 
@@ -263,17 +268,33 @@ def synthetic_bundle(
     )
 
 
+def block_visits(view, moved) -> dict[str, tuple[tuple[int, ...], ...]]:
+    """The view's per-node visits as distinct block runs at the placement
+    whose key blocks are *moved* (a move may make two runs one)."""
+    visits = {}
+    for label, node in view.visits.items():
+        for distinct, run in node:
+            assert distinct == tuple(dict.fromkeys(run))
+        visits[label] = tuple(dict.fromkeys(
+            tuple(map(moved.__getitem__, run)) for _, run in node
+        ))
+    return visits
+
+
 def assert_view_matches_oracle(bundle, bases, config, scenarios=None):
     scenarios = tuple(scenarios or bundle.traces)
     view = bundle.view(config.line_size, bases, scenarios)
     assert view.counts(bases, config) == relocated_counts(
         bundle, bases, config, scenarios
     )
-    aggregate = view.aggregate(bases, config)
+    moved = view.moved(bases)
     reference = relocated_aggregate(bundle, bases, config, scenarios)
-    assert list(aggregate.node_refs) == list(reference.node_refs)
-    assert aggregate.node_refs == reference.node_refs
-    return view, view.moved(bases)
+    visits = block_visits(view, moved)
+    assert list(visits) == list(reference.node_refs)
+    assert visits == {
+        label: refs.visit_sequences for label, refs in reference.node_refs.items()
+    }
+    return view, moved
 
 
 class TestBlockView:
@@ -341,7 +362,55 @@ class TestBlockView:
         assert bundle._views
         assert _stored("trace", bundle) == before
         assert "_views" not in vars(pickle.loads(pickle.dumps(bundle)))
-        assert SCHEMA_VERSION == 7
+        assert SCHEMA_VERSION == 8
+
+
+def synthetic_cfg() -> ControlFlowGraph:
+    """A CFG over the synthetic bundles' nodes ``n0``-``n4``, with joins
+    and back edges for the fixpoints to iterate over."""
+    cfg = ControlFlowGraph(name="synthetic", entry="n0")
+    cfg.add_block(BasicBlock("n0", [Const("c", 1)], Branch("c", "n1", "n2")))
+    cfg.add_block(BasicBlock("n1", [], Jump("n3")))
+    cfg.add_block(BasicBlock("n2", [], Branch("c", "n3", "n0")))
+    cfg.add_block(BasicBlock("n3", [], Branch("c", "n4", "n1")))
+    cfg.add_block(BasicBlock("n4", [], Halt()))
+    return cfg
+
+
+class TestFlowFromView:
+    """The RMB/LMB solve from a view's key-id visits equals the
+    block-level solve of the per-event relocated aggregate."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("write_back", (False, True))
+    @pytest.mark.parametrize("ways", (1, 2, 4))
+    def test_view_solve_equals_block_level_solve(self, policy, write_back, ways):
+        config = CacheConfig(
+            num_sets=4, ways=ways, line_size=16, policy=policy,
+            write_back=write_back,
+        )
+        cfg = synthetic_cfg()
+        shared = 0
+        for seed in range(3):
+            bundle = synthetic_bundle(seed)
+            rng = random.Random(seed)
+            placements = [bundle.bases]
+            for _ in range(4):
+                placements.append(tuple(
+                    base + rng.choice((0, 4, 16, 0x40, 0x1004, -0x800))
+                    for base in bundle.bases
+                ))
+            # Regions 0 and 1 on the same lines, region 1 off by a word.
+            placements.append((0x10000, 0x10004, 0x30000))
+            for bases in placements:
+                view = bundle.view(config.line_size, bases, "ab")
+                moved = view.moved(bases)
+                shared += len(set(moved)) < len(moved)
+                reference = relocated_aggregate(bundle, bases, config, "ab")
+                expected = solve_rmb_lmb(cfg, reference.visits(), config)
+                assert solve_rmb_lmb(cfg, view.visits, config, moved) == expected
+                assert frozenset(expected.bits.blocks) == footprint(reference)
+        assert shared == 3  # the forced placement is non-injective
 
 
 def _moves(task, rng):

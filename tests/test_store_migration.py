@@ -18,6 +18,7 @@ from repro.analysis import analyze_task
 from repro.analysis.store import (
     ArtifactStore,
     CachedAnalysis,
+    FlowBundle,
     SimBundle,
     StoredEntry,
     TraceBundle,
@@ -123,7 +124,7 @@ def test_schema3_flow_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
     the same analysis, while the other kinds hit."""
     from repro.analysis.store import SCHEMA_VERSION
 
-    assert SCHEMA_VERSION == 7
+    assert SCHEMA_VERSION == 8
     layout, scenarios, entries, cold = _case(tmp_path, tiny_cache_config)
     for entry in entries:
         stored = pickle.loads(entry.read_bytes())
@@ -197,3 +198,39 @@ def test_schema6_trace_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
     assert store.misses_by_kind.get("trace") == 1
     assert warm.wcet == analyze_task(layout, scenarios, wider).wcet
     assert pickle.loads(trace_entry.read_bytes()) == current
+
+
+def test_schema7_flow_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
+    """Schema 8 dropped the flow's per-node aggregate and footprint (the
+    RMB/LMB solution holds both): a flow entry stamped with schema 7,
+    which carried them, is one counted stale miss, recomputed into the
+    same decoded payload as a cold run's."""
+    from repro.vm.trace import NodeTraceAggregate
+
+    layout, scenarios, entries, cold = _case(tmp_path, tiny_cache_config)
+    (flow_entry,) = [
+        entry for entry in entries
+        if pickle.loads(entry.read_bytes()).kind == "flow"
+    ]
+    current = pickle.loads(flow_entry.read_bytes())
+    assert "aggregate" not in vars(current.payload)
+    carried = FlowBundle.__new__(FlowBundle)  # what schema 7 pickled
+    carried.__dict__.update(
+        aggregate=NodeTraceAggregate(config=tiny_cache_config),
+        footprint=cold.footprint,
+        **vars(current.payload),
+    )
+    flow_entry.write_bytes(
+        pickle.dumps(
+            StoredEntry(schema=7, kind="flow", payload=carried),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+    )
+    store = ArtifactStore(directory=tmp_path)
+    warm = analyze_task(layout, scenarios, tiny_cache_config, store=store)
+    assert (store.stale, store.corrupt) == (1, 0)
+    assert store.hits_by_kind == {"trace": 1, "sim": 1, "paths": 1}
+    assert store.misses_by_kind == {"task": 1, "flow": 1}
+    assert pickle.loads(flow_entry.read_bytes()) == current
+    assert warm.footprint == cold.footprint
+    assert warm.per_node_blocks() == cold.per_node_blocks()

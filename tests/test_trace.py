@@ -3,10 +3,16 @@
 import pytest
 
 from repro.cache import CacheConfig
-from repro.vm.trace import NodeRefs, NodeTraceAggregate
+from repro.vm.trace import NodeRefs, NodeTraceAggregate, distinct_visits
 
 from tests.conftest import compact_trace
-from tests.oracles.rmb_lmb import node_visit_sequences
+from tests.oracles.rmb_lmb import (
+    deterministic,
+    footprint,
+    node_visit_sequences,
+    per_node_blocks,
+    representative_sequence,
+)
 
 
 @pytest.fixture
@@ -22,8 +28,8 @@ class TestRecorder:
         trace = compact_trace(
             [(0x000, "read", "a"), (0x004, "read", "a"), (0x010, "write", "a")]
         )
-        footprint = NodeTraceAggregate.from_compact(config, [trace]).footprint()
-        assert footprint == frozenset({0x000, 0x010})
+        blocks = footprint(NodeTraceAggregate.from_compact(config, [trace]))
+        assert blocks == frozenset({0x000, 0x010})
 
     def test_block_sequence_preserves_order(self, config):
         trace = compact_trace(
@@ -51,18 +57,18 @@ class TestRecorder:
         trace = compact_trace([])
         assert node_visit_sequences(trace, config) == {}
         aggregate = NodeTraceAggregate.from_compact(config, [trace])
-        assert aggregate.footprint() == frozenset()
+        assert footprint(aggregate) == frozenset()
         assert len(trace) == 0
 
 
 class TestNodeRefs:
     def test_deterministic_detection(self):
         same = NodeRefs(label="n", visit_sequences=((0x0, 0x10), (0x0, 0x10)))
-        assert same.deterministic
-        assert same.representative_sequence() == (0x0, 0x10)
+        assert deterministic(same)
+        assert representative_sequence(same) == (0x0, 0x10)
         differ = NodeRefs(label="n", visit_sequences=((0x0,), (0x10,)))
-        assert not differ.deterministic
-        assert differ.representative_sequence() == ()
+        assert not deterministic(differ)
+        assert representative_sequence(differ) == ()
 
     def test_blocks_union(self):
         refs = NodeRefs(label="n", visit_sequences=((0x0,), (0x10, 0x20)))
@@ -70,9 +76,20 @@ class TestNodeRefs:
 
     def test_empty_refs(self):
         refs = NodeRefs(label="n", visit_sequences=())
-        assert refs.deterministic
+        assert deterministic(refs)
         assert refs.blocks() == frozenset()
-        assert refs.representative_sequence() == ()
+        assert representative_sequence(refs) == ()
+
+    def test_distinct_visits_keep_first_use_order(self):
+        runs = ((0x10, 0x0, 0x10, 0x20), (0x30,))
+        assert distinct_visits(runs) == (
+            ((0x10, 0x0, 0x20), runs[0]),
+            (runs[1], runs[1]),
+        )
+        refs = NodeRefs(label="n", visit_sequences=runs)
+        config = CacheConfig(num_sets=16, ways=2, line_size=16)
+        aggregate = NodeTraceAggregate(config=config, node_refs={"n": refs})
+        assert aggregate.visits() == {"n": distinct_visits(runs)}
 
 
 class TestAggregate:
@@ -81,7 +98,7 @@ class TestAggregate:
         r2 = compact_trace([(0x100, "read", "a"), (0x200, "read", "b")])
         aggregate = NodeTraceAggregate.from_compact(config, [r1, r2])
         assert aggregate.refs("a").blocks() == frozenset({0x000, 0x100})
-        assert aggregate.footprint() == frozenset({0x000, 0x100, 0x200})
+        assert footprint(aggregate) == frozenset({0x000, 0x100, 0x200})
 
     def test_keeps_each_distinct_visit_once_in_first_seen_order(self, config):
         r1 = compact_trace(
@@ -98,8 +115,8 @@ class TestAggregate:
         assert list(aggregate.node_refs) == ["a", "b", "c"]
         assert aggregate.refs("a").visit_sequences == ((0x000,), (0x020,))
         assert aggregate.refs("b").visit_sequences == ((0x010,),)
-        assert aggregate.refs("b").deterministic
-        assert not aggregate.refs("a").deterministic
+        assert deterministic(aggregate.refs("b"))
+        assert not deterministic(aggregate.refs("a"))
 
     def test_unknown_node_is_empty(self, config):
         aggregate = NodeTraceAggregate.from_compact(config, [])
@@ -108,7 +125,7 @@ class TestAggregate:
     def test_per_node_blocks(self, config):
         r = compact_trace([(0x000, "read", "a"), (0x100, "write", "b")])
         aggregate = NodeTraceAggregate.from_compact(config, [r])
-        per_node = aggregate.per_node_blocks()
+        per_node = per_node_blocks(aggregate)
         assert per_node == {
             "a": frozenset({0x000}),
             "b": frozenset({0x100}),
@@ -122,4 +139,4 @@ class TestAggregate:
         union = set()
         for label in ("a", "b"):
             union |= aggregate.refs(label).blocks()
-        assert aggregate.footprint() == frozenset(union)
+        assert footprint(aggregate) == frozenset(union)
