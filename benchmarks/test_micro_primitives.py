@@ -10,8 +10,9 @@ from repro.analysis import analyze_task, scenario_traces, solve_rmb_lmb
 from repro.analysis.rmb_lmb import solve_rmb_lmb as _solve
 from repro.cache import CIIP, CacheConfig, CacheState, conflict_bound
 from repro.program import ProgramBuilder, SystemLayout
-from repro.vm import Machine, NodeTraceAggregate, TraceColumns
+from repro.vm import Machine, TraceColumns
 from repro.wcrt import TaskSpec, TaskSystem, compute_system_wcrt
+from tests.oracles import rmb_lmb as oracle
 
 
 def test_cache_access_throughput(benchmark):
@@ -72,7 +73,20 @@ def test_vm_instruction_throughput(benchmark):
     assert steps > 10_000
 
 
+def _same_solution(result, expected) -> bool:
+    """*result*'s masks decode to the frozenset oracle's per-set states."""
+    for state in ("entry_rmb", "exit_rmb", "entry_lmb", "exit_lmb"):
+        for label, mask in getattr(result, state).items():
+            sets = getattr(expected, state).get(label, {})
+            if result.bits.per_set(mask) != {i: b for i, b in sets.items() if b}:
+                return False
+    return True
+
+
 def test_rmb_lmb_fixpoint(benchmark):
+    """RMB/LMB solved as a cold run solves it, from the home view of
+    OFDM's trace, checked against the oracle fed every visit."""
+    from repro.analysis.store import TraceBundle
     from repro.workloads import build_ofdm
 
     config = CacheConfig.scaled_16k()
@@ -83,15 +97,23 @@ def test_rmb_lmb_fixpoint(benchmark):
     for name, values in workload.scenarios[0].inputs.items():
         machine.write_array(name, values)
     machine.run()
-    aggregate = NodeTraceAggregate.from_compact(config, [trace.compact()])
+    traces = {"s": trace.compact()}
+    bases = layout.region_bases()
+    view = TraceBundle(traces=traces, base_cycles={"s": 0}, bases=bases).view(
+        config.line_size, bases, traces
+    )
+    cfg = workload.program.cfg
 
-    result = benchmark(_solve, workload.program.cfg, aggregate.visits(), config)
+    result = benchmark(_solve, cfg, view.visits, config, view.moved(bases))
     assert result.entry_rmb
+    every = oracle.every_visit_aggregate(config, traces.values())
+    assert _same_solution(result, oracle.solve_rmb_lmb(cfg, every, config))
 
 
 def test_flow_from_view(benchmark):
     """RMB/LMB solved from Experiment I's trace views at a placement
-    moved by whole lines: what a layout move or a geometry edit runs."""
+    moved by whole lines: what a layout move or a geometry edit runs,
+    checked against the oracle fed every visit of the moved traces."""
     from repro.analysis.store import TraceBundle
     from repro.experiments import EXPERIMENT_I_SPEC
 
@@ -109,9 +131,8 @@ def test_flow_from_view(benchmark):
         view = bundle.view(config.line_size, bases, tuple(traces))
         moved = [trace.relocated([new - old for new, old in zip(bases, home)])
                  for trace in traces.values()]
-        expected = _solve(
-            workload.program.cfg,
-            NodeTraceAggregate.from_compact(config, moved).visits(), config,
+        expected = oracle.solve_rmb_lmb(
+            workload.program.cfg, oracle.every_visit_aggregate(config, moved), config
         )
         solves.append((workload.program.cfg, view, bases, expected))
 
@@ -122,7 +143,10 @@ def test_flow_from_view(benchmark):
         ]
 
     results = benchmark(run)
-    assert results == [expected for *_, expected in solves]
+    assert all(
+        _same_solution(result, expected)
+        for result, (*_, expected) in zip(results, solves)
+    )
 
 
 def test_ciip_conflict_bound(benchmark):

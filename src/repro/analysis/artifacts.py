@@ -1,10 +1,12 @@
 """Per-task analysis artifacts: one simulation pass feeding every analysis.
 
 ``analyze_task`` is the front door used by experiments and examples: given
-a laid-out program and its input scenarios it measures the WCET, solves
-the RMB/LMB dataflow over each node's distinct visits (whose blocks are
-the task footprint), builds the footprint's CIIP, derives the useful-block
-analysis and enumerates feasible paths.
+a laid-out program and its input scenarios it records one trace per
+scenario, reads the traces' block view once for the cache counts (hence
+the WCET) and for each node's distinct visits, solves the RMB/LMB
+dataflow over those visits (whose blocks are the task footprint), builds
+the footprint's CIIP, derives the useful-block analysis and enumerates
+feasible paths.
 The resulting :class:`TaskArtifacts` bundle is what the CRPD estimators
 (:mod:`repro.analysis.crpd`) consume.
 
@@ -29,7 +31,6 @@ from repro.analysis.wcet import (
     WCETResult,
     cycles_from_counts,
     measure_wcet_detailed,
-    worst_of,
 )
 from repro.cache.ciip import CIIP
 from repro.cache.config import CacheConfig
@@ -38,7 +39,7 @@ from repro.obs import STATE as _OBS
 from repro.program.builder import Program
 from repro.program.layout import ProgramLayout
 from repro.program.paths import PathProfile, enumerate_path_profiles
-from repro.vm.trace import NodeTraceAggregate, Visit
+from repro.vm.trace import Visit
 
 if TYPE_CHECKING:
     from repro.analysis.store import ArtifactStore, FlowBundle
@@ -185,8 +186,9 @@ def analyze_task(
 ) -> TaskArtifacts:
     """Run the full single-task analysis pipeline (Section III-B steps 1-2).
 
-    Step 1 — derive memory traces by simulation (one cold-cache run per
-    input scenario); the WCET falls out of the same runs.  Step 2 — solve
+    Step 1 — derive memory traces by simulation (one cache-free run per
+    input scenario); the WCET falls out of the same runs, their traces
+    charged through a cold cache.  Step 2 — solve
     the intra-task RMB/LMB dataflow and the useful-block analysis.  Path
     profiles for the inter-task path analysis (step 4) are enumerated here
     too, since they only depend on the program structure.
@@ -206,8 +208,9 @@ def analyze_task(
     and placement-dependent, cost-free), the RMB/LMB/CIIP/useful analyses
     (likewise) and the path profiles (structure-only).  A penalty sweep
     therefore re-costs cached counts in O(1); a geometry sweep or a layout
-    move replays cached traces instead of re-simulating; and when the
-    sim and flow entries both hit, the trace entry is not read at all.
+    move replays cached traces instead of re-simulating (a cold run reads
+    its fresh traces the same way); and when the sim and flow entries
+    both hit, the trace entry is not read at all.
     Degradation events stored with a stage are replayed into *ledger* on
     every hit, so cached and cold runs are indistinguishable to callers.
 
@@ -269,7 +272,7 @@ def analyze_task(
         if use_store:
             from repro.analysis.store import flow_key, paths_key, sim_key, trace_key
 
-            t_key = trace_key(structure, scenarios, max_steps)
+            t_key = trace_key(program, scenarios, max_steps)
             keys = {
                 "trace": t_key,
                 "sim": sim_key(t_key, layout, config),
@@ -326,17 +329,16 @@ def _wcet_stage(
 
     A sim entry holds each scenario's counts and base cycles, so when the
     sim and flow entries both hit (new costs only) the WCET reassembles
-    arithmetically and no trace is read.  Otherwise every path charges
-    the cache the same way: by replaying columns.  Trace hit (new
-    geometry or placement; the trace key is placement-free, so it may
-    come from another placement of the same program): replay the bundle's
-    block view (:meth:`~repro.analysis.store.TraceBundle.view`) and solve
-    the flow from its key-id visits, both through this placement's block
-    table — no VM, no event relocated.  Trace miss (cold, or the entry
-    was evicted): one cache-free VM run per scenario records its columns
-    and base cycles (the trace sub-artifact), then one replay of those
-    columns through a fresh cache yields the counts, and the flow reads
-    the runs' node visits as blocks.
+    arithmetically and no trace is read.  Otherwise both are read off
+    the trace bundle's block view
+    (:meth:`~repro.analysis.store.TraceBundle.view`) through this
+    placement's block table: the counts by one replay of its key-id
+    streams, the flow by solving its key-id visits.  The bundle comes
+    from the store (new geometry or placement; the trace key is
+    placement-free, so it may come from another placement of the same
+    program: no VM, no event relocated) or, on a miss, from one
+    cache-free VM run per scenario, which records its trace and base
+    cycles (:func:`~repro.analysis.wcet.measure_wcet_detailed`).
     """
     from repro.analysis.store import SimBundle, TraceBundle
 
@@ -349,67 +351,38 @@ def _wcet_stage(
         bundle = None if store is None else store.get(keys["trace"], kind="trace")
         if clock is not None and (bundle is None or sim is None):
             clock.check(f"wcet:{program.name}")
+        bases = layout.region_bases()
         if bundle is None:
-            _, runs = measure_wcet_detailed(
-                layout, scenarios, config, max_steps=max_steps
-            )
-            traces = {scenario: run.trace for scenario, run in runs.items()}
-            counted = SimBundle(
-                counts={
-                    scenario: (run.accesses, run.misses, run.writebacks)
-                    for scenario, run in runs.items()
-                },
-                base_cycles={
-                    scenario: run.base_cycles for scenario, run in runs.items()
-                },
+            recorded = measure_wcet_detailed(layout, scenarios, max_steps)
+            bundle = TraceBundle(
+                traces={name: trace for name, (_, trace) in recorded.items()},
+                base_cycles={name: base for name, (base, _) in recorded.items()},
+                bases=bases,
             )
             if store is not None:
-                store.put(
-                    keys["trace"],
-                    TraceBundle(
-                        traces=traces,
-                        base_cycles=counted.base_cycles,
-                        bases=layout.region_bases(),
-                    ),
-                    kind="trace",
-                )
-        else:
-            bases = layout.region_bases()
-            view = bundle.view(config.line_size, bases, scenarios)
+                store.put(keys["trace"], bundle, kind="trace")
+        view = bundle.view(config.line_size, bases, scenarios)
         if sim is None:
-            sim = counted if bundle is None else SimBundle(
-                counts=view.counts(bases, config),
-                base_cycles=bundle.base_cycles,
+            sim = SimBundle(
+                counts=view.counts(bases, config), base_cycles=bundle.base_cycles
             )
             if store is not None:
                 store.put(keys["sim"], sim, kind="sim")
         if flow is None:
             if clock is not None:
                 clock.check(f"dataflow:{program.name}")
-            if bundle is None:
-                aggregate = NodeTraceAggregate.from_compact(config, traces.values())
-                flow = _flow_stage(program, config, aggregate.visits())
-            else:
-                flow = _flow_stage(
-                    program, config, view.visits, view.moved(bases)
-                )
+            flow = _flow_stage(program, config, view.visits, view.moved(bases))
             if store is not None:
                 store.put(keys["flow"], flow, kind="flow")
     # Iterate in the *caller's* scenario order (identical content hashes
     # regardless of order), so worst-scenario tie-breaking matches what a
     # cold run with these scenarios would pick.
-    per_scenario = {
+    wcet = WCETResult.of({
         scenario: cycles_from_counts(
             config, sim.base_cycles[scenario], *sim.counts[scenario]
         )
         for scenario in scenarios
-    }
-    worst = worst_of(per_scenario)
-    wcet = WCETResult(
-        cycles=per_scenario[worst],
-        worst_scenario=worst,
-        per_scenario_cycles=per_scenario,
-    )
+    })
     return wcet, _restamp_flow(flow, config)
 
 
@@ -417,10 +390,10 @@ def _flow_stage(
     program: Program,
     config: CacheConfig,
     visits: "Mapping[str, Sequence[Visit]]",
-    blocks: "Sequence[int] | None" = None,
+    blocks: Sequence[int],
 ) -> "FlowBundle":
-    """The RMB-LMB/CIIP/useful sub-artifact of *visits* (key ids of
-    *blocks* when given, see :func:`solve_rmb_lmb`)."""
+    """The RMB-LMB/CIIP/useful sub-artifact of *visits*, whose ids index
+    *blocks* (see :func:`solve_rmb_lmb`)."""
     from repro.analysis.store import FlowBundle
 
     dataflow = solve_rmb_lmb(program.cfg, visits, config, blocks)

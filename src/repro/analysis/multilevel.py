@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.analysis.artifacts import TaskArtifacts, analyze_task
 from repro.analysis.crpd import Approach, CRPDAnalyzer
-from repro.analysis.wcet import Scenarios, WCETResult, worst_of
+from repro.analysis.wcet import Scenarios, WCETResult
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.errors import ConfigError
 from repro.program.layout import ProgramLayout
@@ -60,12 +60,7 @@ def measure_wcet_hierarchy(
             max_steps=max_steps,
         )
         per_scenario[name] = machine.cycles
-    worst = worst_of(per_scenario)
-    return WCETResult(
-        cycles=per_scenario[worst],
-        worst_scenario=worst,
-        per_scenario_cycles=per_scenario,
-    )
+    return WCETResult.of(per_scenario)
 
 
 def analyze_task_hierarchy(

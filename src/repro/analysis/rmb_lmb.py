@@ -25,10 +25,11 @@ otherwise incoming blocks survive (a weak update, a superset of reality).
 FIFO/PLRU admit no truncation: ``gen`` is every reference, nothing is
 killed.
 
-Visits arrive as ids with a per-call table from id to block: a cold
-analysis passes blocks (:meth:`~repro.vm.trace.NodeTraceAggregate.visits`),
-a layout move the key ids of a :class:`~repro.vm.trace.TraceView` and
-their blocks at the new placement.  The frozenset oracle lives in
+Visits arrive as ids with a per-call table from id to block: the key
+ids of a :class:`~repro.vm.trace.TraceView` and their blocks at the
+analysed placement (:meth:`~repro.vm.trace.TraceView.moved`), the same
+for a cold run, a geometry edit and a layout move.  The frozenset
+oracle and the every-visit aggregate that feeds it live in
 ``tests/oracles/rmb_lmb.py``.
 """
 
@@ -197,14 +198,14 @@ def solve_rmb_lmb(
     cfg: ControlFlowGraph,
     visits: Mapping[str, Sequence[Visit]],
     config: CacheConfig,
-    blocks: "Sequence[int] | None" = None,
+    blocks: Sequence[int],
 ) -> RMBLMBResult:
     """Solve both dataflow problems for one task.
 
-    *visits* maps each executed node to its distinct visits; their ids
-    are blocks, or, with *blocks*, indices into it (a view's key ids and
+    *visits* maps each executed node to its distinct visits, whose ids
+    index *blocks* (a view's key ids and
     :meth:`~repro.vm.trace.TraceView.moved`).  Where two ids share a
-    block the visits are re-read at block level.
+    block the visits are re-read with one id per block.
 
     The RMB analysis starts from an empty cache at the task entry (the
     task's own blocks cannot already be useful when it starts); the LMB
@@ -215,27 +216,20 @@ def solve_rmb_lmb(
     lru = config.policy == "lru"
     labels = cfg.labels()
     variants = [visits.get(label, ()) for label in labels]
-    if blocks is None:
-        footprint: set[int] = set()
-        for node in variants:
-            for distinct, _ in node:
-                footprint.update(distinct)
-    else:
-        footprint = set(blocks)
-        if len(footprint) < len(blocks):
-            block = blocks.__getitem__
-            variants = [
-                distinct_visits(tuple(map(block, run)) for _, run in node)
-                for node in variants
-            ]
-            blocks = None
+    footprint = set(blocks)
+    if len(footprint) < len(blocks):
+        first: dict[int, int] = {}
+        one_id = [first.setdefault(block, key) for key, block in enumerate(blocks)]
+        variants = [
+            distinct_visits(tuple(map(one_id.__getitem__, run)) for _, run in node)
+            for node in variants
+        ]
     bits = BlockBits.number(config, footprint)
     bit_of = {block: 1 << bit for bit, block in enumerate(bits.blocks)}
     set_of = dict(zip(bits.blocks, bits.sets))
-    if blocks is not None:  # id -> bit and set, one list lookup each
-        bit_of = list(map(bit_of.__getitem__, blocks))
-        set_of = list(map(set_of.__getitem__, blocks))
-    bit, set_index = bit_of.__getitem__, set_of.__getitem__
+    # id -> bit and set, one list lookup each
+    bit = list(map(bit_of.__getitem__, blocks)).__getitem__
+    set_index = list(map(set_of.__getitem__, blocks)).__getitem__
 
     def mask_of(distinct: Iterable[int]) -> int:
         return sum(map(bit, distinct))

@@ -15,7 +15,8 @@ carry them.
 ========  =============================================================
 kind      key inputs
 ========  =============================================================
-trace     program structure + scenarios + ``max_steps`` — the VM's
+trace     program structure + scenarios digest (memoised per program,
+          the one the task key hashes too) + ``max_steps`` — the VM's
           control flow is data-dependent, so the memory-reference stream
           and the cache-cost-free base cycles are invariant across
           *every* cache configuration; no address ever feeds back into
@@ -200,31 +201,28 @@ def _feed_placement(digest: _Digest, layout: ProgramLayout) -> None:
     digest.feed(f"placement={layout.region_bases()}")
 
 
-def _feed_scenarios(digest: _Digest, scenarios: Scenarios) -> None:
-    for scenario_name in sorted(scenarios):
-        digest.feed(f"scenario={scenario_name}")
-        inputs = scenarios[scenario_name]
-        for array_name in sorted(inputs):
-            digest.feed(f"input={array_name}:{tuple(inputs[array_name])!r}")
-
-
 def _scenarios_digest(program: Program, scenarios: Scenarios) -> str:
     """Digest of *scenarios*, memoised on *program* for the one scenarios
     object it last saw (held, so its identity stays valid)."""
     memo = getattr(program, "_scenarios_digest", None)
     if memo is None or memo[0] is not scenarios:
         digest = _Digest("scenarios")
-        _feed_scenarios(digest, scenarios)
+        for scenario_name in sorted(scenarios):
+            digest.feed(f"scenario={scenario_name}")
+            inputs = scenarios[scenario_name]
+            for array_name in sorted(inputs):
+                digest.feed(f"input={array_name}:{tuple(inputs[array_name])!r}")
         memo = program._scenarios_digest = (scenarios, digest.hexdigest())
     return memo[1]
 
 
-def trace_key(structure: str, scenarios: Scenarios, max_steps: int) -> str:
+def trace_key(program: Program, scenarios: Scenarios, max_steps: int) -> str:
     """Key of the cache- and placement-independent reference streams of
-    the program whose :func:`structure_digest` is *structure*."""
+    *program* (its :func:`structure_digest`) under *scenarios* (their
+    memoised digest)."""
     digest = _Digest("trace")
-    digest.feed(f"structure={structure}")
-    _feed_scenarios(digest, scenarios)
+    digest.feed(f"structure={structure_digest(program)}")
+    digest.feed(f"scenarios={_scenarios_digest(program, scenarios)}")
     digest.feed(f"max_steps={max_steps}")
     return digest.hexdigest()
 

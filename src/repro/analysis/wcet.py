@@ -2,9 +2,10 @@
 
 The paper obtains each task's WCET ``Ci`` (and its memory traces) with
 SYMTA's simulation method (Sections III-B and VII).  We do the same with
-our substrate: run the task in isolation on a cold cache once per input
-scenario (each scenario drives one feasible path) and take the maximum
-observed cycle count.  A purely structural all-miss bound is provided as a
+our substrate: run the task in isolation once per input scenario (each
+scenario drives one feasible path), recording its memory trace and its
+cache-free base cycles, charge each trace through a cold cache and take
+the maximum cycle count.  A purely structural all-miss bound is provided as a
 cross-check — it must always dominate the measured WCET.
 """
 
@@ -39,35 +40,21 @@ class WCETResult:
     worst_scenario: str
     per_scenario_cycles: dict[str, int]
 
+    @classmethod
+    def of(cls, per_scenario: dict[str, int]) -> "WCETResult":
+        """The result whose scenarios took *per_scenario* cycles.  The
+        worst is the first in insertion order on ties, so cached replays
+        (which preserve scenario order) adopt the same winner."""
+        worst = max(per_scenario, key=per_scenario.get)
+        return cls(
+            cycles=per_scenario[worst],
+            worst_scenario=worst,
+            per_scenario_cycles=per_scenario,
+        )
+
     @property
     def scenario_count(self) -> int:
         return len(self.per_scenario_cycles)
-
-
-@dataclass
-class ScenarioRun:
-    """One scenario's isolated run, decomposed for sub-artifact caching.
-
-    ``trace`` is the run's columnar reference stream and ``base_cycles``
-    the cycle count net of all cache costs — what the cache-free VM run
-    counts.  Because control flow is data-dependent only, both are
-    invariant across cache configurations; the full count reconstructs
-    exactly as::
-
-        base + accesses*hit_cycles + misses*miss_penalty
-             + writebacks*effective_writeback_penalty
-
-    (mirroring ``CacheState.access``'s accounting), which is what lets a
-    penalty sweep re-cost a stored trace in O(1) and a geometry sweep
-    re-derive counts by replay instead of re-simulation.
-    """
-
-    cycles: int
-    base_cycles: int
-    accesses: int
-    misses: int
-    writebacks: int
-    trace: CompactTrace
 
 
 def cycles_from_counts(
@@ -91,13 +78,6 @@ def replay_counts(trace: CompactTrace, config: CacheConfig) -> tuple[int, int, i
     return stats.hits + stats.misses, stats.misses, stats.writebacks
 
 
-def worst_of(per_scenario: dict[str, int]) -> str:
-    """The worst scenario; first-in-insertion-order on ties, so cached
-    replays (which preserve scenario order) adopt the same winner."""
-    return max(per_scenario, key=per_scenario.get)
-
-
-@profiled("analyze.wcet")
 def measure_wcet(
     layout: ProgramLayout,
     scenarios: Scenarios,
@@ -114,47 +94,32 @@ def measure_wcet(
     measured maximum is a true WCET for the covered paths.  FIFO and PLRU
     admit timing anomalies in principle; treat WCETs measured under those
     policies as high-water marks rather than guarantees.
+
+    The scenarios are recorded (:func:`measure_wcet_detailed`) and each
+    trace is then replayed through a cold *config* cache.
     """
-    runs = _run_scenarios(layout, scenarios, config, max_steps)
-    return _wcet_from_runs(runs)
+    recorded = measure_wcet_detailed(layout, scenarios, max_steps)
+    return WCETResult.of({
+        name: cycles_from_counts(config, base_cycles, *replay_counts(trace, config))
+        for name, (base_cycles, trace) in recorded.items()
+    })
 
 
 @profiled("analyze.wcet")
 def measure_wcet_detailed(
     layout: ProgramLayout,
     scenarios: Scenarios,
-    config: CacheConfig,
     max_steps: int = 10_000_000,
-) -> tuple[WCETResult, dict[str, ScenarioRun]]:
-    """:func:`measure_wcet` plus each scenario's decomposed run.
-
-    The per-run traces, cache statistics and base cycles feed the
-    store's trace and simulation sub-artifacts and the footprint and
-    RMB/LMB analyses — one simulation pass feeds everything, as in
-    SYMTA (see :mod:`repro.analysis.store`).
-    """
-    runs = _run_scenarios(layout, scenarios, config, max_steps)
-    return _wcet_from_runs(runs), runs
-
-
-def scenario_traces(
-    layout: ProgramLayout,
-    scenarios: Scenarios,
-    config: CacheConfig,
-    max_steps: int = 10_000_000,
-) -> dict[str, CompactTrace]:
-    """Each scenario's :class:`~repro.vm.trace.CompactTrace` at *layout*:
-    what a diagnostic that reads events (``repro analyze --reuse``)
-    renders from.  Records only: the stream is the same under every
-    cache configuration, so nothing is charged to *config*."""
-    recorded = _record_scenarios(layout, scenarios, max_steps)
-    return {name: trace for name, (_, trace) in recorded.items()}
-
-
-def _record_scenarios(
-    layout: ProgramLayout, scenarios: Scenarios, max_steps: int
 ) -> dict[str, tuple[int, CompactTrace]]:
-    """One cache-free VM run per scenario: its base cycles and trace."""
+    """One cache-free VM run per scenario: its base cycles and trace.
+
+    The one simulation pass everything reads, as in SYMTA: the traces
+    and base cycles are the store's trace sub-artifact, and every cache
+    charge and the RMB/LMB flow read them (see
+    :mod:`repro.analysis.store`).  Nothing is charged to a cache here:
+    the stream and the base cycles are the same under every cache
+    configuration.
+    """
     if not scenarios:
         raise ConfigError("at least one input scenario is required")
     recorded = {}
@@ -171,38 +136,18 @@ def _record_scenarios(
     return recorded
 
 
-def _run_scenarios(
+def scenario_traces(
     layout: ProgramLayout,
     scenarios: Scenarios,
     config: CacheConfig,
-    max_steps: int,
-) -> dict[str, ScenarioRun]:
-    """Each scenario's recorded run, replayed through a cold cache."""
-    runs: dict[str, ScenarioRun] = {}
-    recorded = _record_scenarios(layout, scenarios, max_steps)
-    for name, (base_cycles, trace) in recorded.items():
-        accesses, misses, writebacks = replay_counts(trace, config)
-        runs[name] = ScenarioRun(
-            cycles=cycles_from_counts(
-                config, base_cycles, accesses, misses, writebacks
-            ),
-            base_cycles=base_cycles,
-            accesses=accesses,
-            misses=misses,
-            writebacks=writebacks,
-            trace=trace,
-        )
-    return runs
-
-
-def _wcet_from_runs(runs: dict[str, ScenarioRun]) -> WCETResult:
-    per_scenario = {name: run.cycles for name, run in runs.items()}
-    worst = worst_of(per_scenario)
-    return WCETResult(
-        cycles=per_scenario[worst],
-        worst_scenario=worst,
-        per_scenario_cycles=per_scenario,
-    )
+    max_steps: int = 10_000_000,
+) -> dict[str, CompactTrace]:
+    """Each scenario's :class:`~repro.vm.trace.CompactTrace` at *layout*:
+    what a diagnostic that reads events (``repro analyze --reuse``)
+    renders from.  Records only: the stream is the same under every
+    cache configuration, so nothing is charged to *config*."""
+    recorded = measure_wcet_detailed(layout, scenarios, max_steps)
+    return {name: trace for name, (_, trace) in recorded.items()}
 
 
 def static_wcet_bound(layout: ProgramLayout, config: CacheConfig) -> int:

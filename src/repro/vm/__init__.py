@@ -3,8 +3,6 @@
 from repro.vm.machine import Machine, StepResult, VMError, run_isolated
 from repro.vm.trace import (
     CompactTrace,
-    NodeRefs,
-    NodeTraceAggregate,
     TraceColumns,
 )
 from repro.vm.traceio import (
@@ -24,7 +22,5 @@ __all__ = [
     "VMError",
     "run_isolated",
     "CompactTrace",
-    "NodeRefs",
-    "NodeTraceAggregate",
     "TraceColumns",
 ]

@@ -1,20 +1,21 @@
-"""Memory-reference traces and their per-node aggregation.
+"""Memory-reference traces and the block view every analysis reads.
 
 The paper derives "the memory trace of each task with the simulation method
 as used in SYMTA" (Section III-B).  The VM records every code fetch and data
 access it issues into :class:`TraceColumns`, whose :class:`CompactTrace` is
-the one trace type every analysis and report reads.  Per CFG node, the
-RMB/LMB analysis reads each distinct visit once (:func:`distinct_visits`):
-:class:`NodeTraceAggregate` condenses the traces of a fresh VM run, and
-a :class:`TraceView` keeps them as key ids a layout move maps to blocks.
+the one trace type every analysis and report reads.  A :class:`TraceView`
+keeps a task's traces as key ids and a per-key block table: its streams
+give the cache counts and its visits, each distinct node visit once
+(:func:`distinct_visits`), the RMB/LMB flow, at the recorded placement
+(a cold run) or at any placement a move by whole lines reaches.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, compress, count, islice, repeat
-from operator import and_, ne, or_
+from operator import and_, ne
 from typing import Iterable, Mapping, Sequence
 
 from repro.cache.config import CacheConfig
@@ -144,73 +145,9 @@ class TraceColumns:
         )
 
 
-@dataclass(frozen=True)
-class NodeRefs:
-    """Aggregated memory-block reference information for one CFG node.
-
-    ``visit_sequences`` holds each *distinct* block sequence the node
-    issued on a visit, once, in first-seen order: how often a sequence
-    recurred changes none of the analyses that read it.
-    """
-
-    label: str
-    visit_sequences: tuple[tuple[int, ...], ...]
-
-    def blocks(self) -> frozenset[int]:
-        """All blocks referenced by any visit of this node."""
-        merged: set[int] = set()
-        for sequence in self.visit_sequences:
-            merged.update(sequence)
-        return frozenset(merged)
-
-
-@dataclass
-class NodeTraceAggregate:
-    """Per-node reference data merged across one or more recorded runs."""
-
-    config: CacheConfig
-    node_refs: dict[str, NodeRefs] = field(default_factory=dict)
-
-    @classmethod
-    def from_compact(
-        cls, config: CacheConfig, traces: Iterable[CompactTrace]
-    ) -> "NodeTraceAggregate":
-        """Each node's distinct visits across *traces*, read from columns.
-
-        A *visit* is a maximal run of consecutive references issued by the
-        same node; its block sequence feeds the RMB/LMB transfer functions
-        (identical visits permit strong updates, differing visits force
-        conservative ones, see :mod:`repro.analysis.rmb_lmb`).  Nodes and
-        their sequences keep first-seen order; repeats are dropped as they
-        are read.
-        """
-        line_mask = -config.line_size
-        visits: dict[str, dict[tuple[int, ...], None]] = {}
-        for trace in traces:
-            blocks = list(map(and_, trace.addresses, repeat(line_mask)))
-            _add_visits(visits, trace, blocks)
-        node_refs = {
-            label: NodeRefs(label=label, visit_sequences=tuple(sequences))
-            for label, sequences in visits.items()
-        }
-        return cls(config=config, node_refs=node_refs)
-
-    def refs(self, label: str) -> NodeRefs:
-        """Reference info for *label*; empty if the node never executed."""
-        return self.node_refs.get(label, NodeRefs(label=label, visit_sequences=()))
-
-    def visits(self) -> dict[str, tuple[Visit, ...]]:
-        """Each node's visits as :func:`distinct_visits` of its blocks:
-        what :func:`~repro.analysis.rmb_lmb.solve_rmb_lmb` reads."""
-        return {
-            label: distinct_visits(refs.visit_sequences)
-            for label, refs in self.node_refs.items()
-        }
-
-
-#: One node visit as the RMB/LMB transfer reads it: its distinct values
-#: (blocks, or key ids of a :class:`TraceView`) in first-use order, and
-#: the run itself for the rare set that one visit over-fills.
+#: One node visit as the RMB/LMB transfer reads it: its distinct key ids
+#: (of a :class:`TraceView`) in first-use order, and the run itself for
+#: the rare set that one visit over-fills.
 Visit = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -224,23 +161,23 @@ def distinct_visits(runs: Iterable[tuple[int, ...]]) -> tuple[Visit, ...]:
     return tuple(visits)
 
 
-def _add_visits(visits: dict, trace: CompactTrace, values: Sequence[int]) -> None:
-    """Add each node visit of *trace*, as its run of *values*, to *visits*."""
-    ids = trace.node_ids
-    cuts = compress(count(1), map(ne, ids, islice(ids, 1, None)))
-    table = trace.node_table
-    start = 0
-    for end in chain(cuts, (len(ids),) if ids else ()):
-        visits.setdefault(table[ids[start]], {})[tuple(values[start:end])] = None
-        start = end
+class _KeyIds(dict):
+    """Key -> id, a new key named on first sight (in C for known keys)."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        self[key] = new = len(self)
+        return new
 
 
 class TraceView:
-    """Relocatable traces as a per-block table: what a layout move reads.
+    """Relocatable traces as a per-block table: what every analysis reads.
 
     An event's *key* is the ``(block, region)`` it touches at region
     *bases* (two regions may share a block there, and part elsewhere).
-    A move by whole lines is one table of moved blocks, O(footprint):
+    The recorded placement and any move by whole lines from it are one
+    table of blocks, O(footprint):
     ``streams`` holds each scenario's key ids minus reads and fetches
     that repeat the previous id (hits that change no cache state under
     any policy), their write flags, and how many were dropped; ``visits``
@@ -254,20 +191,29 @@ class TraceView:
         if _OBS.enabled:
             _OBS.metrics.counter("trace.views_built").inc()
         self.bases = tuple(bases)
-        index: dict[tuple[int, int], int] = {}
+        index = _KeyIds()
         self.streams: dict[str, tuple[array, bytes, int]] = {}
         visits: dict[str, dict[tuple[int, ...], None]] = {}
         for name, trace in traces.items():
             blocks = map(and_, trace.addresses, repeat(-line_size))
-            ids = [index.setdefault(key, len(index))
-                   for key in zip(blocks, trace.regions)]
+            ids = tuple(map(index.__getitem__, zip(blocks, trace.regions)))
             writes = trace.kinds.translate(_WRITE_FLAGS)
-            keep = list(map(or_, map(ne, ids, chain((-1,), ids)), writes))
+            # Keep an event unless it repeats the previous id and is no
+            # write: the two flag strings OR-ed as integers.
+            fresh = bytes(map(ne, ids, chain((-1,), ids)))
+            keep = (
+                int.from_bytes(fresh, "little") | int.from_bytes(writes, "little")
+            ).to_bytes(len(ids), "little")
             stream = array("I", compress(ids, keep))
             self.streams[name] = (
                 stream, bytes(compress(writes, keep)), len(ids) - len(stream)
             )
-            _add_visits(visits, trace, ids)
+            # Each node visit (a maximal run of one node's events) once.
+            nodes, table, start = trace.node_ids, trace.node_table, 0
+            cuts = compress(count(1), map(ne, nodes, islice(nodes, 1, None)))
+            for end in chain(cuts, (len(ids),) if ids else ()):
+                visits.setdefault(table[nodes[start]], {})[ids[start:end]] = None
+                start = end
         self.keys = list(index)
         self.visits = {
             label: distinct_visits(runs) for label, runs in visits.items()

@@ -6,22 +6,26 @@ The executable specification of the block view
 event of the stored traces to the new placement at once
 (:func:`relocated_traces`, by
 :meth:`~repro.vm.trace.CompactTrace.relocated`), replays every shifted
-event through a cold cache and aggregates node visits over the shifted
-blocks; the flow analyses then run on that aggregate's block-level
-visits exactly as a cold analysis does.  Not used by the package.
+event through a cold cache and aggregates every node visit over the
+shifted blocks; the flow analyses then run on that aggregate's
+block-level visits.  Not used by the package.
 """
 
 from __future__ import annotations
 
-from repro.analysis.rmb_lmb import solve_rmb_lmb
 from repro.analysis.store import FlowBundle, TraceBundle
 from repro.analysis.useful import compute_useful_blocks
 from repro.analysis.wcet import replay_counts
 from repro.cache.ciip import CIIP
 from repro.cache.config import CacheConfig
 from repro.program.builder import Program
-from repro.vm.trace import CompactTrace, NodeTraceAggregate
-from tests.oracles.rmb_lmb import footprint
+from repro.vm.trace import CompactTrace
+from tests.oracles.rmb_lmb import (
+    NodeTraceAggregate,
+    every_visit_aggregate,
+    footprint,
+    package_solve,
+)
 
 
 def relocated_traces(
@@ -47,9 +51,9 @@ def relocated_counts(
 def relocated_aggregate(
     bundle: TraceBundle, bases: tuple[int, ...], config: CacheConfig, scenarios
 ) -> NodeTraceAggregate:
-    """The per-node aggregate of the *scenarios* at *bases*."""
+    """The every-visit aggregate of the *scenarios* at *bases*."""
     placed = relocated_traces(bundle, bases)
-    return NodeTraceAggregate.from_compact(
+    return every_visit_aggregate(
         config, [placed[scenario] for scenario in scenarios]
     )
 
@@ -65,7 +69,7 @@ def relocated_flow(
     the *scenarios* at *bases*, solved over the relocated aggregate's
     block-level visits."""
     aggregate = relocated_aggregate(bundle, bases, config, scenarios)
-    dataflow = solve_rmb_lmb(program.cfg, aggregate.visits(), config)
+    dataflow = package_solve(program.cfg, aggregate, config)
     # Set-grouped order, as the package numbers blocks, so the pickled
     # CIIP is byte-identical.
     blocks = sorted(

@@ -5,9 +5,11 @@ masks over set-grouped blocks) is checked against by
 ``tests/test_flow_equivalence.py``: ``dict[set index -> frozenset]``
 states pushed through a LIFO worklist, one transfer per (node, set,
 visit variant).  Not used by the package.  :func:`node_visit_sequences`
-and :func:`every_visit_aggregate` keep *every* node visit, duplicates
-included, the way the package's trace aggregation did before it kept
-each distinct visit once.
+and :func:`every_visit_aggregate` keep *every* node visit as blocks,
+duplicates included (:class:`NodeTraceAggregate`): the every-visit
+reference the package's key-id view
+(:class:`~repro.vm.trace.TraceView`), which keeps each distinct visit
+once, is checked against.
 
 Section IV of the paper, following Lee et al. [21]:
 
@@ -23,7 +25,7 @@ a preemption at ``s`` forces a reload — the *useful memory blocks*.
 
 Both analyses are "may" analyses solved by a worklist fixpoint over the
 task CFG.  Per-node reference sequences come from trace aggregation
-(:class:`~repro.vm.trace.NodeTraceAggregate`); when a node issued identical
+(:class:`NodeTraceAggregate`); when a node issued identical
 reference sequences on every observed visit we apply strong updates (an
 ``>= L``-distinct reference sequence fully determines the set contents
 under LRU), otherwise we fall back to conservative weak updates, keeping
@@ -32,14 +34,15 @@ the sets supersets of reality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from operator import and_, ne
 from typing import Iterable, Mapping, Sequence
 
+from repro.analysis import rmb_lmb as package
 from repro.cache.config import CacheConfig
 from repro.program.cfg import ControlFlowGraph
-from repro.vm.trace import CompactTrace, NodeRefs, NodeTraceAggregate
+from repro.vm.trace import CompactTrace, Visit, distinct_visits
 
 BlockSet = frozenset[int]
 SetStates = dict[int, BlockSet]  # cache-set index -> blocks
@@ -67,6 +70,43 @@ def node_visit_sequences(
     return visits
 
 
+@dataclass(frozen=True)
+class NodeRefs:
+    """One CFG node's visits: the block sequence of each, in order."""
+
+    label: str
+    visit_sequences: tuple[tuple[int, ...], ...]
+
+    def blocks(self) -> frozenset[int]:
+        """All blocks referenced by any visit of this node."""
+        return frozenset(chain.from_iterable(self.visit_sequences))
+
+
+@dataclass
+class NodeTraceAggregate:
+    """Per-node block visits merged across one or more recorded runs."""
+
+    config: CacheConfig
+    node_refs: dict[str, NodeRefs] = field(default_factory=dict)
+
+    def refs(self, label: str) -> NodeRefs:
+        """Reference info for *label*; empty if the node never executed."""
+        return self.node_refs.get(label, NodeRefs(label=label, visit_sequences=()))
+
+    def keyed_visits(self) -> tuple[dict[str, tuple[Visit, ...]], list[int]]:
+        """Each node's distinct visits as ids into a block table, and the
+        table (ids in first-seen order): the package solver's input."""
+        table: dict[int, int] = {}
+        visits = {}
+        for label, refs in self.node_refs.items():
+            runs = dict.fromkeys(
+                tuple(table.setdefault(block, len(table)) for block in sequence)
+                for sequence in refs.visit_sequences
+            )
+            visits[label] = distinct_visits(runs)
+        return visits, list(table)
+
+
 def every_visit_aggregate(
     config: CacheConfig, traces: Iterable[CompactTrace]
 ) -> NodeTraceAggregate:
@@ -84,6 +124,14 @@ def every_visit_aggregate(
     )
 
 
+def package_solve(
+    cfg: ControlFlowGraph, aggregate: NodeTraceAggregate, config: CacheConfig
+) -> "package.RMBLMBResult":
+    """The package's mask solver on *aggregate*'s block visits."""
+    visits, blocks = aggregate.keyed_visits()
+    return package.solve_rmb_lmb(cfg, visits, config, blocks)
+
+
 def per_node_blocks(aggregate: NodeTraceAggregate) -> dict[str, frozenset[int]]:
     """The blocks each node of *aggregate* referenced on any visit."""
     return {label: refs.blocks() for label, refs in aggregate.node_refs.items()}
@@ -92,19 +140,6 @@ def per_node_blocks(aggregate: NodeTraceAggregate) -> dict[str, frozenset[int]]:
 def footprint(aggregate: NodeTraceAggregate) -> frozenset[int]:
     """Union of all blocks referenced by all nodes (the task's M)."""
     return frozenset().union(*per_node_blocks(aggregate).values())
-
-
-def deterministic(refs: NodeRefs) -> bool:
-    """True when every observed visit of *refs* issued the same block
-    sequence."""
-    return len(set(refs.visit_sequences)) <= 1
-
-
-def representative_sequence(refs: NodeRefs) -> tuple[int, ...]:
-    """The visit sequence of *refs* when deterministic; empty otherwise."""
-    if refs.visit_sequences and deterministic(refs):
-        return refs.visit_sequences[0]
-    return ()
 
 
 def last_distinct(sequence: Sequence[int], limit: int) -> tuple[int, ...]:

@@ -32,11 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tests.oracles.rmb_lmb import RMBLMBResult, SetStates
+from tests.oracles.rmb_lmb import NodeTraceAggregate, RMBLMBResult, SetStates
 from repro.cache.ciip import CIIP
 from repro.cache.config import CacheConfig
 from repro.program.cfg import ControlFlowGraph
-from repro.vm.trace import NodeTraceAggregate
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@
 ``repro.analysis.rmb_lmb`` / ``repro.analysis.useful`` solve RMB/LMB as one
 gen/kill problem over set-grouped block bits and keep useful points as
 masks; ``tests/oracles`` holds the per-set frozenset implementation they
-replaced.  The package reads each node's *distinct* visits
-(:meth:`~repro.vm.trace.NodeTraceAggregate.visits`); the oracle is fed
-every visit of every scenario's trace, duplicates included, so the checks
-also prove that dropping repeated visits changes nothing.  Checked here on
+replaced.  The package's cold path reads each node's *distinct* visits
+as key ids of the traces' block view (:class:`~repro.vm.trace.TraceView`);
+the oracle is fed every visit of every scenario's trace as blocks,
+duplicates included (``every_visit_aggregate``), so the checks also prove
+that dropping repeated visits and naming blocks by key ids change
+nothing.  Checked here on
 Experiments I/II at the experiments' and the paper's cache geometries,
 and on fuzz-drawn programs covering lru/fifo/plru x
 write-through/write-back:
@@ -34,11 +36,11 @@ from repro.analysis import (
 from repro.analysis.crpd import Approach
 from repro.analysis.intertask import approach1_lines, approach2_lines
 from repro.analysis.rmb_lmb import BlockBits
+from repro.analysis.store import TraceBundle
 from repro.cache import CacheConfig
 from repro.experiments import EXPERIMENT_I_SPEC, EXPERIMENT_II_SPEC, build_context
 from repro.fuzz.build import build_case
 from repro.fuzz.generator import case_from_seed
-from repro.vm.trace import NodeTraceAggregate
 from tests.oracles import rmb_lmb as oracle_rmb_lmb
 from tests.oracles import useful as oracle_useful
 from tests.oracles.pathcost import approach4_lines
@@ -79,13 +81,17 @@ def _task_sets():
     return systems
 
 
-def _aggregates(art, scenarios):
-    """*art*'s per-node aggregates of every scenario's trace: with every
-    visit (the oracle's input) and with each distinct visit once."""
-    traces = scenario_traces(art.layout, scenarios, art.config).values()
+def _inputs(art, scenarios):
+    """*art*'s every-visit aggregate of every scenario's trace (the
+    oracle's input) and the block view its cold run solved from."""
+    traces = scenario_traces(art.layout, scenarios, art.config)
+    bases = art.layout.region_bases()
+    bundle = TraceBundle(
+        traces=traces, base_cycles=dict.fromkeys(traces, 0), bases=bases
+    )
     return (
-        oracle_rmb_lmb.every_visit_aggregate(art.config, traces),
-        NodeTraceAggregate.from_compact(art.config, traces),
+        oracle_rmb_lmb.every_visit_aggregate(art.config, traces.values()),
+        bundle.view(art.config.line_size, bases, scenarios),
     )
 
 
@@ -96,10 +102,10 @@ def systems():
         oracles = {}
         for name, art in artifacts.items():
             cfg = art.program.cfg
-            every, distinct = _aggregates(art, scenarios[name])
+            every, view = _inputs(art, scenarios[name])
             flow = oracle_rmb_lmb.solve_rmb_lmb(cfg, every, art.config)
             useful = oracle_useful.compute_useful_blocks(cfg, flow, every)
-            oracles[name] = (flow, useful, every, distinct)
+            oracles[name] = (flow, useful, every, view)
         built.append((tag, artifacts, order, oracles))
     return built
 
@@ -121,19 +127,22 @@ def test_inputs_cover_every_policy_and_write_mode(systems):
 
 
 def test_aggregate_is_every_visit_deduplicated(systems):
-    """The cold path's aggregate keeps each distinct visit once, and the
-    per-node blocks and footprint the artifacts read off the dataflow
-    are the every-visit oracle's."""
+    """The cold path's view keeps each distinct visit once (its key-id
+    runs, read as blocks, are the every-visit oracle's runs deduplicated),
+    and the per-node blocks and footprint the artifacts read off the
+    dataflow are the every-visit oracle's."""
     repeated = 0
     for tag, artifacts, _, oracles in systems:
         for name, art in artifacts.items():
-            every, aggregate = oracles[name][2:]
-            assert list(aggregate.node_refs) == list(every.node_refs)
+            every, view = oracles[name][2:]
+            block = view.moved(art.layout.region_bases()).__getitem__
+            assert list(view.visits) == list(every.node_refs)
             for label, refs in every.node_refs.items():
                 distinct = tuple(dict.fromkeys(refs.visit_sequences))
-                assert aggregate.refs(label).visit_sequences == distinct, (
-                    f"{tag} {name} {label}"
+                runs = dict.fromkeys(
+                    tuple(map(block, run)) for _, run in view.visits[label]
                 )
+                assert tuple(runs) == distinct, f"{tag} {name} {label}"
                 repeated += len(refs.visit_sequences) - len(distinct)
             assert art.per_node_blocks() == oracle_rmb_lmb.per_node_blocks(every), (
                 f"{tag} {name}"

@@ -16,8 +16,13 @@ from repro.program import (
     Halt,
     Jump,
 )
-from repro.vm.trace import NodeRefs, NodeTraceAggregate
-from tests.oracles.rmb_lmb import footprint as oracle_footprint
+from tests.oracles.rmb_lmb import (
+    NodeRefs,
+    NodeTraceAggregate,
+    every_visit_aggregate,
+    footprint as oracle_footprint,
+    package_solve,
+)
 
 # Distinct blocks for a 16B-line, 8-set cache: set index = (addr >> 4) & 7.
 SET0_A = 0x000
@@ -76,7 +81,7 @@ class TestRMB:
         cfg = linear_cfg()
         cc = config()
         agg = aggregate_for(cc, {"a": [(SET0_A,)]})
-        result = solve_rmb_lmb(cfg, agg.visits(), cc)
+        result = package_solve(cfg, agg, cc)
         assert SET0_A in result.rmb_at_exit("a", 0)
         assert SET0_A in result.rmb_at_entry("b", 0)
         assert SET0_A in result.rmb_at_entry("c", 0)
@@ -87,7 +92,7 @@ class TestRMB:
         cc = config(ways=1)
         cfg = linear_cfg()
         agg = aggregate_for(cc, {"a": [(SET0_A,)], "b": [(SET0_B,)]})
-        result = solve_rmb_lmb(cfg, agg.visits(), cc)
+        result = package_solve(cfg, agg, cc)
         # After b, only SET0_B can reside in set 0 (1-way cache).
         assert result.rmb_at_exit("b", 0) == frozenset({SET0_B})
         assert result.rmb_at_entry("c", 0) == frozenset({SET0_B})
@@ -97,28 +102,28 @@ class TestRMB:
         cc = config(ways=2)
         cfg = linear_cfg()
         agg = aggregate_for(cc, {"a": [(SET0_A,)], "b": [(SET0_B,)]})
-        result = solve_rmb_lmb(cfg, agg.visits(), cc)
+        result = package_solve(cfg, agg, cc)
         assert result.rmb_at_entry("c", 0) == frozenset({SET0_A, SET0_B})
 
     def test_nondeterministic_node_unions_variants(self):
         cc = config(ways=1)
         cfg = linear_cfg(("a", "b"))
         agg = aggregate_for(cc, {"a": [(SET0_A,), (SET0_B,)]})
-        result = solve_rmb_lmb(cfg, agg.visits(), cc)
+        result = package_solve(cfg, agg, cc)
         assert result.rmb_at_exit("a", 0) == frozenset({SET0_A, SET0_B})
 
     def test_diamond_merges_paths(self):
         cc = config()
         cfg = diamond_cfg()
         agg = aggregate_for(cc, {"left": [(SET0_A,)], "right": [(SET0_B,)]})
-        result = solve_rmb_lmb(cfg, agg.visits(), cc)
+        result = package_solve(cfg, agg, cc)
         assert result.rmb_at_entry("join", 0) == frozenset({SET0_A, SET0_B})
 
     def test_sets_are_independent(self):
         cc = config()
         cfg = linear_cfg(("a", "b"))
         agg = aggregate_for(cc, {"a": [(SET0_A, SET1_A)]})
-        result = solve_rmb_lmb(cfg, agg.visits(), cc)
+        result = package_solve(cfg, agg, cc)
         assert result.rmb_at_entry("b", 0) == frozenset({SET0_A})
         assert result.rmb_at_entry("b", 1) == frozenset({SET1_A})
 
@@ -130,7 +135,7 @@ class TestRMB:
         cfg.add_block(BasicBlock("out", [], Halt()))
         cc = config()
         agg = aggregate_for(cc, {"body": [(SET0_A,), (SET0_B,)]})
-        result = solve_rmb_lmb(cfg, agg.visits(), cc)
+        result = package_solve(cfg, agg, cc)
         # Blocks referenced in the loop body may reside when leaving the loop.
         assert {SET0_A, SET0_B} <= set(result.rmb_at_entry("out", 0))
 
@@ -148,12 +153,12 @@ class TestVisitSkip:
         agg = aggregate_for(
             cc, {"a": [(SET0_C,)], "b": [(SET0_A, SET0_B), (SET0_A,)]}
         )
-        result = solve_rmb_lmb(cfg, agg.visits(), cc)
+        result = package_solve(cfg, agg, cc)
         assert result.rmb_at_entry("c", 0) == frozenset({SET0_A, SET0_B, SET0_C})
         only_first = aggregate_for(
             cc, {"a": [(SET0_C,)], "b": [(SET0_A, SET0_B)]}
         )
-        result = solve_rmb_lmb(cfg, only_first.visits(), cc)
+        result = package_solve(cfg, only_first, cc)
         assert result.rmb_at_entry("c", 0) == frozenset({SET0_A, SET0_B})
 
     def test_key_ids_read_through_a_block_table(self):
@@ -163,8 +168,8 @@ class TestVisitSkip:
         blocks = [SET0_A, SET0_B, SET0_B]
         visits = {"a": (((0, 1), (0, 1)),), "b": (((2, 0), (2, 0)),)}
         expected = aggregate_for(cc, {"a": [(SET0_A, SET0_B)], "b": [(SET0_B, SET0_A)]})
-        assert solve_rmb_lmb(cfg, visits, cc, blocks) == solve_rmb_lmb(
-            cfg, expected.visits(), cc
+        assert solve_rmb_lmb(cfg, visits, cc, blocks) == package_solve(
+            cfg, expected, cc
         )
 
 
@@ -173,7 +178,7 @@ class TestLMB:
         cfg = linear_cfg()
         cc = config()
         agg = aggregate_for(cc, {"c": [(SET0_A,)]})
-        result = solve_rmb_lmb(cfg, agg.visits(), cc)
+        result = package_solve(cfg, agg, cc)
         assert SET0_A in result.lmb_at_entry("a", 0)
         assert SET0_A in result.lmb_at_entry("b", 0)
         assert result.lmb_at_exit("c", 0) == frozenset()
@@ -183,7 +188,7 @@ class TestLMB:
         cc = config(ways=1)
         cfg = linear_cfg()
         agg = aggregate_for(cc, {"b": [(SET0_A,)], "c": [(SET0_B,)]})
-        result = solve_rmb_lmb(cfg, agg.visits(), cc)
+        result = package_solve(cfg, agg, cc)
         # At entry of b, the first distinct ref to set 0 is SET0_A; SET0_B
         # comes later than L distinct refs, so it is not living here.
         assert result.lmb_at_entry("b", 0) == frozenset({SET0_A})
@@ -192,14 +197,14 @@ class TestLMB:
         cc = config(ways=2)
         cfg = linear_cfg()
         agg = aggregate_for(cc, {"b": [(SET0_A,)], "c": [(SET0_B,)]})
-        result = solve_rmb_lmb(cfg, agg.visits(), cc)
+        result = package_solve(cfg, agg, cc)
         assert result.lmb_at_entry("b", 0) == frozenset({SET0_A, SET0_B})
 
     def test_diamond_merges_backward(self):
         cc = config()
         cfg = diamond_cfg()
         agg = aggregate_for(cc, {"left": [(SET0_A,)], "right": [(SET0_B,)]})
-        result = solve_rmb_lmb(cfg, agg.visits(), cc)
+        result = package_solve(cfg, agg, cc)
         assert result.lmb_at_exit("entry", 0) == frozenset({SET0_A, SET0_B})
 
 
@@ -209,6 +214,7 @@ class TestSoundnessAgainstSimulation:
         are actually resident must be contained in the RMB sets."""
         from repro.program import ProgramBuilder, SystemLayout
         from repro.vm import Machine, TraceColumns
+        from repro.vm.trace import TraceView
 
         b = ProgramBuilder("p")
         data = b.array("data", words=24)
@@ -226,12 +232,14 @@ class TestSoundnessAgainstSimulation:
         machine = Machine(layout=layout, cache=CacheState(cc), trace=trace)
         machine.write_array("data", list(range(24)))
         machine.run()
-        agg = NodeTraceAggregate.from_compact(cc, [trace.compact()])
-        result = solve_rmb_lmb(program.cfg, agg.visits(), cc)
+        # Solved as a cold run solves: from the trace's block view.
+        recorded = trace.compact()
+        view = TraceView({"run": recorded}, cc.line_size, layout.region_bases())
+        result = solve_rmb_lmb(program.cfg, view.visits, cc, view.moved(view.bases))
         # The residency filter reads the oracle's footprint, not the
         # solver's numbering, so a resident block the solver left out
         # still reaches the RMB check.
-        footprint = oracle_footprint(agg)
+        footprint = oracle_footprint(every_visit_aggregate(cc, [recorded]))
         assert frozenset(result.bits.blocks) == footprint
 
         # Second pass: step and compare actual residency with RMB.

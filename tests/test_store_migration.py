@@ -205,7 +205,7 @@ def test_schema7_flow_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
     RMB/LMB solution holds both): a flow entry stamped with schema 7,
     which carried them, is one counted stale miss, recomputed into the
     same decoded payload as a cold run's."""
-    from repro.vm.trace import NodeTraceAggregate
+    from tests.oracles.rmb_lmb import NodeTraceAggregate
 
     layout, scenarios, entries, cold = _case(tmp_path, tiny_cache_config)
     (flow_entry,) = [

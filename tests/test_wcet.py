@@ -58,14 +58,14 @@ class TestMeasureWCET:
 
         layout = two_path_layout()
         scenarios = {"a": {"flag": [1]}, "b": {"flag": [0]}}
-        _, runs = wcet.measure_wcet_detailed(layout, scenarios, config)
+        recorded = wcet.measure_wcet_detailed(layout, scenarios)
 
         def no_replay(*args):
             raise AssertionError("scenario_traces replayed a trace")
 
         monkeypatch.setattr(wcet, "replay_counts", no_replay)
         traces = scenario_traces(layout, scenarios, config)
-        assert traces == {name: run.trace for name, run in runs.items()}
+        assert traces == {name: trace for name, (_, trace) in recorded.items()}
 
     def test_each_scenario_gets_cold_cache(self, config):
         """Scenario order must not matter (no cache state leaks)."""
