@@ -18,7 +18,6 @@ from repro.analysis.multilevel import (
     HierarchicalCRPD,
     HierarchicalTaskArtifacts,
     analyze_task_hierarchy,
-    measure_wcet_hierarchy,
 )
 from repro.analysis.intertask import (
     approach1_lines,
@@ -72,7 +71,6 @@ __all__ = [
     "HierarchicalCRPD",
     "HierarchicalTaskArtifacts",
     "analyze_task_hierarchy",
-    "measure_wcet_hierarchy",
     "approach1_lines",
     "approach2_lines",
     "eq3_lines",

@@ -14,6 +14,12 @@ where ``lines_Lk`` is the chosen approach's bound computed on level *k*'s
 sets/ways/line size.  Soundness: every preemption-induced extra L1 fill is
 counted by the L1 term, and every preemption-induced L2 miss needs the
 block to be both useful and evicted *at L2*, which the L2 term bounds.
+
+Both levels' artifacts and the stack WCET read one recorded trace per
+scenario.  L2 sees exactly L1's misses, in order, as reads (the access
+filter of Hardy & Puaut), so the stack WCET is each scenario's L1 block
+view replayed through :meth:`MemoryHierarchy.access_stream`; no VM runs
+on the stack.
 """
 
 from __future__ import annotations
@@ -22,11 +28,11 @@ from dataclasses import dataclass
 
 from repro.analysis.artifacts import TaskArtifacts, analyze_task
 from repro.analysis.crpd import Approach, CRPDAnalyzer
+from repro.analysis.store import ArtifactStore, TraceBundle
 from repro.analysis.wcet import Scenarios, WCETResult
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.errors import ConfigError
 from repro.program.layout import ProgramLayout
-from repro.vm.machine import run_isolated
 
 
 @dataclass
@@ -36,31 +42,9 @@ class HierarchicalTaskArtifacts:
     name: str
     layout: ProgramLayout
     hierarchy: HierarchyConfig
-    wcet: WCETResult  # measured on the full L1+L2 stack
+    wcet: WCETResult  # charged on the full L1+L2 stack
     l1: TaskArtifacts
     l2: TaskArtifacts
-
-
-def measure_wcet_hierarchy(
-    layout: ProgramLayout,
-    scenarios: Scenarios,
-    hierarchy: HierarchyConfig,
-    max_steps: int = 10_000_000,
-) -> WCETResult:
-    """Cold-stack WCET: every scenario starts with both levels empty."""
-    if not scenarios:
-        raise ConfigError("at least one input scenario is required")
-    per_scenario: dict[str, int] = {}
-    for name, inputs in scenarios.items():
-        stack = MemoryHierarchy(hierarchy)
-        machine = run_isolated(
-            layout,
-            stack,  # duck-typed: same access_stream() protocol as CacheState
-            inputs={array: list(values) for array, values in inputs.items()},
-            max_steps=max_steps,
-        )
-        per_scenario[name] = machine.cycles
-    return WCETResult.of(per_scenario)
 
 
 def analyze_task_hierarchy(
@@ -73,17 +57,54 @@ def analyze_task_hierarchy(
 
     The L1 and L2 artifacts reuse the standard single-level analysis with
     the respective geometry (footprints, RMB/LMB and useful blocks are all
-    geometry-dependent); the WCET is measured once on the full stack.
+    geometry-dependent), run through one in-memory store: the trace key
+    is cache-free, so the L2 run reads the traces the L1 run recorded and
+    each scenario runs on the VM once.  The stack WCET is charged from
+    the same traces, through the L1 block view (:func:`_stack_wcet`).
     """
-    wcet = measure_wcet_hierarchy(layout, scenarios, hierarchy, max_steps)
+    store = ArtifactStore()
+    l1 = analyze_task(
+        layout, scenarios, hierarchy.l1, max_steps=max_steps, store=store
+    )
+    l2 = analyze_task(
+        layout, scenarios, hierarchy.l2, max_steps=max_steps, store=store
+    )
+    bundle = store.get(l1.subkeys["trace"], kind="trace")
     return HierarchicalTaskArtifacts(
         name=layout.program.name,
         layout=layout,
         hierarchy=hierarchy,
-        wcet=wcet,
-        l1=analyze_task(layout, scenarios, hierarchy.l1, max_steps=max_steps),
-        l2=analyze_task(layout, scenarios, hierarchy.l2, max_steps=max_steps),
+        wcet=_stack_wcet(bundle, layout, scenarios, hierarchy),
+        l1=l1,
+        l2=l2,
     )
+
+
+def _stack_wcet(
+    bundle: TraceBundle,
+    layout: ProgramLayout,
+    scenarios: Scenarios,
+    hierarchy: HierarchyConfig,
+) -> WCETResult:
+    """Cold-stack WCET: each scenario's stream through an empty L1+L2.
+
+    The L1 view's streams omit reads repeating the previous block: L1
+    hits that change no state at either level, so each is charged the
+    L1 hit time and nothing else.
+    """
+    bases = layout.region_bases()
+    view = bundle.view(hierarchy.l1.line_size, bases, scenarios)
+    moved = view.moved(bases)
+    per_scenario: dict[str, int] = {}
+    for scenario in scenarios:
+        stream, writes, dropped = view.streams[scenario]
+        stack = MemoryHierarchy(hierarchy)
+        per_scenario[scenario] = (
+            bundle.base_cycles[scenario]
+            + stack.access_stream(map(moved.__getitem__, stream), writes)
+            + dropped * hierarchy.l1.hit_cycles
+        )
+    return WCETResult.of(per_scenario)
 
 
 class HierarchicalCRPD:
@@ -95,10 +116,10 @@ class HierarchicalCRPD:
         mumbs_mode: str = "per_point",
     ):
         if not tasks:
-            raise ValueError("no tasks given")
+            raise ConfigError("no tasks given")
         hierarchies = {artifacts.hierarchy for artifacts in tasks.values()}
         if len(hierarchies) != 1:
-            raise ValueError("all tasks must share one hierarchy configuration")
+            raise ConfigError("all tasks must share one hierarchy configuration")
         self.tasks = dict(tasks)
         self.hierarchy = next(iter(hierarchies))
         self._l1 = CRPDAnalyzer(

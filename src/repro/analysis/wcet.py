@@ -20,7 +20,7 @@ from repro.obs import profiled
 from repro.cache.state import CacheState
 from repro.program.layout import ProgramLayout
 from repro.program.paths import enumerate_path_profiles
-from repro.vm.machine import run_isolated
+from repro.vm.machine import Machine
 from repro.vm.trace import CompactTrace, TraceColumns
 
 #: Input scenarios: scenario name -> {array name -> initial values}.
@@ -125,13 +125,10 @@ def measure_wcet_detailed(
     recorded = {}
     for name, inputs in scenarios.items():
         columns = TraceColumns()
-        machine = run_isolated(
-            layout,
-            None,
-            inputs={array: list(values) for array, values in inputs.items()},
-            trace=columns,
-            max_steps=max_steps,
-        )
+        machine = Machine(layout=layout, cache=None, trace=columns)
+        for array, values in inputs.items():
+            machine.write_array(array, values)
+        machine.run(max_steps=max_steps)
         recorded[name] = (machine.cycles, columns.compact())
     return recorded
 

@@ -2,11 +2,11 @@
 
 Section IX: "For future work, we plan to expand our analysis approach for
 systems with more than two-level memory hierarchy."  This module provides
-the substrate for that extension: an L1 + L2 cache stack that implements
-the same ``access()``/``access_stream()`` protocol as a single
-:class:`CacheState`, so the VM and the preemptive scheduler run on it
-unchanged.  The corresponding analysis extension lives in
-:mod:`repro.analysis.multilevel`.
+the substrate for that extension: an L1 + L2 cache stack charged a whole
+reference stream at a time (:meth:`MemoryHierarchy.access_stream`, the
+protocol :meth:`CacheState.access_stream` implements).  The analysis
+extension in :mod:`repro.analysis.multilevel` charges recorded traces
+through it.
 
 Latency model (per access):
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.cache.config import CacheConfig
-from repro.cache.state import AccessResult, CacheState, CacheStats
+from repro.cache.state import CacheState, CacheStats
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,11 @@ class HierarchyConfig:
 
 @dataclass
 class MemoryHierarchy:
-    """An L1+L2 stack exposing the single-cache access protocol.
+    """An L1+L2 stack exposing the single-cache stream protocol.
 
-    Drop-in replacement for :class:`CacheState` wherever only
-    ``access()`` / ``access_stream()`` / ``invalidate()`` are needed (the
-    VM and the scheduler).
+    Stands in for :class:`CacheState` wherever only ``access_stream()``
+    and ``invalidate()`` are needed (a :meth:`Machine.run
+    <repro.vm.machine.Machine.run>`).
     """
 
     config: HierarchyConfig
@@ -71,33 +71,13 @@ class MemoryHierarchy:
         self.l1 = CacheState(self.config.l1)
         self.l2 = CacheState(self.config.l2)
 
-    def access(self, address: int, write: bool = False) -> AccessResult:
-        """Reference *address* through both levels; return the L1 outcome.
-
-        ``AccessResult.hit`` reports the L1 outcome; ``cycles`` includes
-        whatever the L2 lookup and memory fetch added.  Write-back dirty
-        accounting (if enabled on the L1 config) happens at L1; L2 fills
-        are reads.
-        """
-        l1_result = self.l1.access(address, write=write)
-        if l1_result.hit:
-            self.stats.hits += 1
-            return l1_result
-        self.stats.misses += 1
-        l2_result = self.l2.access(address)
-        cycles = l1_result.cycles  # hit_cycles + l1.miss_penalty
-        if not l2_result.hit:
-            cycles += self.config.l2.miss_penalty
-        return AccessResult(
-            hit=False, cycles=cycles, evicted_block=l1_result.evicted_block
-        )
-
     def access_stream(self, addresses, writes) -> int:
-        """:meth:`access` every address in order; return the cycles charged.
+        """Reference every address in order; return the cycles charged.
 
-        L1 state never depends on L2, and L2 sees exactly L1's misses, in
-        order, as reads — so one L1 stream pass collecting its misses,
-        then one L2 pass over them, is exact.
+        Write-back dirty accounting (if enabled on the L1 config) happens
+        at L1.  L1 state never depends on L2, and L2 sees exactly L1's
+        misses, in order, as reads — so one L1 stream pass collecting its
+        misses, then one L2 pass over them, is exact.
         """
         missed: list[int] = []
         l1_hits = self.l1.stats.hits
@@ -108,23 +88,6 @@ class MemoryHierarchy:
         self.stats.misses += len(missed)
         l2_misses = self.l2.stats.misses - l2_misses
         return cycles + l2_misses * self.config.l2.miss_penalty
-
-    def contains(self, address: int) -> bool:
-        """True if the block is resident at any level."""
-        return self.l1.contains(address) or self.l2.contains(address)
-
-    def resident_blocks(self) -> set[int]:
-        """L1-granularity blocks resident in L1, plus L2-resident regions.
-
-        Returned at L1 block granularity so callers can intersect with
-        footprints computed against the L1 geometry.
-        """
-        resident = set(self.l1.resident_blocks())
-        ratio = self.config.l2.line_size // self.config.l1.line_size
-        for l2_block in self.l2.resident_blocks():
-            for sub in range(ratio):
-                resident.add(l2_block + sub * self.config.l1.line_size)
-        return resident
 
     def invalidate(self) -> None:
         self.l1.invalidate()

@@ -53,7 +53,6 @@ from repro.program.layout import LayoutError, ProgramLayout
 from repro.vm.trace import _WRITE_FLAGS, TraceColumns
 
 if TYPE_CHECKING:
-    from repro.cache.hierarchy import MemoryHierarchy
     from repro.cache.state import CacheState
 
 
@@ -286,9 +285,8 @@ class Machine:
     Attributes:
         layout: the program and its concrete addresses.
         cache: the (possibly shared) cache all references go through — a
-            :class:`~repro.cache.state.CacheState` or
-            :class:`~repro.cache.hierarchy.MemoryHierarchy`; ``None``
-            runs cache-free, counting base cycles only (the columns are
+            :class:`~repro.cache.state.CacheState`; ``None`` runs
+            cache-free, counting base cycles only (the columns are
             then charged by whoever replays them).
         memory: byte-address -> word value store; pass a shared dict to let
             runs of the same task see earlier writes, or a fresh dict for an
@@ -298,7 +296,7 @@ class Machine:
     """
 
     layout: ProgramLayout
-    cache: "CacheState | MemoryHierarchy | None"
+    cache: "CacheState | None"
     memory: dict[int, int] = field(default_factory=dict)
     trace: "TraceColumns | None" = None
 
@@ -640,7 +638,7 @@ class Machine:
 
 def run_isolated(
     layout: ProgramLayout,
-    cache: "CacheState | MemoryHierarchy | None",
+    cache: "CacheState | None",
     inputs: dict[str, list[int]] | None = None,
     trace: "TraceColumns | None" = None,
     max_steps: int = 10_000_000,

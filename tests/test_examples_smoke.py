@@ -19,7 +19,7 @@ ALL_EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden" / "examples"
 
 #: Examples cheap enough to execute in the test suite.
-FAST_EXAMPLES = ["quickstart.py", "cache_design_study.py"]
+FAST_EXAMPLES = ["quickstart.py", "cache_design_study.py", "multilevel_memory.py"]
 
 
 def test_examples_exist():

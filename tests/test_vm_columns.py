@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.cache.config import CacheConfig
-from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.cache.hierarchy import HierarchyConfig
 from repro.cache.state import CacheState
 from repro.experiments.setup import ALL_SPECS
 from repro.analysis.pipeline import resolve_system
@@ -25,6 +25,8 @@ from repro.program.builder import ProgramBuilder
 from repro.program.layout import SystemLayout
 from repro.vm.machine import Machine, VMError
 from repro.vm.trace import TraceColumns
+
+from tests.oracles.hierarchy import SteppedHierarchy
 
 POLICY_MODES = [
     (policy, write_back)
@@ -136,7 +138,7 @@ def test_paper_workload_on_a_hierarchy():
     )
     task = placed.tasks[1]
     for inputs in task.scenarios.values():
-        assert_same(lambda: prepared(task.layout, MemoryHierarchy(hierarchy), inputs))
+        assert_same(lambda: prepared(task.layout, SteppedHierarchy(hierarchy), inputs))
 
 
 # ----------------------------------------------------------------------
