@@ -1,18 +1,19 @@
 """Micro-benchmarks of the substrate primitives.
 
 Not a paper table — these track the cost of the building blocks every
-experiment leans on: LRU cache access, trace replay, VM instruction
-dispatch, RMB/LMB fixpoint solving, CIIP intersection and the WCRT
-iteration.
+experiment leans on: LRU cache access, trace recording and replay, the
+block view, VM instruction dispatch, RMB/LMB fixpoint solving, CIIP
+intersection and the WCRT iteration.
 """
 
 from repro.analysis import analyze_task, scenario_traces, solve_rmb_lmb
 from repro.analysis.rmb_lmb import solve_rmb_lmb as _solve
 from repro.cache import CIIP, CacheConfig, CacheState, conflict_bound
 from repro.program import ProgramBuilder, SystemLayout
-from repro.vm import Machine, TraceColumns
+from repro.vm import Machine, TraceRecorder
 from repro.wcrt import TaskSpec, TaskSystem, compute_system_wcrt
 from tests.oracles import rmb_lmb as oracle
+from tests.oracles.trace import relocated
 
 
 def test_cache_access_throughput(benchmark):
@@ -92,7 +93,7 @@ def test_rmb_lmb_fixpoint(benchmark):
     config = CacheConfig.scaled_16k()
     workload = build_ofdm()
     layout = SystemLayout().place(workload.program)
-    trace = TraceColumns()
+    trace = TraceRecorder()
     machine = Machine(layout=layout, cache=CacheState(config), trace=trace)
     for name, values in workload.scenarios[0].inputs.items():
         machine.write_array(name, values)
@@ -129,8 +130,10 @@ def test_flow_from_view(benchmark):
         )
         bases = tuple(base + 0x140 * (region + 1) for region, base in enumerate(home))
         view = bundle.view(config.line_size, bases, tuple(traces))
-        moved = [trace.relocated([new - old for new, old in zip(bases, home)])
-                 for trace in traces.values()]
+        moved = [
+            relocated(trace.expand(), [new - old for new, old in zip(bases, home)])
+            for trace in traces.values()
+        ]
         expected = oracle.solve_rmb_lmb(
             workload.program.cfg, oracle.every_visit_aggregate(config, moved), config
         )
@@ -147,6 +150,52 @@ def test_flow_from_view(benchmark):
         _same_solution(result, expected)
         for result, (*_, expected) in zip(results, solves)
     )
+
+
+def test_record_throughput(benchmark):
+    """One cache-free VM run per scenario of Experiment I's tasks: the
+    block visits and data addresses every cold analysis records."""
+    from repro.analysis.pipeline import resolve_system
+    from repro.analysis.wcet import measure_wcet_detailed
+
+    tasks = resolve_system("exp1").tasks
+
+    def run():
+        return [measure_wcet_detailed(task.layout, task.scenarios) for task in tasks]
+
+    recorded = benchmark(run)
+    assert all(len(trace) for runs in recorded for _, trace in runs.values())
+
+
+def test_view_build(benchmark):
+    """The six Experiment I and II cold views, each from a freshly
+    recorded trace bundle: what a cold run reads its counts and flow
+    from."""
+    from repro.analysis.pipeline import resolve_system
+    from repro.analysis.store import TraceBundle
+    from repro.analysis.wcet import measure_wcet_detailed
+
+    recorded = [
+        (task, placed.config, measure_wcet_detailed(task.layout, task.scenarios))
+        for placed in (resolve_system("exp1"), resolve_system("exp2"))
+        for task in placed.tasks
+    ]
+
+    def run():
+        views = []
+        for task, config, runs in recorded:
+            bundle = TraceBundle(
+                traces={name: trace for name, (_, trace) in runs.items()},
+                base_cycles={name: base for name, (base, _) in runs.items()},
+                bases=task.layout.region_bases(),
+            )
+            views.append(
+                bundle.view(config.line_size, bundle.bases, tuple(task.scenarios))
+            )
+        return views
+
+    views = benchmark(run)
+    assert len(views) == 6 and all(view.keys for view in views)
 
 
 def test_ciip_conflict_bound(benchmark):

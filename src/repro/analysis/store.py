@@ -126,8 +126,9 @@ __all__ = [
 #: digest and stores each node's distinct visits once in the flow;
 #: schema 6 stores the base cycles with the sim counts; schema 7 drops the
 #: trace bundle's scenario-name tuple; schema 8 drops the flow's per-node
-#: aggregate and footprint (the RMB/LMB solution holds both).
-SCHEMA_VERSION = 8
+#: aggregate and footprint (the RMB/LMB solution holds both); schema 9
+#: stores traces as block visits plus a data-address column.
+SCHEMA_VERSION = 9
 
 _SOURCE_FINGERPRINT: Optional[str] = None
 
@@ -360,16 +361,17 @@ class TraceBundle:
     def view(self, line_size: int, bases: tuple[int, ...], scenarios) -> TraceView:
         """The :class:`~repro.vm.trace.TraceView` of the *scenarios* (in
         order) for the phase class of *bases*, each mod *line_size*: built
-        once, from the traces moved into that class by less than a line,
-        and kept outside the pickled state."""
+        once, naming the traces' keys moved into that class by less than
+        a line, and kept outside the pickled state."""
         shift = tuple((new - old) % line_size for new, old in zip(bases, self.bases))
         key = (line_size, shift, tuple(scenarios))
         views = self.__dict__.setdefault("_views", {})
         if key not in views:
             views[key] = TraceView(
-                {name: self.traces[name].relocated(shift) for name in key[2]},
+                {name: self.traces[name] for name in key[2]},
                 line_size,
                 [old + s for old, s in zip(self.bases, shift)],
+                shift,
             )
         return views[key]
 

@@ -21,7 +21,7 @@ from repro.cache.state import CacheState
 from repro.program.layout import ProgramLayout
 from repro.program.paths import enumerate_path_profiles
 from repro.vm.machine import Machine
-from repro.vm.trace import CompactTrace, TraceColumns
+from repro.vm.trace import CompactTrace, TraceRecorder
 
 #: Input scenarios: scenario name -> {array name -> initial values}.
 Scenarios = Mapping[str, Mapping[str, list[int]]]
@@ -124,12 +124,12 @@ def measure_wcet_detailed(
         raise ConfigError("at least one input scenario is required")
     recorded = {}
     for name, inputs in scenarios.items():
-        columns = TraceColumns()
-        machine = Machine(layout=layout, cache=None, trace=columns)
+        recorder = TraceRecorder()
+        machine = Machine(layout=layout, cache=None, trace=recorder)
         for array, values in inputs.items():
             machine.write_array(array, values)
         machine.run(max_steps=max_steps)
-        recorded[name] = (machine.cycles, columns.compact())
+        recorded[name] = (machine.cycles, recorder.compact())
     return recorded
 
 
@@ -141,7 +141,8 @@ def scenario_traces(
 ) -> dict[str, CompactTrace]:
     """Each scenario's :class:`~repro.vm.trace.CompactTrace` at *layout*:
     what a diagnostic that reads events (``repro analyze --reuse``)
-    renders from.  Records only: the stream is the same under every
+    renders from, through its :meth:`~repro.vm.trace.CompactTrace.expand`.
+    Records only: the stream is the same under every
     cache configuration, so nothing is charged to *config*."""
     recorded = measure_wcet_detailed(layout, scenarios, max_steps)
     return {name: trace for name, (_, trace) in recorded.items()}

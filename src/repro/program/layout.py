@@ -168,7 +168,7 @@ class ProgramLayout:
         The VM issues every address as a region's base plus an offset that
         control flow alone decides, so a trace recorded at one placement
         holds at any other once each event is shifted by its region's
-        move (see :meth:`repro.vm.trace.CompactTrace.relocated`).
+        move (see :class:`repro.vm.trace.TraceView`).
         """
         spans = [(self.code_base, self._code_end)]
         for decl in self.program.arrays.values():

@@ -3,7 +3,8 @@
 from repro.vm.machine import Machine, StepResult, VMError, run_isolated
 from repro.vm.trace import (
     CompactTrace,
-    TraceColumns,
+    TraceEvents,
+    TraceRecorder,
 )
 from repro.vm.traceio import (
     ReuseProfile,
@@ -22,5 +23,6 @@ __all__ = [
     "VMError",
     "run_isolated",
     "CompactTrace",
-    "TraceColumns",
+    "TraceEvents",
+    "TraceRecorder",
 ]

@@ -7,8 +7,9 @@ addresses, symbol bases and bounds, region ids and base-cycle sums.  One
 executor interprets that table for both ways of driving a machine:
 
 * :meth:`Machine.run` (run to halt) executes whole blocks without
-  touching the cache, appending every code fetch and data access to flat
-  columns, then charges the cache once with
+  touching the cache, recording each block visit and each data address
+  (a :class:`~repro.vm.trace.CompactTrace`), then charges the cache once
+  with
   :meth:`~repro.cache.state.CacheState.access_stream`.  That is exact even
   on a warm, shared cache: nothing else accesses the cache during a
   ``run()``, and control flow never reads cache state — the cache only
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import operator
 import weakref
-from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -50,7 +50,7 @@ from repro.program.instructions import (
     evaluate_unop,
 )
 from repro.program.layout import LayoutError, ProgramLayout
-from repro.vm.trace import _WRITE_FLAGS, TraceColumns
+from repro.vm.trace import _WRITE_FLAGS, Template, TraceRecorder
 
 if TYPE_CHECKING:
     from repro.cache.state import CacheState
@@ -102,18 +102,21 @@ class DecodedBlock:
 
     ``ops[i]`` is op *i* (the terminator last); its references are events
     ``starts[i]:starts[i + 1]`` of the block's event template — the fetch,
-    then the data access of a load or store, whose slot the executor
-    fills in.  ``addresses``/``kinds``/``regions`` are that template
-    (data slots hold 0 in ``addresses``); ``cycles[i]`` is the base-cycle
-    sum of ops ``0:i``.
+    then the data access of a load or store, whose address the executor
+    hands out as it issues it.  ``addresses``/``kinds``/``regions`` are
+    that template (data slots hold 0 in ``addresses``); ``cycles[i]`` is
+    the base-cycle sum of ops ``0:i``; ``index`` is the block's position
+    in the decoded table, its template id in a
+    :class:`~repro.vm.trace.CompactTrace`.
     """
 
     __slots__ = (
-        "label", "ops", "size", "addresses", "kinds", "regions", "starts",
-        "cycles", "events",
+        "index", "label", "ops", "size", "addresses", "kinds", "regions",
+        "starts", "cycles",
     )
 
-    def __init__(self, label, ops, addresses, kinds, regions, starts, cycles):
+    def __init__(self, index, label, ops, addresses, kinds, regions, starts, cycles):
+        self.index = index
         self.label = label
         self.ops = ops
         self.size = len(ops)
@@ -122,16 +125,16 @@ class DecodedBlock:
         self.regions = regions
         self.starts = starts
         self.cycles = cycles
-        self.events = len(addresses)
 
 
 @dataclass(frozen=True)
 class DecodedProgram:
-    """A layout's decoded blocks, in CFG order, and the entry index."""
+    """A layout's decoded blocks, in CFG order, the entry index, and the
+    blocks' event templates every trace recorded here shares."""
 
     blocks: tuple[DecodedBlock, ...]
     entry: int
-    max_events: int
+    templates: tuple[Template, ...]
 
 
 _DECODED: dict[int, DecodedProgram] = {}
@@ -177,9 +180,8 @@ def _decode(layout: ProgramLayout) -> DecodedProgram:
             addresses.append(fetch)
             kinds.append(0)
             regions.append(0)
-            slot = len(addresses)
             op, data_kind, region = _decode_op(
-                layout, instr, label, slot, index, symbol_region,
+                layout, instr, label, index, symbol_region,
                 terminal=position == len(block.instructions),
             )
             if data_kind:
@@ -191,11 +193,12 @@ def _decode(layout: ProgramLayout) -> DecodedProgram:
             cycles.append(cycles[-1] + getattr(instr, "base_cycles", 0))
         blocks.append(
             DecodedBlock(
+                index=len(blocks),
                 label=label,
                 ops=tuple(ops),
-                addresses=addresses,
+                addresses=tuple(addresses),
                 kinds=bytes(kinds),
-                regions=array("H", regions),
+                regions=tuple(regions),
                 starts=tuple(starts),
                 cycles=tuple(cycles),
             )
@@ -203,11 +206,14 @@ def _decode(layout: ProgramLayout) -> DecodedProgram:
     return DecodedProgram(
         blocks=tuple(blocks),
         entry=index[cfg.entry],
-        max_events=max((block.events for block in blocks), default=0),
+        templates=tuple(
+            (block.label, block.addresses, block.kinds, block.regions)
+            for block in blocks
+        ),
     )
 
 
-def _decode_op(layout, instr, label, slot, index, symbol_region, terminal):
+def _decode_op(layout, instr, label, index, symbol_region, terminal):
     """``(op tuple, data kind, data region)`` for one instruction."""
     if isinstance(instr, (Load, Store)):
         symbol = instr.symbol
@@ -217,7 +223,7 @@ def _decode_op(layout, instr, label, slot, index, symbol_region, terminal):
             return (_FAIL, _fail(lambda: layout.symbol_base(symbol))), 0, 0
         end = base + layout.program.array(symbol).size_bytes
         region = symbol_region[symbol]
-        bounds = (base, end, symbol, label, slot)
+        bounds = (base, end, symbol, label)
         if isinstance(instr, Load):
             kind, target = 1, instr.dst
         else:
@@ -286,19 +292,20 @@ class Machine:
         layout: the program and its concrete addresses.
         cache: the (possibly shared) cache all references go through — a
             :class:`~repro.cache.state.CacheState`; ``None`` runs
-            cache-free, counting base cycles only (the columns are
-            then charged by whoever replays them).
+            cache-free, counting base cycles only (the trace is then
+            charged by whoever replays it).
         memory: byte-address -> word value store; pass a shared dict to let
             runs of the same task see earlier writes, or a fresh dict for an
             isolated run.
-        trace: optional :class:`~repro.vm.trace.TraceColumns` the VM
-            appends every memory reference to.
+        trace: optional :class:`~repro.vm.trace.TraceRecorder` that
+            :meth:`run` records its block visits and data addresses into
+            (:meth:`step` records nothing).
     """
 
     layout: ProgramLayout
     cache: "CacheState | None"
     memory: dict[int, int] = field(default_factory=dict)
-    trace: "TraceColumns | None" = None
+    trace: "TraceRecorder | None" = None
 
     def __post_init__(self) -> None:
         self.registers: dict[str, int] = {}
@@ -306,7 +313,7 @@ class Machine:
         self._block = self._decoded.blocks[self._decoded.entry]
         self._position = 0
         self._halted = False
-        self._scratch = [0] * self._decoded.max_events
+        self._data: list[int] = []  # the data address step() issued
         self._fault = (0, 0)
         self.cycles = 0
         self.steps = 0
@@ -364,12 +371,12 @@ class Machine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _execute(self, block: DecodedBlock, start: int, stop: int, out: list) -> int:
+    def _execute(self, block: DecodedBlock, start: int, stop: int, put) -> int:
         """Execute ops ``start:stop`` of *block*; the one interpreter.
 
-        Each data address lands in ``out[slot]``.  Returns the index of
-        the next block, :data:`_HALTED`, or :data:`_INSIDE` when *stop*
-        falls before the terminator.  On an error, ``self._fault`` holds
+        Each data address is passed to *put* as it is issued.  Returns
+        the index of the next block, :data:`_HALTED`, or :data:`_INSIDE`
+        when *stop* falls before the terminator.  On an error, ``self._fault`` holds
         the failing op's index and how many of its references (the fetch,
         and a store's write) were issued before it failed.
         """
@@ -387,13 +394,13 @@ class Machine:
                     address = op[4] + regs[op[2]] * op[3]
                     if not op[5] <= address < op[6]:
                         raise self._out_of_bounds(address, op[5:9])
-                    out[op[9]] = address
+                    put(address)
                     regs[op[1]] = memory.get(address, 0)
                 elif code == _STORE:
                     address = op[4] + regs[op[2]] * op[3]
                     if not op[5] <= address < op[6]:
                         raise self._out_of_bounds(address, op[5:9])
-                    out[op[9]] = address
+                    put(address)
                     value = op[1]
                     memory[address] = regs[value] if value.__class__ is str else value
                 elif code == _CONST:
@@ -416,13 +423,13 @@ class Machine:
                     address = op[2]
                     if not op[3] <= address < op[4]:
                         raise self._out_of_bounds(address, op[3:7])
-                    out[op[7]] = address
+                    put(address)
                     regs[op[1]] = memory.get(address, 0)
                 elif code == _STORE_AT:
                     address = op[2]
                     if not op[3] <= address < op[4]:
                         raise self._out_of_bounds(address, op[3:7])
-                    out[op[7]] = address
+                    put(address)
                     value = op[1]
                     memory[address] = regs[value] if value.__class__ is str else value
                 elif code == _UNARY:
@@ -488,15 +495,16 @@ class Machine:
             raise VMError("machine already halted")
         block = self._block
         position = self._position
-        scratch = self._scratch
+        data = self._data
         first = block.starts[position]
         try:
-            target = self._execute(block, position, position + 1, scratch)
+            target = self._execute(block, position, position + 1, data.append)
         except BaseException:
-            self._issue(block, first, first + self._fault[1], scratch)
+            self._issue(block, first, first + self._fault[1], data)
+            data.clear()
             raise
         cycles = block.cycles[position + 1] - block.cycles[position]
-        cycles += self._issue(block, first, block.starts[position + 1], scratch)
+        cycles += self._issue(block, first, block.starts[position + 1], data)
         if target == _INSIDE:
             self._position = position + 1
         elif target == _HALTED:
@@ -508,45 +516,44 @@ class Machine:
         self.steps += 1
         return StepResult(cycles=cycles, halted=self._halted, node=block.label)
 
-    def _issue(self, block: DecodedBlock, first: int, last: int, scratch) -> int:
-        """Record and charge events ``first:last`` of *block* one by one;
-        return their cache cycles."""
-        cycles = 0
+    def _issue(self, block: DecodedBlock, first: int, last: int, data: list) -> int:
+        """Charge events ``first:last`` of *block* (one instruction's: its
+        fetch, then the data access whose address *data* holds) one by
+        one; return their cache cycles."""
         cache = self.cache
-        trace = self.trace
+        if cache is None:
+            data.clear()
+            return 0
+        cycles = 0
         for event in range(first, last):
             kind = block.kinds[event]
-            address = scratch[event] if kind else block.addresses[event]
-            if trace is not None:
-                trace.append(address, kind, block.label, block.regions[event])
-            if cache is not None:
-                cycles += cache.access(address, write=kind == 2).cycles
+            address = data.pop() if kind else block.addresses[event]
+            cycles += cache.access(address, write=kind == 2).cycles
         return cycles
 
     def run(self, max_steps: int = 10_000_000) -> int:
         """Run to completion; return total cycles.  Guards against runaway.
 
-        Whole blocks execute cache-free into columns; the cache is charged
-        once at the end — also when an error stops the run, then up to
-        and including the failing instruction's references, as
-        :meth:`step` would have.
+        Whole blocks execute cache-free, recording one template id per
+        block visit and each data address (into :attr:`trace`, or a
+        recorder of this run's own); the cache is charged once at the
+        end — also when an error stops the run, then up to and including
+        the failing instruction's references, as :meth:`step` would have.
         """
         if self._halted:
             return self.cycles
-        blocks = self._decoded.blocks
+        decoded = self._decoded
+        blocks = decoded.blocks
         block = self._block
         position = self._position
-        columns = self.trace
-        # This run's references; node ids come from *columns*' table.
-        stream = TraceColumns()
-        addresses = stream.addresses
-        kinds = stream.kinds
-        node_ids = stream.node_ids
-        regions = stream.regions
-        runs: dict = {}
+        trace = self.trace if self.trace is not None else TraceRecorder()
+        trace.bind(decoded.templates)
+        first_visit, first_datum = len(trace.visits), len(trace.data)
+        visit = trace.visits.append
+        put = trace.data.append
         steps = self.steps
         base = 0
-        failed = None  # events preceding the failing instruction's
+        failed = 0  # references of the failing instruction
         try:
             while True:
                 budget = max_steps - steps
@@ -557,36 +564,24 @@ class Machine:
                     )
                 size = block.size
                 stop = min(size, position + budget)
-                out = block.addresses[:]
                 try:
-                    target = self._execute(block, position, stop, out)
+                    target = self._execute(block, position, stop, put)
                 except BaseException:
-                    index, issued = self._fault
-                    last = block.starts[index]
-                    failed = len(addresses) + last - block.starts[position]
-                    self._append(
-                        stream, columns, block, position, last + issued, out, runs
-                    )
+                    index, failed = self._fault
+                    starts = block.starts
+                    visit(trace.partial(
+                        block.index, starts[position], starts[index] + failed
+                    ))
                     steps += index - position
                     base += block.cycles[index] - block.cycles[position]
                     position = index
                     raise
                 if stop == size and position == 0:
-                    addresses.extend(out)
-                    kinds += block.kinds
-                    if columns is not None:
-                        ids = runs.get(block)
-                        if ids is None:
-                            ids = runs[block] = columns.node_run(
-                                block.label, block.events
-                            )
-                        node_ids += ids
-                        regions += block.regions
+                    visit(block.index)
                 else:
-                    self._append(
-                        stream, columns, block, position, block.starts[stop],
-                        out, runs,
-                    )
+                    visit(trace.partial(
+                        block.index, block.starts[position], block.starts[stop]
+                    ))
                 steps += stop - position
                 base += block.cycles[stop] - block.cycles[position]
                 if target == _INSIDE:
@@ -601,38 +596,25 @@ class Machine:
             self._block = block
             self._position = position
             self.steps = steps
-            self.cycles += base + self._charge(stream, columns, failed)
+            self.cycles += base + self._charge(
+                trace, first_visit, first_datum, failed
+            )
         return self.cycles
 
-    @staticmethod
-    def _append(stream, columns, block, position, last, out, runs) -> None:
-        """Append events ``starts[position]:last`` of *block* to *stream*."""
-        first = block.starts[position]
-        stream.addresses.extend(out[first:last])
-        stream.kinds += block.kinds[first:last]
-        if columns is None:
-            return
-        ids = runs.get(block)
-        if ids is None:
-            ids = runs[block] = columns.node_run(block.label, block.events)
-        stream.node_ids += ids[first:last]
-        stream.regions += block.regions[first:last]
-
-    def _charge(self, stream, columns, failed) -> int:
-        """Record a run's references and charge them to the cache; return
-        the cycles of those before the *failed* instruction's (all when
-        ``None``)."""
-        if columns is not None:
-            columns.extend(stream)
+    def _charge(self, trace, first_visit, first_datum, failed) -> int:
+        """Charge this run's references (*trace*'s visits from
+        *first_visit*) to the cache; return the cycles of all but the
+        *failed* last ones (the failing instruction's)."""
         cache = self.cache
         if cache is None:
             return 0
-        addresses = stream.addresses
-        writes = stream.kinds.translate(_WRITE_FLAGS)
-        if failed is None:
+        addresses, kinds = trace.events(first_visit, first_datum)
+        writes = kinds.translate(_WRITE_FLAGS)
+        if not failed:
             return cache.access_stream(addresses, writes)
-        cycles = cache.access_stream(addresses[:failed], writes[:failed])
-        cache.access_stream(addresses[failed:], writes[failed:])
+        split = len(writes) - failed
+        cycles = cache.access_stream(addresses[:split], writes[:split])
+        cache.access_stream(addresses[split:], writes[split:])
         return cycles
 
 
@@ -640,7 +622,7 @@ def run_isolated(
     layout: ProgramLayout,
     cache: "CacheState | None",
     inputs: dict[str, list[int]] | None = None,
-    trace: "TraceColumns | None" = None,
+    trace: "TraceRecorder | None" = None,
     max_steps: int = 10_000_000,
 ) -> Machine:
     """Run one program start-to-finish on the given cache; return the machine.

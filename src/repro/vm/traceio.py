@@ -52,13 +52,14 @@ def reuse_profile(
     traces: Mapping[str, CompactTrace], config: CacheConfig
 ) -> ReuseProfile:
     """The set-local LRU reuse-distance histogram of *traces*, whose
-    scenarios are read in order as one reference stream."""
+    scenarios are read in order as one reference stream (each trace's
+    :meth:`~repro.vm.trace.CompactTrace.expand`)."""
     line_mask = -config.line_size
     stacks: dict[int, list[int]] = {}
     histogram: Counter[int] = Counter()
     cold = 0
     for trace in traces.values():
-        for address in trace.addresses:
+        for address in trace.expand().addresses:
             block = address & line_mask
             stack = stacks.setdefault(config.index(block), [])
             if block in stack:

@@ -12,7 +12,9 @@ import pytest
 from repro.cache import CacheConfig, CacheState
 from repro.program import ProgramBuilder, SystemLayout
 from repro.analysis import analyze_task
-from repro.vm.trace import _KIND_CODES, CompactTrace, TraceColumns
+from repro.vm.trace import _KIND_CODES, CompactTrace
+
+from tests.oracles.trace import TraceColumns, block_trace
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,11 +52,12 @@ def example2_config():
 
 def compact_trace(events) -> CompactTrace:
     """The trace of ``(address, kind, node)`` references, kind one of
-    ``"code"``, ``"read"`` or ``"write"``, recorded as the VM records."""
+    ``"code"``, ``"read"`` or ``"write"``, as block visits: each node run
+    one visit (:func:`tests.oracles.trace.block_trace`)."""
     columns = TraceColumns()
     for address, kind, node in events:
         columns.append(address, _KIND_CODES[kind], node, 0)
-    return columns.compact()
+    return block_trace(columns.compact())
 
 
 def make_streaming_program(name: str, words: int, reps: int):

@@ -64,8 +64,7 @@ from repro.obs import STATE as _OBS
 from repro.program.layout import LayoutError, apply_assignment
 from repro.program.paths import path_footprint
 from repro.sched.simulator import Simulator
-from repro.vm.machine import Machine
-from repro.vm.trace import CompactTrace, TraceColumns
+from repro.vm.trace import TraceEvents
 from repro.wcrt.response_time import (
     compute_task_wcrt,
     dispatch_blocking_bound,
@@ -78,6 +77,7 @@ from tests.oracles.measurement import measure_preemption, prepared_machine
 from tests.oracles.relocation import relocated_traces
 from tests.oracles.response_time import reference_task_wcrt
 from tests.oracles.scheduler import ScanSimulator
+from tests.oracles.trace import RecordingMachine
 
 
 @dataclass(frozen=True)
@@ -520,6 +520,7 @@ def oracle_replay_vs_reference(
             task.layout, task.scenarios, config, max_steps=max_steps
         )
         for scenario, trace in traces.items():
+            trace = trace.expand()
             writes = bytes(kind == 2 for kind in trace.kinds)
             for start, cache, reference in (
                 ("cold", CacheState(config), ReferenceCache(config)),
@@ -893,7 +894,7 @@ def oracle_store_parity(
 RELOCATION_MOVES = 3
 
 
-def _columns(trace: CompactTrace) -> tuple:
+def _columns(trace: TraceEvents) -> tuple:
     return (
         trace.addresses.tobytes(),
         trace.kinds,
@@ -908,11 +909,13 @@ def oracle_relocation(
     """Layout moves read the stored trace instead of re-running the VM.
 
     Applies random ``code:``/``data:``/``color:``/``swap:`` moves to a
-    warm session, then checks that every task's stored trace, relocated
-    event by event (:func:`tests.oracles.relocation.relocated_traces`),
-    and the counts and cycles read through its block view, equal a
-    ``step()``-by-``step()`` re-execution at its new placement (the
-    stored trace came from ``run()``), that its sim and flow entries
+    warm session, then checks that every task's stored trace, expanded
+    from its block visits and relocated event by event
+    (:func:`tests.oracles.relocation.relocated_traces`), and the counts
+    and cycles read through its block view, equal a
+    ``step()``-by-``step()`` re-execution at its new placement, recorded
+    per event (:class:`tests.oracles.trace.RecordingMachine`; the stored
+    trace came from ``run()``), that its sim and flow entries
     equal a cold run's there, and that the warm session's signature
     equals a cold session's.
     """
@@ -961,9 +964,7 @@ def oracle_relocation(
         )
         counts = store.get(moved.subkeys["sim"], kind="sim").counts
         for scenario, inputs in task.scenarios.items():
-            machine = Machine(
-                layout=layout, cache=CacheState(case.config), trace=TraceColumns()
-            )
+            machine = RecordingMachine(layout=layout, cache=CacheState(case.config))
             for name, values in inputs.items():
                 machine.write_array(name, list(values))
             while not machine.halted and machine.steps < max_steps:
@@ -971,7 +972,7 @@ def oracle_relocation(
             stats = machine.cache.stats
             where = f"{task.name}/{scenario} at {layout.region_bases()}"
             check.expect(
-                _columns(relocated[scenario]) == _columns(machine.trace.compact()),
+                _columns(relocated[scenario]) == _columns(machine.columns.compact()),
                 f"{where}: relocated trace differs from a VM re-execution",
             )
             stepped = (stats.hits + stats.misses, stats.misses, stats.writebacks)

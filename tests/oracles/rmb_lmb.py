@@ -42,20 +42,23 @@ from typing import Iterable, Mapping, Sequence
 from repro.analysis import rmb_lmb as package
 from repro.cache.config import CacheConfig
 from repro.program.cfg import ControlFlowGraph
-from repro.vm.trace import CompactTrace, Visit, distinct_visits
+from repro.vm.trace import CompactTrace, TraceEvents, Visit, distinct_visits
 
 BlockSet = frozenset[int]
 SetStates = dict[int, BlockSet]  # cache-set index -> blocks
 
 
 def node_visit_sequences(
-    trace: CompactTrace, config: CacheConfig
+    trace: "CompactTrace | TraceEvents", config: CacheConfig
 ) -> dict[str, list[tuple[int, ...]]]:
     """Per node, the block-reference sequence of every visit, in order.
 
     A *visit* is a maximal run of consecutive references issued by the
-    same node; repeated visits are all kept.
+    same node (read from the trace's per-event columns); repeated visits
+    are all kept.
     """
+    if isinstance(trace, CompactTrace):
+        trace = trace.expand()
     ids = trace.node_ids
     if not ids:
         return {}
@@ -108,7 +111,7 @@ class NodeTraceAggregate:
 
 
 def every_visit_aggregate(
-    config: CacheConfig, traces: Iterable[CompactTrace]
+    config: CacheConfig, traces: "Iterable[CompactTrace | TraceEvents]"
 ) -> NodeTraceAggregate:
     """The per-node aggregate of *traces* with every visit kept."""
     visits: dict[str, list[tuple[int, ...]]] = {}

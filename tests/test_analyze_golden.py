@@ -64,7 +64,8 @@ class TestTracePaths:
         assert list(traces) == list(scenarios)
         for trace in traces.values():
             assert isinstance(trace, CompactTrace)
-            assert len(trace.regions) == len(trace)
+            events = trace.expand()
+            assert len(events.regions) == len(events) == len(trace)
 
     def test_warm_disk_store_reads_no_trace(self, tmp_path):
         layout, scenarios, config = _ed()

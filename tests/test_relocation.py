@@ -6,10 +6,11 @@ another placement.  These tests pin the pieces that make it exact:
 * the columnar replay (``CompactTrace.replay``) counts exactly what
   per-access ``CacheState.access`` counts, for every policy and both
   write modes;
-* the block view's per-node visits, read from the columns, equal the
-  per-event reference kept here as the oracle;
-* a relocated trace is byte-identical to a VM re-execution at the new
-  placement, in memory and read back from a disk store's trace entry;
+* the block view's per-node visits, read from the block visits, equal
+  the per-event reference kept here as the oracle;
+* a recorded trace's events, each shifted by its region's move, are
+  byte-identical to a VM re-execution at the new placement, in memory
+  and read back from a disk store's trace entry;
 * a move through the block view (``TraceBundle.view``) gives the counts,
   per-node visits and flow bundle of the per-event path kept in
   ``tests/oracles/relocation.py``, byte for byte as stored, and the
@@ -44,9 +45,10 @@ from repro.obs import observed
 from repro.program import BasicBlock, Branch, Const, ControlFlowGraph, Halt, Jump
 from repro.program.layout import ProgramLayout, SystemLayout
 from repro.vm.machine import run_isolated
-from repro.vm.trace import CompactTrace, TraceColumns, TraceView
+from repro.vm.trace import TraceEvents, TraceRecorder, TraceView
 from repro.workloads import build_workload
 from tests.conftest import compact_trace
+from tests.oracles.trace import TraceColumns, block_trace, relocated
 from tests.oracles.relocation import (
     relocated_aggregate,
     relocated_counts,
@@ -91,7 +93,7 @@ def reference_visits(events, config: CacheConfig) -> dict:
     return visits
 
 
-def columns(trace: CompactTrace) -> tuple:
+def columns(trace: TraceEvents) -> tuple:
     return (
         trace.addresses.tobytes(),
         trace.kinds,
@@ -100,15 +102,15 @@ def columns(trace: CompactTrace) -> tuple:
     )
 
 
-def vm_trace(layout: ProgramLayout, inputs, config: CacheConfig) -> CompactTrace:
-    recording = TraceColumns()
+def vm_trace(layout: ProgramLayout, inputs, config: CacheConfig) -> TraceEvents:
+    recording = TraceRecorder()
     run_isolated(
         layout,
         CacheState(config),
         inputs={name: list(values) for name, values in inputs.items()},
         trace=recording,
     )
-    return recording.compact()
+    return recording.compact().expand()
 
 
 class TestColumnarReplay:
@@ -178,25 +180,13 @@ class TestRelocation:
             symbol_overrides={arrays[0]: 0x80008},
         )
         for scenario, inputs in workload.scenario_map().items():
-            recording = TraceColumns()
-            run_isolated(
-                home, CacheState(config),
-                inputs={k: list(v) for k, v in inputs.items()}, trace=recording,
-            )
-            recorded = recording.compact()
             deltas = [
                 new - old
                 for new, old in zip(moved.region_bases(), home.region_bases())
             ]
-            assert columns(recorded.relocated(deltas)) == columns(
-                vm_trace(moved, inputs, config)
-            ), scenario
-
-    def test_unmoved_trace_is_returned_as_is(self):
-        trace = compact_trace(random_events(1))
-        assert trace.relocated((0, 0)) is trace
-        moved = trace.relocated((4, 0))  # every event is in region 0
-        assert list(moved.addresses) == [address + 4 for address in trace.addresses]
+            assert columns(
+                relocated(vm_trace(home, inputs, config), deltas)
+            ) == columns(vm_trace(moved, inputs, config)), scenario
 
     def test_layout_move_reuses_the_stored_trace(self):
         """A ``code:`` move hits the trace and paths entries; only the
@@ -266,7 +256,7 @@ def synthetic_bundle(
                 bases[region] + 4 * rng.randrange(0x60), rng.randrange(3),
                 node, region,
             )
-        traces[name] = columns.compact()
+        traces[name] = block_trace(columns.compact())
     return TraceBundle(
         traces=traces,
         base_cycles={name: 0 for name in traces},
@@ -358,7 +348,7 @@ class TestBlockView:
             bundle.view(32, bundle.bases, "ba")
         counters = metrics.to_dict()["counters"]
         assert counters["trace.views_built"] == 4
-        assert counters["trace.relocations"] == 2  # one per scenario
+        assert "trace.relocations" not in counters  # no event is moved
         assert len(bundle._views) == 4
 
     def test_pickle_is_unchanged_by_views(self):
@@ -369,7 +359,7 @@ class TestBlockView:
         assert bundle._views
         assert _stored("trace", bundle) == before
         assert "_views" not in vars(pickle.loads(pickle.dumps(bundle)))
-        assert SCHEMA_VERSION == 8
+        assert SCHEMA_VERSION == 9
 
 
 def synthetic_cfg() -> ControlFlowGraph:
@@ -490,8 +480,7 @@ class TestPaperWorkloadMoves:
         artifacts = analyze_task(home, scenarios, config, store=store)
         bundle = store.get(artifacts.subkeys["trace"], kind="trace")
         first, second = (bundle.traces[name] for name in scenarios)
-        assert first.kinds == second.kinds and first.node_ids == second.node_ids
-        assert first.addresses != second.addresses
+        assert first.visits == second.visits and first.data != second.data
         moved = ProgramLayout(
             program=workload.program,
             code_base=home.code_base + 0x10000,
@@ -535,6 +524,6 @@ class TestPaperWorkloadMoves:
             assignment = session.layout_assignment()
         counters = metrics.to_dict()["counters"]
         assert counters["trace.views_built"] == 1
-        assert counters["trace.relocations"] == 2  # ed's two scenarios
+        assert "trace.relocations" not in counters  # no event is moved
         cold = WhatIfSession("exp1", cache=state.config).set_assignment(assignment)
         assert cold.signature() == state.signature()

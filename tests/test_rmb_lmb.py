@@ -213,7 +213,7 @@ class TestSoundnessAgainstSimulation:
         """Run a real program; at every block entry, the task's blocks that
         are actually resident must be contained in the RMB sets."""
         from repro.program import ProgramBuilder, SystemLayout
-        from repro.vm import Machine, TraceColumns
+        from repro.vm import Machine, TraceRecorder
         from repro.vm.trace import TraceView
 
         b = ProgramBuilder("p")
@@ -228,7 +228,7 @@ class TestSoundnessAgainstSimulation:
         cc = CacheConfig(num_sets=8, ways=2, line_size=16, miss_penalty=10)
 
         # First pass: record the trace for analysis.
-        trace = TraceColumns()
+        trace = TraceRecorder()
         machine = Machine(layout=layout, cache=CacheState(cc), trace=trace)
         machine.write_array("data", list(range(24)))
         machine.run()

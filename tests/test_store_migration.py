@@ -124,7 +124,7 @@ def test_schema3_flow_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
     the same analysis, while the other kinds hit."""
     from repro.analysis.store import SCHEMA_VERSION
 
-    assert SCHEMA_VERSION == 8
+    assert SCHEMA_VERSION == 9
     layout, scenarios, entries, cold = _case(tmp_path, tiny_cache_config)
     for entry in entries:
         stored = pickle.loads(entry.read_bytes())
@@ -198,6 +198,43 @@ def test_schema6_trace_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
     assert store.misses_by_kind.get("trace") == 1
     assert warm.wcet == analyze_task(layout, scenarios, wider).wcet
     assert pickle.loads(trace_entry.read_bytes()) == current
+
+
+def test_schema8_trace_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
+    """Schema 9 stores traces as block visits plus a data-address column:
+    a trace entry stamped with schema 8, whose traces held five columns
+    per event, is one counted stale miss when a new geometry reads it,
+    recorded once afresh into the same payload as a cold run's."""
+    layout, scenarios, entries, _ = _case(tmp_path, tiny_cache_config)
+    (trace_entry,) = [
+        entry for entry in entries
+        if pickle.loads(entry.read_bytes()).kind == "trace"
+    ]
+    current = pickle.loads(trace_entry.read_bytes())
+    per_event = TraceBundle(  # what schema 8 pickled: columns per event
+        traces={
+            name: trace.expand() for name, trace in current.payload.traces.items()
+        },
+        base_cycles=current.payload.base_cycles,
+        bases=current.payload.bases,
+    )
+    trace_entry.write_bytes(
+        pickle.dumps(
+            StoredEntry(schema=8, kind="trace", payload=per_event),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+    )
+    wider = replace(tiny_cache_config, ways=2 * tiny_cache_config.ways)
+    store = ArtifactStore(directory=tmp_path)
+    warm = analyze_task(layout, scenarios, wider, store=store)
+    assert (store.stale, store.corrupt) == (1, 0)
+    assert store.misses_by_kind.get("trace") == 1
+    assert warm.wcet == analyze_task(layout, scenarios, wider).wcet
+    assert pickle.loads(trace_entry.read_bytes()) == current
+    # Re-recorded once: the next geometry reads the new entry.
+    again = ArtifactStore(directory=tmp_path)
+    analyze_task(layout, scenarios, replace(wider, num_sets=4), store=again)
+    assert (again.stale, again.hits_by_kind.get("trace")) == (0, 1)
 
 
 def test_schema7_flow_entry_is_a_stale_miss(tmp_path, tiny_cache_config):

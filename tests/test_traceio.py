@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import CacheConfig, CacheState
-from repro.vm.trace import TraceColumns
+from repro.vm.trace import TraceRecorder
 from repro.vm.traceio import ReuseProfile, reuse_profile, set_pressure
 
 from tests.conftest import compact_trace
@@ -38,12 +38,12 @@ class TestPersistence:
         with b.loop(16) as i:
             b.load("v", data, index=i)
         layout = SystemLayout().place(b.build())
-        columns = TraceColumns()
-        run_isolated(layout, CacheState(config), trace=columns)
-        trace = columns.compact()
+        recorder = TraceRecorder()
+        run_isolated(layout, CacheState(config), trace=recorder)
+        trace = recorder.compact()
         loaded = pickle.loads(pickle.dumps(trace))
         assert loaded == trace
-        assert list(loaded.regions) == list(trace.regions)
+        assert loaded.expand() == trace.expand()
         assert reuse_profile({"s": loaded}, config) == reuse_profile(
             {"s": trace}, config
         )

@@ -5,7 +5,7 @@ import pytest
 from repro.cache import CacheConfig, CacheState
 from repro.program import ProgramBuilder, SystemLayout
 from repro.program.instructions import BASE_CYCLES
-from repro.vm import Machine, TraceColumns, VMError, run_isolated
+from repro.vm import Machine, TraceRecorder, VMError, run_isolated
 
 
 def build_and_place(builder_fn, name="p"):
@@ -205,9 +205,9 @@ class TestTracing:
             b.store("v", out, index=0)
 
         layout = build_and_place(body)
-        trace = TraceColumns()
+        trace = TraceRecorder()
         run_isolated(layout, fresh_cache(), trace=trace)
-        kinds = trace.compact().kinds
+        kinds = trace.compact().expand().kinds
         assert kinds.count(1) == 1  # read
         assert kinds.count(2) == 1  # write
         assert kinds.count(0) == 3  # code: load, store, halt
@@ -218,9 +218,9 @@ class TestTracing:
                 b.const("x", 1)
 
         layout = build_and_place(body)
-        trace = TraceColumns()
+        trace = TraceRecorder()
         run_isolated(layout, fresh_cache(), trace=trace)
-        compact = trace.compact()
+        compact = trace.compact().expand()
         labels = {compact.node_table[node] for node in compact.node_ids}
         assert labels <= set(layout.program.cfg.labels())
 
@@ -231,9 +231,10 @@ class TestTracing:
                 b.load("v", data, index=i)
 
         layout = build_and_place(body)
-        trace = TraceColumns()
+        trace = TraceRecorder()
         run_isolated(layout, fresh_cache(), trace=trace)
-        for address, kind in zip(trace.addresses, trace.kinds):
+        events = trace.compact().expand()
+        for address, kind in zip(events.addresses, events.kinds):
             if kind == 0:  # code fetch
                 assert layout.code_base <= address < layout.code_end
             else:

@@ -1,11 +1,13 @@
 """Block-decoded ``Machine.run()`` against a ``step()``-only loop.
 
-``run()`` executes whole blocks cache-free into columns and charges the
-cache once afterwards; ``step()`` charges every reference as it issues
-it.  Both read one decoded table, so they must agree on everything: the
-reference columns (regions included), cycles, steps, cache statistics
-and contents, the dirty set, the memory image — and, when a program
-fails, on the first error and the state it leaves behind.
+``run()`` executes whole blocks cache-free, recording block visits, and
+charges the cache once afterwards; ``step()`` charges every reference as
+it issues it.  Both read one decoded table, so they must agree on
+everything: the reference columns (``run()``'s block visits expanded,
+against the per-event columns :class:`tests.oracles.trace.RecordingMachine`
+records as ``step()`` issues; regions included), cycles, steps, cache
+statistics and contents, the dirty set, the memory image — and, when a
+program fails, on the first error and the state it leaves behind.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from repro.fuzz.generator import RandomDraw, draw_cache_spec, draw_program_spec
 from repro.program.builder import ProgramBuilder
 from repro.program.layout import SystemLayout
 from repro.vm.machine import Machine, VMError
-from repro.vm.trace import TraceColumns
+from repro.vm.trace import TraceRecorder
 
 from tests.oracles.hierarchy import SteppedHierarchy
+from tests.oracles.trace import RecordingMachine
 
 POLICY_MODES = [
     (policy, write_back)
@@ -48,10 +51,8 @@ def step_until_halt(machine: Machine, max_steps: int = 10_000_000) -> int:
     return machine.cycles
 
 
-def prepared(layout, cache, inputs) -> Machine:
-    machine = Machine(
-        layout=layout, cache=cache, trace=TraceColumns()
-    )
+def prepared(layout, cache, inputs) -> RecordingMachine:
+    machine = RecordingMachine(layout=layout, cache=cache)
     for name, values in inputs.items():
         machine.write_array(name, list(values))
     return machine
@@ -61,7 +62,7 @@ def observed(machine: Machine) -> dict:
     """Everything a run can change, in comparable form."""
     cache = machine.cache
     state = {
-        "trace": machine.trace.compact(),
+        "trace": machine.columns.compact(),
         "cycles": machine.cycles,
         "steps": machine.steps,
         "halted": machine.halted,
@@ -194,13 +195,15 @@ def test_fuzz_programs_cache_free_columns_match():
     for index in range(30):
         program, inputs, config = drawn(index)
         layout = SystemLayout().place(program)
-        free = prepared(layout, None, inputs)
+        free = Machine(layout=layout, cache=None, trace=TraceRecorder())
+        for name, values in inputs.items():
+            free.write_array(name, list(values))
         free.run()
         charged = prepared(layout, CacheState(config), inputs)
         step_until_halt(charged)
         replayed = CacheState(config)
         cache_cycles = free.trace.compact().replay(replayed)
-        assert free.trace.compact() == charged.trace.compact()
+        assert free.trace.compact().expand() == charged.columns.compact()
         assert free.cycles + cache_cycles == charged.cycles
         assert replayed.snapshot() == charged.cache.snapshot()
         assert replayed.dirty_blocks() == charged.cache.dirty_blocks()

@@ -72,7 +72,8 @@ class TestScenarioCoverage:
             traces = scenario_traces(layout, workload.scenario_map(), config)
             visited: set[str] = set()
             for trace in traces.values():
-                visited |= {trace.node_table[node] for node in trace.node_ids}
+                events = trace.expand()
+                visited |= {events.node_table[node] for node in events.node_ids}
             for profile in profiles:
                 expected = {
                     label for label in profile.labels()
