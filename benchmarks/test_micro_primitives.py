@@ -234,3 +234,44 @@ def test_wcrt_iteration(benchmark):
         compute_system_wcrt, system, cpre=lambda l, h: 40, context_switch=20
     )
     assert len(result.results) == 8
+
+
+def test_view_counts(benchmark):
+    """The six Experiment I and II views counted at the ``edit``
+    workload's four geometries (mostly from footprints) and at a 1-way
+    16-set cache (every scenario replayed): what each geometry edit and
+    layout move pays per task, checked against replaying the traces."""
+    from repro.analysis.pipeline import resolve_system
+    from repro.analysis.store import TraceBundle
+    from repro.analysis.wcet import measure_wcet_detailed
+
+    geometries = ("256x2x16", "64x2x32", "128x2x16", "128x4x16", "16x1x16")
+    configs = [
+        CacheConfig(num_sets=sets, ways=ways, line_size=line)
+        for sets, ways, line in (map(int, each.split("x")) for each in geometries)
+    ]
+    counted = []
+    for placed in (resolve_system("exp1"), resolve_system("exp2")):
+        for task in placed.tasks:
+            runs = measure_wcet_detailed(task.layout, task.scenarios)
+            bundle = TraceBundle(
+                traces={name: trace for name, (_, trace) in runs.items()},
+                base_cycles={name: base for name, (base, _) in runs.items()},
+                bases=task.layout.region_bases(),
+            )
+            for config in configs:
+                view = bundle.view(config.line_size, bundle.bases, tuple(runs))
+                counted.append((view, bundle, config))
+
+    def run():
+        return [view.counts(bundle.bases, config) for view, bundle, config in counted]
+
+    results = benchmark(run)
+    for counts, (_, bundle, config) in zip(results, counted):
+        for scenario, trace in bundle.traces.items():
+            cache = CacheState(config)
+            trace.replay(cache)
+            stats = cache.stats
+            assert counts[scenario] == (
+                stats.hits + stats.misses, stats.misses, stats.writebacks
+            )

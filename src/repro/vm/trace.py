@@ -19,9 +19,10 @@ and each data event one by one.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, and_, ne
+from operator import add, and_, ne, rshift
 from typing import Iterable, Mapping, Sequence
 
 from repro.cache.config import CacheConfig
@@ -243,12 +244,13 @@ class TraceView:
     and how many were dropped; ``visits`` holds each node's distinct
     key-id runs as :func:`distinct_visits`, which the RMB/LMB solver
     reads through :meth:`moved` at any placement of the class (no
-    block-level visit is built).
+    block-level visit is built); ``footprints`` holds each scenario's
+    distinct key ids, named on the first :meth:`counts`.
 
     Each visited template's code keys are named once; only data events
     are named one by one (:func:`_read`)."""
 
-    __slots__ = ("bases", "keys", "streams", "visits")
+    __slots__ = ("bases", "keys", "streams", "visits", "footprints")
 
     def __init__(
         self,
@@ -271,6 +273,7 @@ class TraceView:
         self.visits = {
             label: distinct_visits(runs) for label, runs in visits.items()
         }
+        self.footprints = None
 
     def moved(self, bases: Sequence[int]) -> list[int]:
         """Each key's block at region *bases* (whole lines from ours)."""
@@ -279,10 +282,35 @@ class TraceView:
 
     def counts(self, bases: Sequence[int], config: CacheConfig) -> dict:
         """Each scenario's ``(accesses, misses, writebacks)`` from a cold
-        *config* cache at *bases*; the dropped repeats count as hits."""
+        cache of *config* (of the view's line size) at *bases*; the
+        dropped repeats count as hits.
+
+        A scenario whose distinct blocks put no more than ``ways`` in any
+        set is counted from its footprint: from a cold cache every miss
+        there fills an empty line (LRU/FIFO pop the ``INVALID`` tail,
+        PLRU takes the first ``INVALID`` slot), so nothing is evicted or
+        written back and each block misses once.  Any other scenario is
+        replayed."""
         moved = self.moved(bases)
+        footprints = self.footprints
+        if footprints is None:
+            footprints = self.footprints = {
+                scenario: tuple(set(stream))
+                for scenario, (stream, _, _) in self.streams.items()
+            }
+        ways, offset, set_mask = config.ways, config.offset_bits, config.num_sets - 1
         counts = {}
         for scenario, (stream, writes, dropped) in self.streams.items():
+            blocks = set(map(moved.__getitem__, footprints[scenario]))
+            if len(blocks) <= ways or max(Counter(map(
+                and_, map(rshift, blocks, repeat(offset)), repeat(set_mask)
+            )).values()) <= ways:
+                if _OBS.enabled:
+                    _OBS.metrics.counter("trace.counts_from_footprint").inc()
+                counts[scenario] = (len(stream) + dropped, len(blocks), 0)
+                continue
+            if _OBS.enabled:
+                _OBS.metrics.counter("trace.counts_replayed").inc()
             cache = CacheState(config)
             cache.access_stream(map(moved.__getitem__, stream), writes)
             stats = cache.stats

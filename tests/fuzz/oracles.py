@@ -8,7 +8,8 @@ Three families:
 * **paper invariants** — App4 <= min(App2, App3) <= App1 (Sections V-VI),
   Definition-4 vs per-point MUMBS dominance, monotonicity in Cmiss.
 * **engine differentials** — kernel vs naive conflict math and dense
-  vectors, the per-policy replay kernel vs per-set policy objects,
+  vectors, the per-policy replay kernel and the block view's counts vs
+  per-set policy objects,
   branch-and-bound vs the dense kernel over the enumerated path
   matrix, non-dominated useful vectors vs every
   execution point, heap vs scan scheduler identity,
@@ -38,6 +39,7 @@ import functools
 import json
 import random
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, replace
 from operator import le
 from typing import Callable, Iterable
@@ -45,7 +47,7 @@ from typing import Callable, Iterable
 from repro.analysis import ALL_APPROACHES, Approach, CRPDAnalyzer
 from repro.analysis.artifacts import analyze_task
 from repro.analysis.pathcost import approach4_lines, max_path_conflict_pruned
-from repro.analysis.store import ArtifactStore
+from repro.analysis.store import ArtifactStore, TraceBundle
 from repro.analysis.wcet import scenario_traces, static_wcet_bound
 from repro.cache.ciip import (
     CIIP,
@@ -53,6 +55,7 @@ from repro.cache.ciip import (
     conflict_bound_per_set,
     line_usage_bound,
 )
+from repro.cache.config import CacheConfig
 from repro.cache.kernels import dense_max_conflict
 from repro.cache.state import CacheState
 from repro.errors import ConfigError, ReproError
@@ -501,6 +504,18 @@ def _replay_state(cache) -> tuple:
     return cache.stats, cache.snapshot(), cache.dirty_blocks()
 
 
+def _covering(config: CacheConfig, blocks) -> CacheConfig:
+    """*config* with enough ways (and, past 128 of them, sets) that no set
+    gets more of *blocks* than it holds."""
+    sets = config.num_sets
+    while True:
+        per_set = Counter(config.block_number(block) % sets for block in blocks)
+        widest = max(per_set.values(), default=1)
+        if widest <= 128:
+            return replace(config, num_sets=sets, ways=1 << (widest - 1).bit_length())
+        sets *= 2
+
+
 def oracle_replay_vs_reference(
     case: BuiltCase, budget: AnalysisBudget | None = None
 ) -> list[Violation]:
@@ -508,7 +523,11 @@ def oracle_replay_vs_reference(
     (:class:`tests.oracles.cache.ReferenceCache`) on every scenario trace
     of every task: the cycles, statistics, missed addresses, final
     contents and dirty blocks, from a cold cache per trace and from the
-    warm cache all the case's traces so far have left."""
+    warm cache all the case's traces so far have left.  The task's
+    block view counts (:meth:`~repro.vm.trace.TraceView.counts`) equal
+    the reference's cold counts at the case's geometry, at one set
+    (which replays) and at a geometry that holds the whole footprint
+    (which counts from it)."""
     check = _Check("replay_vs_reference")
     config = case.config
     max_steps = 10_000_000  # analyze_task's default, capped the same way
@@ -519,8 +538,8 @@ def oracle_replay_vs_reference(
         traces = scenario_traces(
             task.layout, task.scenarios, config, max_steps=max_steps
         )
-        for scenario, trace in traces.items():
-            trace = trace.expand()
+        expanded = {scenario: trace.expand() for scenario, trace in traces.items()}
+        for scenario, trace in expanded.items():
             writes = bytes(kind == 2 for kind in trace.kinds)
             for start, cache, reference in (
                 ("cold", CacheState(config), ReferenceCache(config)),
@@ -547,6 +566,32 @@ def oracle_replay_vs_reference(
                     f"{where}: kernel {cache.stats} against reference "
                     f"{reference.stats}, or their contents or dirty blocks "
                     "differ",
+                )
+        bases = task.layout.region_bases()
+        view = TraceBundle(
+            traces=traces, base_cycles=dict.fromkeys(traces, 0), bases=bases
+        ).view(config.line_size, bases, tuple(traces))
+        footprint = {
+            config.block(address)
+            for trace in expanded.values()
+            for address in trace.addresses
+        }
+        for geometry in (
+            config, replace(config, num_sets=1), _covering(config, footprint)
+        ):
+            counts = view.counts(bases, geometry)
+            for scenario, trace in expanded.items():
+                reference = ReferenceCache(geometry)
+                reference.access_stream(
+                    trace.addresses, [kind == 2 for kind in trace.kinds]
+                )
+                stats = reference.stats
+                expected = (stats.hits + stats.misses, stats.misses, stats.writebacks)
+                check.expect(
+                    counts[scenario] == expected,
+                    f"{task.name}/{scenario} at {geometry.num_sets}x"
+                    f"{geometry.ways}: view counts {counts[scenario]}, the "
+                    f"reference {expected}",
                 )
     return check.violations
 

@@ -300,3 +300,29 @@ class TestStateAndProfiled:
             f"disabled instrumentation costs {guard * 1e9:.0f} ns per call, "
             f"over 5% of a {body * 1e3:.2f} ms kernel call"
         )
+
+
+
+class TestViewCountRoutes:
+    """``trace.counts_from_footprint`` / ``trace.counts_replayed``: how
+    each scenario of a cold analysis was counted."""
+
+    @staticmethod
+    def counters(num_sets: int) -> dict:
+        from repro.analysis.artifacts import analyze_task
+        from repro.analysis.pipeline import resolve_system
+        from repro.cache.config import CacheConfig
+
+        config = CacheConfig(num_sets=num_sets, ways=2, line_size=16)
+        with observed() as (_, metrics):
+            for task in resolve_system("exp1").tasks:
+                analyze_task(task.layout, task.scenarios, config)
+        return metrics.to_dict()["counters"]
+
+    def test_exp1_at_256x2x16_counts_from_footprints(self):
+        assert self.counters(256)["trace.counts_from_footprint"] > 0
+
+    def test_one_set_replays_every_scenario(self):
+        counters = self.counters(1)
+        assert counters["trace.counts_replayed"] > 0
+        assert "trace.counts_from_footprint" not in counters
