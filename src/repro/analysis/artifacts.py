@@ -4,8 +4,8 @@
 a laid-out program and its input scenarios it records one trace per
 scenario, reads the traces' block view once for the cache counts (hence
 the WCET) and for each node's distinct visits, solves the RMB/LMB
-dataflow over those visits (whose blocks are the task footprint), builds
-the footprint's CIIP, derives the useful-block analysis and enumerates
+dataflow over those visits (whose blocks are the task footprint, numbered
+once by cache set), derives the useful-block analysis and enumerates
 feasible paths.
 The resulting :class:`TaskArtifacts` bundle is what the CRPD estimators
 (:mod:`repro.analysis.crpd`) consume.
@@ -55,7 +55,6 @@ class TaskArtifacts:
     layout: ProgramLayout
     config: CacheConfig
     wcet: WCETResult
-    footprint_ciip: CIIP
     dataflow: RMBLMBResult
     useful: UsefulBlocksAnalysis
     path_profiles: list[PathProfile]
@@ -78,52 +77,36 @@ class TaskArtifacts:
         """The task's blocks (its M): those the RMB/LMB solution numbers."""
         return frozenset(self.dataflow.bits.blocks)
 
-    def per_node_blocks(self) -> dict[str, frozenset[int]]:
-        """Memory blocks referenced per CFG node (for path footprints).
+    @property
+    def footprint_ciip(self) -> CIIP:
+        """The footprint's CIIP (Definition 3), decoded from the dataflow's
+        set-grouped bits (reports and diagnostics; no bound reads it)."""
+        bits = self.dataflow.bits
+        return CIIP(config=self.config, groups=bits.per_set(bits.full))
 
-        Decoded from the dataflow's ``own`` masks, executed nodes only.
-        Memoised: every preemption pair re-derives path footprints from
-        this map.
+    def path_masks(self) -> list[int]:
+        """Each feasible path's footprint as a mask over the dataflow's
+        bits: the OR of ``dataflow.own`` over the path's labels.
+
+        Aligned with :attr:`path_profiles`.  Memoised.
         """
-        cached = getattr(self, "_per_node_blocks", None)
+        cached = getattr(self, "_path_masks", None)
         if cached is None:
-            decode = self.dataflow.bits.decode
-            cached = {
-                label: decode(mask)
-                for label, mask in self.dataflow.own.items() if mask
-            }
-            self._per_node_blocks = cached
-        return cached
-
-    def path_footprints(self) -> list[frozenset[int]]:
-        """Footprint block set of each feasible path, computed once.
-
-        Aligned with :attr:`path_profiles`; the naive Equation 4 evaluator
-        previously rebuilt every footprint for every preemption pair.
-        """
-        cached = getattr(self, "_path_footprints", None)
-        if cached is None:
-            from repro.program.paths import path_footprint
-
-            per_node = self.per_node_blocks()
-            cached = [
-                path_footprint(profile, per_node)
-                for profile in self.path_profiles
-            ]
-            self._path_footprints = cached
+            own = self.dataflow.own
+            cached = []
+            for profile in self.path_profiles:
+                mask = 0
+                for label in profile.labels():
+                    mask |= own.get(label, 0)
+                cached.append(mask)
+            self._path_masks = cached
         return cached
 
     def dense_footprint(self) -> bytes:
         """Capped dense per-set vector of the task footprint, memoised."""
         cached = getattr(self, "_dense_footprint", None)
         if cached is None:
-            from repro.cache.kernels import dense_from_ciip_counts
-
-            cached = dense_from_ciip_counts(
-                self.footprint_ciip.set_counts,
-                self.config.num_sets,
-                self.config.ways,
-            )
+            cached = self.dataflow.dense(self.dataflow.bits.full)
             self._dense_footprint = cached
         return cached
 
@@ -134,27 +117,15 @@ class TaskArtifacts:
     def dense_path_matrix(self) -> bytes:
         """All path-footprint vectors stacked into one flat row matrix.
 
-        Row *i* counts the blocks of ``path_footprints()[i]`` per cache
-        set, capped at ``L``; the Approach-4 maximisation over paths
-        against one preemptee vector is then a single
-        :func:`repro.cache.kernels.dense_max_conflict` call.  Memoised.
+        Row *i* is the capped per-set vector of ``path_masks()[i]``; the
+        Approach-4 maximisation over paths against one preemptee vector
+        is then a single :func:`repro.cache.kernels.dense_max_conflict`
+        call.  Memoised.
         """
         cached = getattr(self, "_dense_path_matrix", None)
         if cached is None:
-            from repro.cache.kernels import dense_from_ciip_counts, dense_rows
-
-            config = self.config
-            shift, last = config.offset_bits, config.num_sets - 1
-            rows = []
-            for footprint in self.path_footprints():
-                counts: dict[int, int] = {}
-                for block in footprint:
-                    index = (block >> shift) & last
-                    counts[index] = counts.get(index, 0) + 1
-                rows.append(
-                    dense_from_ciip_counts(counts, config.num_sets, config.ways)
-                )
-            cached = self._dense_path_matrix = dense_rows(rows)
+            cached = b"".join(map(self.dataflow.dense, self.path_masks()))
+            self._dense_path_matrix = cached
         return cached
 
     def dense_useful_points(self) -> list[bytes]:
@@ -205,7 +176,7 @@ def analyze_task(
     is looked up / persisted as a **sub-artifact** keyed only by the
     inputs that stage reads: the reference traces (cache- and
     placement-independent), the per-scenario hit/miss counts (geometry-
-    and placement-dependent, cost-free), the RMB/LMB/CIIP/useful analyses
+    and placement-dependent, cost-free), the RMB/LMB/useful analyses
     (likewise) and the path profiles (structure-only).  A penalty sweep
     therefore re-costs cached counts in O(1); a geometry sweep or a layout
     move replays cached traces instead of re-simulating (a cold run reads
@@ -292,7 +263,6 @@ def analyze_task(
             layout=layout,
             config=config,
             wcet=wcet,
-            footprint_ciip=flow.footprint_ciip,
             dataflow=flow.dataflow,
             useful=flow.useful,
             path_profiles=path_profiles,
@@ -392,15 +362,13 @@ def _flow_stage(
     visits: "Mapping[str, Sequence[Visit]]",
     blocks: Sequence[int],
 ) -> "FlowBundle":
-    """The RMB-LMB/CIIP/useful sub-artifact of *visits*, whose ids index
+    """The RMB-LMB/useful sub-artifact of *visits*, whose ids index
     *blocks* (see :func:`solve_rmb_lmb`)."""
     from repro.analysis.store import FlowBundle
 
     dataflow = solve_rmb_lmb(program.cfg, visits, config, blocks)
     return FlowBundle(
-        footprint_ciip=CIIP.from_addresses(config, dataflow.bits.blocks),
-        dataflow=dataflow,
-        useful=compute_useful_blocks(program.cfg, dataflow),
+        dataflow=dataflow, useful=compute_useful_blocks(program.cfg, dataflow)
     )
 
 
@@ -419,7 +387,6 @@ def _restamp_flow(flow: "FlowBundle", config: CacheConfig) -> "FlowBundle":
     if flow.dataflow.config == config:
         return flow
     return FlowBundle(
-        footprint_ciip=CIIP(config=config, groups=flow.footprint_ciip.groups),
         dataflow=replace(flow.dataflow, config=config),
         useful=replace(flow.useful, config=config),
     )

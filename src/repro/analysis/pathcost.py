@@ -73,8 +73,7 @@ def max_path_conflict_pruned(
     :class:`PathExplosionError` so callers degrade exactly as they would
     for enumeration overflow.
     """
-    config = preempting.config
-    if len(useful) != config.num_sets:
+    if len(useful) != preempting.config.num_sets:
         raise ConfigError("useful vector built for a different cache geometry")
     caps = {index: cap for index, cap in enumerate(useful) if cap}
     total_cap = sum(caps.values())
@@ -82,17 +81,18 @@ def max_path_conflict_pruned(
 
     # Per-label (block, set) pairs, restricted to sets the preempted task
     # actually uses — blocks elsewhere can never conflict.
-    per_node = preempting.per_node_blocks()
+    bits = preempting.dataflow.bits
+    used = sum(
+        (1 << stop) - (1 << start)
+        for index, (start, stop) in bits.slices.items() if index in caps
+    )
     label_pairs: Dict[str, Tuple[Tuple[int, int], ...]] = {}
-    for label, addresses in per_node.items():
-        pairs = []
-        for address in set(addresses):
-            block = config.block(address)
-            index = config.index(block)
-            if index in caps:
-                pairs.append((block, index))
-        if pairs:
-            label_pairs[label] = tuple(sorted(set(pairs)))
+    for label, mask in preempting.dataflow.own.items():
+        mask &= used
+        if mask:
+            label_pairs[label] = tuple(
+                (bits.blocks[bit], bits.sets[bit]) for bit in bits.ones(mask)
+            )
 
     # Potentials: sparse per-set upper bounds on distinct blocks a step (or
     # step suffix) can still add, each entry capped at cap_r.

@@ -73,7 +73,8 @@ class BlockBits:
 
     ``blocks[bit]`` is the block at *bit*, ``sets[bit]`` its cache-set
     index, and ``slices[index]`` the ``(start, stop)`` bit range of one
-    set.  Masks decode to blocks only on demand.
+    set.  :meth:`number` is the one place a block is mapped to its set;
+    masks decode to blocks only on demand.
     """
 
     blocks: tuple[int, ...]
@@ -93,6 +94,11 @@ class BlockBits:
         return cls(
             blocks=tuple(block for _, block in ordered), sets=sets, slices=slices
         )
+
+    @property
+    def full(self) -> int:
+        """The mask of every footprint block."""
+        return (1 << len(self.blocks)) - 1
 
     def ones(self, mask: int) -> Iterator[int]:
         """Bit positions set in *mask*, ascending."""
@@ -124,7 +130,8 @@ class RMBLMBResult:
     """Fixpoint solution of both analyses at block entry and exit points.
 
     Each mapping is ``label -> mask`` over :attr:`bits`; ``own`` is each
-    node's referenced blocks.  The accessors decode one set's blocks.
+    node's referenced blocks.  The accessors decode one set's blocks, and
+    :meth:`dense` gives a mask's capped per-set vector.
     """
 
     config: CacheConfig
@@ -134,6 +141,21 @@ class RMBLMBResult:
     exit_rmb: dict[str, int]
     entry_lmb: dict[str, int]
     exit_lmb: dict[str, int]
+
+    def dense(self, mask: int) -> bytes:
+        """The capped per-set vector of *mask*: ``num_sets`` bytes, entry
+        ``r`` the number of *mask*'s blocks in set ``r`` capped at ``L``.
+
+        Every per-set vector of the CRPD chain (footprint, useful points,
+        path rows) comes from here; Eqs. 2-4 read nothing else.
+        """
+        vec = bytearray(self.config.num_sets)
+        ways = self.config.ways
+        for index, (start, stop) in self.bits.slices.items():
+            count = bin(mask >> start & (1 << stop - start) - 1).count("1")
+            if count:
+                vec[index] = count if count < ways else ways
+        return bytes(vec)
 
     def rmb_at_entry(self, label: str, index: int) -> frozenset[int]:
         return self.bits.decode_set(self.entry_rmb.get(label, 0), index)
@@ -238,7 +260,7 @@ def solve_rmb_lmb(
         index: (1 << stop) - (1 << start)
         for index, (start, stop) in bits.slices.items()
     }
-    full = (1 << len(bits.blocks)) - 1
+    full = bits.full
     own, gen_rmb, gen_lmb, keep = [], [], [], []
     for node in variants:
         referenced = recent = upcoming = 0

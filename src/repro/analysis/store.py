@@ -30,9 +30,9 @@ sim       trace key + placement + ``num_sets, ways, line_size, policy,
           O(1) for any cost parameters, so a sim and flow hit reads no
           trace
 flow      trace key + placement + ``num_sets, ways, line_size, policy`` —
-          the RMB/LMB solution (whose bits name the footprint and each
-          node's blocks), footprint CIIP and useful-block analysis (cost
-          fields are re-stamped on reuse)
+          the RMB/LMB solution (whose bits name the footprint, grouped
+          by cache set, and each node's blocks) and useful-block
+          analysis (cost fields are re-stamped on reuse)
 paths     program structure + ``path_limit, strict`` — feasible path
           profiles, fully cache- and placement-independent
 pair      both tasks' flow/paths keys + ``mumbs_mode, exact_paths,
@@ -94,7 +94,6 @@ if TYPE_CHECKING:
     from repro.analysis.artifacts import TaskArtifacts
     from repro.analysis.rmb_lmb import RMBLMBResult
     from repro.analysis.useful import UsefulBlocksAnalysis
-    from repro.cache.ciip import CIIP
     from repro.guard.ledger import DegradationEvent
     from repro.program.paths import PathProfile
 
@@ -127,8 +126,9 @@ __all__ = [
 #: schema 6 stores the base cycles with the sim counts; schema 7 drops the
 #: trace bundle's scenario-name tuple; schema 8 drops the flow's per-node
 #: aggregate and footprint (the RMB/LMB solution holds both); schema 9
-#: stores traces as block visits plus a data-address column.
-SCHEMA_VERSION = 9
+#: stores traces as block visits plus a data-address column; schema 10
+#: drops the flow's footprint CIIP (the RMB/LMB bits hold it).
+SCHEMA_VERSION = 10
 
 _SOURCE_FINGERPRINT: Optional[str] = None
 
@@ -246,7 +246,7 @@ def sim_key(trace: str, layout: ProgramLayout, config: CacheConfig) -> str:
 
 
 def flow_key(trace: str, layout: ProgramLayout, config: CacheConfig) -> str:
-    """Key of the RMB-LMB / footprint CIIP / useful analyses.
+    """Key of the RMB-LMB / useful analyses.
 
     These read only the block mapping (``line_size``), set indexing
     (``num_sets``), associativity and replacement policy; neither cost
@@ -391,9 +391,11 @@ class SimBundle:
 
 @dataclass
 class FlowBundle:
-    """kind="flow": every geometry-dependent, cost-independent analysis."""
+    """kind="flow": every geometry-dependent, cost-independent analysis.
 
-    footprint_ciip: "CIIP"
+    The footprint and its CIIP are the dataflow's bits
+    (:attr:`~repro.analysis.artifacts.TaskArtifacts.footprint_ciip`)."""
+
     dataflow: "RMBLMBResult"
     useful: "UsefulBlocksAnalysis"
 

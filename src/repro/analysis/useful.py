@@ -23,8 +23,9 @@ Lee's per-preemption reload bound at a point caps each cache set at ``L``
 lines, since at most ``L`` blocks of a set can be resident when the
 preemption occurs.  Points are bit masks over the dataflow's
 :class:`~repro.analysis.rmb_lmb.BlockBits`; each distinct mask's bound,
-block count and capped dense per-set vector are computed once, and its
-blocks are decoded only on demand.  The frozenset reference lives in
+block count and capped dense per-set vector
+(:meth:`~repro.analysis.rmb_lmb.RMBLMBResult.dense`) are computed once,
+and its blocks are decoded only on demand.  The frozenset reference lives in
 ``tests/oracles/useful.py``.
 """
 
@@ -106,7 +107,7 @@ class UsefulBlocksAnalysis:
         return self.max_point().blocks()
 
     def mumbs_ciip(self) -> CIIP:
-        return CIIP.from_addresses(self.config, self.mumbs())
+        return CIIP(config=self.config, groups=self.max_point().per_set)
 
     def lee_reload_bound(self) -> int:
         """Approach 3's per-preemption reload count for this task."""
@@ -141,21 +142,15 @@ def compute_useful_blocks(
 ) -> UsefulBlocksAnalysis:
     """Evaluate useful blocks at every block's entry, exit and within point
     (the within rule reads each node's own references from *dataflow*)."""
-    config = dataflow.config
     bits = dataflow.bits
-    ways = config.ways
     stats: dict[int, tuple[int, int, bytes]] = {}
     points: list[UsefulBlocks] = []
 
     def add(label: str, position: str, mask: int) -> None:
         known = stats.get(mask)
         if known is None:
-            vec = bytearray(config.num_sets)
-            for bit in bits.ones(mask):
-                index = bits.sets[bit]
-                if vec[index] < ways:
-                    vec[index] += 1
-            known = stats[mask] = (sum(vec), bin(mask).count("1"), bytes(vec))
+            vec = dataflow.dense(mask)
+            known = stats[mask] = (sum(vec), bin(mask).count("1"), vec)
         points.append(UsefulBlocks(ExecutionPoint(label, position), mask, bits, *known))
 
     for label in cfg.labels():
@@ -165,4 +160,4 @@ def compute_useful_blocks(
         add(label, "entry", rmb_in & dataflow.entry_lmb.get(label, 0))
         add(label, "exit", dataflow.exit_rmb.get(label, 0) & lmb_out)
         add(label, "within", (rmb_in | own) & (own | lmb_out))
-    return UsefulBlocksAnalysis(config=config, points=points)
+    return UsefulBlocksAnalysis(config=dataflow.config, points=points)

@@ -10,6 +10,10 @@ per-set bound
 
 is an upper bound on the number of cache lines the preempted task may have
 to reload after one preemption.
+
+This sparse form serves Fig. 3, reports and the oracles; production
+CRPD bounds run on dense vectors (:mod:`repro.cache.kernels`), and these
+set counts are their reference.
 """
 
 from __future__ import annotations

@@ -8,14 +8,17 @@ so nothing about the *blocks* themselves matters once the per-set
 cardinalities are known.
 
 Production evaluates Equations 2-4 on one representation: the *dense*
-vector (:func:`dense_from_ciip_counts`), ``bytes`` of ``num_sets``
-entries holding each set's block count already capped at the
-associativity.  Approaches 1/2, Eq. 3 and the Approach-4 path
-maximisation are then flat min-sums (:func:`dense_usage`,
-:func:`dense_conflict`, :func:`dense_max_conflict` over
-:func:`dense_rows`).  Capping while densifying is exact, because
+vector, ``bytes`` of ``num_sets`` entries holding each set's block count
+already capped at the associativity.  Approaches 1/2, Eq. 3 and the
+Approach-4 path maximisation are then flat min-sums (:func:`dense_usage`,
+:func:`dense_conflict`, :func:`dense_max_conflict` over a row matrix).
+Capping while densifying is exact, because
 ``min(a, b, L) == min(min(a, L), min(b, L))``; a byte holds every count
 since :class:`~repro.cache.config.CacheConfig` caps ``L`` at 255.
+
+Production builds every vector with
+:meth:`repro.analysis.rmb_lmb.RMBLMBResult.dense`;
+:func:`dense_from_ciip_counts` and :func:`dense_rows` are its reference.
 
 The *sparse* dict kernels (set index -> block count) serve the CIIP-level
 API of Definition 3 (:func:`repro.cache.ciip.conflict_bound` and friends,

@@ -65,7 +65,6 @@ from repro.guard.budget import AnalysisBudget
 from repro.guard.ledger import DegradationLedger
 from repro.obs import STATE as _OBS
 from repro.program.layout import LayoutError, apply_assignment
-from repro.program.paths import path_footprint
 from repro.sched.simulator import Simulator
 from repro.vm.trace import TraceEvents
 from repro.wcrt.response_time import (
@@ -77,7 +76,8 @@ from repro.wcrt.task import TaskSpec, TaskSystem
 from tests.oracles.cache import ReferenceCache
 from tests.oracles.ciip import conflict_bound_naive, naive_dense, naive_usage
 from tests.oracles.measurement import measure_preemption, prepared_machine
-from tests.oracles.relocation import relocated_traces
+from tests.oracles.pathcost import path_footprints
+from tests.oracles.relocation import relocated_counts, relocated_traces
 from tests.oracles.response_time import reference_task_wcrt
 from tests.oracles.scheduler import ScanSimulator
 from tests.oracles.trace import RecordingMachine
@@ -184,10 +184,8 @@ def oracle_wcet_soundness(
             static >= art.wcet.cycles,
             f"{task.name}: static bound {static} < measured WCET {art.wcet.cycles}",
         )
-        per_node = art.per_node_blocks()
         union: set[int] = set()
-        for profile in art.path_profiles:
-            fp = path_footprint(profile, per_node)
+        for fp in path_footprints(art):
             check.expect(
                 fp <= art.footprint,
                 f"{task.name}: path footprint escapes the task footprint",
@@ -452,13 +450,15 @@ def oracle_kernel_vs_naive(
     ciips = []
     for task in case.tasks:
         art = task.artifacts
-        paths = [CIIP.from_addresses(config, fp) for fp in art.path_footprints()]
-        ciips.append((f"{task.name}.footprint", art.footprint_ciip))
+        paths = [CIIP.from_addresses(config, fp) for fp in path_footprints(art)]
+        # Grouped from the blocks, not from the bits the vectors come from.
+        footprint = CIIP.from_addresses(config, art.footprint)
+        ciips.append((f"{task.name}.footprint", footprint))
         ciips.append((f"{task.name}.mumbs", art.useful.mumbs_ciip()))
         ciips.extend((f"{task.name}.path{i}", c) for i, c in enumerate(paths))
         rows = art.dense_path_matrix()
         width = config.num_sets
-        vectors = [(f"{task.name}.footprint", art.dense_footprint(), art.footprint_ciip)]
+        vectors = [(f"{task.name}.footprint", art.dense_footprint(), footprint)]
         vectors.extend(
             (f"{task.name}.{point.point}", point.dense,
              CIIP.from_addresses(config, point.blocks()))
@@ -527,7 +527,11 @@ def oracle_replay_vs_reference(
     block view counts (:meth:`~repro.vm.trace.TraceView.counts`) equal
     the reference's cold counts at the case's geometry, at one set
     (which replays) and at a geometry that holds the whole footprint
-    (which counts from it)."""
+    (which counts from it); and, with the task's first array moved by
+    whole lines onto the code's last line (two regions' keys on one
+    block), the relocated per-event counts
+    (:func:`tests.oracles.relocation.relocated_counts`) at the case's
+    geometry and at one that holds the moved footprint."""
     check = _Check("replay_vs_reference")
     config = case.config
     max_steps = 10_000_000  # analyze_task's default, capped the same way
@@ -568,9 +572,10 @@ def oracle_replay_vs_reference(
                     "differ",
                 )
         bases = task.layout.region_bases()
-        view = TraceBundle(
+        bundle = TraceBundle(
             traces=traces, base_cycles=dict.fromkeys(traces, 0), bases=bases
-        ).view(config.line_size, bases, tuple(traces))
+        )
+        view = bundle.view(config.line_size, bases, tuple(traces))
         footprint = {
             config.block(address)
             for trace in expanded.values()
@@ -593,6 +598,32 @@ def oracle_replay_vs_reference(
                     f"{geometry.ways}: view counts {counts[scenario]}, the "
                     f"reference {expected}",
                 )
+        spans = task.layout.region_spans()
+        if len(spans) < 2:
+            continue
+        # A whole-line move of the first array onto the code's last line:
+        # a code key and a data key then name one block, which no
+        # recorded placement shows.
+        line = -config.line_size
+        shared = list(bases)
+        shared[1] += ((spans[0][1] - 1) & line) - (bases[1] & line)
+        shared = tuple(shared)
+        placed = relocated_traces(bundle, shared)
+        footprint = {
+            config.block(address)
+            for events in placed.values()
+            for address in events.addresses
+        }
+        view = bundle.view(config.line_size, shared, tuple(traces))
+        for geometry in (config, _covering(config, footprint)):
+            counts = view.counts(shared, geometry)
+            expected = relocated_counts(bundle, shared, geometry, traces)
+            check.expect(
+                counts == expected,
+                f"{task.name} with its first array on the code's last line, "
+                f"at {geometry.num_sets}x{geometry.ways}: view counts "
+                f"{counts}, the relocated reference {expected}",
+            )
     return check.violations
 
 

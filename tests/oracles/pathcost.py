@@ -12,12 +12,12 @@ package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from repro.analysis.artifacts import TaskArtifacts
 from repro.cache.ciip import CIIP, conflict_bound
 from repro.errors import ConfigError
-from repro.program.paths import PathProfile
+from repro.program.paths import PathProfile, path_footprint
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,37 @@ def restrict(ciip: CIIP, blocks: Iterable[int]) -> CIIP:
     return CIIP(config=ciip.config, groups=groups)
 
 
-def max_path_conflict(useful_ciip: CIIP, preempting: TaskArtifacts) -> PathCostResult:
+def node_blocks(artifacts: TaskArtifacts) -> dict[str, frozenset[int]]:
+    """Each executed node's memory blocks, decoded from the dataflow's
+    ``own`` masks."""
+    decode = artifacts.dataflow.bits.decode
+    return {
+        label: decode(mask) for label, mask in artifacts.dataflow.own.items() if mask
+    }
+
+
+def path_footprints(
+    artifacts: TaskArtifacts,
+    per_node: "Mapping[str, Iterable[int]] | None" = None,
+) -> list[frozenset[int]]:
+    """Each feasible path's footprint (aligned with ``path_profiles``),
+    from *per_node* blocks (default: :func:`node_blocks`)."""
+    if per_node is None:
+        per_node = node_blocks(artifacts)
+    return [path_footprint(profile, per_node) for profile in artifacts.path_profiles]
+
+
+def max_path_conflict(
+    useful_ciip: CIIP,
+    preempting: TaskArtifacts,
+    per_node: "Mapping[str, Iterable[int]] | None" = None,
+) -> PathCostResult:
     """Maximise ``S(M̃a, Mb^k)`` over the preempting task's enumerated
-    feasible paths (``useful_ciip`` is the CIIP of M̃a)."""
+    feasible paths (``useful_ciip`` is the CIIP of M̃a; *per_node* as in
+    :func:`path_footprints`)."""
     costs = []
     for profile, footprint in zip(
-        preempting.path_profiles, preempting.path_footprints()
+        preempting.path_profiles, path_footprints(preempting, per_node)
     ):
         path_ciip = CIIP.from_addresses(preempting.config, footprint)
         costs.append(
@@ -89,17 +114,23 @@ def approach4_lines(
     preempted: TaskArtifacts,
     preempting: TaskArtifacts,
     mumbs_mode: str = "paper",
+    per_node: "Mapping[str, Iterable[int]] | None" = None,
 ) -> int:
     """Approach 4 over the enumerated paths: the MUMBS (``"paper"``) or
-    every non-empty execution point (``"per_point"``) against each path."""
+    every non-empty execution point (``"per_point"``) against each path
+    (the preempting task's per-node blocks as in :func:`path_footprints`)."""
     if mumbs_mode == "paper":
-        return max_path_conflict(preempted.useful.mumbs_ciip(), preempting).lines
+        return max_path_conflict(
+            preempted.useful.mumbs_ciip(), preempting, per_node
+        ).lines
     if mumbs_mode != "per_point":
         raise ConfigError(f"unknown mumbs_mode {mumbs_mode!r}")
     worst = 0
     for point in preempted.useful.points:
         blocks = point.blocks()
         if blocks:
-            point_ciip = restrict(preempted.footprint_ciip, blocks)
-            worst = max(worst, max_path_conflict(point_ciip, preempting).lines)
+            point_ciip = CIIP.from_addresses(preempted.config, blocks)
+            worst = max(
+                worst, max_path_conflict(point_ciip, preempting, per_node).lines
+            )
     return worst

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro.analysis.store import FlowBundle, TraceBundle
 from repro.analysis.useful import compute_useful_blocks
-from repro.cache.ciip import CIIP
 from repro.cache.config import CacheConfig
 from repro.cache.state import CacheState
 from repro.program.builder import Program
@@ -23,7 +22,6 @@ from repro.vm.trace import _WRITE_FLAGS, TraceEvents
 from tests.oracles.rmb_lmb import (
     NodeTraceAggregate,
     every_visit_aggregate,
-    footprint,
     package_solve,
 )
 from tests.oracles.trace import relocated
@@ -73,18 +71,10 @@ def relocated_flow(
     config: CacheConfig,
     scenarios,
 ) -> FlowBundle:
-    """The flow sub-artifact (footprint CIIP, RMB/LMB, useful blocks) of
-    the *scenarios* at *bases*, solved over the relocated aggregate's
-    block-level visits."""
+    """The flow sub-artifact (RMB/LMB, useful blocks) of the *scenarios*
+    at *bases*, solved over the relocated aggregate's block-level visits."""
     aggregate = relocated_aggregate(bundle, bases, config, scenarios)
     dataflow = package_solve(program.cfg, aggregate, config)
-    # Set-grouped order, as the package numbers blocks, so the pickled
-    # CIIP is byte-identical.
-    blocks = sorted(
-        footprint(aggregate), key=lambda block: (config.index(block), block)
-    )
     return FlowBundle(
-        footprint_ciip=CIIP.from_addresses(config, blocks),
-        dataflow=dataflow,
-        useful=compute_useful_blocks(program.cfg, dataflow),
+        dataflow=dataflow, useful=compute_useful_blocks(program.cfg, dataflow)
     )

@@ -17,7 +17,8 @@ write-through/write-back:
 * per-point useful sets, reload bounds, block counts and the
   ``max_point()`` identity (hence MUMBS and Approach 3);
 * all four approaches' pair lines in both ``mumbs_mode``\\ s, against the
-  oracle useful points pushed through the enumerate engine.
+  oracle footprints through the sparse CIIP kernels and the oracle useful
+  points and per-node blocks pushed through the enumerate engine.
 """
 
 from __future__ import annotations
@@ -34,16 +35,16 @@ from repro.analysis import (
     scenario_traces,
 )
 from repro.analysis.crpd import Approach
-from repro.analysis.intertask import approach1_lines, approach2_lines
 from repro.analysis.rmb_lmb import BlockBits
 from repro.analysis.store import TraceBundle
 from repro.cache import CacheConfig
+from repro.cache.ciip import CIIP, conflict_bound, line_usage_bound
 from repro.experiments import EXPERIMENT_I_SPEC, EXPERIMENT_II_SPEC, build_context
 from repro.fuzz.build import build_case
 from repro.fuzz.generator import case_from_seed
 from tests.oracles import rmb_lmb as oracle_rmb_lmb
 from tests.oracles import useful as oracle_useful
-from tests.oracles.pathcost import approach4_lines
+from tests.oracles.pathcost import approach4_lines, node_blocks
 
 #: Fuzz cases drawn for the equivalence check (seed 11); 48 cases give
 #: more than 100 task programs over all six policy x write-mode combos.
@@ -144,7 +145,7 @@ def test_aggregate_is_every_visit_deduplicated(systems):
                 )
                 assert tuple(runs) == distinct, f"{tag} {name} {label}"
                 repeated += len(refs.visit_sequences) - len(distinct)
-            assert art.per_node_blocks() == oracle_rmb_lmb.per_node_blocks(every), (
+            assert node_blocks(art) == oracle_rmb_lmb.per_node_blocks(every), (
                 f"{tag} {name}"
             )
             assert art.footprint == oracle_rmb_lmb.footprint(every), f"{tag} {name}"
@@ -192,8 +193,17 @@ def test_useful_points_bounds_and_max_point(systems):
 
 @pytest.mark.parametrize("mumbs_mode", ["per_point", "paper"])
 def test_pair_lines_all_approaches(systems, mumbs_mode):
+    """Every approach from the oracles alone: footprints, per-node blocks
+    and useful points of the every-visit oracle, counted per set by the
+    sparse CIIP kernels."""
     for tag, artifacts, order, oracles in systems:
         analyzer = CRPDAnalyzer(artifacts, mumbs_mode=mumbs_mode)
+        ciips = {
+            name: CIIP.from_addresses(
+                art.config, oracle_rmb_lmb.footprint(oracles[name][2])
+            )
+            for name, art in artifacts.items()
+        }
         for low_index, low in enumerate(order):
             reference = replace(
                 artifacts[low],
@@ -203,11 +213,12 @@ def test_pair_lines_all_approaches(systems, mumbs_mode):
             for high in order[:low_index]:
                 lines = analyzer.estimate_pair(low, high).lines
                 expected = {
-                    Approach.BUSQUETS: approach1_lines(artifacts[high]),
-                    Approach.INTERTASK: approach2_lines(reference, artifacts[high]),
+                    Approach.BUSQUETS: line_usage_bound(ciips[high]),
+                    Approach.INTERTASK: conflict_bound(ciips[low], ciips[high]),
                     Approach.LEE: oracles[low][1].lee_reload_bound(),
                     Approach.COMBINED: approach4_lines(
-                        reference, artifacts[high], mumbs_mode=mumbs_mode
+                        reference, artifacts[high], mumbs_mode=mumbs_mode,
+                        per_node=oracle_rmb_lmb.per_node_blocks(oracles[high][2]),
                     ),
                 }
                 assert lines == expected, f"{tag} {low}<-{high} ({mumbs_mode})"

@@ -6,7 +6,7 @@ from repro.analysis import analyze_task, approach4_lines, eq3_lines
 from repro.cache import CacheConfig
 from repro.program import ProgramBuilder, SystemLayout
 
-from tests.oracles.pathcost import PathCostResult, max_path_conflict
+from tests.oracles.pathcost import PathCostResult, max_path_conflict, path_footprints
 
 
 @pytest.fixture
@@ -126,12 +126,7 @@ class TestPathCost:
         workload = build_edge_detection()
         layout = SystemLayout().place(workload.program)
         art = analyze_task(layout, workload.scenario_map(), config)
-        per_node = art.per_node_blocks()
-        from repro.program.paths import path_footprint
-
-        footprints = [
-            path_footprint(profile, per_node) for profile in art.path_profiles
-        ]
+        footprints = path_footprints(art)
         assert len(footprints) == 2
         assert footprints[0] != footprints[1]
         # Each path footprint is a strict subset of the task footprint.

@@ -359,7 +359,7 @@ class TestBlockView:
         assert bundle._views
         assert _stored("trace", bundle) == before
         assert "_views" not in vars(pickle.loads(pickle.dumps(bundle)))
-        assert SCHEMA_VERSION == 9
+        assert SCHEMA_VERSION == 10
 
 
 def synthetic_cfg() -> ControlFlowGraph:

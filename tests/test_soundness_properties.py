@@ -160,14 +160,11 @@ def test_path_footprints_cover_observed_footprint(pair):
     """Every observed memory block lies on at least one feasible path's
     footprint (each executed node belongs to some path), and each path
     footprint is a subset of the total footprint."""
-    from repro.program.paths import path_footprint
+    from tests.oracles.pathcost import path_footprints
 
     config, (low_layout, low_inputs), _ = pair
     art = analyze_task(low_layout, scenarios_for(low_inputs), config)
-    per_node = art.per_node_blocks()
-    footprints = [
-        path_footprint(profile, per_node) for profile in art.path_profiles
-    ]
+    footprints = path_footprints(art)
     union: set[int] = set()
     for fp in footprints:
         assert fp <= art.footprint

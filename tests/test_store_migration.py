@@ -27,6 +27,7 @@ from repro.obs import observed
 from repro.program import SystemLayout
 
 from tests.conftest import make_streaming_program
+from tests.oracles.pathcost import node_blocks
 
 
 def _case(tmp_path, config):
@@ -124,7 +125,7 @@ def test_schema3_flow_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
     the same analysis, while the other kinds hit."""
     from repro.analysis.store import SCHEMA_VERSION
 
-    assert SCHEMA_VERSION == 9
+    assert SCHEMA_VERSION == 10
     layout, scenarios, entries, cold = _case(tmp_path, tiny_cache_config)
     for entry in entries:
         stored = pickle.loads(entry.read_bytes())
@@ -270,4 +271,41 @@ def test_schema7_flow_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
     assert store.misses_by_kind == {"task": 1, "flow": 1}
     assert pickle.loads(flow_entry.read_bytes()) == current
     assert warm.footprint == cold.footprint
-    assert warm.per_node_blocks() == cold.per_node_blocks()
+    assert node_blocks(warm) == node_blocks(cold)
+
+
+def test_schema9_flow_entry_is_a_stale_miss(tmp_path, tiny_cache_config):
+    """Schema 10 dropped the flow's footprint CIIP (the RMB/LMB bits hold
+    it): a flow entry stamped with schema 9, which carried it, is one
+    counted stale miss, recomputed into the same decoded payload as a
+    cold run's."""
+    from repro.cache.ciip import CIIP
+
+    layout, scenarios, entries, cold = _case(tmp_path, tiny_cache_config)
+    (flow_entry,) = [
+        entry for entry in entries
+        if pickle.loads(entry.read_bytes()).kind == "flow"
+    ]
+    current = pickle.loads(flow_entry.read_bytes())
+    assert "footprint_ciip" not in vars(current.payload)
+    carried = FlowBundle.__new__(FlowBundle)  # what schema 9 pickled
+    carried.__dict__.update(
+        footprint_ciip=CIIP.from_addresses(tiny_cache_config, cold.footprint),
+        **vars(current.payload),
+    )
+    flow_entry.write_bytes(
+        pickle.dumps(
+            StoredEntry(schema=9, kind="flow", payload=carried),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+    )
+    store = ArtifactStore(directory=tmp_path)
+    warm = analyze_task(layout, scenarios, tiny_cache_config, store=store)
+    assert (store.stale, store.corrupt) == (1, 0)
+    assert store.hits_by_kind == {"trace": 1, "sim": 1, "paths": 1}
+    assert store.misses_by_kind == {"task": 1, "flow": 1}
+    assert pickle.loads(flow_entry.read_bytes()) == current
+    assert warm.dataflow == cold.dataflow
+    assert warm.useful == cold.useful
+    assert warm.footprint_ciip == cold.footprint_ciip
+    assert warm.footprint_ciip.blocks() == cold.footprint
