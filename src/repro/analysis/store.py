@@ -54,18 +54,27 @@ survive a code change.  On disk each entry is wrapped in a
 :class:`StoredEntry` envelope carrying its schema and kind; an entry that
 unpickles to anything else (e.g. a schema-1 ``CachedAnalysis`` written by
 an older version, or a foreign pickle) is a *stale* counted miss
-(``ArtifactStore.stale`` / ``store.stale`` metric): the file is deleted
+(``ArtifactStore.stale`` / ``store.stale`` metric): the row is deleted
 so the slot heals on the next put, never an error.  Unreadable bytes are
-likewise a counted miss (``ArtifactStore.corrupt`` / ``store.corrupt``).
+likewise a counted miss (``ArtifactStore.corrupt`` / ``store.corrupt``),
+and so is a database file SQLite cannot read (garbage, truncated): it is
+removed and recreated empty.
 
 Degradation events recorded while a sub-artifact was first computed are
 stored alongside it and replayed into the caller's ledger on every hit,
 so a cached run reports the identical soundness status as a cold one.
 
-The store is two-level: a per-process LRU of deserialised payloads and an
-on-disk pickle directory (default ``~/.cache/repro``, override with
-``REPRO_CACHE_DIR``, disable with ``REPRO_NO_CACHE=1`` or ``--no-cache``).
-Disk writes are atomic (temp file + ``os.replace``).  Statistics are kept
+The store is two-level: a per-process LRU of deserialised payloads and
+one SQLite table of pickled entries, ``entries(key, payload)`` in
+``<directory>/store.sqlite3`` (directory default ``~/.cache/repro``,
+override with ``REPRO_CACHE_DIR``, disable with ``REPRO_NO_CACHE=1`` or
+``--no-cache``).  A put is one ``INSERT OR REPLACE`` in autocommit, a
+get one ``SELECT``; the database runs in WAL mode, so the processes of a
+``--jobs`` sweep or a ``serve`` daemon share one file, each through its
+own connection.  The disk tier is best-effort: a failed SQLite statement
+is a counted miss or a dropped put, never an error.  The ``*.pkl`` files
+of the one-file-per-entry layout before it are never read (a cold miss,
+as after any schema change) and may be deleted.  Statistics are kept
 per instance, overall and per kind, and the honesty invariant
 ``gets == hits + misses`` is preserved: every lookup — including the
 memory-only ``task`` assembly memo — is counted exactly once.
@@ -76,8 +85,8 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,6 +109,7 @@ if TYPE_CHECKING:
 __all__ = [
     "ArtifactStore",
     "CachedAnalysis",
+    "DATABASE_NAME",
     "FlowBundle",
     "PairLines",
     "PathsBundle",
@@ -431,9 +441,25 @@ class CachedAnalysis:
     events: tuple["DegradationEvent", ...] = ()
 
 
+#: The disk tier: one SQLite database in the store's directory.
+DATABASE_NAME = "store.sqlite3"
+
+#: Tries, 10 ms apart, at switching a new database file to WAL.
+_WAL_TRIES = 100
+
+_PRAGMAS = (
+    "PRAGMA synchronous=NORMAL",
+    # 256 KiB of pages instead of SQLite's ~2 MB: the memory tier already
+    # holds the decoded payloads.
+    "PRAGMA cache_size=-256",
+    "CREATE TABLE IF NOT EXISTS entries"
+    " (key TEXT PRIMARY KEY, payload BLOB) WITHOUT ROWID",
+)
+
+
 @dataclass
 class ArtifactStore:
-    """Two-level (memory LRU + disk) cache of analysis sub-artifacts.
+    """Two-level (memory LRU + SQLite) cache of analysis sub-artifacts.
 
     Statistics are kept per instance — overall and per kind — so
     benchmarks and tests can assert hit/miss behaviour precisely.
@@ -441,9 +467,10 @@ class ArtifactStore:
     Instances are thread-safe: the serve daemon (and the warm pool's
     serial path under it) share one store across request-handler and
     worker threads, so the memory-LRU mutation (``move_to_end`` +
-    eviction), the corrupt/stale delete-on-get, and every statistic
-    update happen under one reentrant lock.  The lock is per instance
-    and never pickled (worker processes rebuild their own).
+    eviction), every statement on the database connection, and every
+    statistic update happen under one reentrant lock.  The lock and the
+    connection are per instance and never pickled: worker processes
+    rebuild their own, and a forked child opens its own connection.
     """
 
     directory: Optional[Path] = None
@@ -460,10 +487,13 @@ class ArtifactStore:
     misses_by_kind: dict = field(default_factory=dict, repr=False)
     _memory: "OrderedDict[str, Any]" = field(default_factory=OrderedDict, repr=False)
     _lock: Any = field(default_factory=threading.RLock, repr=False, compare=False)
+    #: ``(pid, sqlite3.Connection)`` of the process that opened it.
+    _db: Any = field(default=None, repr=False, compare=False)
 
     def __getstate__(self):
         state = dict(self.__dict__)
         del state["_lock"]  # locks don't pickle; workers make their own
+        state["_db"] = None  # ...and open their own connection
         return state
 
     def __setstate__(self, state):
@@ -476,10 +506,62 @@ class ArtifactStore:
         ``gets == hits + misses``, asserted by the obs property tests."""
         return self.hits + self.misses
 
-    def _path_for(self, key: str) -> Optional[Path]:
-        if self.directory is None:
-            return None
-        return Path(self.directory) / f"{key}.pkl"
+    def _database(self):
+        """This process's connection to the disk tier, opened on first use
+        (callers hold the lock and have a directory).  A connection must
+        not cross a fork, so a child process opens its own."""
+        pid = os.getpid()
+        if self._db is None or self._db[0] != pid:
+            import sqlite3
+
+            self._db = None
+            directory = Path(self.directory)
+            directory.mkdir(parents=True, exist_ok=True)
+            connection = sqlite3.connect(
+                str(directory / DATABASE_NAME),
+                isolation_level=None,  # autocommit: a put is one transaction
+                check_same_thread=False,  # threads share it under the lock
+            )
+            try:
+                # Switching a new file to WAL fails at once, without the
+                # busy timeout, while another connection is writing it, so
+                # processes opening one new database (a ``--jobs`` sweep's
+                # workers) retry.
+                for attempt in range(1, _WAL_TRIES + 1):
+                    try:
+                        connection.execute("PRAGMA journal_mode=WAL")
+                        break
+                    except sqlite3.OperationalError:
+                        if attempt == _WAL_TRIES:
+                            raise
+                        time.sleep(0.01)
+                for statement in _PRAGMAS:
+                    connection.execute(statement)
+            except BaseException:
+                connection.close()
+                raise
+            self._db = (pid, connection)
+        return self._db[1]
+
+    def _recover(self, error: Exception) -> None:
+        """After a failed disk statement: a file SQLite cannot read as a
+        database (garbage, truncated — exactly ``sqlite3.DatabaseError``)
+        is removed with its WAL files, so the next statement recreates it
+        empty.  Other failures (busy, read-only, I/O, an aborting trigger)
+        leave the file alone."""
+        import sqlite3
+
+        if type(error) is not sqlite3.DatabaseError:
+            return
+        if self._db is not None:
+            self._db[1].close()
+            self._db = None
+        path = Path(self.directory) / DATABASE_NAME
+        for suffix in ("", "-wal", "-shm"):
+            try:
+                os.unlink(f"{path}{suffix}")
+            except OSError:
+                pass
 
     def get(self, key: str, kind: str = "task", memory_only: bool = False):
         """Look *key* up, memory first, then disk; ``None`` on miss.
@@ -497,52 +579,67 @@ class ArtifactStore:
             if payload is not None:
                 self._memory.move_to_end(key)
                 return self._hit(payload, kind, tier="memory")
-            path = None if memory_only else self._path_for(key)
-            if path is not None and path.exists():
-                raw = None
-                try:
-                    raw = path.read_bytes()
-                    entry = pickle.loads(raw)
-                except Exception:
-                    entry = None  # unreadable bytes: corrupt, treat as a miss
-                if (
-                    isinstance(entry, StoredEntry)
-                    and entry.schema == SCHEMA_VERSION
-                    and entry.kind == kind
-                ):
-                    self._remember(key, entry.payload)
-                    self.bytes_read += len(raw)
-                    if _OBS.enabled:
-                        _OBS.metrics.counter("store.bytes_read").inc(len(raw))
-                    return self._hit(entry.payload, kind, tier="disk")
-                if entry is not None:
-                    # The file unpickled but is not a current-schema entry
-                    # of this kind: a schema-1 monolith, a foreign pickle,
-                    # or a kind collision.  Stale, not corrupt — count it
-                    # apart so migrations are visible, then delete so the
-                    # slot heals.
-                    self.stale += 1
-                    if _OBS.enabled:
-                        _OBS.metrics.counter("store.stale").inc()
-                        _OBS.tracer.event("store.stale", key=key, kind=kind)
-                else:
-                    # Truncated write, bit rot: delete so the slot is
-                    # rewritten on the next put instead of failing every
-                    # lookup.
-                    self.corrupt += 1
-                    if _OBS.enabled:
-                        _OBS.metrics.counter("store.corrupt").inc()
-                        _OBS.tracer.event("store.corrupt", key=key)
-                try:
-                    path.unlink()
-                except OSError:
-                    pass  # unreadable *and* undeletable: still just a miss
+            if not memory_only and self.directory is not None:
+                payload = self._read(key, kind)
+                if payload is not None:
+                    return self._hit(payload, kind, tier="disk")
             self.misses += 1
             self.misses_by_kind[kind] = self.misses_by_kind.get(kind, 0) + 1
             if _OBS.enabled:
                 _OBS.metrics.counter("store.misses").inc()
                 _OBS.metrics.counter(f"store.misses.kind.{kind}").inc()
             return None
+
+    def _read(self, key: str, kind: str):
+        """The *kind* payload stored on disk under *key*, else ``None``
+        (callers hold the lock).  A row that holds no such payload is
+        counted and deleted, so the slot heals on the next put."""
+        import sqlite3
+
+        raw = entry = None
+        try:
+            row = self._database().execute(
+                "SELECT payload FROM entries WHERE key = ?", (key,)
+            ).fetchone()
+            if row is None:
+                return None
+            raw = row[0]
+            entry = pickle.loads(raw)
+        except (sqlite3.Error, OSError) as error:
+            self._recover(error)  # an unreadable disk tier: corrupt
+        except Exception:
+            pass  # unreadable bytes: corrupt, treat as a miss
+        if (
+            isinstance(entry, StoredEntry)
+            and entry.schema == SCHEMA_VERSION
+            and entry.kind == kind
+        ):
+            self._remember(key, entry.payload)
+            self.bytes_read += len(raw)
+            if _OBS.enabled:
+                _OBS.metrics.counter("store.bytes_read").inc(len(raw))
+            return entry.payload
+        if entry is not None:
+            # The row unpickled but is not a current-schema entry of this
+            # kind: a schema-1 monolith, a foreign pickle, or a kind
+            # collision.  Stale, not corrupt — count it apart so
+            # migrations are visible, then delete so the slot heals.
+            self.stale += 1
+            if _OBS.enabled:
+                _OBS.metrics.counter("store.stale").inc()
+                _OBS.tracer.event("store.stale", key=key, kind=kind)
+        else:
+            # Truncated write, bit rot: delete so the slot is rewritten on
+            # the next put instead of failing every lookup.
+            self.corrupt += 1
+            if _OBS.enabled:
+                _OBS.metrics.counter("store.corrupt").inc()
+                _OBS.tracer.event("store.corrupt", key=key)
+        try:
+            self._database().execute("DELETE FROM entries WHERE key = ?", (key,))
+        except (sqlite3.Error, OSError) as error:
+            self._recover(error)  # unreadable *and* undeletable: still a miss
+        return None
 
     def _hit(self, payload, kind: str, tier: str):
         self.hits += 1
@@ -557,37 +654,34 @@ class ArtifactStore:
     def put(
         self, key: str, payload, kind: str = "task", memory_only: bool = False
     ) -> None:
-        """Store *payload* in memory and (atomically) on disk."""
+        """Store *payload* in memory and (one transaction) on disk."""
         if not self.enabled:
             return
         if _OBS.enabled:
             _OBS.metrics.counter("store.puts").inc()
+        raw = None
+        if not memory_only and self.directory is not None:
+            # Pickled before taking the lock, which serve's workers share.
+            raw = pickle.dumps(
+                StoredEntry(schema=SCHEMA_VERSION, kind=kind, payload=payload),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
         with self._lock:
             self._remember(key, payload)
-            path = None if memory_only else self._path_for(key)
-            if path is None:
+            if raw is None:
                 return
+            import sqlite3
+
             try:
-                raw = pickle.dumps(
-                    StoredEntry(schema=SCHEMA_VERSION, kind=kind, payload=payload),
-                    protocol=pickle.HIGHEST_PROTOCOL,
+                self._database().execute(
+                    "INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, raw)
                 )
-                path.parent.mkdir(parents=True, exist_ok=True)
-                handle = tempfile.NamedTemporaryFile(
-                    mode="wb", dir=str(path.parent), delete=False
-                )
-                try:
-                    with handle:
-                        handle.write(raw)
-                    os.replace(handle.name, path)
-                except BaseException:
-                    os.unlink(handle.name)
-                    raise
-                self.bytes_written += len(raw)
-                if _OBS.enabled:
-                    _OBS.metrics.counter("store.bytes_written").inc(len(raw))
-            except OSError:
-                pass  # disk cache is best-effort; the result is still returned
+            except (sqlite3.Error, OSError) as error:
+                self._recover(error)
+                return  # disk cache is best-effort; the result is still returned
+            self.bytes_written += len(raw)
+            if _OBS.enabled:
+                _OBS.metrics.counter("store.bytes_written").inc(len(raw))
 
     def _remember(self, key: str, payload) -> None:
         # Callers hold self._lock (get/put); the reentrant lock makes the

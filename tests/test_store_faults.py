@@ -2,7 +2,7 @@
 
 The docstring contract of :mod:`repro.analysis.store` says corrupt or
 unreadable disk entries are treated as misses, never as errors, that the
-offending file is deleted so the slot heals on the next ``put``, and
+offending row is deleted so the slot heals on the next ``put``, and
 that every such event is counted (``ArtifactStore.corrupt`` instance
 counter and the ``store.corrupt`` obs metric).  These tests rot cache
 entries in every way :data:`tests.faults.PICKLE_CORRUPTIONS` knows and
@@ -13,8 +13,11 @@ One analysis persists four sub-artifact entries (trace, sim, flow,
 paths — see the decomposition in ``docs/performance.md``), so the tests
 rot *every* entry.  On the rotten re-run the sim and flow lookups miss,
 so the trace entry is read too and misses, which sends the WCET stage
-down the cold path: four corrupt reads are counted and all four files
-heal.  A warm run whose sim and flow entries hit reads no trace.
+down the cold path: four corrupt reads are counted and all four rows
+heal.  A warm run whose sim and flow entries hit reads no trace.  The
+entries are rows of the store's SQLite table, reached through
+:mod:`tests.store_rows`; a database file SQLite cannot read at all is
+covered by :mod:`tests.test_store_sqlite`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.program import SystemLayout
 
 from tests.conftest import make_streaming_program
 from tests.faults import PICKLE_CORRUPTIONS
+from tests.store_rows import freeze, rows
 
 #: Disk entries one analysis persists / corrupt reads on a rotten re-run.
 PERSISTED_KINDS = 4
@@ -38,13 +42,13 @@ CORRUPT_READS = 4  # sim, flow, trace, paths
 
 def _analyzed_once(tmp_path, config):
     """Analyze one program through a disk-backed store; return the layout,
-    scenarios and the sub-artifact ``.pkl`` entries the run produced."""
+    scenarios and the sub-artifact rows the run produced."""
     program = make_streaming_program("rot", words=16, reps=1)
     layout = SystemLayout().place(program)
     scenarios = {"s": {"data": list(range(16))}}
     store = ArtifactStore(directory=tmp_path)
     artifacts = analyze_task(layout, scenarios, config, store=store)
-    entries = sorted(tmp_path.glob("*.pkl"))
+    entries = rows(tmp_path)
     assert len(entries) == PERSISTED_KINDS
     return layout, scenarios, entries, artifacts
 
@@ -74,7 +78,7 @@ def test_corrupt_entry_is_a_counted_miss_and_heals(
     # Recomputation matches the cold run.
     assert warm.wcet.cycles == cold.wcet.cycles
     assert warm.footprint == cold.footprint
-    # The rotten files were replaced by the re-analysis puts...
+    # The rotten rows were replaced by the re-analysis puts...
     assert all(entry.exists() for entry in entries)
     # ...with loadable entries: the next disk lookups hit.
     retry = ArtifactStore(directory=tmp_path)
@@ -98,14 +102,15 @@ def test_corrupt_entry_increments_obs_metric(tmp_path, tiny_cache_config):
 
 
 def test_undeletable_entry_is_still_just_a_miss(tmp_path, tiny_cache_config):
-    """Entries that can be neither read nor unlinked (here: directories
-    squatting on the entries' paths) degrade to plain counted misses."""
+    """Entries that can be neither read nor deleted (here: empty rows in
+    a table whose triggers abort every delete and insert) degrade to
+    plain counted misses."""
     layout, scenarios, entries, cold = _analyzed_once(
         tmp_path, tiny_cache_config
     )
     for entry in entries:
-        entry.unlink()
-        entry.mkdir()  # read_bytes -> IsADirectoryError, unlink -> OSError
+        entry.write_bytes(b"")  # unpickles to nothing: corrupt
+    freeze(tmp_path)  # DELETE and INSERT OR REPLACE now abort
 
     store = ArtifactStore(directory=tmp_path)
     warm = analyze_task(layout, scenarios, tiny_cache_config, store=store)
@@ -113,7 +118,7 @@ def test_undeletable_entry_is_still_just_a_miss(tmp_path, tiny_cache_config):
     assert store.corrupt == CORRUPT_READS
     assert warm.wcet.cycles == cold.wcet.cycles
     # Undeletable: left in place (puts fail soft), analysis unharmed.
-    assert all(entry.is_dir() for entry in entries)
+    assert all(entry.read_bytes() == b"" for entry in entries)
 
 
 def test_mangled_tail_does_not_resurrect_stale_artifacts(

@@ -4,9 +4,10 @@ Schema 1 of the artifact store pickled bare ``CachedAnalysis`` bundles;
 schema 2 wraps sub-artifacts in the :class:`StoredEntry` envelope.  A
 cache directory written by an older version must degrade gracefully: a
 v1 entry squatting on a current key is a *stale* counted miss (distinct
-from ``corrupt``, so migrations show up in telemetry), the file is
+from ``corrupt``, so migrations show up in telemetry), the row is
 deleted, the analysis recomputes, and the slot heals — never an error,
-never a silently wrong result.
+never a silently wrong result.  The entries are rows of the store's
+SQLite table, rewritten through :mod:`tests.store_rows`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.program import SystemLayout
 
 from tests.conftest import make_streaming_program
 from tests.oracles.pathcost import node_blocks
+from tests.store_rows import rows
 
 
 def _case(tmp_path, config):
@@ -36,7 +38,7 @@ def _case(tmp_path, config):
     scenarios = {"s": {"data": list(range(16))}}
     store = ArtifactStore(directory=tmp_path)
     cold = analyze_task(layout, scenarios, config, store=store)
-    entries = sorted(tmp_path.glob("*.pkl"))
+    entries = rows(tmp_path)
     assert len(entries) == 4  # trace, sim, flow, paths
     return layout, scenarios, entries, cold
 
@@ -71,7 +73,7 @@ def test_v1_entries_are_counted_stale_misses_and_heal(
     # The recomputation is a full, correct cold run.
     assert warm.wcet.cycles == cold.wcet.cycles
     assert warm.footprint == cold.footprint
-    # The v1 files were replaced: the next lookup is all hits again.
+    # The v1 rows were replaced: the next lookup is all hits again.
     retry = ArtifactStore(directory=tmp_path)
     analyze_task(layout, scenarios, tiny_cache_config, store=retry)
     assert retry.stale == 0

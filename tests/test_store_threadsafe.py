@@ -20,6 +20,7 @@ import threading
 import pytest
 
 from tests.faults import PICKLE_CORRUPTIONS
+from tests.store_rows import StoreRow
 from repro.analysis.store import ArtifactStore
 
 THREADS = 8
@@ -94,13 +95,13 @@ def test_concurrent_delete_on_get_of_corrupt_entry(tmp_path, corruption):
     """All threads race the corrupt/stale delete-on-get of one entry.
 
     Unsynchronized, two threads could interleave between the failed
-    unpickle and the ``unlink`` — now exactly every lookup is a counted
-    miss and the slot heals (a later put+get works)."""
+    unpickle and the row's ``DELETE`` — now exactly every lookup is a
+    counted miss and the slot heals (a later put+get works)."""
     store = ArtifactStore(directory=tmp_path, memory_slots=4)
     store.put("damaged", {"ok": True}, kind="sim")
     store.clear_memory()
-    path = tmp_path / "damaged.pkl"
-    path.write_bytes(PICKLE_CORRUPTIONS[corruption](path.read_bytes()))
+    row = StoreRow(tmp_path, "damaged")
+    row.write_bytes(PICKLE_CORRUPTIONS[corruption](row.read_bytes()))
 
     def work(index: int) -> None:
         for _ in range(20):
@@ -111,7 +112,7 @@ def test_concurrent_delete_on_get_of_corrupt_entry(tmp_path, corruption):
     assert store.gets == store.hits + store.misses
     assert store.hits == 0
     assert store.misses == THREADS * 20
-    assert not path.exists()
+    assert not row.exists()
     assert store.corrupt + store.stale >= 1
     # The slot healed: a rewrite is served normally again.
     store.put("damaged", {"ok": True}, kind="sim")
